@@ -5,6 +5,7 @@
 
 #include "bench/bench_common.h"
 #include "query/evaluator.h"
+#include "server/net_server.h"
 
 namespace ldapbound::bench {
 namespace {
@@ -68,6 +69,68 @@ void BM_QuerySize(benchmark::State& state) {
 }
 
 BENCHMARK(BM_QuerySize)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+// Scoped snapshot reads cost O(scope), not O(|D|): a (objectClass=person)
+// subtree search of one leaf unit (1,388 persons) on a pinned snapshot,
+// while the white-pages directory around it grows with the unit fanout
+// (depth 2, fanout 2 → 12: 8,335 → 216,685 entries). Expectation: flat
+// ns_per_op across the sweep.
+void BM_SnapshotScopedScan(benchmark::State& state) {
+  constexpr size_t kPersonsPerUnit = 1388;
+  // One directory at a time: the largest holds ~217k entries.
+  static World* world = nullptr;
+  static size_t world_fanout = 0;
+  const size_t fanout = static_cast<size_t>(state.range(0));
+  if (world == nullptr || world_fanout != fanout) {
+    delete world;
+    world = new World();
+    world->vocab = std::make_shared<Vocabulary>();
+    world->schema = std::make_unique<DirectorySchema>(
+        MakeWhitePagesSchema(world->vocab).value());
+    WhitePagesOptions options;
+    options.org_unit_fanout = fanout;
+    options.org_unit_depth = 2;
+    options.persons_per_unit = kPersonsPerUnit;
+    world->directory = std::make_unique<Directory>(
+        MakeWhitePagesInstance(*world->schema, options).value());
+    world->directory->EnableSnapshots();
+    world_fanout = fanout;
+  }
+  const Directory& d = *world->directory;
+
+  // The scanned unit: the first orgUnit under the first orgUnit under the
+  // organization — a leaf unit whatever the fanout.
+  const ClassId unit_class = *world->vocab->FindClass("orgUnit");
+  auto first_unit_under = [&](EntryId parent) {
+    for (EntryId c : d.entry(parent).children()) {
+      if (d.entry(c).HasClass(unit_class)) return c;
+    }
+    return kInvalidEntryId;
+  };
+  EntryId unit = first_unit_under(first_unit_under(d.roots().front()));
+  std::string dn;
+  for (EntryId cur = unit; cur != kInvalidEntryId;
+       cur = d.entry(cur).parent()) {
+    dn += (dn.empty() ? "" : ",") + d.entry(cur).rdn();
+  }
+
+  PinnedSnapshot snap = d.PinSnapshot();
+  size_t hits = 0;
+  for (auto _ : state) {
+    auto result = SnapshotSearch(*snap, d.vocab(), dn, /*scope=*/2,
+                                 "(objectClass=person)");
+    hits = result.value().size();
+    benchmark::DoNotOptimize(hits);
+  }
+  state.counters["entries"] = static_cast<double>(d.NumEntries());
+  state.counters["scope_persons"] = static_cast<double>(hits);
+  state.counters["ns_per_op"] =
+      benchmark::Counter(static_cast<double>(state.iterations()),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+
+BENCHMARK(BM_SnapshotScopedScan)->Arg(2)->Arg(4)->Arg(8)->Arg(12);
 
 }  // namespace
 }  // namespace ldapbound::bench

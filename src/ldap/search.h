@@ -4,19 +4,11 @@
 #include <vector>
 
 #include "ldap/dn.h"
+#include "model/axis.h"
 #include "model/directory.h"
 #include "query/matcher.h"
 
 namespace ldapbound {
-
-/// LDAP search scopes: the base entry alone, its direct children, or its
-/// whole subtree (including the base) — the "retrieval typically scoped to
-/// some subtree" of the paper's introduction.
-enum class SearchScope : uint8_t {
-  kBase = 0,
-  kOneLevel = 1,
-  kSubtree = 2,
-};
 
 /// A directory search: filter evaluation under a scope rooted at a base
 /// entry (named by DN or by id).

@@ -52,6 +52,15 @@ inline constexpr Axis kAllAxes[] = {Axis::kChild, Axis::kParent,
 /// The downward axes permitted in forbidden relationships (Ef).
 inline constexpr Axis kForbiddenAxes[] = {Axis::kChild, Axis::kDescendant};
 
+/// LDAP search scopes: the base entry alone, its direct children, or its
+/// whole subtree (including the base) — the "retrieval typically scoped to
+/// some subtree" of the paper's introduction.
+enum class SearchScope : uint8_t {
+  kBase = 0,
+  kOneLevel = 1,
+  kSubtree = 2,
+};
+
 }  // namespace ldapbound
 
 #endif  // LDAPBOUND_MODEL_AXIS_H_

@@ -92,11 +92,7 @@ Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
   e.values_ = std::move(kept);
   alive_.push_back(true);
   ++num_alive_;
-  if (parent == kInvalidEntryId) {
-    roots_.push_back(id);
-  } else {
-    entries_[parent].children_.push_back(id);
-  }
+  Attach(id, parent);
   rdn_index_.Set(RdnKey(parent, e.rdn_), id);
   for (ClassId c : e.classes_) BumpClassCount(c, +1);
   index_.OnInsert(*this, id);
@@ -237,22 +233,11 @@ Status Directory::MoveSubtree(EntryId id, EntryId new_parent) {
     return Status::AlreadyExists("sibling with RDN '" + e.rdn_ +
                                  "' already exists at the destination");
   }
-  // Detach.
-  if (e.parent_ == kInvalidEntryId) {
-    roots_.erase(std::find(roots_.begin(), roots_.end(), id));
-  } else {
-    auto& siblings = entries_[e.parent_].children_;
-    siblings.erase(std::find(siblings.begin(), siblings.end(), id));
-  }
+  Detach(id);
   rdn_index_.Erase(RdnKey(e.parent_, e.rdn_));
   rdn_index_.Set(RdnKey(new_parent, e.rdn_), id);
-  // Attach.
   e.parent_ = new_parent;
-  if (new_parent == kInvalidEntryId) {
-    roots_.push_back(id);
-  } else {
-    entries_[new_parent].children_.push_back(id);
-  }
+  Attach(id, new_parent);
   index_.OnMove(*this, id);
   ++version_;
   return Status::OK();
@@ -296,12 +281,7 @@ Status Directory::DeleteLeaf(EntryId id) {
     TrackValue(id, av.attribute, av.value, false);
   }
   TrackEntryPayload(id, /*alive=*/false);
-  if (e.parent_ == kInvalidEntryId) {
-    roots_.erase(std::find(roots_.begin(), roots_.end(), id));
-  } else {
-    auto& siblings = entries_[e.parent_].children_;
-    siblings.erase(std::find(siblings.begin(), siblings.end(), id));
-  }
+  Detach(id);
   rdn_index_.Erase(RdnKey(e.parent_, e.rdn_));
   index_.OnErase(id);
   ++version_;
@@ -316,6 +296,26 @@ Status Directory::DeleteSubtree(EntryId id) {
     LDAPBOUND_RETURN_IF_ERROR(DeleteLeaf(*it));
   }
   return Status::OK();
+}
+
+std::vector<EntryId>& Directory::SiblingList(EntryId parent) {
+  return parent == kInvalidEntryId ? roots_ : entries_[parent].children_;
+}
+
+void Directory::Attach(EntryId id, EntryId parent) {
+  std::vector<EntryId>& siblings = SiblingList(parent);
+  index_.Link(parent, siblings.empty() ? kInvalidEntryId : siblings.back(),
+              id);
+  siblings.push_back(id);
+}
+
+void Directory::Detach(EntryId id) {
+  EntryId parent = entries_[id].parent_;
+  std::vector<EntryId>& siblings = SiblingList(parent);
+  auto it = std::find(siblings.begin(), siblings.end(), id);
+  index_.Unlink(parent, it == siblings.begin() ? kInvalidEntryId : *(it - 1),
+                id);
+  siblings.erase(it);
 }
 
 EntrySet Directory::AliveSet() const {
@@ -378,21 +378,28 @@ void Directory::TrackAlive(EntryId id, bool on) {
 
 void Directory::TrackClass(EntryId id, ClassId cls, bool add) {
   if (!snapshots_enabled_) return;
-  std::shared_ptr<EntrySet>* pending = by_class_.FindMutableInPending(cls);
-  std::shared_ptr<EntrySet> set;
+  using ClassPosting = DirectorySnapshot::ClassPosting;
+  std::shared_ptr<ClassPosting>* pending = by_class_.FindMutableInPending(cls);
+  std::shared_ptr<ClassPosting> posting;
   if (pending != nullptr) {
-    set = *pending;  // cloned earlier in this delta: private to the writer
+    posting = *pending;  // cloned earlier in this delta: private to the writer
   } else {
-    const std::shared_ptr<EntrySet>* frozen = by_class_.Find(cls);
-    set = frozen != nullptr ? std::make_shared<EntrySet>(**frozen)
-                            : std::make_shared<EntrySet>(PostingCapacity());
-    by_class_.Set(cls, set);
+    const std::shared_ptr<ClassPosting>* frozen = by_class_.Find(cls);
+    posting = frozen != nullptr
+                  ? std::make_shared<ClassPosting>(**frozen)
+                  : std::make_shared<ClassPosting>(
+                        ClassPosting{EntrySet(PostingCapacity()), 0});
+    by_class_.Set(cls, posting);
   }
-  if (set->capacity() <= id) set->Resize(PostingCapacity());
+  EntrySet& set = posting->members;
+  if (set.capacity() <= id) set.Resize(PostingCapacity());
+  if (set.Contains(id) == add) return;
   if (add) {
-    set->Insert(id);
+    set.Insert(id);
+    ++posting->count;
   } else {
-    set->Erase(id);
+    set.Erase(id);
+    --posting->count;
   }
 }
 

@@ -192,6 +192,13 @@ class Directory {
 
  private:
   Status CheckAlive(EntryId id) const;
+  /// The child list of `parent`, or the roots for kInvalidEntryId.
+  std::vector<EntryId>& SiblingList(EntryId parent);
+  /// Appends `id` as the youngest child of `parent` (youngest root for
+  /// kInvalidEntryId) / removes it from its parent's list, relinking the
+  /// index's tree links to match.
+  void Attach(EntryId id, EntryId parent);
+  void Detach(EntryId id);
   void BumpClassCount(ClassId c, int delta);
   // Key of the sibling-RDN uniqueness index: "<parent>/<lowercased rdn>".
   static std::string RdnKey(EntryId parent, std::string_view rdn);

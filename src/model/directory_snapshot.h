@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "model/axis.h"
 #include "model/entry_set.h"
 #include "model/forest_index.h"
 #include "model/value.h"
@@ -51,6 +52,10 @@ std::string SnapshotRdnKey(EntryId parent, std::string_view rdn);
 /// exactly the chunks/overlays of its version alive — untouched parts
 /// are shared with neighboring versions.
 ///
+/// The label views also carry the forest's tree links, so a scoped read
+/// walks just its scope (WalkScope) instead of filtering a posting that
+/// spans the whole directory.
+///
 /// NOTE: live Entry objects mutate in place, so snapshot readers must
 /// never dereference into Directory::entry(). Entry *content* is instead
 /// carried as immutable pre-serialized payload blobs (`by_entry`),
@@ -59,11 +64,18 @@ std::string SnapshotRdnKey(EntryId parent, std::string_view rdn);
 /// them onto the wire without touching the Vocabulary (which is not
 /// read-safe against writer interning).
 struct DirectorySnapshot {
+  /// One class's members at a version, with their number kept in step
+  /// by the writer, so a population read costs no pass over the bitmap.
+  struct ClassPosting {
+    EntrySet members;
+    size_t count = 0;
+  };
+
   // Payload pointers are non-const shared_ptrs so the single writer can
   // mutate a payload it cloned within the current (unfrozen) delta;
   // once a payload reaches a frozen View it is never written again
   // (clone-once-per-delta discipline, see CowMap::FindMutableInPending).
-  using ClassPostingMap = CowMap<ClassId, std::shared_ptr<EntrySet>>;
+  using ClassPostingMap = CowMap<ClassId, std::shared_ptr<ClassPosting>>;
   using ValuePostingMap =
       CowMap<SnapshotValueKey, std::shared_ptr<std::vector<EntryId>>,
              SnapshotValueKeyHash>;
@@ -97,8 +109,8 @@ struct DirectorySnapshot {
   /// returned set may have capacity != id_capacity (postings grow in
   /// doubling steps); ids past id_capacity are never set.
   const EntrySet* ClassSet(ClassId cls) const {
-    const std::shared_ptr<EntrySet>* p = by_class.Find(cls);
-    return p == nullptr ? nullptr : p->get();
+    const std::shared_ptr<ClassPosting>* p = by_class.Find(cls);
+    return p == nullptr ? nullptr : &(*p)->members;
   }
 
   /// Alive entries carrying (attr, value), ascending; nullptr when none.
@@ -109,10 +121,10 @@ struct DirectorySnapshot {
     return p == nullptr ? nullptr : p->get();
   }
 
-  /// Population of class `cls` at this version. O(id_capacity/64).
+  /// Population of class `cls` at this version. O(1).
   size_t CountWithClass(ClassId cls) const {
-    const EntrySet* s = ClassSet(cls);
-    return s == nullptr ? 0 : s->Count();
+    const std::shared_ptr<ClassPosting>* p = by_class.Find(cls);
+    return p == nullptr ? 0 : (*p)->count;
   }
 
   /// The child of `parent` with (case-insensitive) RDN `rdn`, or
@@ -127,10 +139,65 @@ struct DirectorySnapshot {
   }
 
   bool IsAlive(EntryId id) const { return alive != nullptr && alive->Contains(id); }
-  EntryId parent(EntryId id) const {
-    return index.parents.Get(id, kInvalidEntryId);
-  }
+  EntryId parent(EntryId id) const { return index.links.Get(id, {}).parent; }
+
+  /// Calls `visit(id)` for every alive entry of `scope` under `base`, in
+  /// preorder (= ascending label order), skipping entries whose label is
+  /// below `from_label`; `visit` returns false to stop. `base` must be
+  /// alive, or kInvalidEntryId for the whole forest (whose kBase scope is
+  /// empty and whose kOneLevel scope is the roots). Walks the tree links,
+  /// so it touches only the scope: O(1) per visited entry after an
+  /// O(depth × fanout) descent to the first label >= `from_label`.
+  /// Returns false iff `visit` stopped the walk.
+  template <typename Visit>
+  bool WalkScope(EntryId base, SearchScope scope, uint64_t from_label,
+                 Visit&& visit) const;
 };
+
+template <typename Visit>
+bool DirectorySnapshot::WalkScope(EntryId base, SearchScope scope,
+                                  uint64_t from_label, Visit&& visit) const {
+  const ForestIndex::LabelViews& v = index;
+  auto first_child = [&](EntryId id) {
+    return id == kInvalidEntryId ? v.first_root : v.links[id].first_child;
+  };
+  switch (scope) {
+    case SearchScope::kBase:
+      return base == kInvalidEntryId || v.labels[base] < from_label ||
+             visit(base);
+    case SearchScope::kOneLevel:
+      for (EntryId c = first_child(base); c != kInvalidEntryId;
+           c = v.links[c].next_sibling) {
+        if (v.labels[c] >= from_label && !visit(c)) return false;
+      }
+      return true;
+    case SearchScope::kSubtree:
+      break;
+  }
+  // The preorder successor of `id`'s whole subtree, within the scope.
+  auto after = [&](EntryId id) {
+    for (; id != base; id = v.links[id].parent) {
+      if (v.links[id].next_sibling != kInvalidEntryId) {
+        return v.links[id].next_sibling;
+      }
+    }
+    return kInvalidEntryId;
+  };
+  auto next = [&](EntryId id) {
+    EntryId child = first_child(id);
+    return child != kInvalidEntryId ? child : after(id);
+  };
+  // Descend to the first entry labeled >= from_label: skip the subtrees
+  // that end at or before it, enter the one whose interval holds it.
+  EntryId cur = base == kInvalidEntryId ? v.first_root : base;
+  while (cur != kInvalidEntryId && v.labels[cur] < from_label) {
+    cur = v.end_labels[cur] <= from_label ? after(cur) : next(cur);
+  }
+  for (; cur != kInvalidEntryId; cur = next(cur)) {
+    if (!visit(cur)) return false;
+  }
+  return true;
+}
 
 /// A snapshot pointer held open by an epoch pin: the snapshot (and every
 /// older structure it shares) cannot be reclaimed while this object

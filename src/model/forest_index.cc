@@ -84,7 +84,8 @@ ForestIndex::ForestIndex(ForestIndex&& other) noexcept
     : labels_(std::move(other.labels_)),
       end_labels_(std::move(other.end_labels_)),
       depth_(std::move(other.depth_)),
-      parents_(std::move(other.parents_)),
+      links_(std::move(other.links_)),
+      first_root_(other.first_root_),
       num_alive_(other.num_alive_),
       relabels_(other.relabels_),
       full_rebuilds_(other.full_rebuilds_),
@@ -100,7 +101,8 @@ ForestIndex& ForestIndex::operator=(ForestIndex&& other) noexcept {
   labels_ = std::move(other.labels_);
   end_labels_ = std::move(other.end_labels_);
   depth_ = std::move(other.depth_);
-  parents_ = std::move(other.parents_);
+  links_ = std::move(other.links_);
+  first_root_ = other.first_root_;
   num_alive_ = other.num_alive_;
   relabels_ = other.relabels_;
   full_rebuilds_ = other.full_rebuilds_;
@@ -117,7 +119,36 @@ void ForestIndex::EnsureCapacity(size_t id_capacity) {
     labels_.Resize(id_capacity, kNoLabel);
     end_labels_.Resize(id_capacity, kNoLabel);
     depth_.Resize(id_capacity, 0);
-    parents_.Resize(id_capacity, kInvalidEntryId);
+    links_.Resize(id_capacity, TreeLinks{});
+  }
+}
+
+void ForestIndex::SetFirst(EntryId parent, EntryId id) {
+  if (parent == kInvalidEntryId) {
+    first_root_ = id;
+  } else {
+    links_.Mutable(parent).first_child = id;
+  }
+}
+
+void ForestIndex::Link(EntryId parent, EntryId prev, EntryId id) {
+  EnsureCapacity(size_t{id} + 1);  // a fresh id is the largest
+  if (prev == kInvalidEntryId) {
+    SetFirst(parent, id);
+  } else {
+    links_.Mutable(prev).next_sibling = id;
+  }
+  TreeLinks& self = links_.Mutable(id);  // keeps a moved subtree's children
+  self.parent = parent;
+  self.next_sibling = kInvalidEntryId;
+}
+
+void ForestIndex::Unlink(EntryId parent, EntryId prev, EntryId id) {
+  EntryId next = links_[id].next_sibling;
+  if (prev == kInvalidEntryId) {
+    SetFirst(parent, next);
+  } else {
+    links_.Mutable(prev).next_sibling = next;
   }
 }
 
@@ -259,7 +290,6 @@ void ForestIndex::AssignInterval(const Directory& d, EntryId root,
     end_labels_.Set(f.id, f.lo + f.width);
     EntryId parent = e.parent();
     depth_.Set(f.id, (parent == kInvalidEntryId) ? 0 : depth_[parent] + 1);
-    parents_.Set(f.id, parent);
     if (e.children().empty()) continue;
 
     // Children get proportional shares of the usable interior minus this
@@ -360,9 +390,24 @@ bool ForestIndex::EquivalentToFresh(const Directory& d) const {
     }
   }
 
+  // The links must thread each child list, and the roots, in order.
+  auto threads = [this](EntryId first, const std::vector<EntryId>& list) {
+    if (first != (list.empty() ? kInvalidEntryId : list.front())) return false;
+    for (size_t i = 0; i < list.size(); ++i) {
+      EntryId next = i + 1 < list.size() ? list[i + 1] : kInvalidEntryId;
+      if (links_[list[i]].next_sibling != next) return false;
+    }
+    return true;
+  };
+
   if (num_alive_ != expected.size()) return false;
   if (preorder() != expected) return false;
+  if (!threads(first_root_, roots)) return false;
   for (EntryId id : expected) {
+    if (links_[id].parent != d.entry(id).parent()) return false;
+    if (!threads(links_[id].first_child, d.entry(id).children())) {
+      return false;
+    }
     if (pre(id) != expected_pre[id]) return false;
     if (sub_end(id) != expected_end[id]) return false;
     if (depth(id) != expected_depth[id]) return false;

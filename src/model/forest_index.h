@@ -40,11 +40,20 @@ class Directory;
 ///    fails, the index falls back to a full rebuild (a redistribution over
 ///    the whole label space), counted separately.
 ///
-/// The label/depth/parent arrays are chunked copy-on-write vectors
-/// (CowVec): FreezeViews() hands an immutable point-in-time view to the
-/// MVCC snapshot publisher in O(Δ·chunk), and SnapshotEvaluator answers
-/// all four hierarchy axes straight off those views (no dense arrays in
-/// snapshots — see query/snapshot_evaluator.h).
+/// Beside the labels the index keeps the forest's tree structure as
+/// links (TreeLinks): each entry's parent, first child and next sibling,
+/// plus the first root, threading every child list (and the roots) in
+/// sibling order — which is label order. Directory relinks them where
+/// its child lists change (add, move, leaf delete), O(1) writes per
+/// commit whatever the fanout.
+///
+/// The label/depth/link arrays are chunked copy-on-write vectors
+/// (CowVec): FreezeViews() hands an immutable point-in-time view of all
+/// of them (LabelViews) to the MVCC snapshot publisher in O(Δ·chunk).
+/// SnapshotEvaluator answers all four hierarchy axes straight off those
+/// views (no dense arrays in snapshots — see query/snapshot_evaluator.h),
+/// and DirectorySnapshot::WalkScope walks a search scope in preorder over
+/// the links, touching only the scope.
 ///
 /// Concurrency contract: mutation AND dense materialization are
 /// single-writer. The dense views the legacy query evaluator consumes —
@@ -72,14 +81,27 @@ class ForestIndex {
   /// further inserts before exhausting again).
   static constexpr uint64_t kMinSpread = uint64_t{1} << 18;
 
-  /// Immutable point-in-time view of the label state, shared with
-  /// published DirectorySnapshots. parents[id] is only meaningful for
-  /// ids whose label != kNoLabel (dead entries keep a stale parent).
+  /// An entry's place in the forest; kInvalidEntryId = none (a root's
+  /// parent, a leaf's first child, a youngest sibling's next sibling).
+  /// One struct rather than three arrays, so a snapshot publish freezes
+  /// one array for all of them.
+  struct TreeLinks {
+    EntryId parent = kInvalidEntryId;
+    EntryId first_child = kInvalidEntryId;
+    EntryId next_sibling = kInvalidEntryId;
+    friend bool operator==(const TreeLinks&, const TreeLinks&) = default;
+  };
+
+  /// Immutable point-in-time view of the label state and tree links,
+  /// shared with published DirectorySnapshots. links[id] is only
+  /// meaningful for ids whose label != kNoLabel (dead entries keep a
+  /// stale parent and next sibling).
   struct LabelViews {
     CowVec<uint64_t>::View labels;
     CowVec<uint64_t>::View end_labels;
     CowVec<uint32_t>::View depth;
-    CowVec<EntryId>::View parents;
+    CowVec<TreeLinks>::View links;
+    EntryId first_root = kInvalidEntryId;
     size_t num_alive = 0;
   };
 
@@ -143,8 +165,9 @@ class ForestIndex {
   /// O(Δ·chunk) immutable view of the current labels for snapshot
   /// publication. Single-writer (called under the commit lock).
   LabelViews FreezeViews() const {
-    return LabelViews{labels_.Freeze(), end_labels_.Freeze(), depth_.Freeze(),
-                      parents_.Freeze(), num_alive_};
+    return LabelViews{labels_.Freeze(), end_labels_.Freeze(),
+                      depth_.Freeze(),  links_.Freeze(),
+                      first_root_,      num_alive_};
   }
 
   /// Makes the dense cache fresh now, so subsequent pre()/sub_end()/
@@ -160,9 +183,10 @@ class ForestIndex {
 
   /// Equivalence check against a fresh build: the label order must induce
   /// exactly the DFS preorder of `d`, with matching subtree intervals and
-  /// depths. O(|D| log |D|). The property tests run this after every
-  /// mutation; the maintenance code uses the same invariants to decide
-  /// when to fall back to a full rebuild.
+  /// depths, and the links must name every parent and thread every child
+  /// list and the roots in order. O(|D| log |D|). The property tests run
+  /// this after every mutation; the maintenance code uses the same
+  /// invariants to decide when to fall back to a full rebuild.
   bool EquivalentToFresh(const Directory& d) const;
 
  private:
@@ -179,6 +203,17 @@ class ForestIndex {
   /// (youngest child). Relabels the k moved entries.
   void OnMove(const Directory& d, EntryId id);
 
+  /// Link upkeep, called by Directory where a child list (or the root
+  /// list) of `parent` changes; `prev` is the sibling just before `id`
+  /// in that list, kInvalidEntryId when `id` is (was) first. Link
+  /// appends `id` (with its subtree) as the youngest sibling; Unlink
+  /// splices it out.
+  void Link(EntryId parent, EntryId prev, EntryId id);
+  void Unlink(EntryId parent, EntryId prev, EntryId id);
+  /// Sets first_root_ when `parent` is kInvalidEntryId, else the
+  /// parent's first_child link.
+  void SetFirst(EntryId parent, EntryId id);
+
   /// Shared insert/move placement: claims a slice of the parent's free
   /// tail for the (already linked, youngest-sibling) subtree at `id`,
   /// relabeling locally on exhaustion.
@@ -194,7 +229,7 @@ class ForestIndex {
   void Relabel(const Directory& d, EntryId parent);
 
   /// Redistributes the interval [lo, lo+width) over the subtree rooted at
-  /// `id` (labels, end labels, depths, parents), children packed into the
+  /// `id` (labels, end labels, depths), children packed into the
   /// first half of the usable space so every entry keeps a growth tail.
   void AssignInterval(const Directory& d, EntryId id, uint64_t lo,
                       uint64_t width);
@@ -214,7 +249,9 @@ class ForestIndex {
   CowVec<uint64_t> labels_;
   CowVec<uint64_t> end_labels_;
   CowVec<uint32_t> depth_;
-  CowVec<EntryId> parents_;  // parent at last placement; stale when dead
+  // Tree links, maintained by Link/Unlink independently of the labels.
+  CowVec<TreeLinks> links_;
+  EntryId first_root_ = kInvalidEntryId;
   size_t num_alive_ = 0;
   uint64_t relabels_ = 0;
   uint64_t full_rebuilds_ = 0;

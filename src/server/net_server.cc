@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 #include "core/legality_checker.h"
@@ -95,6 +96,26 @@ std::string EncodeShedFrame() {
   shed.message = "connection refused: at the connection limit or "
                  "draining; retry with backoff";
   return EncodeResponseFrame(shed);
+}
+
+/// The RDN leading a snapshot payload blob (`str rdn | ...`, see
+/// DirectorySnapshot::PayloadMap); false when the blob is truncated.
+/// Decoded in place, with no WireCursor: a paged read runs this once per
+/// ancestor of every hit.
+bool PayloadRdn(const std::string& payload, std::string_view* rdn) {
+  if (payload.size() < 4) return false;
+  uint32_t len = 0;
+  for (int i = 3; i >= 0; --i) {
+    len = (len << 8) | static_cast<uint8_t>(payload[i]);
+  }
+  if (payload.size() - 4 < len) return false;
+  *rdn = std::string_view(payload).substr(4, len);
+  return true;
+}
+
+Status PayloadMissing(EntryId id) {
+  return Status::Internal("snapshot payload missing or truncated for entry " +
+                          std::to_string(id));
 }
 
 }  // namespace
@@ -538,13 +559,15 @@ void NetServer::HandleAccept(Reactor& r) {
     if (draining ||
         active_conns_.load(std::memory_order_relaxed) >=
             options_.max_connections) {
-      // Shed at the door: a retryable frame, then close. Best-effort —
-      // the client may already be gone, which is fine.
+      // Shed at the door: count it, then a retryable frame, then close.
+      // Counting first means a client that has read the frame and the
+      // EOF also sees the shed in stats(). Best-effort send — the client
+      // may already be gone, which is fine.
+      r.counters->shed_conns.fetch_add(1, std::memory_order_relaxed);
+      r.counters->m_shed_conns.Increment();
       (void)!::send(fd, r.shed_frame.data(), r.shed_frame.size(),
                     MSG_NOSIGNAL | MSG_DONTWAIT);
       ::close(fd);
-      r.counters->shed_conns.fetch_add(1, std::memory_order_relaxed);
-      r.counters->m_shed_conns.Increment();
       continue;
     }
     int one = 1;
@@ -1197,21 +1220,17 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
   for (const SnapshotPageHit& hit : *page) {
     auto dn = SnapshotEntryDn(snap, hit.id);
     if (!dn.ok()) return fail(dn.status());
-    const std::string* payload = snap.EntryPayload(hit.id);
-    if (payload == nullptr) {
-      return fail(Status::Internal("snapshot payload missing for entry " +
-                                   std::to_string(hit.id)));
-    }
-    PutU64(entries, hit.id);
-    PutString(entries, *dn);
     // The stored payload is `str rdn | classes | values`; the response
     // carries the full DN instead of the bare RDN, so skip the leading
     // string and splice the rest verbatim.
-    WireCursor skip(*payload);
-    auto rdn = skip.GetString();
-    if (!rdn.ok()) return fail(rdn.status());
-    entries.append(payload->data() + (payload->size() - skip.remaining()),
-                   skip.remaining());
+    const std::string* payload = snap.EntryPayload(hit.id);
+    std::string_view rdn;
+    if (payload == nullptr || !PayloadRdn(*payload, &rdn)) {
+      return fail(PayloadMissing(hit.id));
+    }
+    PutU64(entries, hit.id);
+    PutString(entries, *dn);
+    entries.append(*payload, 4 + rdn.size());
   }
 
   std::string cookie_out;
@@ -1247,74 +1266,44 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
   return response;
 }
 
-Result<std::vector<EntryId>> SnapshotSearch(const DirectorySnapshot& snapshot,
-                                            const Vocabulary& vocab,
-                                            std::string_view base_dn,
-                                            uint8_t scope,
-                                            std::string_view filter) {
-  if (scope > 2) {
-    return Status::InvalidArgument("search: bad scope " +
-                                   std::to_string(scope));
-  }
-  SearchScope search_scope = static_cast<SearchScope>(scope);
+namespace {
 
-  // Resolve the base: walk the RDN chain root-first through the
-  // snapshot's sibling-RDN index.
-  EntryId base = kInvalidEntryId;
-  if (!base_dn.empty()) {
-    LDAPBOUND_ASSIGN_OR_RETURN(DistinguishedName dn,
-                               DistinguishedName::Parse(base_dn));
-    const auto& rdns = dn.rdns();
-    for (size_t i = rdns.size(); i-- > 0;) {
-      base = snapshot.FindChildByRdn(base, rdns[i]);
-      if (base == kInvalidEntryId) {
-        return Status::NotFound("search base '" + std::string(base_dn) +
-                                "' does not exist");
-      }
-    }
-  } else if (search_scope == SearchScope::kBase) {
-    return Status::InvalidArgument(
-        "search: base scope needs a base DN");
-  }
+/// A wire search filter resolved against one snapshot: the posting that
+/// answers it, or `match_all` for the filters every entry passes.
+struct PostingFilter {
+  bool match_all = false;
+  const EntrySet* members = nullptr;              // (objectClass=C)
+  const std::vector<EntryId>* posting = nullptr;  // (attr=value)
+  size_t size = 0;  ///< posting length; 0 when nothing can match
 
-  // Scope predicate from the order-maintenance labels.
-  uint64_t base_label = 0;
-  uint64_t base_end = 0;
-  if (base != kInvalidEntryId) {
-    base_label = snapshot.index.labels.Get(base, 0);
-    base_end = snapshot.index.end_labels.Get(base, 0);
+  bool Contains(EntryId id) const {
+    if (match_all) return true;
+    if (members != nullptr) return members->Contains(id);
+    return posting != nullptr &&
+           std::binary_search(posting->begin(), posting->end(), id);
   }
-  auto in_scope = [&](EntryId id) {
-    switch (search_scope) {
-      case SearchScope::kBase:
-        return id == base;
-      case SearchScope::kOneLevel:
-        return snapshot.parent(id) == base;
-      case SearchScope::kSubtree:
-      default: {
-        if (base == kInvalidEntryId) return true;
-        uint64_t label = snapshot.index.labels.Get(id, 0);
-        return label >= base_label && label < base_end;
-      }
-    }
-  };
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (members != nullptr) members->ForEach(fn);
+    if (posting != nullptr) std::for_each(posting->begin(), posting->end(), fn);
+  }
+};
 
-  // The filter, as a posting iteration. A name unknown to the schema or
-  // a value that does not parse as the attribute's type matches nothing
-  // (LDAP filter semantics), it is not an error; only a filter *shape*
-  // the snapshot cannot answer is rejected.
+/// Supports the filters a snapshot can answer from postings alone. A name
+/// unknown to the schema or a value that does not parse as the
+/// attribute's type matches nothing (LDAP filter semantics), it is not an
+/// error; only a filter *shape* the snapshot cannot answer is rejected.
+Result<PostingFilter> ResolveFilter(const DirectorySnapshot& snapshot,
+                                    const Vocabulary& vocab,
+                                    std::string_view filter) {
+  PostingFilter match;
   std::string_view f = StripWhitespace(filter);
   if (!f.empty() && f.front() == '(' && f.back() == ')') {
     f = f.substr(1, f.size() - 2);
   }
-  std::vector<EntryId> hits;
-  auto collect = [&](EntryId id) {
-    if (snapshot.IsAlive(id) && in_scope(id)) hits.push_back(id);
-  };
-
   if (f.empty() || EqualsIgnoreCase(f, "objectClass=*")) {
-    if (snapshot.alive != nullptr) snapshot.alive->ForEach(collect);
-    return hits;
+    match.match_all = true;
+    return match;
   }
   size_t eq = f.find('=');
   if (eq == std::string_view::npos || eq == 0) {
@@ -1332,59 +1321,136 @@ Result<std::vector<EntryId>> SnapshotSearch(const DirectorySnapshot& snapshot,
   }
   if (EqualsIgnoreCase(attr, "objectClass")) {
     auto cls = vocab.FindClass(value);
-    if (!cls.ok()) return hits;  // unknown class: no entry has it
-    const EntrySet* members = snapshot.ClassSet(*cls);
-    if (members != nullptr) members->ForEach(collect);
-    return hits;
+    if (cls.ok()) {
+      match.members = snapshot.ClassSet(*cls);
+      match.size = snapshot.CountWithClass(*cls);
+    }
+    return match;
   }
   auto attr_id = vocab.FindAttribute(attr);
-  if (!attr_id.ok()) return hits;  // unknown attribute: matches nothing
+  if (!attr_id.ok()) return match;
   auto parsed = Value::Parse(vocab.AttributeType(*attr_id), value);
-  if (!parsed.ok()) return hits;  // untypable value: matches nothing
-  const std::vector<EntryId>* posting =
-      snapshot.ValuePosting(*attr_id, *parsed);
-  if (posting != nullptr) {
-    for (EntryId id : *posting) collect(id);
+  if (parsed.ok()) match.posting = snapshot.ValuePosting(*attr_id, *parsed);
+  if (match.posting != nullptr) match.size = match.posting->size();
+  return match;
+}
+
+/// Walks the base DN's RDN chain root-first through the snapshot's
+/// sibling-RDN index; "" is the whole forest (kInvalidEntryId).
+Result<EntryId> ResolveBase(const DirectorySnapshot& snapshot,
+                            std::string_view base_dn, SearchScope scope) {
+  if (base_dn.empty()) {
+    if (scope == SearchScope::kBase) {
+      return Status::InvalidArgument("search: base scope needs a base DN");
+    }
+    return kInvalidEntryId;
   }
-  return hits;
+  LDAPBOUND_ASSIGN_OR_RETURN(DistinguishedName dn,
+                             DistinguishedName::Parse(base_dn));
+  EntryId base = kInvalidEntryId;
+  const auto& rdns = dn.rdns();
+  for (size_t i = rdns.size(); i-- > 0;) {
+    base = snapshot.FindChildByRdn(base, rdns[i]);
+    if (base == kInvalidEntryId) {
+      return Status::NotFound("search base '" + std::string(base_dn) +
+                              "' does not exist");
+    }
+  }
+  return base;
+}
+
+}  // namespace
+
+Result<std::vector<EntryId>> SnapshotSearch(const DirectorySnapshot& snapshot,
+                                            const Vocabulary& vocab,
+                                            std::string_view base_dn,
+                                            uint8_t scope,
+                                            std::string_view filter) {
+  LDAPBOUND_ASSIGN_OR_RETURN(
+      std::vector<SnapshotPageHit> hits,
+      SnapshotSearchPage(snapshot, vocab, base_dn, scope, filter,
+                         /*from_label=*/0, /*limit=*/SIZE_MAX));
+  std::vector<EntryId> ids;
+  ids.reserve(hits.size());
+  for (const SnapshotPageHit& hit : hits) ids.push_back(hit.id);
+  return ids;
 }
 
 Result<std::vector<SnapshotPageHit>> SnapshotSearchPage(
     const DirectorySnapshot& snapshot, const Vocabulary& vocab,
     std::string_view base_dn, uint8_t scope, std::string_view filter,
     uint64_t from_label, size_t limit) {
-  LDAPBOUND_ASSIGN_OR_RETURN(
-      std::vector<EntryId> ids,
-      SnapshotSearch(snapshot, vocab, base_dn, scope, filter));
-  std::vector<SnapshotPageHit> hits;
-  hits.reserve(ids.size());
-  for (EntryId id : ids) {
-    uint64_t label = snapshot.index.labels.Get(id, 0);
-    if (label < from_label) continue;
-    hits.push_back(SnapshotPageHit{label, id});
+  if (scope > 2) {
+    return Status::InvalidArgument("search: bad scope " +
+                                   std::to_string(scope));
   }
-  // Ascending label = stable preorder within this snapshot; the scan
-  // position survives across pages because the snapshot (and so its
-  // labels) is immutable.
-  std::sort(hits.begin(), hits.end(),
-            [](const SnapshotPageHit& a, const SnapshotPageHit& b) {
-              return a.label < b.label;
-            });
-  if (hits.size() > limit) hits.resize(limit);
+  const SearchScope search_scope = static_cast<SearchScope>(scope);
+  LDAPBOUND_ASSIGN_OR_RETURN(EntryId base,
+                             ResolveBase(snapshot, base_dn, search_scope));
+  LDAPBOUND_ASSIGN_OR_RETURN(PostingFilter match,
+                             ResolveFilter(snapshot, vocab, filter));
+  const CowVec<uint64_t>::View& labels = snapshot.index.labels;
+  std::vector<SnapshotPageHit> hits;
+  const size_t budget = match.match_all ? SIZE_MAX : match.size;
+  if (budget == 0 || limit == 0) return hits;
+
+  // Walk the scope in preorder, unless it outgrows the filter's posting:
+  // past `budget` visited entries, iterating the posting is cheaper.
+  size_t visited = 0;
+  snapshot.WalkScope(base, search_scope, from_label, [&](EntryId id) {
+    if (++visited > budget) return false;
+    if (match.Contains(id)) hits.push_back(SnapshotPageHit{labels[id], id});
+    return hits.size() < limit;
+  });
+  if (visited <= budget) return hits;
+
+  // The posting is the smaller side: label-test its members against the
+  // scope, then put the survivors in preorder.
+  hits.clear();
+  const uint64_t base_label = base == kInvalidEntryId ? 0 : labels[base];
+  const uint64_t base_end =
+      base == kInvalidEntryId ? 0 : snapshot.index.end_labels[base];
+  auto in_scope = [&](EntryId id, uint64_t label) {
+    switch (search_scope) {
+      case SearchScope::kBase:
+        return id == base;
+      case SearchScope::kOneLevel:
+        return snapshot.parent(id) == base;
+      case SearchScope::kSubtree:
+        break;
+    }
+    return base == kInvalidEntryId || (label >= base_label && label < base_end);
+  };
+  match.ForEach([&](EntryId id) {
+    if (!snapshot.IsAlive(id)) return;
+    uint64_t label = labels.Get(id, ForestIndex::kNoLabel);
+    if (label >= from_label && in_scope(id, label)) {
+      hits.push_back(SnapshotPageHit{label, id});
+    }
+  });
+  auto by_label = [](const SnapshotPageHit& a, const SnapshotPageHit& b) {
+    return a.label < b.label;
+  };
+  if (hits.size() > limit) {
+    std::partial_sort(hits.begin(), hits.begin() + limit, hits.end(),
+                      by_label);
+    hits.resize(limit);
+  } else {
+    std::sort(hits.begin(), hits.end(), by_label);
+  }
   return hits;
 }
 
 Result<std::string> SnapshotEntryDn(const DirectorySnapshot& snapshot,
                                     EntryId id) {
   std::string dn;
+  dn.reserve(64);  // one allocation for a typical DN
   for (EntryId cur = id; cur != kInvalidEntryId; cur = snapshot.parent(cur)) {
     const std::string* payload = snapshot.EntryPayload(cur);
-    if (payload == nullptr) {
-      return Status::Internal("snapshot payload missing for entry " +
-                              std::to_string(cur));
+    std::string_view rdn;
+    if (payload == nullptr || !PayloadRdn(*payload, &rdn)) {
+      return PayloadMissing(cur);
     }
-    WireCursor cursor(*payload);
-    LDAPBOUND_ASSIGN_OR_RETURN(std::string_view rdn, cursor.GetString());
     if (!dn.empty()) dn += ",";
     dn.append(rdn.data(), rdn.size());
   }

@@ -302,8 +302,14 @@ class NetServer {
 /// snapshot can answer from postings alone: "" (match everything),
 /// "(objectClass=C)" (class membership) and "(attr=value)" (equality);
 /// anything else is kInvalidArgument. `base_dn` "" = the whole forest
-/// (kSubtree/kOneLevel only). Returns matching alive entry ids,
-/// ascending.
+/// (kSubtree/kOneLevel only). Returns matching alive entry ids in
+/// preorder (ascending label order, the order live SearchFrom returns).
+///
+/// Cost O(min(scope, posting)): the scope is walked over the snapshot's
+/// tree links with a budget of the filter's posting length (a value
+/// posting's size, a class's population); a scope that outgrows it is
+/// answered from the posting instead, label-tested against the scope
+/// and sorted into preorder.
 Result<std::vector<EntryId>> SnapshotSearch(const DirectorySnapshot& snapshot,
                                             const Vocabulary& vocab,
                                             std::string_view base_dn,
@@ -318,10 +324,14 @@ struct SnapshotPageHit {
 };
 
 /// Paged variant of SnapshotSearch — the wire kSearchEntries scan,
-/// exposed for tests. Hits come back in ascending label order (stable
-/// preorder within the snapshot), restricted to labels >= from_label,
-/// at most `limit` of them; resuming with from_label = last label + 1
-/// continues exactly where the previous page stopped.
+/// exposed for tests. Hits come back in preorder (ascending label
+/// order, stable within the snapshot), restricted to labels >=
+/// from_label, at most `limit` of them; resuming with from_label = last
+/// label + 1 continues exactly where the previous page stopped. The walk
+/// descends straight to the first label >= from_label and stops after
+/// `limit` hits, so a page costs O(depth × fanout + limit) — not the
+/// whole scan — unless the filter's posting is the smaller side (as in
+/// SnapshotSearch).
 Result<std::vector<SnapshotPageHit>> SnapshotSearchPage(
     const DirectorySnapshot& snapshot, const Vocabulary& vocab,
     std::string_view base_dn, uint8_t scope, std::string_view filter,

@@ -70,8 +70,12 @@ class CowVec {
     return chunks_[i >> kChunkBits]->data[i & (kChunkSize - 1)];
   }
 
-  void Set(size_t i, const T& value) {
-    MutableChunk(i >> kChunkBits)->data[i & (kChunkSize - 1)] = value;
+  void Set(size_t i, const T& value) { Mutable(i) = value; }
+
+  /// Writable element `i`, its chunk cloned first if a frozen View
+  /// shares it — for updating one field of a struct element.
+  T& Mutable(size_t i) {
+    return MutableChunk(i >> kChunkBits)->data[i & (kChunkSize - 1)];
   }
 
   /// Grows to `n` elements, filling new space with `fill`. Never

@@ -114,7 +114,7 @@ struct LabelExpectation {
   uint64_t label;
   uint64_t end_label;
   uint32_t depth;
-  EntryId parent;
+  ForestIndex::TreeLinks links;
 };
 
 TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
@@ -139,7 +139,7 @@ TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
       expected.push_back(LabelExpectation{
           id, views.labels.Get(id, ForestIndex::kNoLabel),
           views.end_labels.Get(id, ForestIndex::kNoLabel),
-          views.depth.Get(id, 0), views.parents.Get(id, kInvalidEntryId)});
+          views.depth.Get(id, 0), views.links.Get(id, {})});
       ASSERT_NE(expected.back().label, ForestIndex::kNoLabel);
     }
 
@@ -154,7 +154,7 @@ TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
                 views.end_labels.Get(e.id, ForestIndex::kNoLabel) !=
                     e.end_label ||
                 views.depth.Get(e.id, 0) != e.depth ||
-                views.parents.Get(e.id, kInvalidEntryId) != e.parent) {
+                views.links.Get(e.id, {}) != e.links) {
               failures.fetch_add(1);
               return;
             }
