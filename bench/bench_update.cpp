@@ -33,8 +33,8 @@
 
 #include "model/directory.h"
 #include "model/directory_snapshot.h"
+#include "query/evaluator.h"
 #include "query/query.h"
-#include "query/snapshot_evaluator.h"
 #include "server/directory_server.h"
 
 namespace ldapbound::bench {
@@ -97,16 +97,15 @@ DirectoryServer MakeGroupServer(size_t group_batch, std::string* wal_root) {
 
 /// One snapshot read: pin, check the Figure 4 required-relationship
 /// query (teams with no person descendant — empty on every legal
-/// version), and probe the value index for a seeded uid. Returns the
+/// version), and probe the value postings for a seeded uid. Returns the
 /// snapshot version so callers can assert progress.
 uint64_t SnapshotRead(const DirectoryServer& server, ClassId team,
                       ClassId person, AttributeId uid,
                       const Query& orphans) {
   PinnedSnapshot snap = server.PinSnapshot();
   if (!snap) std::abort();
-  SnapshotEvaluator eval(*snap);
-  Result<bool> empty = eval.IsEmpty(orphans);
-  if (!empty.ok() || !empty.value()) std::abort();
+  QueryEvaluator eval(*snap);
+  if (!eval.IsEmpty(orphans) || !eval.status().ok()) std::abort();
   const std::vector<EntryId>* posting =
       snap->ValuePosting(uid, Value("a0"));
   if (posting == nullptr || posting->empty()) std::abort();

@@ -5,13 +5,13 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "core/translation.h"
 #include "query/evaluator.h"
-#include "query/snapshot_evaluator.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -503,8 +503,20 @@ bool LegalityChecker::CheckContent(const Directory& directory,
 
 bool LegalityChecker::CheckStructure(const Directory& directory,
                                      std::vector<Violation>* out,
-                                     const ValueIndex* index,
-                                     EvaluatorStats* stats_out) const {
+                                     EvaluatorStats* stats) const {
+  return CheckStructureOn(directory, out, stats);
+}
+
+bool LegalityChecker::CheckStructure(const DirectorySnapshot& snapshot,
+                                     std::vector<Violation>* out,
+                                     EvaluatorStats* stats) const {
+  return CheckStructureOn(snapshot, out, stats);
+}
+
+template <typename Source>
+bool LegalityChecker::CheckStructureOn(const Source& source,
+                                       std::vector<Violation>* out,
+                                       EvaluatorStats* stats_out) const {
   const StructureSchema& structure = schema_.structure();
   CheckerMetrics& metrics = GetCheckerMetrics();
   LDAPBOUND_TRACE_SPAN("checker.structure");
@@ -521,9 +533,9 @@ bool LegalityChecker::CheckStructure(const Directory& directory,
   };
 
   // Required classes Cr: the atomic witness query must be non-empty.
-  // Answered by the directory's class counters, so kept serial.
+  // Answered by the class counters, so kept serial.
   for (ClassId cls : structure.required_classes()) {
-    if (directory.CountWithClass(cls) > 0) continue;
+    if (source.CountWithClass(cls) > 0) continue;
     Violation v;
     v.kind = ViolationKind::kMissingRequiredClass;
     v.cls = cls;
@@ -536,8 +548,8 @@ bool LegalityChecker::CheckStructure(const Directory& directory,
   // Er and Ef: the Figure 4 violation query of each relationship must be
   // empty; its members are the offending entries. The queries are
   // independent, so they fan out across the pool — one QueryEvaluator per
-  // task (the evaluator holds mutable stats) over a shared read-only cache
-  // of the per-class atomic selections.
+  // task (the evaluator holds mutable stats) over shared read-only
+  // per-class atomic selections.
   std::vector<const StructuralRelationship*> rels;
   rels.reserve(structure.required().size() + structure.forbidden().size());
   for (const StructuralRelationship& rel : structure.required()) {
@@ -551,50 +563,29 @@ bool LegalityChecker::CheckStructure(const Directory& directory,
     return ok;
   }
 
-  std::vector<ClassId> classes;
-  classes.reserve(rels.size() * 2);
-  for (const StructuralRelationship* rel : rels) {
-    classes.push_back(rel->source);
-    classes.push_back(rel->target);
-  }
-  std::sort(classes.begin(), classes.end());
-  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-
   const unsigned threads = EffectiveThreads(rels.size());
   std::mutex stats_mu;
 
-  // The worker-thread evaluators read the dense preorder views, whose
-  // materialization is single-writer: make the cache fresh before the
-  // fan-out so every worker sees pure reads.
-  directory.GetIndex().MaterializeDenseNow();
-
-  // Phase 1: the (objectClass=c) selection of every distinct class.
+  // Phase 1: the (objectClass=c) selection of every distinct class. A
+  // snapshot's class postings already are these selections. A live
+  // directory fills them all in ONE pass over the entries (each alive
+  // entry marks itself in the sets of its wanted classes) instead of
+  // |classes| full scans. Shards are aligned to whole bitmap words, so
+  // concurrent lanes never touch the same word of a set.
   std::unordered_map<ClassId, EntrySet> class_cache;
-  class_cache.reserve(classes.size());
-  {
-  LDAPBOUND_TRACE_SPAN("checker.class_cache");
-  if (index != nullptr) {
-    // A fresh index answers each selection in O(|result|): keep the
-    // per-class path (pre-populated map, so workers assign into distinct,
-    // already-allocated slots).
-    for (ClassId c : classes) class_cache.emplace(c, EntrySet());
-    ParallelFor(Pool(), 0, classes.size(), 1, threads,
-                [&](unsigned, size_t, size_t lo, size_t hi) {
-                  for (size_t i = lo; i < hi; ++i) {
-                    QueryEvaluator evaluator(directory, /*delta=*/nullptr,
-                                             index);
-                    class_cache.find(classes[i])->second = evaluator.Evaluate(
-                        RequiredClassWitnessQuery(classes[i]));
-                    std::lock_guard<std::mutex> lock(stats_mu);
-                    stats += evaluator.stats();
-                  }
-                });
-  } else {
-    // Unindexed: ONE pass over the entries fills every selection at once
-    // (each alive entry marks itself in the sets of its wanted classes),
-    // instead of |classes| full scans. Shards are aligned to whole bitmap
-    // words, so concurrent lanes never touch the same word of a set.
-    const size_t cap = directory.IdCapacity();
+  if constexpr (std::is_same_v<Source, Directory>) {
+    LDAPBOUND_TRACE_SPAN("checker.class_cache");
+    std::vector<ClassId> classes;
+    classes.reserve(rels.size() * 2);
+    for (const StructuralRelationship* rel : rels) {
+      classes.push_back(rel->source);
+      classes.push_back(rel->target);
+    }
+    std::sort(classes.begin(), classes.end());
+    classes.erase(std::unique(classes.begin(), classes.end()),
+                  classes.end());
+    class_cache.reserve(classes.size());
+    const size_t cap = source.IdCapacity();
     std::vector<EntrySet*> sets(classes.size());
     for (size_t i = 0; i < classes.size(); ++i) {
       sets[i] = &class_cache.emplace(classes[i], EntrySet(cap)).first->second;
@@ -605,8 +596,8 @@ bool LegalityChecker::CheckStructure(const Directory& directory,
                 [&](unsigned, size_t, size_t lo, size_t hi) {
                   for (size_t eid = lo; eid < hi; ++eid) {
                     const EntryId id = static_cast<EntryId>(eid);
-                    if (!directory.IsAlive(id)) continue;
-                    for (ClassId c : directory.entry(id).classes()) {
+                    if (!source.IsAlive(id)) continue;
+                    for (ClassId c : source.entry(id).classes()) {
                       auto it = std::lower_bound(classes.begin(),
                                                  classes.end(), c);
                       if (it != classes.end() && *it == c) {
@@ -617,9 +608,8 @@ bool LegalityChecker::CheckStructure(const Directory& directory,
                 });
     // Account the pass as one scan answering |classes| selection nodes.
     stats.nodes_evaluated += classes.size();
-    stats.entries_scanned += directory.NumEntries();
+    stats.entries_scanned += source.NumEntries();
   }
-  }  // checker.class_cache span
 
   // Phase 2: the violation queries, one task per relationship. With a
   // null `out` only emptiness matters: the evaluator's lazy IsEmpty stops
@@ -633,7 +623,7 @@ bool LegalityChecker::CheckStructure(const Directory& directory,
       [&](unsigned, size_t, size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
           if (out == nullptr && bad.load(std::memory_order_relaxed)) return;
-          QueryEvaluator evaluator(directory, /*delta=*/nullptr, index);
+          QueryEvaluator evaluator(source);
           evaluator.set_class_cache(&class_cache);
           {
             LDAPBOUND_TRACE_SPAN("checker.constraint");
@@ -679,84 +669,6 @@ bool LegalityChecker::CheckStructure(const Directory& directory,
   return ok;
 }
 
-Result<bool> LegalityChecker::CheckStructureSnapshot(
-    const DirectorySnapshot& snapshot, std::vector<Violation>* out,
-    EvaluatorStats* stats_out) const {
-  const StructureSchema& structure = schema_.structure();
-  CheckerMetrics& metrics = GetCheckerMetrics();
-  LDAPBOUND_TRACE_SPAN("checker.structure_snapshot");
-  LatencyTimer pass_timer(metrics.structure_pass_ns);
-  bool ok = true;
-  EvaluatorStats stats;
-  auto flush_stats = [&]() {
-    if (stats_out != nullptr) *stats_out = stats;
-    AddEvaluatorStatsToMetrics(stats);
-    (ok ? metrics.structure_legal : metrics.structure_illegal).Increment();
-  };
-
-  // Cr: answered by the snapshot's class postings.
-  for (ClassId cls : structure.required_classes()) {
-    if (snapshot.CountWithClass(cls) > 0) continue;
-    Violation v;
-    v.kind = ViolationKind::kMissingRequiredClass;
-    v.cls = cls;
-    if (!Report(out, v, &ok)) {
-      flush_stats();
-      return false;
-    }
-  }
-
-  // Er then Ef, serial: each violation query runs on one SnapshotEvaluator
-  // over the pinned state. No class cache — the snapshot's postings ARE
-  // the per-class selections, shared structurally rather than recomputed.
-  std::vector<const StructuralRelationship*> rels;
-  rels.reserve(structure.required().size() + structure.forbidden().size());
-  for (const StructuralRelationship& rel : structure.required()) {
-    rels.push_back(&rel);
-  }
-  for (const StructuralRelationship& rel : structure.forbidden()) {
-    rels.push_back(&rel);
-  }
-  for (const StructuralRelationship* relp : rels) {
-    SnapshotEvaluator evaluator(snapshot);
-    LDAPBOUND_TRACE_SPAN("checker.constraint");
-    LatencyTimer constraint_timer(metrics.constraint_ns);
-    if (out == nullptr) {
-      Result<bool> empty = evaluator.IsEmpty(ViolationQuery(*relp));
-      stats += evaluator.stats();
-      if (!empty.ok()) {
-        flush_stats();
-        return empty.status();
-      }
-      if (!empty.value()) {
-        ok = false;
-        flush_stats();
-        return false;
-      }
-      continue;
-    }
-    Result<EntrySet> offs = evaluator.Evaluate(ViolationQuery(*relp));
-    stats += evaluator.stats();
-    if (!offs.ok()) {
-      flush_stats();
-      return offs.status();
-    }
-    if (offs.value().Empty()) continue;
-    ok = false;
-    const StructuralRelationship& rel = *relp;
-    offs.value().ForEach([&](EntryId id) {
-      Violation v;
-      v.kind = rel.forbidden ? ViolationKind::kForbiddenRelationship
-                             : ViolationKind::kRequiredRelationship;
-      v.entry = id;
-      v.relationship = rel;
-      out->push_back(v);
-    });
-  }
-  flush_stats();
-  return ok;
-}
-
 std::string ConstraintExplain::RenderText() const {
   std::string out = constraint;
   out += " — ";
@@ -787,7 +699,7 @@ std::string ConstraintExplain::RenderJson() const {
 }
 
 std::vector<ConstraintExplain> LegalityChecker::ExplainStructure(
-    const Directory& directory, const ValueIndex* index) const {
+    const Directory& directory) const {
   const StructureSchema& structure = schema_.structure();
   const Vocabulary& vocab = directory.vocab();
   std::vector<ConstraintExplain> out;
@@ -799,7 +711,7 @@ std::vector<ConstraintExplain> LegalityChecker::ExplainStructure(
     Query query = RequiredClassWitnessQuery(cls);
     ce.query = query.ToString(vocab);
     ce.require_nonempty = true;
-    QueryEvaluator evaluator(directory, /*delta=*/nullptr, index);
+    QueryEvaluator evaluator(directory);
     evaluator.set_profile(&ce.profile);
     EntrySet witnesses = evaluator.Evaluate(query);
     ce.cardinality = witnesses.Count();
@@ -813,7 +725,7 @@ std::vector<ConstraintExplain> LegalityChecker::ExplainStructure(
     ce.constraint = rel.ToString(vocab);
     Query query = ViolationQuery(rel);
     ce.query = query.ToString(vocab);
-    QueryEvaluator evaluator(directory, /*delta=*/nullptr, index);
+    QueryEvaluator evaluator(directory);
     evaluator.set_profile(&ce.profile);
     EntrySet offenders = evaluator.Evaluate(query);
     ce.cardinality = offenders.Count();

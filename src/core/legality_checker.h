@@ -8,7 +8,6 @@
 #include "model/directory.h"
 #include "model/directory_snapshot.h"
 #include "query/evaluator.h"
-#include "query/value_index.h"
 #include "schema/directory_schema.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
@@ -78,9 +77,10 @@ struct CheckOptions {
 ///    to report violations in the identical order;
 ///  - the structure pass evaluates each constraint query on its own
 ///    QueryEvaluator (the evaluator holds mutable stats, so instances are
-///    not shared) over a shared read-only cache of the per-class atomic
-///    selections, and uses the evaluator's lazy IsEmpty when only a
-///    verdict is needed (out == nullptr).
+///    not shared) over the per-class atomic selections — a shared
+///    read-only cache filled in one pass on a live directory, the class
+///    postings on a snapshot — and uses the evaluator's lazy IsEmpty when
+///    only a verdict is needed (out == nullptr).
 ///
 /// The checker borrows the schema; the schema must outlive it and must
 /// share the directory's Vocabulary.
@@ -100,26 +100,21 @@ class LegalityChecker {
   bool CheckContent(const Directory& directory,
                     std::vector<Violation>* out = nullptr) const;
 
-  /// Structure check via the Figure 4 query reduction. An optional fresh
-  /// ValueIndex accelerates the atomic (objectClass=c) selections. When
-  /// `stats` is non-null it receives the aggregated per-worker
-  /// EvaluatorStats of the constraint queries.
+  /// Structure check via the Figure 4 query reduction. When `stats` is
+  /// non-null it receives the aggregated per-worker EvaluatorStats of the
+  /// constraint queries.
   bool CheckStructure(const Directory& directory,
                       std::vector<Violation>* out = nullptr,
-                      const ValueIndex* index = nullptr,
                       EvaluatorStats* stats = nullptr) const;
 
-  /// Structure check against a pinned MVCC snapshot (DESIGN.md §10): the
-  /// same Figure 4 reduction, answered entirely from snapshot state via
-  /// SnapshotEvaluator, so it runs lock-free alongside the writer. Serial
-  /// (snapshot reads are already contention-free) and emits violations in
-  /// the exact order CheckStructure would: Cr in schema order, then Er,
-  /// then Ef, offenders ascending. Returns an error only if a constraint
-  /// query needs surface the snapshot cannot answer (never the case for
-  /// schema-generated queries).
-  Result<bool> CheckStructureSnapshot(const DirectorySnapshot& snapshot,
-                                      std::vector<Violation>* out = nullptr,
-                                      EvaluatorStats* stats = nullptr) const;
+  /// The same check against a pinned MVCC snapshot (DESIGN.md §10): the
+  /// same loop, order and pool fan-out, with the class selections answered
+  /// from the snapshot's postings, so it runs lock-free alongside the
+  /// writer and reports exactly what CheckStructure reports on the live
+  /// directory at that version.
+  bool CheckStructure(const DirectorySnapshot& snapshot,
+                      std::vector<Violation>* out = nullptr,
+                      EvaluatorStats* stats = nullptr) const;
 
   /// Profiled structure check: evaluates every structure-schema
   /// constraint's Figure 4 query with an attached QueryProfile and returns
@@ -127,10 +122,9 @@ class LegalityChecker {
   /// then Ef — the order CheckStructure reports in). Runs serially on the
   /// calling thread so plan attribution is deterministic; required classes
   /// are profiled through their witness query rather than the class-count
-  /// shortcut, because showing the query's plan is the point. An optional
-  /// fresh ValueIndex is used exactly as in CheckStructure.
+  /// shortcut, because showing the query's plan is the point.
   std::vector<ConstraintExplain> ExplainStructure(
-      const Directory& directory, const ValueIndex* index = nullptr) const;
+      const Directory& directory) const;
 
   /// Key uniqueness (§6.1 extension): every value of a key attribute is
   /// unique across all entries. O(|D|) with hashing.
@@ -168,6 +162,13 @@ class LegalityChecker {
                                std::vector<Violation>* out) const;
   /// True iff this class list passes every class-schema condition.
   bool ClassListClean(const std::vector<ClassId>& classes) const;
+
+  /// The one Figure-4 checker behind both CheckStructure overloads:
+  /// Cr, then Er, then Ef, offenders ascending, constraint queries fanned
+  /// out across the pool.
+  template <typename Source>
+  bool CheckStructureOn(const Source& source, std::vector<Violation>* out,
+                        EvaluatorStats* stats) const;
 
   ThreadPool& Pool() const;
   /// Lanes to use for `work_items` independent pieces of work.

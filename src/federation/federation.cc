@@ -34,6 +34,17 @@ Result<DistinguishedName> StripSuffix(const DistinguishedName& dn,
   return DistinguishedName::Parse(Join(rdns, ","));
 }
 
+// Every alive entry of `d` in preorder: each root's subtree in turn.
+std::vector<EntryId> Preorder(const Directory& d) {
+  std::vector<EntryId> out;
+  out.reserve(d.NumEntries());
+  for (EntryId root : d.roots()) {
+    std::vector<EntryId> subtree = d.SubtreeEntries(root);
+    out.insert(out.end(), subtree.begin(), subtree.end());
+  }
+  return out;
+}
+
 std::string AbsoluteDn(const DistinguishedName& local,
                        const DistinguishedName& mount_parent) {
   if (mount_parent.IsEmpty()) return local.ToString();
@@ -90,7 +101,7 @@ Result<Federation> Federation::Split(
   federation.glue_ = std::make_unique<Directory>(federation.vocab_);
   std::unordered_map<EntryId, EntryId> mapped;  // source id -> glue id
   std::unordered_set<EntryId> skipped_subtrees;
-  for (EntryId id : index.preorder()) {
+  for (EntryId id : Preorder(source)) {
     const Entry& e = source.entry(id);
     EntryId parent = e.parent();
     // Inside a carved-out subtree (but not its root)?
@@ -125,7 +136,7 @@ Result<Federation> Federation::Split(
 Result<Directory> Federation::Unify() const {
   Directory unified(vocab_);
   std::unordered_map<EntryId, EntryId> mapped;  // glue id -> unified id
-  for (EntryId id : glue_->GetIndex().preorder()) {
+  for (EntryId id : Preorder(*glue_)) {
     const Entry& e = glue_->entry(id);
     EntryId parent =
         e.parent() == kInvalidEntryId ? kInvalidEntryId : mapped.at(e.parent());
@@ -172,7 +183,7 @@ Result<std::vector<std::string>> Federation::Search(
   };
   auto search_context_fully = [&](const NamingContext& context) {
     const Directory& cd = *context.directory;
-    for (EntryId id : cd.GetIndex().preorder()) {
+    for (EntryId id : Preorder(cd)) {
       if (matches(cd, id)) {
         out.push_back(AbsoluteDn(*DnOf(cd, id), context.mount_parent));
       }
@@ -189,7 +200,7 @@ Result<std::vector<std::string>> Federation::Search(
   };
 
   if (base.IsEmpty()) {
-    for (EntryId id : glue_->GetIndex().preorder()) {
+    for (EntryId id : Preorder(*glue_)) {
       if (matches(*glue_, id)) out.push_back(DnOf(*glue_, id)->ToString());
     }
     for (const NamingContext& context : contexts_) {

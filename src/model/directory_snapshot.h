@@ -18,9 +18,9 @@
 
 namespace ldapbound {
 
-/// (attribute, value) key of the snapshot value-posting map — the same
-/// shape as the query layer's ValueIndex pairs, defined here because the
-/// model layer cannot depend on src/query.
+/// (attribute, value) key of the snapshot value-posting map, which
+/// answers `(attr=value)` selections for the query evaluator and the wire
+/// search path.
 struct SnapshotValueKey {
   AttributeId attribute = 0;
   Value value;

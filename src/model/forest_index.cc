@@ -80,40 +80,6 @@ uint64_t AllocWidth(uint64_t avail, uint64_t bare) {
 
 }  // namespace
 
-ForestIndex::ForestIndex(ForestIndex&& other) noexcept
-    : labels_(std::move(other.labels_)),
-      end_labels_(std::move(other.end_labels_)),
-      depth_(std::move(other.depth_)),
-      links_(std::move(other.links_)),
-      first_root_(other.first_root_),
-      num_alive_(other.num_alive_),
-      relabels_(other.relabels_),
-      full_rebuilds_(other.full_rebuilds_),
-      pre_(std::move(other.pre_)),
-      sub_end_(std::move(other.sub_end_)),
-      preorder_(std::move(other.preorder_)) {
-  dense_valid_.store(other.dense_valid_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-}
-
-ForestIndex& ForestIndex::operator=(ForestIndex&& other) noexcept {
-  if (this == &other) return *this;
-  labels_ = std::move(other.labels_);
-  end_labels_ = std::move(other.end_labels_);
-  depth_ = std::move(other.depth_);
-  links_ = std::move(other.links_);
-  first_root_ = other.first_root_;
-  num_alive_ = other.num_alive_;
-  relabels_ = other.relabels_;
-  full_rebuilds_ = other.full_rebuilds_;
-  pre_ = std::move(other.pre_);
-  sub_end_ = std::move(other.sub_end_);
-  preorder_ = std::move(other.preorder_);
-  dense_valid_.store(other.dense_valid_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  return *this;
-}
-
 void ForestIndex::EnsureCapacity(size_t id_capacity) {
   if (labels_.size() < id_capacity) {
     labels_.Resize(id_capacity, kNoLabel);
@@ -156,7 +122,6 @@ void ForestIndex::OnInsert(const Directory& d, EntryId id) {
   EnsureCapacity(d.IdCapacity());
   ++num_alive_;
   PlaceSubtree(d, id);
-  InvalidateDense();
 }
 
 void ForestIndex::OnErase(EntryId id) {
@@ -165,13 +130,11 @@ void ForestIndex::OnErase(EntryId id) {
   end_labels_.Set(id, kNoLabel);
   depth_.Set(id, 0);
   --num_alive_;
-  InvalidateDense();
 }
 
 void ForestIndex::OnMove(const Directory& d, EntryId id) {
   EnsureCapacity(d.IdCapacity());
   PlaceSubtree(d, id);
-  InvalidateDense();
 }
 
 void ForestIndex::PlaceSubtree(const Directory& d, EntryId id) {
@@ -250,7 +213,6 @@ void ForestIndex::RebuildFromScratch(const Directory& d) {
     depth_.Set(i, 0);
   }
   num_alive_ = d.NumEntries();
-  InvalidateDense();
 
   SizeMap sizes;
   uint64_t total = 0;
@@ -319,47 +281,12 @@ void ForestIndex::AssignInterval(const Directory& d, EntryId root,
   }
 }
 
-void ForestIndex::MaterializeDense() const {
-  // Single-writer by contract (see the class comment): callers that fan
-  // reads out to worker threads must call MaterializeDenseNow() first.
-  preorder_.clear();
-  preorder_.reserve(num_alive_);
-  for (size_t id = 0; id < labels_.size(); ++id) {
-    if (labels_[id] != kNoLabel) {
-      preorder_.push_back(static_cast<EntryId>(id));
-    }
-  }
-  std::sort(preorder_.begin(), preorder_.end(), [this](EntryId a, EntryId b) {
-    return labels_[a] < labels_[b];
-  });
-  pre_.assign(labels_.size(), kNotIndexed);
-  sub_end_.assign(labels_.size(), kNotIndexed);
-  // One pass with a stack of open intervals: an entry's subtree ends at
-  // the first position whose label leaves its interval.
-  std::vector<EntryId> open;
-  for (size_t pos = 0; pos < preorder_.size(); ++pos) {
-    EntryId id = preorder_[pos];
-    while (!open.empty() && end_labels_[open.back()] <= labels_[id]) {
-      sub_end_[open.back()] = pos;
-      open.pop_back();
-    }
-    pre_[id] = pos;
-    open.push_back(id);
-  }
-  while (!open.empty()) {
-    sub_end_[open.back()] = preorder_.size();
-    open.pop_back();
-  }
-  dense_valid_.store(true, std::memory_order_release);
-}
-
 bool ForestIndex::EquivalentToFresh(const Directory& d) const {
   // A fresh DFS straight off the tree structure: the reference preorder,
-  // intervals and depths the incremental state must reproduce.
+  // subtree ends and depths the incremental state must reproduce.
   std::vector<EntryId> expected;
   expected.reserve(d.NumEntries());
-  std::vector<size_t> expected_pre(d.IdCapacity(), kNotIndexed);
-  std::vector<size_t> expected_end(d.IdCapacity(), kNotIndexed);
+  std::vector<size_t> expected_end(d.IdCapacity(), 0);
   std::vector<uint32_t> expected_depth(d.IdCapacity(), 0);
   struct Frame {
     EntryId id;
@@ -378,7 +305,6 @@ bool ForestIndex::EquivalentToFresh(const Directory& d) const {
       continue;
     }
     const Entry& e = d.entry(f.id);
-    expected_pre[f.id] = expected.size();
     expected_depth[f.id] = (e.parent() == kInvalidEntryId)
                                ? 0
                                : expected_depth[e.parent()] + 1;
@@ -401,17 +327,29 @@ bool ForestIndex::EquivalentToFresh(const Directory& d) const {
   };
 
   if (num_alive_ != expected.size()) return false;
-  if (preorder() != expected) return false;
+  // Exactly the alive entries are labeled...
+  size_t labeled = 0;
+  for (size_t i = 0; i < labels_.size(); ++i) {
+    if (labels_[i] != kNoLabel) ++labeled;
+  }
+  if (labeled != expected.size()) return false;
   if (!threads(first_root_, roots)) return false;
-  for (EntryId id : expected) {
+  for (size_t pos = 0; pos < expected.size(); ++pos) {
+    EntryId id = expected[pos];
+    if (id >= labels_.size() || labels_[id] == kNoLabel) return false;
+    // ...label order is the preorder...
+    if (pos > 0 && labels_[expected[pos - 1]] >= labels_[id]) return false;
+    // ...and [label, end_label) holds the subtree and nothing after it.
+    const size_t end = expected_end[id];
+    if (end_labels_[id] <= labels_[expected[end - 1]]) return false;
+    if (end < expected.size() && labels_[expected[end]] < end_labels_[id]) {
+      return false;
+    }
     if (links_[id].parent != d.entry(id).parent()) return false;
     if (!threads(links_[id].first_child, d.entry(id).children())) {
       return false;
     }
-    if (pre(id) != expected_pre[id]) return false;
-    if (sub_end(id) != expected_end[id]) return false;
     if (depth(id) != expected_depth[id]) return false;
-    if (labels_[id] >= end_labels_[id]) return false;
     EntryId parent = d.entry(id).parent();
     if (parent != kInvalidEntryId &&
         !(labels_[parent] < labels_[id] &&

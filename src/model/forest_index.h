@@ -1,7 +1,6 @@
 #ifndef LDAPBOUND_MODEL_FOREST_INDEX_H_
 #define LDAPBOUND_MODEL_FOREST_INDEX_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -50,26 +49,16 @@ class Directory;
 /// The label/depth/link arrays are chunked copy-on-write vectors
 /// (CowVec): FreezeViews() hands an immutable point-in-time view of all
 /// of them (LabelViews) to the MVCC snapshot publisher in O(Δ·chunk).
-/// SnapshotEvaluator answers all four hierarchy axes straight off those
-/// views (no dense arrays in snapshots — see query/snapshot_evaluator.h),
-/// and DirectorySnapshot::WalkScope walks a search scope in preorder over
-/// the links, touching only the scope.
+/// The query evaluator answers all four hierarchy axes from the parent
+/// links alone, live or frozen (query/evaluator.h), and
+/// DirectorySnapshot::WalkScope walks a search scope in preorder over the
+/// links, touching only the scope. Nothing keeps a dense preorder array.
 ///
-/// Concurrency contract: mutation AND dense materialization are
-/// single-writer. The dense views the legacy query evaluator consumes —
-/// preorder(), pre(), sub_end() — are a derived cache materialized
-/// lazily from the labels and invalidated by structural mutations; an
-/// accessor that finds the cache stale rebuilds it, so concurrent *const*
-/// readers must either (a) know the cache is fresh (materialized before
-/// fan-out, as core/legality_checker.cc does) or (b) stay off the dense
-/// accessors entirely (as ldap/search.cc and ldap/ldif.cc do). The old
-/// double-checked internal mutex is gone: it protected the
-/// materialization race but still let a reader observe a preorder torn
-/// against labels updated after the snapshot bump — the MVCC snapshot
-/// path is the supported way to read concurrently with writers.
+/// Concurrency contract: mutation is single-writer, and const readers of
+/// a live index must be excluded from the writer; the MVCC snapshot
+/// views are the supported way to read concurrently with writers.
 class ForestIndex {
  public:
-  static constexpr size_t kNotIndexed = ~size_t{0};
   /// Label of a dead (or never-inserted) entry.
   static constexpr uint64_t kNoLabel = ~uint64_t{0};
   /// The forest owns labels in [0, kLabelSpace).
@@ -108,40 +97,23 @@ class ForestIndex {
   ForestIndex() = default;
   ForestIndex(const ForestIndex&) = delete;
   ForestIndex& operator=(const ForestIndex&) = delete;
-  ForestIndex(ForestIndex&& other) noexcept;
-  ForestIndex& operator=(ForestIndex&& other) noexcept;
-
-  /// Preorder position of entry `id`; kNotIndexed for dead or out-of-range
-  /// ids. Materializes the dense cache if stale (single-writer only; see
-  /// class comment).
-  size_t pre(EntryId id) const {
-    EnsureDense();
-    return id < pre_.size() ? pre_[id] : kNotIndexed;
-  }
-
-  /// One past the last preorder position of `id`'s subtree. The subtree of
-  /// `id` occupies preorder positions [pre(id), sub_end(id)).
-  size_t sub_end(EntryId id) const {
-    EnsureDense();
-    return id < sub_end_.size() ? sub_end_[id] : kNotIndexed;
-  }
+  ForestIndex(ForestIndex&&) noexcept = default;
+  ForestIndex& operator=(ForestIndex&&) noexcept = default;
 
   /// Root depth 0. Maintained incrementally (never stale).
   uint32_t depth(EntryId id) const {
     return id < depth_.size() ? depth_[id] : 0;
   }
 
-  /// Alive entries in preorder (roots in insertion order, children in
-  /// sibling order). Materializes the dense cache if stale (single-writer
-  /// only; see class comment).
-  const std::vector<EntryId>& preorder() const {
-    EnsureDense();
-    return preorder_;
+  /// Parent of `id`; kInvalidEntryId for roots and out-of-range ids
+  /// (dead entries keep a stale parent). O(1), from the tree links.
+  EntryId parent(EntryId id) const {
+    return id < links_.size() ? links_[id].parent : kInvalidEntryId;
   }
 
-  /// True if `anc` is a proper ancestor of `desc`. O(1) on the labels, no
-  /// dense cache needed; out-of-range and dead ids are never ancestors
-  /// (ids beyond the labeled range are ignored, like EntrySet does).
+  /// True if `anc` is a proper ancestor of `desc`. O(1) on the labels;
+  /// out-of-range and dead ids are never ancestors (ids beyond the
+  /// labeled range are ignored, like EntrySet does).
   bool IsAncestor(EntryId anc, EntryId desc) const {
     if (anc >= labels_.size() || desc >= labels_.size()) return false;
     uint64_t la = labels_[anc];
@@ -170,11 +142,6 @@ class ForestIndex {
                       first_root_,      num_alive_};
   }
 
-  /// Makes the dense cache fresh now, so subsequent pre()/sub_end()/
-  /// preorder() calls are pure reads safe from concurrent threads.
-  /// Single-writer, like any accessor that could materialize.
-  void MaterializeDenseNow() const { EnsureDense(); }
-
   /// Local relabels (redistributions below the forest root) performed so
   /// far by this instance, and full rebuilds (whole-space
   /// redistributions).
@@ -182,9 +149,10 @@ class ForestIndex {
   uint64_t full_rebuilds() const { return full_rebuilds_; }
 
   /// Equivalence check against a fresh build: the label order must induce
-  /// exactly the DFS preorder of `d`, with matching subtree intervals and
-  /// depths, and the links must name every parent and thread every child
-  /// list and the roots in order. O(|D| log |D|). The property tests run
+  /// exactly the DFS preorder of `d`, each label interval must hold
+  /// exactly its subtree, depths must match, and the links must name
+  /// every parent and thread every child list and the roots in order.
+  /// O(|D|). The property tests run
   /// this after every mutation; the maintenance code uses the same
   /// invariants to decide when to fall back to a full rebuild.
   bool EquivalentToFresh(const Directory& d) const;
@@ -235,13 +203,6 @@ class ForestIndex {
                       uint64_t width);
 
   void EnsureCapacity(size_t id_capacity);
-  void InvalidateDense() {
-    dense_valid_.store(false, std::memory_order_relaxed);
-  }
-  void EnsureDense() const {
-    if (!dense_valid_.load(std::memory_order_acquire)) MaterializeDense();
-  }
-  void MaterializeDense() const;
 
   // Label state: always fresh, maintained incrementally. By entry id.
   // CowVec so FreezeViews() shares untouched chunks with prior
@@ -256,13 +217,6 @@ class ForestIndex {
   uint64_t relabels_ = 0;
   uint64_t full_rebuilds_ = 0;
 
-  // Dense cache, derived lazily from the labels. Writer-local: stale
-  // materialization is NOT thread-safe (see class comment); the atomic
-  // flag only makes fresh/stale observable without tearing.
-  mutable std::atomic<bool> dense_valid_{true};  // empty index is valid
-  mutable std::vector<size_t> pre_;      // by entry id
-  mutable std::vector<size_t> sub_end_;  // by entry id
-  mutable std::vector<EntryId> preorder_;
 };
 
 }  // namespace ldapbound

@@ -1,7 +1,7 @@
 #include "query/evaluator.h"
 
-#include <algorithm>
 #include <chrono>
+#include <type_traits>
 #include <vector>
 
 namespace ldapbound {
@@ -35,6 +35,106 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
+}
+
+const char* AxisStrategy(Axis axis) {
+  switch (axis) {
+    case Axis::kChild:
+      return "parent-map";
+    case Axis::kParent:
+      return "parent-probe";
+    case Axis::kDescendant:
+      return "mark-ancestors";
+    case Axis::kAncestor:
+      return "memo-chain-walk";
+  }
+  return "?";
+}
+
+/// Calls `emit(a)` for every member `a` of `nodes` with an `axis`-neighbor
+/// in `related` (some more than once); `emit` returns false to stop.
+/// `parent_of(id)` is the only tree access, so the live and the snapshot
+/// source share this code. Returns false iff `emit` stopped the walk.
+template <typename ParentOf, typename Emit>
+bool ForEachRelated(Axis axis, const EntrySet& nodes, const EntrySet& related,
+                    size_t capacity, ParentOf parent_of, uint64_t& scanned,
+                    Emit emit) {
+  switch (axis) {
+    case Axis::kChild:
+      // The parents of related members that are nodes.
+      return related.ForEachWhile([&](EntryId id) {
+        ++scanned;
+        EntryId p = parent_of(id);
+        return p == kInvalidEntryId || !nodes.Contains(p) || emit(p);
+      });
+    case Axis::kParent:
+      return nodes.ForEachWhile([&](EntryId id) {
+        ++scanned;
+        EntryId p = parent_of(id);
+        return p == kInvalidEntryId || !related.Contains(p) || emit(id);
+      });
+    case Axis::kDescendant: {
+      // Mark the proper ancestors of the related members. The marks are
+      // closed upward, so a walk stops at the first marked entry and the
+      // pass costs O(|related| + marked). Siblings often have adjacent
+      // ids, so a walk from the previous walk's start is skipped outright.
+      EntrySet marked(capacity);
+      EntryId last_start = kInvalidEntryId;
+      return related.ForEachWhile([&](EntryId id) {
+        const EntryId start = parent_of(id);
+        if (start == last_start) return true;
+        last_start = start;
+        for (EntryId p = start; p != kInvalidEntryId && !marked.Contains(p);
+             p = parent_of(p)) {
+          ++scanned;
+          marked.Insert(p);
+          if (nodes.Contains(p) && !emit(p)) return false;
+        }
+        return true;
+      });
+    }
+    case Axis::kAncestor: {
+      // Memoized chain walk: hit(x) = x in related, or hit(parent(x)).
+      // Every entry's verdict is settled once, so the pass costs
+      // O(|nodes| + distinct entries on their parent chains).
+      EntrySet known(capacity);
+      EntrySet hit(capacity);
+      std::vector<EntryId> path;
+      auto chain_hits = [&](EntryId start) {
+        path.clear();
+        bool verdict = false;
+        for (EntryId x = start; x != kInvalidEntryId; x = parent_of(x)) {
+          ++scanned;
+          if (known.Contains(x)) {
+            verdict = hit.Contains(x);
+            break;
+          }
+          if (related.Contains(x)) {
+            verdict = true;
+            break;
+          }
+          path.push_back(x);
+        }
+        for (EntryId x : path) {
+          known.Insert(x);
+          if (verdict) hit.Insert(x);
+        }
+        return verdict;
+      };
+      // Siblings often have adjacent ids: reuse the previous verdict.
+      EntryId last_parent = kInvalidEntryId;
+      bool last_hit = false;
+      return nodes.ForEachWhile([&](EntryId id) {
+        const EntryId p = parent_of(id);
+        if (p != last_parent) {
+          last_parent = p;
+          last_hit = p != kInvalidEntryId && chain_hits(p);
+        }
+        return !last_hit || emit(id);
+      });
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -74,16 +174,6 @@ void AddEvaluatorStatsToMetrics(const EvaluatorStats& stats) {
   metrics.scan_length.Observe(stats.entries_scanned);
 }
 
-EntrySet QueryEvaluator::Evaluate(const Query& query) {
-  if (profile_ != nullptr) return EvaluateProfiled(query);
-  return EvaluateImpl(query);
-}
-
-bool QueryEvaluator::IsEmpty(const Query& query) {
-  if (profile_ != nullptr) return IsEmptyProfiled(query);
-  return IsEmptyImpl(query);
-}
-
 ExplainNode QueryEvaluator::MakeNodeHeader(const Query& query,
                                            bool lazy) const {
   ExplainNode node;
@@ -91,7 +181,9 @@ ExplainNode QueryEvaluator::MakeNodeHeader(const Query& query,
   switch (query.kind()) {
     case Query::Kind::kSelect:
       node.op = "select";
-      node.detail = query.ToString(directory_.vocab());
+      if (directory_ != nullptr) {
+        node.detail = query.ToString(directory_->vocab());
+      }
       switch (query.scope()) {
         case Scope::kAll:
           node.scope = "all";
@@ -123,13 +215,17 @@ ExplainNode QueryEvaluator::MakeNodeHeader(const Query& query,
   return node;
 }
 
-// Both profiled wrappers share the same frame discipline: push this node as
-// the current parent, zero the child accumulators, run the plain body (whose
-// recursive Evaluate/IsEmpty calls re-enter the dispatcher and so build the
-// child subtrees), then compute this node's OWN per-entry work as the
-// inclusive counter delta minus what the children accumulated.
-EntrySet QueryEvaluator::EvaluateProfiled(const Query& query) {
-  ExplainNode node = MakeNodeHeader(query, /*lazy=*/false);
+// The frame discipline of one plan node: push this node as the current
+// parent, zero the child accumulators, run the plain body (whose recursive
+// Evaluate/IsEmpty calls re-enter the dispatcher and so build the child
+// subtrees), then compute this node's OWN per-entry work as the inclusive
+// counter delta minus what the children accumulated. An IsEmpty body
+// (returning bool) is a lazy node and never materializes its result.
+template <typename Body>
+auto QueryEvaluator::Profiled(const Query& query, Body&& body) {
+  using Out = decltype(body());
+  constexpr bool kLazy = std::is_same_v<Out, bool>;
+  ExplainNode node = MakeNodeHeader(query, kLazy);
   ExplainNode* saved_parent = profile_parent_;
   const uint64_t saved_children_scanned = profile_children_scanned_;
   const uint64_t saved_children_sc = profile_children_short_circuits_;
@@ -141,14 +237,14 @@ EntrySet QueryEvaluator::EvaluateProfiled(const Query& query) {
   const uint64_t sc_before = stats_.short_circuits;
   const auto start = std::chrono::steady_clock::now();
 
-  EntrySet result = EvaluateImpl(query);
+  Out result = body();
 
   node.latency_ns = ElapsedNs(start);
   const uint64_t inclusive_scanned = stats_.entries_scanned - scanned_before;
   const uint64_t inclusive_sc = stats_.short_circuits - sc_before;
   node.entries_scanned = inclusive_scanned - profile_children_scanned_;
   node.short_circuit = inclusive_sc > profile_children_short_circuits_;
-  node.out_cardinality = result.Count();
+  if constexpr (!kLazy) node.out_cardinality = result.Count();
   node.strategy = node_strategy_ != nullptr ? node_strategy_
                                             : DefaultStrategy(query);
   node_strategy_ = nullptr;  // consumed; the parent sets its own later
@@ -170,46 +266,25 @@ EntrySet QueryEvaluator::EvaluateProfiled(const Query& query) {
   return result;
 }
 
-bool QueryEvaluator::IsEmptyProfiled(const Query& query) {
-  ExplainNode node = MakeNodeHeader(query, /*lazy=*/true);
-  ExplainNode* saved_parent = profile_parent_;
-  const uint64_t saved_children_scanned = profile_children_scanned_;
-  const uint64_t saved_children_sc = profile_children_short_circuits_;
-  profile_parent_ = &node;
-  profile_children_scanned_ = 0;
-  profile_children_short_circuits_ = 0;
-  node_strategy_ = nullptr;
-  const uint64_t scanned_before = stats_.entries_scanned;
-  const uint64_t sc_before = stats_.short_circuits;
-  const auto start = std::chrono::steady_clock::now();
-
-  const bool empty = IsEmptyImpl(query);
-
-  node.latency_ns = ElapsedNs(start);
-  const uint64_t inclusive_scanned = stats_.entries_scanned - scanned_before;
-  const uint64_t inclusive_sc = stats_.short_circuits - sc_before;
-  node.entries_scanned = inclusive_scanned - profile_children_scanned_;
-  node.short_circuit = inclusive_sc > profile_children_short_circuits_;
-  node.out_cardinality = 0;  // lazy nodes never materialize their result
-  node.strategy = node_strategy_ != nullptr ? node_strategy_
-                                            : DefaultStrategy(query);
-  node_strategy_ = nullptr;
-  node.input_cardinalities.reserve(node.children.size());
-  for (const ExplainNode& child : node.children) {
-    node.input_cardinalities.push_back(child.out_cardinality);
+EntrySet QueryEvaluator::Evaluate(const Query& query) {
+  if (profile_ != nullptr) {
+    return Profiled(query, [&] { return EvaluateImpl(query); });
   }
-  profile_parent_ = saved_parent;
-  profile_children_scanned_ = saved_children_scanned + inclusive_scanned;
-  profile_children_short_circuits_ = saved_children_sc + inclusive_sc;
-  if (saved_parent != nullptr) {
-    saved_parent->children.push_back(std::move(node));
-  } else {
-    profile_->total_ns = node.latency_ns;
-    profile_->total_scanned = inclusive_scanned;
-    profile_->total_nodes = CountPlanNodes(node);
-    profile_->root = std::move(node);
+  return EvaluateImpl(query);
+}
+
+bool QueryEvaluator::IsEmpty(const Query& query) {
+  if (profile_ != nullptr) {
+    return Profiled(query, [&] { return IsEmptyImpl(query); });
   }
-  return empty;
+  return IsEmptyImpl(query);
+}
+
+EntrySet QueryEvaluator::AliveSet() const {
+  if (directory_ != nullptr) return directory_->AliveSet();
+  EntrySet out = snapshot_->alive != nullptr ? *snapshot_->alive : EntrySet();
+  out.Resize(capacity_);
+  return out;
 }
 
 EntrySet QueryEvaluator::EvaluateImpl(const Query& query) {
@@ -226,7 +301,7 @@ EntrySet QueryEvaluator::EvaluateImpl(const Query& query) {
       return lhs;
     }
     case Query::Kind::kUnion: {
-      EntrySet out(directory_.IdCapacity());
+      EntrySet out(capacity_);
       for (const Query& op : query.operands()) {
         EntrySet part = Evaluate(op);
         out.UnionWith(part);
@@ -234,10 +309,8 @@ EntrySet QueryEvaluator::EvaluateImpl(const Query& query) {
       return out;
     }
     case Query::Kind::kIntersect: {
-      if (query.operands().empty()) {
-        // Empty intersection over subsets of D: all alive entries.
-        return directory_.AliveSet();
-      }
+      // Empty intersection over subsets of D: all alive entries.
+      if (query.operands().empty()) return AliveSet();
       EntrySet out = Evaluate(query.operands()[0]);
       for (size_t i = 1; i < query.operands().size(); ++i) {
         EntrySet part = Evaluate(query.operands()[i]);
@@ -246,7 +319,7 @@ EntrySet QueryEvaluator::EvaluateImpl(const Query& query) {
       return out;
     }
   }
-  return EntrySet(directory_.IdCapacity());
+  return EntrySet(capacity_);
 }
 
 bool QueryEvaluator::IsEmptyImpl(const Query& query) {
@@ -285,7 +358,7 @@ bool QueryEvaluator::IsEmptyImpl(const Query& query) {
     }
     case Query::Kind::kIntersect: {
       const std::vector<Query>& ops = query.operands();
-      if (ops.empty()) return directory_.NumEntries() == 0;
+      if (ops.empty()) return AliveSet().Empty();
       if (ops.size() == 1) {
         bool empty = IsEmpty(ops[0]);
         RecordStrategy("single-operand");
@@ -317,11 +390,10 @@ bool QueryEvaluator::IsEmptyImpl(const Query& query) {
 }
 
 EntrySet QueryEvaluator::EvaluateSelect(const Query& query) {
-  EntrySet out(directory_.IdCapacity());
   const Scope scope = query.scope();
   if (scope == Scope::kEmpty) {
     RecordStrategy("empty-scope");
-    return out;
+    return EntrySet(capacity_);
   }
   const Matcher& matcher = *query.matcher();
   if (scope == Scope::kAll && class_cache_ != nullptr) {
@@ -334,34 +406,22 @@ EntrySet QueryEvaluator::EvaluateSelect(const Query& query) {
       }
     }
   }
+  if (snapshot_ != nullptr) return SnapshotSelect(query);
+  EntrySet out(capacity_);
   if (scope == Scope::kDeltaOnly) {
     // Δ-scoped selections touch only Δ — the ingredient that makes the
     // Figure 5 insertion checks cost O(|Δ|) rather than O(|D|).
     RecordStrategy("delta-scan");
     if (delta_ == nullptr) return out;
     delta_->ForEach([&](EntryId id) {
-      if (!directory_.IsAlive(id)) return;
+      if (!directory_->IsAlive(id)) return;
       ++stats_.entries_scanned;
-      if (matcher.Matches(directory_.entry(id))) out.Insert(id);
+      if (matcher.Matches(directory_->entry(id))) out.Insert(id);
     });
     return out;
   }
-  if (scope == Scope::kAll && index_ != nullptr && index_->IsFresh() &&
-      &index_->directory() == &directory_) {
-    const std::vector<EntryId>* ids = nullptr;
-    if (matcher.ProbeIndex(*index_, &ids)) {
-      RecordStrategy("index");
-      if (ids != nullptr) {
-        for (EntryId id : *ids) {
-          ++stats_.entries_scanned;
-          out.Insert(id);
-        }
-      }
-      return out;
-    }
-  }
   RecordStrategy("scan");
-  directory_.ForEachAlive([&](const Entry& e) {
+  directory_->ForEachAlive([&](const Entry& e) {
     ++stats_.entries_scanned;
     if (scope == Scope::kExcludeDelta && delta_ != nullptr &&
         delta_->Contains(e.id())) {
@@ -372,7 +432,48 @@ EntrySet QueryEvaluator::EvaluateSelect(const Query& query) {
   return out;
 }
 
+EntrySet QueryEvaluator::SnapshotSelect(const Query& query) {
+  EntrySet out(capacity_);
+  auto unanswerable = [&](const char* why) {
+    if (status_.ok()) {
+      status_ =
+          Status::InvalidArgument(std::string("snapshot query: ") + why);
+    }
+    return out;
+  };
+  if (query.scope() != Scope::kAll) {
+    return unanswerable("delta-relative scopes need the live directory");
+  }
+  const Matcher* matcher = query.matcher().get();
+  RecordStrategy("posting");
+  if (const auto* cm = dynamic_cast<const ClassMatcher*>(matcher)) {
+    if (const EntrySet* posting = snapshot_->ClassSet(cm->cls())) {
+      stats_.entries_scanned += snapshot_->CountWithClass(cm->cls());
+      out = *posting;
+      out.Resize(capacity_);  // postings grow in doubling steps
+    }
+    return out;
+  }
+  if (const auto* eq = dynamic_cast<const AttrEqualsMatcher*>(matcher)) {
+    if (const std::vector<EntryId>* posting =
+            snapshot_->ValuePosting(eq->attr(), eq->value())) {
+      stats_.entries_scanned += posting->size();
+      for (EntryId id : *posting) out.Insert(id);
+    }
+    return out;
+  }
+  if (dynamic_cast<const TrueMatcher*>(matcher) != nullptr) {
+    stats_.entries_scanned += snapshot_->num_alive;
+    return AliveSet();
+  }
+  return unanswerable(
+      "only class, attribute-equality and match-all selections are "
+      "answered from postings");
+}
+
 bool QueryEvaluator::SelectIsEmpty(const Query& query) {
+  // A snapshot answers from postings: no scan to cut short.
+  if (snapshot_ != nullptr) return EvaluateSelect(query).Empty();
   const Scope scope = query.scope();
   if (scope == Scope::kEmpty) {
     RecordStrategy("empty-scope");
@@ -393,38 +494,60 @@ bool QueryEvaluator::SelectIsEmpty(const Query& query) {
     RecordStrategy("delta-scan");
     if (delta_ == nullptr) return true;
     bool empty = delta_->ForEachWhile([&](EntryId id) {
-      if (!directory_.IsAlive(id)) return true;
+      if (!directory_->IsAlive(id)) return true;
       ++stats_.entries_scanned;
-      return !matcher.Matches(directory_.entry(id));
+      return !matcher.Matches(directory_->entry(id));
     });
     if (!empty) ++stats_.short_circuits;  // stopped at the witness
     return empty;
   }
-  if (scope == Scope::kAll && index_ != nullptr && index_->IsFresh() &&
-      &index_->directory() == &directory_) {
-    const std::vector<EntryId>* ids = nullptr;
-    if (matcher.ProbeIndex(*index_, &ids)) {
-      RecordStrategy("index");
-      return ids == nullptr || ids->empty();
-    }
-  }
   RecordStrategy("scan");
   // Early-exit scan: stop at the first matching alive entry.
-  const size_t cap = directory_.IdCapacity();
-  for (size_t i = 0; i < cap; ++i) {
+  for (size_t i = 0; i < capacity_; ++i) {
     EntryId id = static_cast<EntryId>(i);
-    if (!directory_.IsAlive(id)) continue;
+    if (!directory_->IsAlive(id)) continue;
     ++stats_.entries_scanned;
     if (scope == Scope::kExcludeDelta && delta_ != nullptr &&
         delta_->Contains(id)) {
       continue;
     }
-    if (matcher.Matches(directory_.entry(id))) {
+    if (matcher.Matches(directory_->entry(id))) {
       ++stats_.short_circuits;  // stopped at the witness
       return false;
     }
   }
   return true;
+}
+
+bool QueryEvaluator::WalkAxis(Axis axis, const EntrySet& node_set,
+                              const EntrySet& related, EntrySet* out) {
+  RecordStrategy(AxisStrategy(axis));
+  auto walk = [&](auto parent_of) {
+    if (out == nullptr) {
+      return ForEachRelated(axis, node_set, related, capacity_, parent_of,
+                            stats_.entries_scanned,
+                            [](EntryId) { return false; });
+    }
+    return ForEachRelated(axis, node_set, related, capacity_, parent_of,
+                          stats_.entries_scanned, [out](EntryId id) {
+                            out->Insert(id);
+                            return true;
+                          });
+  };
+  if (snapshot_ != nullptr) {
+    const DirectorySnapshot& snap = *snapshot_;
+    return walk([&snap](EntryId id) { return snap.parent(id); });
+  }
+  const ForestIndex& index = directory_->GetIndex();
+  return walk([&index](EntryId id) { return index.parent(id); });
+}
+
+EntrySet QueryEvaluator::EvaluateHier(const Query& query) {
+  EntrySet node_set = Evaluate(query.operands()[0]);
+  EntrySet related = Evaluate(query.operands()[1]);
+  EntrySet out(capacity_);
+  WalkAxis(query.axis(), node_set, related, &out);
+  return out;
 }
 
 bool QueryEvaluator::HierIsEmpty(const Query& query) {
@@ -438,188 +561,10 @@ bool QueryEvaluator::HierIsEmpty(const Query& query) {
     RecordStrategy("empty-operand");
     return true;
   }
-  const ForestIndex& index = directory_.GetIndex();
-  const std::vector<EntryId>& preorder = index.preorder();
-
-  // Each axis stops at the first witness; a false verdict is by
-  // construction a short-circuit.
-  bool empty = true;
-  switch (query.axis()) {
-    case Axis::kChild:
-      RecordStrategy("parent-map");
-      // Non-empty iff some related-member's parent is in the node set.
-      empty = related.ForEachWhile([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        return p == kInvalidEntryId || !node_set.Contains(p);
-      });
-      break;
-    case Axis::kParent:
-      RecordStrategy("parent-probe");
-      empty = node_set.ForEachWhile([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        return p == kInvalidEntryId || !related.Contains(p);
-      });
-      break;
-    case Axis::kDescendant: {
-      RecordStrategy("interval-probe");
-      // Mark the related members' preorder positions, then probe each
-      // node member's subtree interval — AnyInRange exits at the first
-      // occupied word, and the whole test stops at the first witness.
-      EntrySet positions(preorder.size());
-      related.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        positions.Insert(static_cast<EntryId>(index.pre(id)));
-      });
-      empty = node_set.ForEachWhile([&](EntryId id) {
-        ++stats_.entries_scanned;
-        return !positions.AnyInRange(index.pre(id) + 1, index.sub_end(id));
-      });
-      break;
-    }
-    case Axis::kAncestor: {
-      // Sparse path: few candidate nodes — walk their parent chains,
-      // stopping at the first member with a related ancestor.
-      const size_t threshold = preorder.size() / 8;
-      if (node_set.CountUpTo(threshold + 1) <= threshold) {
-        RecordStrategy("chain-walk");
-        empty = node_set.ForEachWhile([&](EntryId id) {
-          for (EntryId p = directory_.entry(id).parent();
-               p != kInvalidEntryId; p = directory_.entry(p).parent()) {
-            ++stats_.entries_scanned;
-            if (related.Contains(p)) return false;
-          }
-          return true;
-        });
-        break;
-      }
-      // Dense path: top-down pass (preorder visits parents first),
-      // stopping at the first witness.
-      RecordStrategy("preorder-pass");
-      std::vector<uint8_t> has_anc(directory_.IdCapacity(), 0);
-      for (EntryId id : preorder) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        if (p != kInvalidEntryId) {
-          has_anc[id] = has_anc[p] || related.Contains(p);
-        }
-        if (has_anc[id] && node_set.Contains(id)) {
-          empty = false;
-          break;
-        }
-      }
-      break;
-    }
-  }
+  // A false verdict stopped at a witness: by construction a short-circuit.
+  const bool empty = WalkAxis(query.axis(), node_set, related, nullptr);
   if (!empty) ++stats_.short_circuits;
   return empty;
-}
-
-EntrySet QueryEvaluator::EvaluateHier(const Query& query) {
-  EntrySet node_set = Evaluate(query.operands()[0]);
-  EntrySet related = Evaluate(query.operands()[1]);
-  const ForestIndex& index = directory_.GetIndex();
-  const std::vector<EntryId>& preorder = index.preorder();
-  EntrySet out(directory_.IdCapacity());
-
-  switch (query.axis()) {
-    case Axis::kChild: {
-      RecordStrategy("parent-map");
-      // Parents of related-members, intersected with the node set.
-      EntrySet parents(directory_.IdCapacity());
-      related.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        if (p != kInvalidEntryId) parents.Insert(p);
-      });
-      parents.IntersectWith(node_set);
-      return parents;
-    }
-    case Axis::kParent: {
-      RecordStrategy("parent-probe");
-      node_set.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        if (p != kInvalidEntryId && related.Contains(p)) out.Insert(id);
-      });
-      return out;
-    }
-    case Axis::kDescendant: {
-      // Sparse path: when both operand sets are small relative to |D| —
-      // the situation the Figure 5 Δ-queries create — sort the related
-      // members' preorder positions and binary-search each node's subtree
-      // interval: O((|A|+|B|)·log|B|) instead of a full preorder pass.
-      // CountUpTo caps the size probes at the threshold they compare to.
-      const size_t threshold = preorder.size() / 8;
-      size_t count_a = node_set.CountUpTo(threshold + 1);
-      size_t count_b = related.CountUpTo(threshold + 1);
-      if ((count_a + count_b) * 8 < preorder.size()) {
-        RecordStrategy("interval-search");
-        std::vector<size_t> positions;
-        positions.reserve(count_b);
-        related.ForEach([&](EntryId id) {
-          ++stats_.entries_scanned;
-          positions.push_back(index.pre(id));
-        });
-        std::sort(positions.begin(), positions.end());
-        node_set.ForEach([&](EntryId id) {
-          ++stats_.entries_scanned;
-          size_t lo = index.pre(id) + 1;  // proper descendants only
-          size_t hi = index.sub_end(id);
-          auto it = std::lower_bound(positions.begin(), positions.end(), lo);
-          if (it != positions.end() && *it < hi) out.Insert(id);
-        });
-        return out;
-      }
-      // Dense path: prefix[i] = number of related-members in preorder[0..i).
-      RecordStrategy("prefix-sum");
-      std::vector<uint32_t> prefix(preorder.size() + 1, 0);
-      for (size_t i = 0; i < preorder.size(); ++i) {
-        ++stats_.entries_scanned;
-        prefix[i + 1] =
-            prefix[i] + (related.Contains(preorder[i]) ? 1u : 0u);
-      }
-      node_set.ForEach([&](EntryId id) {
-        size_t lo = index.pre(id) + 1;  // proper descendants only
-        size_t hi = index.sub_end(id);
-        if (hi > lo && prefix[hi] > prefix[lo]) out.Insert(id);
-      });
-      return out;
-    }
-    case Axis::kAncestor: {
-      // Sparse path: few candidate nodes — walk their parent chains.
-      const size_t threshold = preorder.size() / 8;
-      size_t count_a = node_set.CountUpTo(threshold + 1);
-      if (count_a * 8 < preorder.size()) {
-        RecordStrategy("chain-walk");
-        node_set.ForEach([&](EntryId id) {
-          for (EntryId p = directory_.entry(id).parent();
-               p != kInvalidEntryId; p = directory_.entry(p).parent()) {
-            ++stats_.entries_scanned;
-            if (related.Contains(p)) {
-              out.Insert(id);
-              break;
-            }
-          }
-        });
-        return out;
-      }
-      // Dense path: top-down pass (preorder visits parents first).
-      RecordStrategy("preorder-pass");
-      std::vector<uint8_t> has_anc(directory_.IdCapacity(), 0);
-      for (EntryId id : preorder) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        if (p != kInvalidEntryId) {
-          has_anc[id] = has_anc[p] || related.Contains(p);
-        }
-        if (has_anc[id] && node_set.Contains(id)) out.Insert(id);
-      }
-      return out;
-    }
-  }
-  return out;
 }
 
 }  // namespace ldapbound

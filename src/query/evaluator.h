@@ -5,11 +5,12 @@
 #include <unordered_map>
 
 #include "model/directory.h"
+#include "model/directory_snapshot.h"
 #include "model/entry_set.h"
 #include "query/explain.h"
 #include "query/query.h"
-#include "query/value_index.h"
 #include "util/metrics.h"
+#include "util/status.h"
 
 namespace ldapbound {
 
@@ -51,20 +52,31 @@ QueryMetrics& GetQueryMetrics();
 /// Publishes `stats` (adds to the counters, observes the histograms).
 void AddEvaluatorStatsToMetrics(const EvaluatorStats& stats);
 
-/// Evaluates hierarchical selection queries over a Directory.
+/// Evaluates hierarchical selection queries over one of two sources: the
+/// live Directory, or a pinned DirectorySnapshot (the lock-free read path,
+/// DESIGN.md §10). Set algebra, lazy IsEmpty, stats and EXPLAIN profiles
+/// are the same code for both; only the atomic selections differ.
 ///
-/// Every AST node is processed with O(|D|) work over the directory's
-/// preorder index (one pass; no pairwise joins), realizing the evaluation
-/// bound of Jagadish et al. that Section 3.2 builds on:
-///   - atomic select: one scan applying the matcher;
-///   - child:       mark parents of B-members, intersect with A;
-///   - parent:      test each A-member's parent against B;
-///   - descendant:  prefix-sum B over the preorder, test A's subtree ranges;
-///   - ancestor:    top-down pass propagating "has B ancestor" flags;
+/// Every AST node costs O(|D|) work at most (one pass; no pairwise joins),
+/// realizing the evaluation bound of Jagadish et al. that Section 3.2
+/// builds on. The hierarchy axes need nothing but parent links (the
+/// ForestIndex tree links live, their frozen copy on a snapshot):
+///   - child:      mark the parents of B-members, intersect with A;
+///   - parent:     test each A-member's parent against B;
+///   - descendant: mark the proper ancestors of B, each upward walk
+///                 stopping at an entry already marked, so the pass costs
+///                 O(|B| + marked); intersect with A;
+///   - ancestor:   memoized parent-chain walk from each A-member;
 ///   - diff / union / intersect: bitmap algebra.
 ///
-/// An optional Δ-set enables the scoped predicates of Figure 5: atomic
-/// selections can be restricted to Δ, to its complement, or suppressed.
+/// The live source scans entries for selections; an optional Δ-set enables
+/// the scoped predicates of Figure 5 (selections restricted to Δ, to its
+/// complement, or suppressed). The snapshot source answers class,
+/// `attr=value` and match-all selections from the snapshot's postings and
+/// never touches the live Directory, so any number of snapshot evaluators
+/// run concurrently with the writer. A Δ scope or a matcher that reads
+/// entry contents has no answer on a snapshot: evaluating one sets
+/// status() to an error instead of returning a wrong set.
 ///
 /// The evaluator holds mutable counters (stats_), so one instance must not
 /// be shared across threads; the parallel legality engine creates one
@@ -72,20 +84,24 @@ void AddEvaluatorStatsToMetrics(const EvaluatorStats& stats);
 /// class-selection cache MAY be shared across evaluators (set_class_cache).
 class QueryEvaluator {
  public:
-  /// `delta`, if given, must remain valid while the evaluator is used and
-  /// must have capacity >= directory.IdCapacity(). `index`, if given and
-  /// fresh, answers unscoped class/value selections in O(|result|); a
-  /// stale or absent index falls back to the scan.
+  /// Live source. `delta`, if given, must remain valid while the evaluator
+  /// is used and must have capacity >= directory.IdCapacity().
   explicit QueryEvaluator(const Directory& directory,
-                          const EntrySet* delta = nullptr,
-                          const ValueIndex* index = nullptr)
-      : directory_(directory), delta_(delta), index_(index) {}
+                          const EntrySet* delta = nullptr)
+      : directory_(&directory),
+        delta_(delta),
+        capacity_(directory.IdCapacity()) {}
+
+  /// Pinned source; results have capacity snapshot.id_capacity. The
+  /// snapshot must stay pinned while the evaluator is used.
+  explicit QueryEvaluator(const DirectorySnapshot& snapshot)
+      : snapshot_(&snapshot), capacity_(snapshot.id_capacity) {}
 
   /// Optional read-only cache of unscoped `(objectClass=c)` selection
-  /// results, keyed by class id. Consulted (before the value index) for
-  /// kAll-scoped ClassMatcher selections only; missing classes fall back
-  /// to the normal path. The cache must stay valid and unmodified while
-  /// this evaluator runs; it may be shared by concurrent evaluators.
+  /// results, keyed by class id. Consulted for kAll-scoped ClassMatcher
+  /// selections only; missing classes fall back to the normal path. The
+  /// cache must stay valid and unmodified while this evaluator runs; it
+  /// may be shared by concurrent evaluators.
   void set_class_cache(const std::unordered_map<ClassId, EntrySet>* cache) {
     class_cache_ = cache;
   }
@@ -96,10 +112,12 @@ class QueryEvaluator {
   /// latency). Pass nullptr to detach. The profile object must outlive the
   /// attached evaluations. Profiling changes no results and, when detached
   /// (the default), costs a handful of never-taken branches per AST node —
-  /// never per-entry work.
+  /// never per-entry work. A snapshot carries no Vocabulary (the writer
+  /// interns into it), so snapshot plans leave selection details blank.
   void set_profile(QueryProfile* profile) { profile_ = profile; }
 
-  /// Evaluates `query`; the result holds alive entry ids.
+  /// Evaluates `query`; the result holds alive entry ids. Meaningless
+  /// unless status() is OK afterwards.
   EntrySet Evaluate(const Query& query);
 
   /// True iff the query result is empty. Lazy: the top-level node stops at
@@ -107,20 +125,38 @@ class QueryEvaluator {
   /// a union short-circuits at the first non-empty operand, a difference
   /// becomes a word-wise subset test, a hierarchical selection stops at
   /// the first member with a qualifying related entry. Operand subtrees
-  /// below the top-level node still evaluate fully.
+  /// below the top-level node still evaluate fully. Meaningless unless
+  /// status() is OK afterwards.
   bool IsEmpty(const Query& query);
+
+  /// OK unless some evaluation needed what this source cannot answer (a
+  /// Δ scope or an entry-content matcher on a snapshot). Sticky: the
+  /// first error stays.
+  const Status& status() const { return status_; }
 
   const EvaluatorStats& stats() const { return stats_; }
 
  private:
   EntrySet EvaluateImpl(const Query& query);
   bool IsEmptyImpl(const Query& query);
-  EntrySet EvaluateProfiled(const Query& query);
-  bool IsEmptyProfiled(const Query& query);
+  /// Runs `body` (an Impl call) as one EXPLAIN plan node.
+  template <typename Body>
+  auto Profiled(const Query& query, Body&& body);
   EntrySet EvaluateSelect(const Query& query);
-  EntrySet EvaluateHier(const Query& query);
   bool SelectIsEmpty(const Query& query);
+  /// A kAll/kDeltaOnly/kExcludeDelta selection answered from the snapshot's
+  /// postings; an empty set plus an error status when it has no answer.
+  EntrySet SnapshotSelect(const Query& query);
+  EntrySet EvaluateHier(const Query& query);
   bool HierIsEmpty(const Query& query);
+  /// Finds the members of `node_set` with an `axis`-neighbor in `related`:
+  /// inserts them into `*out`, or with `out` null stops at the first one.
+  /// Returns false iff it stopped at such a witness.
+  bool WalkAxis(Axis axis, const EntrySet& node_set, const EntrySet& related,
+                EntrySet* out);
+
+  /// Every alive entry of the source.
+  EntrySet AliveSet() const;
 
   ExplainNode MakeNodeHeader(const Query& query, bool lazy) const;
 
@@ -132,11 +168,13 @@ class QueryEvaluator {
     if (profile_ != nullptr) node_strategy_ = strategy;
   }
 
-  const Directory& directory_;
-  const EntrySet* delta_;
-  const ValueIndex* index_;
+  const Directory* directory_ = nullptr;         // live source, or
+  const DirectorySnapshot* snapshot_ = nullptr;  // pinned source
+  const EntrySet* delta_ = nullptr;
+  size_t capacity_;
   const std::unordered_map<ClassId, EntrySet>* class_cache_ = nullptr;
   EvaluatorStats stats_;
+  Status status_;
 
   // EXPLAIN state (untouched unless a profile is attached).
   QueryProfile* profile_ = nullptr;

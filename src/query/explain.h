@@ -18,9 +18,9 @@ namespace ldapbound {
 /// constraint's query did it, and what did its evaluation look like?" —
 /// the explainable-validation-report problem ShEx/SHACL systems solve for
 /// RDF shapes. An ExplainNode answers it for one AST node: what the node
-/// computed, how (index probe vs class-cache hit vs scan, sparse vs dense
-/// axis path, lazy short-circuit), how much it read and produced, and how
-/// long it took.
+/// computed, how (posting vs class-cache hit vs scan, which axis walk,
+/// lazy short-circuit), how much it read and produced, and how long it
+/// took.
 ///
 /// Profiles are built by QueryEvaluator when a QueryProfile is attached
 /// (QueryEvaluator::set_profile); evaluation without a profile attached
@@ -30,10 +30,10 @@ struct ExplainNode {
   std::string op;        ///< "select", "child", "parent", "descendant",
                          ///< "ancestor", "diff", "union", "intersect"
   std::string detail;    ///< matcher rendering for selects ("objectClass=x")
-  std::string strategy;  ///< how the node was answered; see kind constants
-                         ///< in explain.cc ("scan", "index", "class-cache",
-                         ///< "sparse", "dense", "delta-scan",
-                         ///< "class-count", "bitmap", "subset-test", ...)
+  std::string strategy;  ///< how the node was answered ("scan",
+                         ///< "posting", "class-cache", "delta-scan",
+                         ///< "mark-ancestors", "bitmap", "subset-test",
+                         ///< ...; see query/evaluator.cc)
   std::string scope;     ///< instance scope of a select ("all", "delta", ...)
   bool lazy = false;           ///< evaluated via IsEmpty (verdict only)
   bool short_circuit = false;  ///< concluded at a witness / empty operand
@@ -50,7 +50,7 @@ struct ExplainNode {
   double Selectivity() const;
 
   /// Indented plan tree, one node per line:
-  ///   descendant  out=0 scanned=12 18.3us [sparse, short-circuit]
+  ///   descendant  out=0 scanned=12 18.3us [mark-ancestors, short-circuit]
   ///     select (objectClass=orgGroup)  out=9 scanned=9 4.1us [class-cache]
   std::string RenderText(int indent = 0) const;
 

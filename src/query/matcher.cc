@@ -1,20 +1,6 @@
 #include "query/matcher.h"
 
-#include "query/value_index.h"
-
 namespace ldapbound {
-
-bool ClassMatcher::ProbeIndex(const ValueIndex& index,
-                              const std::vector<EntryId>** out) const {
-  *out = index.LookupClass(cls_);
-  return true;
-}
-
-bool AttrEqualsMatcher::ProbeIndex(const ValueIndex& index,
-                                   const std::vector<EntryId>** out) const {
-  *out = index.LookupValue(attr_, value_);
-  return true;
-}
 
 std::string ClassMatcher::ToString(const Vocabulary& vocab) const {
   return "objectClass=" + vocab.ClassName(cls_);

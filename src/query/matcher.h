@@ -12,8 +12,6 @@
 
 namespace ldapbound {
 
-class ValueIndex;
-
 /// A per-entry boolean condition: the atomic selection predicate of the
 /// hierarchical query language. Matchers are immutable and shared between
 /// query nodes via shared_ptr<const Matcher>.
@@ -27,16 +25,6 @@ class Matcher {
   /// Renders the condition in the paper's concrete syntax, e.g.
   /// "objectClass=person".
   virtual std::string ToString(const Vocabulary& vocab) const = 0;
-
-  /// If the condition can be answered from a ValueIndex, stores the
-  /// ascending id list in `*out` (possibly nullptr for "no entries") and
-  /// returns true. Default: not answerable.
-  virtual bool ProbeIndex(const ValueIndex& index,
-                          const std::vector<EntryId>** out) const {
-    (void)index;
-    (void)out;
-    return false;
-  }
 };
 
 using MatcherPtr = std::shared_ptr<const Matcher>;
@@ -51,8 +39,6 @@ class ClassMatcher : public Matcher {
     return entry.HasClass(cls_);
   }
   std::string ToString(const Vocabulary& vocab) const override;
-  bool ProbeIndex(const ValueIndex& index,
-                  const std::vector<EntryId>** out) const override;
 
   ClassId cls() const { return cls_; }
 
@@ -70,8 +56,6 @@ class AttrEqualsMatcher : public Matcher {
     return entry.HasValue(attr_, value_);
   }
   std::string ToString(const Vocabulary& vocab) const override;
-  bool ProbeIndex(const ValueIndex& index,
-                  const std::vector<EntryId>** out) const override;
 
   AttributeId attr() const { return attr_; }
   const Value& value() const { return value_; }

@@ -1117,9 +1117,7 @@ WireResponse NetServer::Execute(const WorkItem& item) {
       WireStageScope::MarkCurrent(WireStage::kSnapshotPinned);
       LegalityChecker checker(server_->schema(),
                               server_->check_options());
-      auto legal = checker.CheckStructureSnapshot(*snap);
-      if (!legal.ok()) return fail(legal.status());
-      PutU8(response.body, *legal ? 1 : 0);
+      PutU8(response.body, checker.CheckStructure(*snap) ? 1 : 0);
       PutU64(response.body, snap->num_alive);
       PutU64(response.body, snap->version);
       return response;

@@ -1,7 +1,7 @@
 // Property test for Theorem 3.1's reduction: the query-based structure
 // checker must agree with the naive pairwise oracle on random forests and
 // random structure schemas, both in verdict and in the set of offending
-// entries.
+// entries — over the live directory and over a pinned snapshot of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,6 +65,14 @@ TEST_P(OraclePropertyTest, QueryCheckerMatchesNaiveOracle) {
     EXPECT_EQ(Normalize(fast), Normalize(naive)) << "seed=" << seed;
     // Boolean-only variants agree with the collecting ones.
     EXPECT_EQ(LegalityChecker(*schema).CheckStructure(d), fast_ok);
+
+    d.EnableSnapshots();
+    PinnedSnapshot pin = d.PinSnapshot();
+    std::vector<Violation> pinned;
+    EXPECT_EQ(LegalityChecker(*schema).CheckStructure(*pin, &pinned),
+              naive_ok)
+        << "[pinned] seed=" << seed;
+    EXPECT_EQ(Normalize(pinned), Normalize(naive)) << "[pinned] seed=" << seed;
   }
 }
 

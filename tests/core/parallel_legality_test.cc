@@ -188,20 +188,32 @@ TEST_F(ParallelLegalityTest, ComponentPassesIdenticalToSerial) {
   ASSERT_FALSE(structure1.empty());
   ASSERT_FALSE(keys1.empty());
 
+  // The snapshot overload is the same Figure-4 checker: on a pinned
+  // snapshot it reports exactly the live list, in every configuration.
+  d_.EnableSnapshots();
+  PinnedSnapshot pin = d_.PinSnapshot();
+  ASSERT_TRUE(pin);
+
   ThreadPool own_pool(4);
   for (const CheckOptions& options : Configurations(&own_pool)) {
     LegalityChecker checker(w_.schema, options);
-    std::vector<Violation> content2, structure2, keys2;
+    std::vector<Violation> content2, structure2, keys2, pinned;
     EXPECT_FALSE(checker.CheckContent(d_, &content2));
     EXPECT_FALSE(checker.CheckStructure(d_, &structure2));
     EXPECT_FALSE(checker.CheckKeys(d_, &keys2));
+    EXPECT_FALSE(checker.CheckStructure(*pin, &pinned));
     EXPECT_TRUE(content2 == content1);
     EXPECT_TRUE(structure2 == structure1);
     EXPECT_TRUE(keys2 == keys1);
+    EXPECT_TRUE(pinned == structure1);
   }
 }
 
 TEST_F(ParallelLegalityTest, ShortCircuitVerdictAgrees) {
+  d_.EnableSnapshots();
+  legal_.EnableSnapshots();
+  PinnedSnapshot illegal_pin = d_.PinSnapshot();
+  PinnedSnapshot legal_pin = legal_.PinSnapshot();
   ThreadPool own_pool(4);
   for (const CheckOptions& options : Configurations(&own_pool)) {
     LegalityChecker checker(w_.schema, options);
@@ -213,6 +225,8 @@ TEST_F(ParallelLegalityTest, ShortCircuitVerdictAgrees) {
     EXPECT_FALSE(checker.CheckLegal(d_));
     EXPECT_TRUE(checker.CheckContent(legal_));
     EXPECT_TRUE(checker.CheckStructure(legal_));
+    EXPECT_FALSE(checker.CheckStructure(*illegal_pin));
+    EXPECT_TRUE(checker.CheckStructure(*legal_pin));
     EXPECT_TRUE(checker.CheckKeys(legal_));
     EXPECT_TRUE(checker.CheckLegal(legal_));
     std::vector<Violation> none;
@@ -225,9 +239,9 @@ TEST_F(ParallelLegalityTest, StructureStatsAggregateAcrossWorkers) {
   std::vector<Violation> out1, out4;
   EvaluatorStats serial, parallel;
   LegalityChecker(w_.schema, {.num_threads = 1})
-      .CheckStructure(d_, &out1, nullptr, &serial);
+      .CheckStructure(d_, &out1, &serial);
   LegalityChecker(w_.schema, {.num_threads = 4, .grain = 1})
-      .CheckStructure(d_, &out4, nullptr, &parallel);
+      .CheckStructure(d_, &out4, &parallel);
   EXPECT_TRUE(out1 == out4);
   EXPECT_GT(serial.nodes_evaluated, 0u);
   // Same constraint queries, same per-worker evaluators: the merged

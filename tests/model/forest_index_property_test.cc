@@ -135,8 +135,9 @@ TEST(ForestIndexPropertyTest, IsAncestorGuardsDeadAndOutOfRangeIds) {
   // Dead ids are never ancestors nor descendants.
   EXPECT_FALSE(index.IsAncestor(doomed, child));
   EXPECT_FALSE(index.IsAncestor(root, doomed));
-  EXPECT_EQ(index.pre(doomed), ForestIndex::kNotIndexed);
-  EXPECT_EQ(index.pre(huge), ForestIndex::kNotIndexed);
+  EXPECT_EQ(index.label(doomed), ForestIndex::kNoLabel);
+  EXPECT_EQ(index.label(huge), ForestIndex::kNoLabel);
+  EXPECT_EQ(index.parent(huge), kInvalidEntryId);
 }
 
 TEST(ForestIndexPropertyTest, AddDeleteCycleAtOneParentReusesLabelSpace) {

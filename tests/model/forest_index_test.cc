@@ -12,6 +12,14 @@ namespace {
 using testing::AddBare;
 using testing::SimpleWorld;
 
+// The labels order `preorder` strictly ascending.
+void ExpectLabelOrder(const ForestIndex& idx,
+                      const std::vector<EntryId>& preorder) {
+  for (size_t i = 1; i < preorder.size(); ++i) {
+    EXPECT_LT(idx.label(preorder[i - 1]), idx.label(preorder[i])) << i;
+  }
+}
+
 TEST(ForestIndexTest, PreorderAndIntervals) {
   SimpleWorld w;
   Directory d(w.vocab);
@@ -27,12 +35,15 @@ TEST(ForestIndexTest, PreorderAndIntervals) {
   EntryId b = AddBare(d, r, "ou=b", {w.top});
 
   const ForestIndex& idx = d.GetIndex();
-  EXPECT_EQ(idx.preorder(), (std::vector<EntryId>{r, a, a1, a2, b}));
-  EXPECT_EQ(idx.pre(r), 0u);
-  EXPECT_EQ(idx.sub_end(r), 5u);
-  EXPECT_EQ(idx.pre(a), 1u);
-  EXPECT_EQ(idx.sub_end(a), 4u);
-  EXPECT_EQ(idx.sub_end(a1), 3u);
+  ExpectLabelOrder(idx, {r, a, a1, a2, b});
+  // Each interval holds its subtree and ends before the next entry.
+  EXPECT_LT(idx.label(a2), idx.end_label(a));
+  EXPECT_LE(idx.end_label(a), idx.label(b));
+  EXPECT_LE(idx.end_label(a1), idx.label(a2));
+  EXPECT_LT(idx.label(b), idx.end_label(r));
+  EXPECT_EQ(idx.parent(a1), a);
+  EXPECT_EQ(idx.parent(b), r);
+  EXPECT_EQ(idx.parent(r), kInvalidEntryId);
   EXPECT_EQ(idx.depth(r), 0u);
   EXPECT_EQ(idx.depth(a), 1u);
   EXPECT_EQ(idx.depth(a1), 2u);
@@ -61,7 +72,7 @@ TEST(ForestIndexTest, MultipleRoots) {
   EntryId r2 = AddBare(d, kInvalidEntryId, "o=r2", {w.top});
   EntryId c = AddBare(d, r2, "ou=c", {w.top});
   const ForestIndex& idx = d.GetIndex();
-  EXPECT_EQ(idx.preorder(), (std::vector<EntryId>{r1, r2, c}));
+  ExpectLabelOrder(idx, {r1, r2, c});
   EXPECT_FALSE(idx.IsAncestor(r1, c));
   EXPECT_TRUE(idx.IsAncestor(r2, c));
 }
@@ -72,12 +83,14 @@ TEST(ForestIndexTest, RebuildsAfterDeletion) {
   EntryId r = AddBare(d, kInvalidEntryId, "o=r", {w.top});
   EntryId a = AddBare(d, r, "ou=a", {w.top});
   EntryId b = AddBare(d, r, "ou=b", {w.top});
-  EXPECT_EQ(d.GetIndex().preorder().size(), 3u);
+  EXPECT_EQ(d.GetIndex().num_entries(), 3u);
   ASSERT_TRUE(d.DeleteLeaf(a).ok());
   const ForestIndex& idx = d.GetIndex();
-  EXPECT_EQ(idx.preorder(), (std::vector<EntryId>{r, b}));
-  EXPECT_EQ(idx.pre(a), ForestIndex::kNotIndexed);
+  EXPECT_EQ(idx.num_entries(), 2u);
+  ExpectLabelOrder(idx, {r, b});
+  EXPECT_EQ(idx.label(a), ForestIndex::kNoLabel);
   EXPECT_FALSE(idx.IsAncestor(r, a));
+  EXPECT_TRUE(idx.EquivalentToFresh(d));
 }
 
 // Property: on random forests, IsAncestor agrees with walking parent

@@ -127,9 +127,10 @@ TEST_F(EvaluatorTest, SizeAndToString) {
             "(? (objectClass=org) (d (objectClass=org) (objectClass=person)))");
 }
 
-// The descendant/ancestor operators switch to sparse algorithms when the
-// operand sets are small relative to |D|; both paths must agree.
-TEST(EvaluatorSparsePathTest, SparseAndDenseAgree) {
+// The descendant/ancestor walks cost what their operands reach: a narrow
+// operand must give the same members as a widened one intersected back
+// down, on a deep chain where the walks stop at marks and memo hits.
+TEST(EvaluatorAxisWalkTest, NarrowAndWideOperandsAgree) {
   SimpleWorld w;
   Directory d(w.vocab);
   // A deep chain of 600 plain entries with a rare class at a few spots.
@@ -143,31 +144,30 @@ TEST(EvaluatorSparsePathTest, SparseAndDenseAgree) {
                       : std::vector<ClassId>{w.top});
     if (mark) rare.push_back(at);
   }
-  // Sparse trigger: (|A| + |B|) * 8 < 601.
   Query q_de = Query::Descendant(Query::Select(MatchClass(w.engineer)),
                                  Query::Select(MatchClass(w.engineer)));
   Query q_an = Query::Ancestor(Query::Select(MatchClass(w.engineer)),
                                Query::Select(MatchClass(w.engineer)));
-  QueryEvaluator sparse(d);
-  // Dense reference: same query with the node side widened to all entries
-  // (forcing the dense path), then intersected back down.
-  Query q_de_dense = Query::Intersect(
+  QueryEvaluator evaluator(d);
+  // Wide reference: the same query with the node side widened to all
+  // entries, then intersected back down.
+  Query q_de_wide = Query::Intersect(
       {Query::Select(MatchClass(w.engineer)),
        Query::Descendant(Query::Select(MatchAll()),
                          Query::Select(MatchClass(w.engineer)))});
-  Query q_an_dense = Query::Intersect(
+  Query q_an_wide = Query::Intersect(
       {Query::Select(MatchClass(w.engineer)),
        Query::Ancestor(Query::Select(MatchAll()),
                        Query::Select(MatchClass(w.engineer)))});
-  EXPECT_EQ(sparse.Evaluate(q_de).ToVector(),
-            sparse.Evaluate(q_de_dense).ToVector());
-  EXPECT_EQ(sparse.Evaluate(q_an).ToVector(),
-            sparse.Evaluate(q_an_dense).ToVector());
+  EXPECT_EQ(evaluator.Evaluate(q_de).ToVector(),
+            evaluator.Evaluate(q_de_wide).ToVector());
+  EXPECT_EQ(evaluator.Evaluate(q_an).ToVector(),
+            evaluator.Evaluate(q_an_wide).ToVector());
   // Shape sanity: the first two rare entries have a rare descendant; the
   // last two have a rare ancestor.
-  EXPECT_EQ(sparse.Evaluate(q_de).ToVector(),
+  EXPECT_EQ(evaluator.Evaluate(q_de).ToVector(),
             (std::vector<EntryId>{rare[0], rare[1]}));
-  EXPECT_EQ(sparse.Evaluate(q_an).ToVector(),
+  EXPECT_EQ(evaluator.Evaluate(q_an).ToVector(),
             (std::vector<EntryId>{rare[1], rare[2]}));
 }
 

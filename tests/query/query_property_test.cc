@@ -1,10 +1,10 @@
 // Property tests: the one-pass evaluator must agree with a brute-force
 // quadratic interpretation of hierarchical selection queries on random
-// forests — for every axis and for the difference operator.
+// forests — for every axis and for the difference operator, over the live
+// directory and (for the Δ-free queries) over a pinned snapshot of it.
 #include <gtest/gtest.h>
 
 #include "query/evaluator.h"
-#include "query/value_index.h"
 #include "workload/random_gen.h"
 
 namespace ldapbound {
@@ -111,16 +111,21 @@ TEST_P(QueryPropertyTest, EvaluatorAgreesWithBruteForce) {
   // A delta: every third entry.
   EntrySet delta(d.IdCapacity());
   for (EntryId id = 0; id < d.IdCapacity(); id += 3) delta.Insert(id);
-  ValueIndex index(d);
+  d.EnableSnapshots();
+  PinnedSnapshot pin = d.PinSnapshot();
+  ASSERT_TRUE(pin);
 
-  auto check = [&](const Query& q) {
+  // `scoped`: the query uses Δ scopes, which only the live source has.
+  auto check = [&](const Query& q, bool scoped = false) {
     std::vector<EntryId> expected = BruteForce(d, q, &delta).ToVector();
     QueryEvaluator evaluator(d, &delta);
     EXPECT_EQ(evaluator.Evaluate(q).ToVector(), expected)
         << q.ToString(*vocab) << " seed=" << GetParam();
-    QueryEvaluator indexed(d, &delta, &index);
-    EXPECT_EQ(indexed.Evaluate(q).ToVector(), expected)
-        << "[indexed] " << q.ToString(*vocab) << " seed=" << GetParam();
+    if (scoped) return;
+    QueryEvaluator pinned(*pin);
+    EXPECT_EQ(pinned.Evaluate(q).ToVector(), expected)
+        << "[pinned] " << q.ToString(*vocab) << " seed=" << GetParam();
+    EXPECT_TRUE(pinned.status().ok()) << "[pinned] " << q.ToString(*vocab);
   };
 
   for (ClassId x : palette) {
@@ -134,7 +139,7 @@ TEST_P(QueryPropertyTest, EvaluatorAgreesWithBruteForce) {
         Query scoped = Query::Hier(
             axis, Query::Select(MatchClass(x), Scope::kDeltaOnly),
             Query::Select(MatchClass(y), Scope::kExcludeDelta));
-        check(scoped);
+        check(scoped, /*scoped=*/true);
       }
       check(Query::Union({Query::Select(MatchClass(x)),
                           Query::Select(MatchClass(y))}));
@@ -142,6 +147,8 @@ TEST_P(QueryPropertyTest, EvaluatorAgreesWithBruteForce) {
                               Query::Select(MatchClass(y))}));
     }
   }
+  check(Query::Intersect({}));
+  check(Query::Select(MatchAll()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryPropertyTest,

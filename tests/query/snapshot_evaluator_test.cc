@@ -1,9 +1,10 @@
-// SnapshotEvaluator vs QueryEvaluator oracle: on a pinned snapshot of an
-// unchanging directory, every supported query must produce exactly the
-// member set the live evaluator produces — the four hierarchy axes off
-// the label views, class/value selections off the postings, and the set
-// algebra on top. Plus the partiality contract: payload matchers and
-// Δ-relative scopes error out instead of answering wrong.
+// Head ≡ pinned: on a pinned snapshot of an unchanging directory, the one
+// QueryEvaluator must produce exactly the member set it produces over the
+// live directory — the four hierarchy axes off the frozen parent links,
+// class/value selections off the postings, and the set algebra on top,
+// for Evaluate and for the lazy IsEmpty alike. Plus the snapshot's
+// partiality contract: payload matchers and Δ-relative scopes set an
+// error status instead of answering wrong.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include "model/directory_snapshot.h"
 #include "query/evaluator.h"
 #include "query/query.h"
-#include "query/snapshot_evaluator.h"
 #include "tests/testing/helpers.h"
 
 namespace ldapbound {
@@ -71,7 +71,7 @@ void BuildWorld(Directory& d, const SimpleWorld& w, std::mt19937_64& rng) {
   }
 }
 
-class SnapshotEvaluatorOracleTest : public ::testing::Test {
+class HeadPinnedOracleTest : public ::testing::Test {
  protected:
   void SetUp() override {
     d_ = std::make_unique<Directory>(w_.vocab);
@@ -82,16 +82,22 @@ class SnapshotEvaluatorOracleTest : public ::testing::Test {
     ASSERT_TRUE(pin_);
   }
 
-  // Both evaluators must agree on the member list.
+  // Head and pinned must agree on the member list, and on each side the
+  // lazy IsEmpty must agree with the materialized result.
   void ExpectAgrees(const Query& q) {
+    const std::string text = q.ToString(*w_.vocab);
     QueryEvaluator live(*d_);
     EntrySet expect = live.Evaluate(q);
-    SnapshotEvaluator snap(*pin_);
-    Result<EntrySet> got = snap.Evaluate(q);
-    ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n  query: "
-                          << q.ToString(*w_.vocab);
-    EXPECT_EQ(Members(got.value()), Members(expect))
-        << "query: " << q.ToString(*w_.vocab);
+    QueryEvaluator pinned(*pin_);
+    EntrySet got = pinned.Evaluate(q);
+    ASSERT_TRUE(pinned.status().ok())
+        << pinned.status().ToString() << "\n  query: " << text;
+    EXPECT_EQ(Members(got), Members(expect)) << "query: " << text;
+    EXPECT_EQ(QueryEvaluator(*d_).IsEmpty(q), expect.Empty())
+        << "[head IsEmpty] " << text;
+    QueryEvaluator lazy(*pin_);
+    EXPECT_EQ(lazy.IsEmpty(q), got.Empty()) << "[pinned IsEmpty] " << text;
+    EXPECT_TRUE(lazy.status().ok()) << text;
   }
 
   SimpleWorld w_;
@@ -99,13 +105,13 @@ class SnapshotEvaluatorOracleTest : public ::testing::Test {
   PinnedSnapshot pin_;
 };
 
-TEST_F(SnapshotEvaluatorOracleTest, ClassSelections) {
+TEST_F(HeadPinnedOracleTest, ClassSelections) {
   for (ClassId c : {w_.top, w_.org, w_.person, w_.engineer, w_.mailbox}) {
     ExpectAgrees(Query::Select(MatchClass(c)));
   }
 }
 
-TEST_F(SnapshotEvaluatorOracleTest, MatchAllAndValueSelections) {
+TEST_F(HeadPinnedOracleTest, MatchAllAndValueSelections) {
   ExpectAgrees(Query::Select(MatchAll()));
   for (int v = 0; v < 4; ++v) {
     ExpectAgrees(Query::Select(
@@ -113,11 +119,12 @@ TEST_F(SnapshotEvaluatorOracleTest, MatchAllAndValueSelections) {
   }
 }
 
-TEST_F(SnapshotEvaluatorOracleTest, AllFourAxes) {
+TEST_F(HeadPinnedOracleTest, AllFourAxes) {
   std::vector<std::pair<ClassId, ClassId>> pairs = {
       {w_.org, w_.person},    {w_.person, w_.org},
       {w_.top, w_.engineer},  {w_.engineer, w_.top},
       {w_.person, w_.person}, {w_.org, w_.org},
+      {w_.mailbox, w_.top},   {w_.top, w_.mailbox},
   };
   for (const auto& [a, b] : pairs) {
     Query qa = Query::Select(MatchClass(a));
@@ -129,46 +136,92 @@ TEST_F(SnapshotEvaluatorOracleTest, AllFourAxes) {
   }
 }
 
-TEST_F(SnapshotEvaluatorOracleTest, SetAlgebraAndFigure4Shapes) {
+TEST_F(HeadPinnedOracleTest, SetAlgebraAndFigure4Shapes) {
   Query org = Query::Select(MatchClass(w_.org));
   Query person = Query::Select(MatchClass(w_.person));
   Query engineer = Query::Select(MatchClass(w_.engineer));
+  Query mailbox = Query::Select(MatchClass(w_.mailbox));
 
   ExpectAgrees(Query::Diff(person, engineer));
+  ExpectAgrees(Query::Diff(engineer, person));
   ExpectAgrees(Query::Union({org, engineer}));
+  ExpectAgrees(Query::Union({mailbox, mailbox}));
+  ExpectAgrees(Query::Union({}));
   ExpectAgrees(Query::Intersect({person, engineer}));
+  ExpectAgrees(Query::Intersect({person}));
+  ExpectAgrees(Query::Intersect({org, person, engineer}));
   // The Figure 4 required-relationship violation shape: sources with no
   // axis-related target.
   ExpectAgrees(Query::Diff(org, Query::Descendant(org, person)));
   ExpectAgrees(Query::Diff(person, Query::Child(person, engineer)));
   // Nested hierarchy: grandparent-ish composition.
   ExpectAgrees(Query::Ancestor(Query::Descendant(org, person), engineer));
+  ExpectAgrees(Query::Select(MatchAll(), Scope::kEmpty));
 }
 
-TEST_F(SnapshotEvaluatorOracleTest, UnsupportedSurfacesError) {
-  SnapshotEvaluator snap(*pin_);
-  // Payload matchers would need live Entry objects.
-  EXPECT_FALSE(
-      snap.Evaluate(Query::Select(MatchAttrPresent(w_.mail))).ok());
-  EXPECT_FALSE(snap.Evaluate(Query::Select(MatchNot(MatchAll()))).ok());
-  // Δ-relative scopes only mean something to the live evaluator.
-  EXPECT_FALSE(
-      snap.Evaluate(Query::Select(MatchAll(), Scope::kDeltaOnly)).ok());
+// The empty intersection is every alive entry (the identity of ∩ over
+// subsets of D) on both sides.
+TEST_F(HeadPinnedOracleTest, EmptyIntersectionIsEveryAliveEntry) {
+  Query all = Query::Intersect({});
+  ExpectAgrees(all);
+  QueryEvaluator pinned(*pin_);
+  EXPECT_EQ(pinned.Evaluate(all).Count(), d_->NumEntries());
+  EXPECT_FALSE(pinned.IsEmpty(all));
+  ExpectAgrees(Query::Diff(Query::Intersect({}), Query::Select(MatchAll())));
+  ExpectAgrees(Query::Descendant(Query::Intersect({}),
+                                 Query::Select(MatchClass(w_.engineer))));
+}
+
+TEST_F(HeadPinnedOracleTest, UnsupportedSurfacesError) {
+  // Payload matchers would need live Entry objects; Δ-relative scopes
+  // only mean something to the live evaluator.
+  for (const Query& q :
+       {Query::Select(MatchAttrPresent(w_.mail)),
+        Query::Select(MatchNot(MatchAll())),
+        Query::Select(MatchAll(), Scope::kDeltaOnly),
+        Query::Select(MatchClass(w_.org), Scope::kExcludeDelta),
+        Query::Descendant(Query::Select(MatchClass(w_.org)),
+                          Query::Select(MatchAttrPresent(w_.mail)))}) {
+    QueryEvaluator eager(*pin_);
+    eager.Evaluate(q);
+    EXPECT_FALSE(eager.status().ok()) << q.ToString(*w_.vocab);
+    QueryEvaluator lazy(*pin_);
+    lazy.IsEmpty(q);
+    EXPECT_FALSE(lazy.status().ok()) << q.ToString(*w_.vocab);
+  }
   // Scope::kEmpty is fine (statically empty).
-  Result<EntrySet> empty =
-      snap.Evaluate(Query::Select(MatchAll(), Scope::kEmpty));
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty.value().Empty());
+  QueryEvaluator pinned(*pin_);
+  EXPECT_TRUE(
+      pinned.Evaluate(Query::Select(MatchAll(), Scope::kEmpty)).Empty());
+  EXPECT_TRUE(pinned.status().ok());
 }
 
-TEST_F(SnapshotEvaluatorOracleTest, IsEmptyMatchesEvaluate) {
-  Query none = Query::Intersect({Query::Select(MatchClass(w_.org)),
-                                 Query::Select(MatchClass(w_.engineer))});
-  SnapshotEvaluator snap(*pin_);
-  Result<bool> empty = snap.IsEmpty(none);
-  ASSERT_TRUE(empty.ok());
+// EXPLAIN is shared code: a pinned plan has the live plan's shape,
+// cardinalities and axis strategies; selections read postings.
+TEST_F(HeadPinnedOracleTest, ExplainWorksOnASnapshot) {
+  Query q = Query::Diff(
+      Query::Select(MatchClass(w_.org)),
+      Query::Descendant(Query::Select(MatchClass(w_.org)),
+                        Query::Select(MatchClass(w_.person))));
+  QueryProfile live_profile;
   QueryEvaluator live(*d_);
-  EXPECT_EQ(empty.value(), live.Evaluate(none).Empty());
+  live.set_profile(&live_profile);
+  live.Evaluate(q);
+  QueryProfile pinned_profile;
+  QueryEvaluator pinned(*pin_);
+  pinned.set_profile(&pinned_profile);
+  pinned.Evaluate(q);
+
+  EXPECT_EQ(pinned_profile.total_nodes, live_profile.total_nodes);
+  const ExplainNode& root = pinned_profile.root;
+  EXPECT_EQ(root.op, "diff");
+  EXPECT_EQ(root.out_cardinality, live_profile.root.out_cardinality);
+  ASSERT_EQ(root.children.size(), 2u);
+  EXPECT_EQ(root.children[0].strategy, "posting");
+  EXPECT_EQ(root.children[1].strategy,
+            live_profile.root.children[1].strategy);
+  EXPECT_EQ(root.children[1].out_cardinality,
+            live_profile.root.children[1].out_cardinality);
 }
 
 }  // namespace

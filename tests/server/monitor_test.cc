@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -331,7 +332,7 @@ TEST(MonitorCliTest, ServeEndToEnd) {
   }
   ASSERT_NE(port, 0) << "serve never printed its monitor port";
 
-  std::fputs("search o=acme (objectClass=person)\n", serve);
+  std::fputs("search o=att (objectClass=person)\n", serve);
   std::fflush(serve);
 
   EXPECT_NE(HttpGet(port, "/healthz").find("200 OK"), std::string::npos);
@@ -361,6 +362,17 @@ TEST(MonitorCliTest, ServeEndToEnd) {
   std::fputs("quit\n", serve);
   std::fflush(serve);
   EXPECT_EQ(::pclose(serve), 0);
+
+  // The stdin search answered from a pinned snapshot, in preorder.
+  std::ifstream in(out_path);
+  std::string out((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+  EXPECT_NE(out.find("uid=armstrong,ou=attLabs,o=att\n"
+                     "uid=laks,ou=databases,ou=attLabs,o=att\n"
+                     "uid=suciu,ou=databases,ou=attLabs,o=att\n"
+                     "matched 3\n"),
+            std::string::npos)
+      << out;
 }
 
 // Strict flag parsing: numeric serve flags that used to go through

@@ -1,9 +1,9 @@
 // The tentpole contract end to end (TSan target, `concurrency` label):
 // N reader threads pin MVCC snapshots and run the Figure 4 structural
-// queries plus value-index lookups while M writer threads push
+// queries plus value-posting lookups while M writer threads push
 // group-committed transactions through the WAL. Every pinned snapshot
 // must be internally consistent — the alive count matches the alive
-// set, class postings only name alive entries, the value index agrees
+// set, class postings only name alive entries, the value postings agree
 // with the alive set, and the whole snapshot passes the structure
 // check — because the server only publishes schema-legal versions.
 
@@ -17,8 +17,8 @@
 
 #include "core/legality_checker.h"
 #include "model/directory_snapshot.h"
+#include "query/evaluator.h"
 #include "query/query.h"
-#include "query/snapshot_evaluator.h"
 #include "server/directory_server.h"
 
 namespace ldapbound {
@@ -137,7 +137,7 @@ TEST(MvccConcurrencyTest, ReadersSeeConsistentSnapshotsUnderGroupCommit) {
           }
         }
 
-        // Value-index lookup: the seed person is in every version.
+        // Value-posting lookup: the seed person is in every version.
         const std::vector<EntryId>* seeded =
             snap->ValuePosting(uid, Value("seed"));
         if (seeded == nullptr || seeded->size() != 1 ||
@@ -149,20 +149,19 @@ TEST(MvccConcurrencyTest, ReadersSeeConsistentSnapshotsUnderGroupCommit) {
         // The Figure 4 required-relationship query, straight off the
         // snapshot: teams with no person descendant. Every published
         // version is schema-legal, so this must be empty.
-        SnapshotEvaluator eval(*snap);
+        QueryEvaluator eval(*snap);
         Query orphans = Query::Diff(
             Query::Select(MatchClass(team)),
             Query::Descendant(Query::Select(MatchClass(team)),
                               Query::Select(MatchClass(person))));
-        Result<bool> empty = eval.IsEmpty(orphans);
-        if (!empty.ok() || !empty.value()) {
+        if (!eval.IsEmpty(orphans) || !eval.status().ok()) {
           reader_failures.fetch_add(1);
           return;
         }
 
-        // And the full structure check agrees.
-        Result<bool> legal = checker.CheckStructureSnapshot(*snap);
-        if (!legal.ok() || !legal.value()) {
+        // And the full structure check, fanned out across the pool,
+        // agrees.
+        if (!checker.CheckStructure(*snap)) {
           reader_failures.fetch_add(1);
           return;
         }
@@ -205,10 +204,7 @@ TEST(MvccConcurrencyTest, ReadersSeeConsistentSnapshotsUnderGroupCommit) {
   EXPECT_EQ(final_snap->CountWithClass(team), expected / 2);
   EXPECT_EQ(final_snap->CountWithClass(person), expected / 2);
   std::vector<Violation> violations;
-  Result<bool> legal =
-      checker.CheckStructureSnapshot(*final_snap, &violations);
-  ASSERT_TRUE(legal.ok());
-  EXPECT_TRUE(legal.value());
+  EXPECT_TRUE(checker.CheckStructure(*final_snap, &violations));
   EXPECT_TRUE(violations.empty());
 }
 

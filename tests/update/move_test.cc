@@ -37,8 +37,14 @@ TEST_F(MoveTest, BasicMove) {
   EXPECT_EQ(d_.entry(bob_).parent(), eng_);
   EXPECT_TRUE(d_.entry(hr_).children().empty());
   EXPECT_EQ(d_.entry(eng_).children(), std::vector<EntryId>{bob_});
-  EXPECT_EQ(d_.GetIndex().preorder(),
-            (std::vector<EntryId>{acme_, hr_, eng_, bob_}));
+  // The index follows: bob's labels now sit inside eng's interval.
+  const ForestIndex& index = d_.GetIndex();
+  EXPECT_LT(index.label(hr_), index.label(eng_));
+  EXPECT_LT(index.label(eng_), index.label(bob_));
+  EXPECT_TRUE(index.IsAncestor(eng_, bob_));
+  EXPECT_FALSE(index.IsAncestor(hr_, bob_));
+  EXPECT_EQ(index.parent(bob_), eng_);
+  EXPECT_TRUE(index.EquivalentToFresh(d_));
 }
 
 TEST_F(MoveTest, MoveToRootAndBack) {

@@ -554,7 +554,9 @@ int RunServe(const std::string& schema_path, const std::string& ldif_path,
     std::printf("wire listening on 127.0.0.1:%u\n", net->port());
   }
   std::fflush(stdout);
-  std::fprintf(stderr, "commands: search <base-dn> <filter> | status | quit\n");
+  std::fprintf(stderr,
+               "commands: search <base-dn> [(objectClass=C) | (attr=value)]"
+               " | status | quit\n");
 
   std::string line;
   while (std::getline(std::cin, line)) {
@@ -570,12 +572,19 @@ int RunServe(const std::string& schema_path, const std::string& ldif_path,
       words >> base;
       std::getline(words, filter);
       while (!filter.empty() && filter.front() == ' ') filter.erase(0, 1);
-      auto hits = server->Search(base, filter);
+      // A pinned snapshot: with --port, wire workers commit concurrently,
+      // and the live directory must not be read during a mutation.
+      PinnedSnapshot snap = server->PinSnapshot();
+      auto hits = SnapshotSearch(*snap, server->vocab(), base,
+                                 static_cast<uint8_t>(SearchScope::kSubtree),
+                                 filter);
       if (!hits.ok()) {
         std::printf("error: %s\n", hits.status().ToString().c_str());
       } else {
         for (EntryId id : *hits) {
-          std::printf("%s\n", DnOf(server->directory(), id)->ToString().c_str());
+          auto dn = SnapshotEntryDn(*snap, id);
+          std::printf("%s\n", dn.ok() ? dn->c_str()
+                                      : dn.status().ToString().c_str());
         }
         std::printf("matched %zu\n", hits->size());
       }
