@@ -6,8 +6,8 @@
 //     overhead); at B >= 8 concurrently-arriving transactions share one
 //     fsync, so multi-writer throughput should recover most of the
 //     fsync-free rate. The acceptance bar: txn/s at some (W, B >= 8) is
-//     >= 5x the single-writer inline (B = 1) rate; enough writers must
-//     run to keep one group filling while the previous one fsyncs.
+//     >= 5x the single-writer batch-of-one (B = 1) rate; enough writers
+//     must run to keep one group filling while the previous one fsyncs.
 //
 //  2. Index maintenance cost: ns per Add+DeleteLeaf pair on a directory
 //     of |D| entries. The gap-labelled ForestIndex relabels O(|Delta|)
@@ -21,8 +21,16 @@
 //     readers attached is the number the regression gate watches — and
 //     BM_SnapshotReadThroughput measures pure read scaling with
 //     google-benchmark's thread fan-out.
+//
+//  4. Theorem 4.1 transactions (EXP-T41): commit cost with the paper's
+//     discipline (normalize to subtrees, incremental checks per subtree,
+//     snapshots for rollback) on a bare TransactionExecutor. Commit cost
+//     is dominated by the per-subtree incremental checks and stays ~flat
+//     as |D| grows; rejected transactions cost about the same as accepted
+//     ones (checks dominate; rollback is proportional to |Delta|).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -31,11 +39,13 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "model/directory.h"
 #include "model/directory_snapshot.h"
 #include "query/evaluator.h"
 #include "query/query.h"
 #include "server/directory_server.h"
+#include "update/transaction.h"
 
 namespace ldapbound::bench {
 namespace {
@@ -146,8 +156,8 @@ void RunWriters(DirectoryServer& server, int writers, int pairs,
   for (std::thread& t : threads) t.join();
 }
 
-/// args: (writers, group batch, readers). batch <= 1 = inline
-/// fsync-per-commit; readers > 0 attaches that many MVCC snapshot
+/// args: (writers, group batch, readers). batch 1 = one fsync per
+/// commit; readers > 0 attaches that many MVCC snapshot
 /// readers (pin + Figure 4 check + value probe in a tight loop) for the
 /// whole benchmark. items_per_second stays the WRITE txn/s — the claim
 /// under test is that lock-free readers leave write throughput alone —
@@ -362,6 +372,127 @@ BENCHMARK(BM_ServerCommitPerTxn)
     ->Args({1 << 10, 1})
     ->Args({1 << 13, 1})
     ->Args({1 << 16, 1});
+
+World MakeMutableWorld(size_t target_entries) {
+  World world;
+  world.vocab = std::make_shared<Vocabulary>();
+  world.schema = std::make_unique<DirectorySchema>(
+      MakeWhitePagesSchema(world.vocab).value());
+  WhitePagesOptions options;
+  options.org_unit_fanout = 8;
+  options.org_unit_depth = 2;
+  options.persons_per_unit = std::max<size_t>(1, target_entries / 72);
+  world.directory = std::make_unique<Directory>(
+      MakeWhitePagesInstance(*world.schema, options).value());
+  return world;
+}
+
+EntrySpec BenchUnitSpec(const std::string& name) {
+  EntrySpec spec;
+  spec.classes = {"orgUnit", "orgGroup", "top"};
+  spec.values = {{"ou", name}};
+  return spec;
+}
+
+EntrySpec BenchPersonSpec(const std::string& uid) {
+  EntrySpec spec;
+  spec.classes = {"person", "top"};
+  spec.values = {{"uid", uid}, {"name", "bench " + uid}};
+  return spec;
+}
+
+// One accepted insert transaction followed by the matching delete
+// transaction — the pair keeps the directory size stable across
+// iterations, so the sweep isolates the |D| dependence.
+void BM_CommitStaffedUnitRoundTrip(benchmark::State& state) {
+  World world = MakeMutableWorld(static_cast<size_t>(state.range(0)));
+  TransactionExecutor executor(world.directory.get(), *world.schema);
+  world.directory->GetIndex();
+  int tag = 0;
+  for (auto _ : state) {
+    std::string unit = "ou=bench" + std::to_string(tag);
+    std::string person = "uid=bench" + std::to_string(tag);
+    ++tag;
+
+    UpdateTransaction insert;
+    insert.Insert(*DistinguishedName::Parse(unit + ",o=acme"),
+                  BenchUnitSpec(unit.substr(3)));
+    insert.Insert(
+        *DistinguishedName::Parse(person + "," + unit + ",o=acme"),
+        BenchPersonSpec(person.substr(4)));
+    Status s1 = executor.Commit(insert);
+
+    UpdateTransaction erase;
+    erase.Delete(*DistinguishedName::Parse(unit + ",o=acme"));
+    erase.Delete(
+        *DistinguishedName::Parse(person + "," + unit + ",o=acme"));
+    Status s2 = executor.Commit(erase);
+    benchmark::DoNotOptimize(s1);
+    benchmark::DoNotOptimize(s2);
+    if (!s1.ok() || !s2.ok()) {
+      state.SkipWithError("commit failed");
+      break;
+    }
+  }
+  state.counters["entries"] =
+      static_cast<double>(world.directory->NumEntries());
+}
+
+BENCHMARK(BM_CommitStaffedUnitRoundTrip)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(16000)
+    ->Arg(64000)
+    ->Unit(benchmark::kMicrosecond);
+
+// A transaction the schema rejects (lonely org unit): measures the cost of
+// check + rollback.
+void BM_CommitRejectedTransaction(benchmark::State& state) {
+  World world = MakeMutableWorld(static_cast<size_t>(state.range(0)));
+  TransactionExecutor executor(world.directory.get(), *world.schema);
+  world.directory->GetIndex();
+  int tag = 0;
+  for (auto _ : state) {
+    std::string unit = "ou=lonely" + std::to_string(tag++);
+    UpdateTransaction txn;
+    txn.Insert(*DistinguishedName::Parse(unit + ",o=acme"),
+               BenchUnitSpec(unit.substr(3)));
+    Status status = executor.Commit(txn);
+    benchmark::DoNotOptimize(status);
+    if (status.code() != StatusCode::kIllegal) {
+      state.SkipWithError("expected rejection");
+      break;
+    }
+  }
+  state.counters["entries"] =
+      static_cast<double>(world.directory->NumEntries());
+}
+
+BENCHMARK(BM_CommitRejectedTransaction)
+    ->Arg(1000)
+    ->Arg(16000)
+    ->Arg(64000)
+    ->Unit(benchmark::kMicrosecond);
+
+// Snapshot capture/restore cost scales with the subtree, not with |D|.
+void BM_SnapshotRoundTrip(benchmark::State& state) {
+  World world = MakeMutableWorld(16000);
+  Directory& directory = *world.directory;
+  EntryId org = directory.roots()[0];
+  EntryId unit = directory.entry(org).children()[0];
+  size_t subtree = directory.SubtreeEntries(unit).size();
+  for (auto _ : state) {
+    SubtreeSnapshot snapshot =
+        *SubtreeSnapshot::Capture(directory, unit);
+    (void)directory.DeleteSubtree(unit);
+    auto restored = snapshot.Restore(&directory, org);
+    unit = restored->front();
+    benchmark::DoNotOptimize(unit);
+  }
+  state.counters["subtree_entries"] = static_cast<double>(subtree);
+}
+
+BENCHMARK(BM_SnapshotRoundTrip)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ldapbound::bench

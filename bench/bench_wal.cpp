@@ -1,10 +1,12 @@
 // EXP-WAL / durability overhead: per-commit latency of the write-ahead
 // changelog against the in-memory baseline. Modes: no durability, the
 // in-memory changelog, WAL without fsync (page-cache only), and WAL with
-// fsync-before-acknowledge (the durable default). Expectation: the frame
-// serialization itself is cheap (same order as the changelog append); the
-// fsync dominates durable commits by orders of magnitude, and batching
-// sympathy (larger transactions per frame) amortizes it.
+// fsync-before-acknowledge (the durable default). The WAL modes run the
+// default options, so a lone writer's every commit is its own group of
+// one in the group-commit queue. Expectation: the frame serialization
+// itself is cheap (same order as the changelog append); the fsync
+// dominates durable commits by orders of magnitude, and batching sympathy
+// (larger transactions per frame) amortizes it.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>

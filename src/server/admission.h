@@ -36,8 +36,8 @@ struct AdmissionOptions {
 
 class AdmissionController {
  public:
-  /// `queue` may be null (inline-WAL or no-WAL servers have no commit
-  /// queue to bound; deadline admission still applies).
+  /// `queue` may be null (a server without a WAL has no commit queue to
+  /// bound; deadline admission still applies).
   AdmissionController(const AdmissionOptions& options, GroupCommitQueue* queue)
       : options_(options), queue_(queue) {}
 

@@ -20,22 +20,24 @@
 
 namespace ldapbound {
 
-namespace {
-
 // Process-wide per-operation mirrors of the per-server StatCounters
-// (ldapbound_server_* families). `ok`/`rejected` are incremented at
-// exactly the sites that bump the local counters, so the global series
-// stay consistent with the sum of every live server's stats().
+// (ldapbound_server_* families). `rejected` counts every refused call —
+// admission, read-only, an expired deadline, the schema, the WAL — so it
+// can exceed stats().rejected, which counts the schema's refusals only.
 struct OpMetrics {
+  const char* name;
   Counter& ok;
   Counter& rejected;
   Histogram& latency_ns;
 };
 
-OpMetrics MakeOpMetrics(std::string_view op) {
+namespace {
+
+OpMetrics MakeOpMetrics(const char* op) {
   MetricRegistry& r = MetricRegistry::Default();
   std::string prefix = "op=\"" + std::string(op) + "\"";
   return OpMetrics{
+      op,
       r.GetCounter("ldapbound_server_ops_total",
                    "DirectoryServer operations by outcome",
                    prefix + ",outcome=\"ok\""),
@@ -90,27 +92,29 @@ uint64_t WallClockMs() {
           .count());
 }
 
-/// Per-operation diagnostics scope: assigns the operation id, tags
-/// same-thread trace spans with it (TraceOpScope), captures those spans
-/// for the slow-op log (SpanCollector), and on destruction emits one
-/// structured log event and offers the record to the SlowOpLog.
+/// Per-operation bookkeeping scope, the one place an operation's outcome
+/// is recorded: it times the operation into its latency histogram, and
+/// Finish counts the outcome in its family. When the slow log or the JSON
+/// log is on it also assigns the operation id, tags same-thread trace
+/// spans with it (TraceOpScope), captures those spans for the slow-op log
+/// (SpanCollector), and on destruction emits one structured log event and
+/// offers the record to the SlowOpLog.
 ///
-/// Fully passive — no id drawn, nothing captured — when neither the slow
-/// log nor the JSON log is on, and when an outer operation is already
-/// being tracked on this thread (Add/Delete delegate to Apply; the outer
-/// call is the operation).
+/// The diagnostics are passive — no id drawn, nothing captured — when
+/// neither log is on, and when an outer operation is already being
+/// tracked on this thread (Add/Delete delegate to Apply; the outer call
+/// is the operation).
 class OpTracker {
  public:
-  OpTracker(SlowOpLog* log, std::atomic<uint64_t>& next_op_id, const char* op,
-            std::string target) {
+  OpTracker(OpMetrics& op, SlowOpLog* log, std::atomic<uint64_t>& next_op_id,
+            std::string target)
+      : op_(op), start_ns_(Tracer::NowNs()) {
     bool want_json = JsonLog::Default().enabled();
     if ((log == nullptr && !want_json) || TraceOpScope::current() != 0) return;
     log_ = log;
-    op_ = op;
     target_ = std::move(target);
     op_id_ = next_op_id.fetch_add(1, std::memory_order_relaxed);
     start_unix_ms_ = WallClockMs();
-    start_ns_ = Tracer::NowNs();
     scope_.emplace(op_id_);
     if (log_ != nullptr) collector_.emplace();
     active_ = true;
@@ -118,16 +122,22 @@ class OpTracker {
   OpTracker(const OpTracker&) = delete;
   OpTracker& operator=(const OpTracker&) = delete;
 
-  void Ok() { outcome_ = "ok"; }
-  void Rejected(std::string_view detail, std::string explain = "") {
-    outcome_ = "rejected";
-    detail_ = detail.substr(0, kMaxDetailChars);
-    explain_ = std::move(explain);
+  /// Counts `status` once as the operation's outcome (`ok` or `rejected`)
+  /// and returns it; `explain` is a rejection's "detected by" summary.
+  Status Finish(Status status, std::string explain = "") {
+    (status.ok() ? op_.ok : op_.rejected).Increment();
+    outcome_ = status.ok() ? "ok" : "rejected";
+    if (active_ && !status.ok()) {
+      detail_ = std::string_view(status.message()).substr(0, kMaxDetailChars);
+      explain_ = std::move(explain);
+    }
+    return status;
   }
 
   ~OpTracker() {
-    if (!active_) return;
     uint64_t duration_ns = Tracer::NowNs() - start_ns_;
+    op_.latency_ns.Observe(duration_ns);
+    if (!active_) return;
     std::vector<Tracer::Event> spans;
     if (collector_.has_value()) {
       spans = collector_->TakeEvents();
@@ -138,7 +148,7 @@ class OpTracker {
     if (json.enabled()) {
       LogEvent event("op");
       event.Num("op_id", op_id_)
-          .Str("op", op_)
+          .Str("op", op_.name)
           .Str("target", target_)
           .Str("outcome", outcome_)
           .Num("duration_ns", duration_ns);
@@ -148,7 +158,7 @@ class OpTracker {
     if (log_ != nullptr) {
       SlowOp record;
       record.op_id = op_id_;
-      record.op = op_;
+      record.op = op_.name;
       record.target = std::move(target_);
       record.outcome = outcome_;
       record.detail = std::move(detail_);
@@ -161,30 +171,32 @@ class OpTracker {
   }
 
  private:
+  OpMetrics& op_;
   SlowOpLog* log_ = nullptr;
-  const char* op_ = "";
   std::string target_;
-  std::string outcome_ = "error";  // early exits that never mark an outcome
+  const char* outcome_ = "error";  // until Finish
   std::string detail_;
   std::string explain_;
   uint64_t op_id_ = 0;
   uint64_t start_unix_ms_ = 0;
-  uint64_t start_ns_ = 0;
+  uint64_t start_ns_;
   std::optional<TraceOpScope> scope_;
   std::optional<SpanCollector> collector_;
   bool active_ = false;
 };
 
-/// One "detected by" line per violation — the constraint-level summary the
-/// slow-op record keeps alongside the human-readable detail.
-std::string ExplainViolations(const std::vector<Violation>& violations,
-                              const Vocabulary& vocab) {
-  std::string out;
+/// A write body's schema refusal: the Illegal status naming `what`, and in
+/// `*explain` one "detected by" line per violation — the constraint-level
+/// summary the slow-op record keeps alongside the human-readable detail.
+Status SchemaRefusal(const std::string& what,
+                     const std::vector<Violation>& violations,
+                     const Vocabulary& vocab, std::string* explain) {
   for (const Violation& v : violations) {
-    if (!out.empty()) out += '\n';
-    out += v.DetectedBy(vocab);
+    if (!explain->empty()) *explain += '\n';
+    *explain += v.DetectedBy(vocab);
   }
-  return out;
+  return Status::Illegal(what + " violates the schema:\n" +
+                         DescribeViolations(violations, vocab));
 }
 
 }  // namespace
@@ -218,39 +230,24 @@ Result<DirectoryServer> DirectoryServer::Create(
 // apply one; their outcome counters are independent of the apply family.
 Status DirectoryServer::Add(const DistinguishedName& dn, EntrySpec spec,
                             Deadline deadline) {
-  OpMetrics& op = GetServerMetrics().add;
-  OpTracker tracker(slow_ops_.get(), stats_->next_op_id, "add", dn.ToString());
-  LatencyTimer timer(op.latency_ns);
+  OpTracker tracker(GetServerMetrics().add, slow_ops_.get(),
+                    stats_->next_op_id, dn.ToString());
   UpdateTransaction txn;
   txn.Insert(dn, std::move(spec));
   Status status = Apply(txn, nullptr, deadline);
-  if (status.ok()) {
-    ++stats_->adds;
-    tracker.Ok();
-  } else {
-    tracker.Rejected(status.message());
-  }
-  (status.ok() ? op.ok : op.rejected).Increment();
-  return status;
+  if (status.ok()) ++stats_->adds;
+  return tracker.Finish(std::move(status));
 }
 
 Status DirectoryServer::Delete(const DistinguishedName& dn,
                                Deadline deadline) {
-  OpMetrics& op = GetServerMetrics().del;
-  OpTracker tracker(slow_ops_.get(), stats_->next_op_id, "delete",
-                    dn.ToString());
-  LatencyTimer timer(op.latency_ns);
+  OpTracker tracker(GetServerMetrics().del, slow_ops_.get(),
+                    stats_->next_op_id, dn.ToString());
   UpdateTransaction txn;
   txn.Delete(dn);
   Status status = Apply(txn, nullptr, deadline);
-  if (status.ok()) {
-    ++stats_->deletes;
-    tracker.Ok();
-  } else {
-    tracker.Rejected(status.message());
-  }
-  (status.ok() ? op.ok : op.rejected).Increment();
-  return status;
+  if (status.ok()) ++stats_->deletes;
+  return tracker.Finish(std::move(status));
 }
 
 Status DirectoryServer::CheckWritable() const {
@@ -286,47 +283,31 @@ Status DirectoryServer::AdmitWrite(Deadline* deadline) {
 Status DirectoryServer::WalPersist(std::string payload,
                                    const Deadline& deadline,
                                    std::unique_lock<std::mutex>& lock) {
-  if (wal_ == nullptr) {
-    lock.unlock();
+  if (wal_ == nullptr) return Status::OK();
+  GroupCommitQueue::Ticket* ticket = nullptr;
+  Status status = [&]() -> Status {
+    // Mid-commit crash point: the in-memory commit is applied but nothing
+    // has reached the log — after recovery the commit must be absent (it
+    // was never acknowledged).
+    LDAPBOUND_FAILPOINT("server.commit");
+    // The deadline only clamps the leader's hold window; it cannot cancel
+    // this commit any more (it is snapshot-visible).
+    ticket = group_commit_->Enqueue(std::move(payload), deadline);
     return Status::OK();
-  }
-  Status status;
-  if (group_commit_ != nullptr) {
-    GroupCommitQueue::Ticket* ticket = nullptr;
-    status = [&]() -> Status {
-      // Mid-commit crash point: the in-memory commit is applied but
-      // nothing has reached the log — after recovery the commit must be
-      // absent (it was never acknowledged).
-      LDAPBOUND_FAILPOINT("server.commit");
-      // The deadline only clamps the leader's hold window; it cannot
-      // cancel this commit any more (it is snapshot-visible).
-      ticket = group_commit_->Enqueue(std::move(payload), deadline);
-      return Status::OK();
-    }();
+  }();
+  if (status.ok()) {
     lock.unlock();
-    if (status.ok()) status = group_commit_->Wait(ticket);
-  } else {
-    status = [&]() -> Status {
-      LDAPBOUND_FAILPOINT("server.commit");
-      WireStageScope::MarkCurrent(WireStage::kCommitEnqueued);
-      return wal_->Append(payload);
-    }();
-    if (!status.ok()) {
-      // Degrade before releasing the mutex: in inline mode no queue
-      // poisoning protects the log, so the next writer must already see
-      // the unhealthy state when it acquires the mutex.
-      stats_->wal_resync_needed.store(true, std::memory_order_release);
-      health_->ReportWalFailure(status);
-    }
-    lock.unlock();
+    status = group_commit_->Wait(ticket);
   }
   if (!status.ok()) {
     // The in-memory state is now ahead of the durable state and cannot be
-    // trusted as a replication source; degrade to read-only. Under group
-    // commit a racing writer may already be past CheckWritable — the
-    // poisoned queue fails its flush without touching the log. The
-    // recovery probe (EnableResilience) repairs this automatically via a
-    // snapshot resync; without it, restart via Recover().
+    // trusted as a replication source; degrade to read-only. A failed
+    // enqueue still holds the write mutex, so the next writer sees the
+    // unhealthy state; after a failed flush a racing writer may already
+    // be past CheckWritable, and the poisoned queue fails its flush
+    // without touching the log. The recovery probe (EnableResilience)
+    // repairs this automatically via a snapshot resync; without it,
+    // restart via Recover().
     stats_->wal_resync_needed.store(true, std::memory_order_release);
     health_->ReportWalFailure(status);
     return Status(status.code(),
@@ -337,56 +318,44 @@ Status DirectoryServer::WalPersist(std::string payload,
   return status;
 }
 
-Status DirectoryServer::Apply(const UpdateTransaction& txn,
-                              CommitStats* stats, Deadline deadline) {
-  OpMetrics& op = GetServerMetrics().apply;
-  OpTracker tracker(slow_ops_.get(), stats_->next_op_id, "apply",
-                    "txn(" + std::to_string(txn.ops().size()) + " ops)");
-  LDAPBOUND_TRACE_SPAN("server.apply");
-  LatencyTimer timer(op.latency_ns);
-  Status admitted = AdmitWrite(&deadline);
-  if (!admitted.ok()) {
-    tracker.Rejected(admitted.message());
-    return admitted;
-  }
-  std::unique_lock<std::mutex> lock(*write_mu_);
-  LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
-  LDAPBOUND_RETURN_IF_ERROR(CheckQueuedDeadline(admission_.get(), deadline));
-  IncrementalValidator::Options validator_options;
-  validator_options.check = check_options_;
+IncrementalValidator::Options DirectoryServer::ValidatorOptions() const {
+  IncrementalValidator::Options options;
+  options.check = check_options_;
   // The serving path wants commit cost O(|Δ|), not O(|D|): walk the delta
   // directly for insert checks and test only the doomed subtrees' surviving
   // ancestors for delete checks (both property-tested equivalent to the
   // paper-faithful Δ-queries).
-  validator_options.delta_driven_insert = true;
-  validator_options.ancestor_path_optimization = true;
-  TransactionExecutor executor(directory_.get(), *schema_, validator_options);
-  Status status = executor.Commit(txn, stats);
-  if (!status.ok()) {
-    ++stats_->rejected;
-    op.rejected.Increment();
-    tracker.Rejected(status.message());
-    return status;
-  }
-  // Snapshot readers must see this transaction once Apply returns OK:
-  // publish under the mutex, before the durability wait.
-  PublishSnapshotLocked();
-  if ((changelog_ != nullptr || wal_ != nullptr) && !txn.empty()) {
-    uint64_t txn_id = NextRecordTxnId();
+  options.delta_driven_insert = true;
+  options.ancestor_path_optimization = true;
+  return options;
+}
+
+template <typename Body>
+Status DirectoryServer::Write(OpMetrics& op, const char* span,
+                              std::string target, Deadline deadline,
+                              Body&& body) {
+  OpTracker tracker(op, slow_ops_.get(), stats_->next_op_id,
+                    std::move(target));
+  LDAPBOUND_TRACE_SPAN(span);
+  std::string explain;
+  Status status = [&]() -> Status {
+    LDAPBOUND_RETURN_IF_ERROR(AdmitWrite(&deadline));
+    std::unique_lock<std::mutex> lock(*write_mu_);
+    LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
+    LDAPBOUND_RETURN_IF_ERROR(CheckQueuedDeadline(admission_.get(), deadline));
     std::vector<ChangeRecord> records;
-    records.reserve(txn.ops().size());
-    for (const UpdateOp& op : txn.ops()) {
-      ChangeRecord record;
-      record.txn = txn_id;
-      record.dn = op.dn.ToString();
-      if (op.kind == UpdateOp::Kind::kInsert) {
-        record.kind = ChangeRecord::Kind::kAdd;
-        record.spec = op.spec;
-      } else {
-        record.kind = ChangeRecord::Kind::kDelete;
-      }
-      records.push_back(std::move(record));
+    const bool recorded = changelog_ != nullptr || wal_ != nullptr;
+    Status applied = body(recorded ? &records : nullptr, &explain);
+    if (!applied.ok()) {
+      ++stats_->rejected;
+      return applied;
     }
+    // Snapshot readers must see this commit once the call returns OK:
+    // publish under the mutex, before the durability wait.
+    PublishSnapshotLocked();
+    if (records.empty()) return Status::OK();
+    const uint64_t txn_id = NextRecordTxnId();
+    for (ChangeRecord& record : records) record.txn = txn_id;
     std::string payload;
     if (wal_ != nullptr) payload = ChangeRecordsToLdif(records, *vocab_);
     // The changelog mirrors the in-memory commit order, so it is appended
@@ -400,13 +369,36 @@ Status DirectoryServer::Apply(const UpdateTransaction& txn,
       }
     }
     // Durability before acknowledgement: the commit only returns OK once
-    // its log frame — or the frame's group — is on disk. Releases the
-    // write mutex.
-    LDAPBOUND_RETURN_IF_ERROR(WalPersist(std::move(payload), deadline, lock));
-  }
-  op.ok.Increment();
-  tracker.Ok();
-  return status;
+    // its group's log frames are on disk.
+    return WalPersist(std::move(payload), deadline, lock);
+  }();
+  return tracker.Finish(std::move(status), std::move(explain));
+}
+
+Status DirectoryServer::Apply(const UpdateTransaction& txn,
+                              CommitStats* stats, Deadline deadline) {
+  return Write(
+      GetServerMetrics().apply, "server.apply",
+      "txn(" + std::to_string(txn.ops().size()) + " ops)", deadline,
+      [&](std::vector<ChangeRecord>* records, std::string*) -> Status {
+        TransactionExecutor executor(directory_.get(), *schema_,
+                                     ValidatorOptions());
+        LDAPBOUND_RETURN_IF_ERROR(executor.Commit(txn, stats));
+        if (records == nullptr) return Status::OK();
+        records->reserve(txn.ops().size());
+        for (const UpdateOp& op : txn.ops()) {
+          ChangeRecord record;
+          record.dn = op.dn.ToString();
+          if (op.kind == UpdateOp::Kind::kInsert) {
+            record.kind = ChangeRecord::Kind::kAdd;
+            record.spec = op.spec;
+          } else {
+            record.kind = ChangeRecord::Kind::kDelete;
+          }
+          records->push_back(std::move(record));
+        }
+        return Status::OK();
+      });
 }
 
 DirectoryServer::Modification DirectoryServer::Inverse(
@@ -460,210 +452,129 @@ Status DirectoryServer::ApplyOneModification(EntryId id,
 Status DirectoryServer::Modify(const DistinguishedName& dn,
                                const std::vector<Modification>& mods,
                                Deadline deadline) {
-  OpMetrics& op = GetServerMetrics().modify;
-  OpTracker tracker(slow_ops_.get(), stats_->next_op_id, "modify",
-                    dn.ToString());
-  LDAPBOUND_TRACE_SPAN("server.modify");
-  LatencyTimer timer(op.latency_ns);
-  Status admitted = AdmitWrite(&deadline);
-  if (!admitted.ok()) {
-    tracker.Rejected(admitted.message());
-    return admitted;
-  }
-  std::unique_lock<std::mutex> lock(*write_mu_);
-  LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
-  LDAPBOUND_RETURN_IF_ERROR(CheckQueuedDeadline(admission_.get(), deadline));
-  auto resolved = ResolveDn(*directory_, dn);
-  if (!resolved.ok()) {
-    ++stats_->rejected;
-    op.rejected.Increment();
-    tracker.Rejected(resolved.status().message());
-    return resolved.status();
-  }
-  EntryId id = *resolved;
+  Status status = Write(
+      GetServerMetrics().modify, "server.modify", dn.ToString(), deadline,
+      [&](std::vector<ChangeRecord>* records, std::string* explain) -> Status {
+        LDAPBOUND_ASSIGN_OR_RETURN(EntryId id, ResolveDn(*directory_, dn));
+        std::vector<Modification> undo;
+        auto rollback = [&]() {
+          for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+            std::vector<Modification> ignored;
+            (void)ApplyOneModification(id, *it, &ignored);
+          }
+        };
+        for (const Modification& mod : mods) {
+          Status applied = ApplyOneModification(id, mod, &undo);
+          if (!applied.ok()) {
+            rollback();
+            return applied;
+          }
+        }
 
-  std::vector<Modification> undo;
-  auto rollback = [&]() {
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-      std::vector<Modification> ignored;
-      (void)ApplyOneModification(id, *it, &ignored);
-    }
-  };
+        // Which class memberships actually changed (derived from the undo
+        // log: it records only effective mutations).
+        std::vector<ClassId> added_classes;
+        std::vector<ClassId> removed_classes;
+        for (const Modification& inverse : undo) {
+          if (inverse.kind == Modification::Kind::kRemoveClass) {
+            added_classes.push_back(inverse.cls);  // inverse of an add
+          } else if (inverse.kind == Modification::Kind::kAddClass) {
+            removed_classes.push_back(inverse.cls);
+          }
+        }
 
-  for (const Modification& mod : mods) {
-    Status status = ApplyOneModification(id, mod, &undo);
-    if (!status.ok()) {
-      rollback();
-      ++stats_->rejected;
-      op.rejected.Increment();
-      tracker.Rejected(status.message());
-      return status;
-    }
-  }
-
-  // Which class memberships actually changed (derived from the undo log:
-  // it records only effective mutations).
-  std::vector<ClassId> added_classes;
-  std::vector<ClassId> removed_classes;
-  for (const Modification& inverse : undo) {
-    if (inverse.kind == Modification::Kind::kRemoveClass) {
-      added_classes.push_back(inverse.cls);  // inverse of an effective add
-    } else if (inverse.kind == Modification::Kind::kAddClass) {
-      removed_classes.push_back(inverse.cls);
-    }
-  }
-
-  // Re-check. Value-only modifies need the entry's content plus key
-  // uniqueness; class changes run the reclassification validator, which
-  // covers the entry's content and exactly the entries whose structural
-  // requirements can be affected.
-  LegalityChecker checker(*schema_, check_options_);
-  std::vector<Violation> violations;
-  bool ok;
-  if (added_classes.empty() && removed_classes.empty()) {
-    ok = checker.CheckEntryContent(*directory_, id, &violations);
-  } else {
-    IncrementalValidator::Options validator_options;
-    validator_options.check = check_options_;
-    IncrementalValidator validator(*schema_, validator_options);
-    ok = validator.CheckAfterReclassify(*directory_, id, added_classes,
-                                        removed_classes, &violations);
-  }
-  ok = checker.CheckKeys(*directory_, &violations) && ok;
-  if (!ok) {
-    rollback();
-    ++stats_->rejected;
-    op.rejected.Increment();
-    Status status = Status::Illegal("modify of '" + dn.ToString() +
-                                    "' violates the schema:\n" +
-                                    DescribeViolations(violations, *vocab_));
-    tracker.Rejected(status.message(), ExplainViolations(violations, *vocab_));
-    return status;
-  }
-  PublishSnapshotLocked();
-  if (changelog_ != nullptr || wal_ != nullptr) {
-    ChangeRecord record;
-    record.kind = ChangeRecord::Kind::kModify;
-    record.txn = NextRecordTxnId();
-    record.dn = dn.ToString();
-    record.mods = mods;
-    std::string payload;
-    if (wal_ != nullptr) payload = ChangeRecordsToLdif({record}, *vocab_);
-    if (changelog_ != nullptr) changelog_->Append(std::move(record));
-    LDAPBOUND_RETURN_IF_ERROR(WalPersist(std::move(payload), deadline, lock));
-  }
-  ++stats_->modifies;
-  op.ok.Increment();
-  tracker.Ok();
-  return Status::OK();
+        // Re-check. Value-only modifies need the entry's content plus key
+        // uniqueness; class changes run the reclassification validator,
+        // which covers the entry's content and exactly the entries whose
+        // structural requirements can be affected.
+        LegalityChecker checker(*schema_, check_options_);
+        std::vector<Violation> violations;
+        bool ok;
+        if (added_classes.empty() && removed_classes.empty()) {
+          ok = checker.CheckEntryContent(*directory_, id, &violations);
+        } else {
+          IncrementalValidator validator(*schema_, ValidatorOptions());
+          ok = validator.CheckAfterReclassify(*directory_, id, added_classes,
+                                              removed_classes, &violations);
+        }
+        ok = checker.CheckKeys(*directory_, &violations) && ok;
+        if (!ok) {
+          rollback();
+          return SchemaRefusal("modify of '" + dn.ToString() + "'",
+                               violations, *vocab_, explain);
+        }
+        if (records != nullptr) {
+          ChangeRecord record;
+          record.kind = ChangeRecord::Kind::kModify;
+          record.dn = dn.ToString();
+          record.mods = mods;
+          records->push_back(std::move(record));
+        }
+        return Status::OK();
+      });
+  if (status.ok()) ++stats_->modifies;
+  return status;
 }
 
 Status DirectoryServer::ModifyDn(const DistinguishedName& dn,
                                  const DistinguishedName& new_parent_dn,
                                  std::string new_rdn, Deadline deadline) {
-  OpMetrics& op = GetServerMetrics().modify_dn;
-  OpTracker tracker(slow_ops_.get(), stats_->next_op_id, "modify_dn",
-                    dn.ToString());
-  LDAPBOUND_TRACE_SPAN("server.modify_dn");
-  LatencyTimer timer(op.latency_ns);
-  Status admitted = AdmitWrite(&deadline);
-  if (!admitted.ok()) {
-    tracker.Rejected(admitted.message());
-    return admitted;
-  }
-  std::unique_lock<std::mutex> lock(*write_mu_);
-  LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
-  LDAPBOUND_RETURN_IF_ERROR(CheckQueuedDeadline(admission_.get(), deadline));
-  auto entry = ResolveDn(*directory_, dn);
-  if (!entry.ok()) {
-    ++stats_->rejected;
-    op.rejected.Increment();
-    tracker.Rejected(entry.status().message());
-    return entry.status();
-  }
-  EntryId new_parent = kInvalidEntryId;
-  if (!new_parent_dn.IsEmpty()) {
-    auto resolved = ResolveDn(*directory_, new_parent_dn);
-    if (!resolved.ok()) {
-      ++stats_->rejected;
-      op.rejected.Increment();
-      tracker.Rejected(resolved.status().message());
-      return resolved.status();
-    }
-    new_parent = *resolved;
-  }
+  Status status = Write(
+      GetServerMetrics().modify_dn, "server.modify_dn", dn.ToString(),
+      deadline,
+      [&](std::vector<ChangeRecord>* records, std::string* explain) -> Status {
+        LDAPBOUND_ASSIGN_OR_RETURN(EntryId entry, ResolveDn(*directory_, dn));
+        EntryId new_parent = kInvalidEntryId;
+        if (!new_parent_dn.IsEmpty()) {
+          LDAPBOUND_ASSIGN_OR_RETURN(new_parent,
+                                     ResolveDn(*directory_, new_parent_dn));
+        }
+        EntryId old_parent = directory_->entry(entry).parent();
+        std::string old_rdn = directory_->entry(entry).rdn();
 
-  EntryId old_parent = directory_->entry(*entry).parent();
-  std::string old_rdn = directory_->entry(*entry).rdn();
+        LDAPBOUND_RETURN_IF_ERROR(directory_->MoveSubtree(entry, new_parent));
+        if (!new_rdn.empty()) {
+          Status renamed = directory_->Rename(entry, new_rdn);
+          if (!renamed.ok()) {
+            (void)directory_->MoveSubtree(entry, old_parent);
+            return renamed;
+          }
+        }
 
-  Status status = directory_->MoveSubtree(*entry, new_parent);
-  if (!status.ok()) {
-    ++stats_->rejected;
-    op.rejected.Increment();
-    tracker.Rejected(status.message());
-    return status;
-  }
-  if (!new_rdn.empty()) {
-    status = directory_->Rename(*entry, new_rdn);
-    if (!status.ok()) {
-      (void)directory_->MoveSubtree(*entry, old_parent);
-      ++stats_->rejected;
-      op.rejected.Increment();
-      tracker.Rejected(status.message());
-      return status;
-    }
-  }
-
-  IncrementalValidator validator(*schema_);
-  std::vector<Violation> violations;
-  if (!validator.CheckAfterMove(*directory_, *entry, old_parent,
-                                &violations)) {
-    (void)directory_->Rename(*entry, old_rdn);
-    (void)directory_->MoveSubtree(*entry, old_parent);
-    ++stats_->rejected;
-    op.rejected.Increment();
-    Status illegal = Status::Illegal("moving '" + dn.ToString() +
-                                     "' violates the schema:\n" +
-                                     DescribeViolations(violations, *vocab_));
-    tracker.Rejected(illegal.message(), ExplainViolations(violations, *vocab_));
-    return illegal;
-  }
-  PublishSnapshotLocked();
-  if (changelog_ != nullptr || wal_ != nullptr) {
-    ChangeRecord record;
-    record.kind = ChangeRecord::Kind::kModifyDn;
-    record.txn = NextRecordTxnId();
-    record.dn = dn.ToString();
-    record.new_parent_dn = new_parent_dn.ToString();
-    record.new_rdn = directory_->entry(*entry).rdn();
-    std::string payload;
-    if (wal_ != nullptr) payload = ChangeRecordsToLdif({record}, *vocab_);
-    if (changelog_ != nullptr) changelog_->Append(std::move(record));
-    LDAPBOUND_RETURN_IF_ERROR(WalPersist(std::move(payload), deadline, lock));
-  }
-  ++stats_->modifies;
-  op.ok.Increment();
-  tracker.Ok();
-  return Status::OK();
+        IncrementalValidator validator(*schema_, ValidatorOptions());
+        std::vector<Violation> violations;
+        if (!validator.CheckAfterMove(*directory_, entry, old_parent,
+                                      &violations)) {
+          (void)directory_->Rename(entry, old_rdn);
+          (void)directory_->MoveSubtree(entry, old_parent);
+          return SchemaRefusal("moving '" + dn.ToString() + "'", violations,
+                               *vocab_, explain);
+        }
+        if (records != nullptr) {
+          ChangeRecord record;
+          record.kind = ChangeRecord::Kind::kModifyDn;
+          record.dn = dn.ToString();
+          record.new_parent_dn = new_parent_dn.ToString();
+          record.new_rdn = directory_->entry(entry).rdn();
+          records->push_back(std::move(record));
+        }
+        return Status::OK();
+      });
+  if (status.ok()) ++stats_->modifies;
+  return status;
 }
 
 Result<std::vector<EntryId>> DirectoryServer::Search(
     const SearchRequest& request, Deadline deadline) const {
-  OpMetrics& op = GetServerMetrics().search;
-  OpTracker tracker(slow_ops_.get(), stats_->next_op_id, "search",
-                    request.base.ToString());
+  OpTracker tracker(GetServerMetrics().search, slow_ops_.get(),
+                    stats_->next_op_id, request.base.ToString());
   LDAPBOUND_TRACE_SPAN("server.search");
-  LatencyTimer timer(op.latency_ns);
   if (deadline.expired()) {
-    op.rejected.Increment();
-    Status expired = Status::DeadlineExceeded(
-        "search cancelled: deadline expired before the scan started");
-    tracker.Rejected(expired.message());
-    return expired;
+    return tracker.Finish(Status::DeadlineExceeded(
+        "search cancelled: deadline expired before the scan started"));
   }
-  tracker.Ok();
+  tracker.Finish(Status::OK());
   stats_->searches.fetch_add(1, std::memory_order_relaxed);
-  op.ok.Increment();
   return ldapbound::Search(*directory_, request);
 }
 
@@ -678,30 +589,37 @@ Result<std::vector<EntryId>> DirectoryServer::Search(
 }
 
 Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
-  OpMetrics& op = GetServerMetrics().import;
-  OpTracker tracker(slow_ops_.get(), stats_->next_op_id, "import",
+  OpTracker tracker(GetServerMetrics().import, slow_ops_.get(),
+                    stats_->next_op_id,
                     "ldif(" + std::to_string(text.size()) + " bytes)");
   LDAPBOUND_TRACE_SPAN("server.import");
-  LatencyTimer timer(op.latency_ns);
   std::lock_guard<std::mutex> lock(*write_mu_);
   auto imported = [&]() -> Result<size_t> {
     LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
-    // Load into a scratch directory first so failures cannot disturb the
-    // live one; on success, load again into the live directory.
-    Directory scratch(vocab_);
-    {
-      std::string current = WriteLdif(*directory_);
-      LDAPBOUND_RETURN_IF_ERROR(LoadLdif(current, &scratch).status());
+    // Load into the head and check the whole result. Ids are never
+    // reused, so everything this load created sits at or above `first`;
+    // deleting those newest first (a parent is created before its
+    // children) restores the directory. Nothing is published or logged
+    // before the import is legal.
+    const EntryId first = static_cast<EntryId>(directory_->IdCapacity());
+    Result<size_t> created = LoadLdif(text, directory_.get());
+    Status status = created.status();
+    if (status.ok()) {
+      status = LegalityChecker(*schema_, check_options_)
+                   .EnsureLegal(*directory_);
     }
-    LDAPBOUND_ASSIGN_OR_RETURN(size_t created, LoadLdif(text, &scratch));
-    LegalityChecker checker(*schema_, check_options_);
-    LDAPBOUND_RETURN_IF_ERROR(checker.EnsureLegal(scratch));
-    LDAPBOUND_RETURN_IF_ERROR(LoadLdif(text, directory_.get()).status());
+    if (!status.ok()) {
+      for (auto id = static_cast<EntryId>(directory_->IdCapacity());
+           id-- > first;) {
+        if (directory_->IsAlive(id)) (void)directory_->DeleteLeaf(id);
+      }
+      return status;
+    }
     PublishSnapshotLocked();
     // Bulk imports bypass the changelog, so they must reach the WAL as a
     // snapshot or the durable state would silently diverge.
     if (wal_ != nullptr) {
-      Status status = CompactLocked();
+      status = CompactLocked();
       if (!status.ok()) {
         stats_->wal_resync_needed.store(true, std::memory_order_release);
         health_->ReportWalFailure(status);
@@ -710,15 +628,8 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
     }
     return created;
   }();
-  if (imported.ok()) {
-    ++stats_->imports;
-    op.ok.Increment();
-    tracker.Ok();
-  } else {
-    ++stats_->rejected;
-    op.rejected.Increment();
-    tracker.Rejected(imported.status().message());
-  }
+  ++(imported.ok() ? stats_->imports : stats_->rejected);
+  tracker.Finish(imported.status());
   return imported;
 }
 
@@ -759,11 +670,7 @@ Status DirectoryServer::EnableWal(const std::string& dir,
   LDAPBOUND_ASSIGN_OR_RETURN(std::unique_ptr<WriteAheadLog> wal,
                              WriteAheadLog::Open(dir, options, /*next_seq=*/1));
   wal_ = std::move(wal);
-  if (options.group_commit_max_batch > 1) {
-    group_commit_ = std::make_unique<GroupCommitQueue>(
-        wal_.get(), options.group_commit_max_batch,
-        options.group_commit_hold_us);
-  }
+  group_commit_ = std::make_unique<GroupCommitQueue>(wal_.get());
   // Pre-existing entries (e.g. a bulk-loaded seed) predate the log; write
   // them down as the initial snapshot.
   if (directory_->NumEntries() > 0) {
@@ -791,7 +698,7 @@ Status DirectoryServer::CompactLocked() {
   // after it with a sequence the snapshot already contains — otherwise
   // recovery would apply that commit twice. The write mutex is held, so
   // nothing new can enqueue behind the drain.
-  if (group_commit_ != nullptr) group_commit_->Drain();
+  group_commit_->Drain();
   return wal_->Compact(ExportLdif());
 }
 
@@ -858,11 +765,8 @@ Result<DirectoryServer> DirectoryServer::Recover(const std::string& dir,
   LDAPBOUND_ASSIGN_OR_RETURN(
       server.wal_,
       WriteAheadLog::Open(dir, options, report->last_seq + 1));
-  if (options.group_commit_max_batch > 1) {
-    server.group_commit_ = std::make_unique<GroupCommitQueue>(
-        server.wal_.get(), options.group_commit_max_batch,
-        options.group_commit_hold_us);
-  }
+  server.group_commit_ =
+      std::make_unique<GroupCommitQueue>(server.wal_.get());
   // Recovery work is not traffic; start the counters clean.
   server.stats_ = std::make_unique<StatCounters>();
   return server;
@@ -892,7 +796,7 @@ Status DirectoryServer::DrainAndResync() {
     // commits, which is exactly what the server must continue from (MVCC
     // readers have seen them).
     LDAPBOUND_RETURN_IF_ERROR(wal_->ResyncFromSnapshot(ExportLdif()));
-    if (group_commit_ != nullptr) group_commit_->ResetAfterResync();
+    group_commit_->ResetAfterResync();
     stats_->wal_resync_needed.store(false, std::memory_order_release);
   }
   return Status::OK();

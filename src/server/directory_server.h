@@ -23,6 +23,9 @@
 
 namespace ldapbound {
 
+/// One operation kind's process-wide metric series (directory_server.cc).
+struct OpMetrics;
+
 /// An embeddable, schema-guarded directory: the facade a directory
 /// application would link against. It owns a Directory and its
 /// bounding-schema and guarantees the invariant the paper is after —
@@ -35,7 +38,8 @@ namespace ldapbound {
 ///    rollback on violation);
 ///  - Modify applies value/class mutations to one entry, re-checks
 ///    incrementally, and undoes them on violation;
-///  - ImportLdif bulk-loads and validates, refusing illegal data sets;
+///  - ImportLdif bulk-loads into the live directory, checks the result,
+///    and deletes what it loaded if the data set is refused;
 ///  - with EnableWal, committed mutations are fsync'd to a write-ahead
 ///    changelog before being acknowledged, and Recover() rebuilds the
 ///    exact acknowledged state after a crash (see server/wal.h).
@@ -44,13 +48,14 @@ namespace ldapbound {
 /// operations (Add, Delete, Apply, Modify, ModifyDn, ImportLdif, Compact)
 /// are serialized internally on a write mutex, so any number of threads
 /// may issue them concurrently — they commit one at a time, in mutex
-/// order. Under WAL group commit (WalOptions::group_commit_max_batch > 1)
-/// a committer releases the write mutex before blocking on its group's
-/// fsync, so the next writer's in-memory commit pipelines behind the
-/// previous one's durability wait — that is where the group-commit
-/// throughput win comes from. The setup calls (EnableChangelog,
-/// EnableWal, EnableMvcc, EnableSlowOps, set_check_options) must happen
-/// before traffic, from one thread.
+/// order. With a WAL, every commit reaches the log through the group-
+/// commit queue: a committer enqueues under the write mutex and releases
+/// it before blocking on its group's fsync, so the next writer's
+/// in-memory commit overlaps the previous one's durability wait (at
+/// group_commit_max_batch 1 each group is one commit; larger batches also
+/// share the fsync). The setup calls (EnableChangelog, EnableWal,
+/// EnableMvcc, EnableSlowOps, set_check_options) must happen before
+/// traffic, from one thread.
 ///
 /// Reads come in two flavors:
 ///  - the live const reads — Search, ExportLdif, IsLegal, stats() — are
@@ -135,8 +140,10 @@ class DirectoryServer {
   Result<std::vector<EntryId>> Search(std::string_view base_dn,
                                       std::string_view filter) const;
 
-  /// Bulk-loads LDIF and validates the result; on any error or violation
-  /// the directory is left unchanged. Returns entries created.
+  /// Bulk-loads LDIF into the directory and checks the whole result; on
+  /// any error or violation it deletes exactly the entries it created, so
+  /// the directory is left unchanged and nothing is published or logged.
+  /// Returns entries created.
   /// NOTE: bulk imports are NOT recorded in the changelog — replication
   /// setups should seed primary and replicas from the same LDIF before
   /// enabling the log.
@@ -198,8 +205,8 @@ class DirectoryServer {
   /// The write-ahead log, or nullptr when not enabled.
   const WriteAheadLog* wal() const { return wal_.get(); }
 
-  /// The group-commit queue, or nullptr when WAL group commit is not
-  /// enabled (no WAL, or group_commit_max_batch <= 1).
+  /// The group-commit queue every WAL commit goes through; nullptr
+  /// exactly when there is no WAL.
   const GroupCommitQueue* group_commit() const { return group_commit_.get(); }
 
   /// Overload & fault resilience (DESIGN.md §11): admission control,
@@ -308,6 +315,19 @@ class DirectoryServer {
   /// commit path.
   Status AdmitWrite(Deadline* deadline);
 
+  /// The commit skeleton every mutation runs (DESIGN.md §7). `body(records,
+  /// explain)` mutates and validates the head under the write mutex and
+  /// undoes its own change when it fails; on success it appends its
+  /// change records to `records` (null when nothing records changes), on
+  /// a schema violation it sets `*explain` to the "detected by" summary.
+  /// Each non-OK return counts once as `rejected` in `op`.
+  template <typename Body>
+  Status Write(OpMetrics& op, const char* span, std::string target,
+               Deadline deadline, Body&& body);
+
+  /// The validator configuration every write checks with.
+  IncrementalValidator::Options ValidatorOptions() const;
+
   /// The recovery probe's body: takes the write mutex, drains the commit
   /// queue (every queued commit fails out through the poisoned queue),
   /// resyncs the WAL from a snapshot of the in-memory state, and re-arms
@@ -327,13 +347,10 @@ class DirectoryServer {
 
   /// The acknowledgement gate of every commit: makes `payload` (the
   /// serialized change records; ignored when the WAL is off) durable.
-  /// `lock` is the held write mutex; WalPersist always returns with it
-  /// released. Inline mode appends + fsyncs under the lock (WAL order =
-  /// commit order trivially) and then unlocks; group mode enqueues under
-  /// the lock (queue order = commit order), unlocks, and blocks on the
-  /// group's single fsync — so the next writer's in-memory commit
-  /// overlaps this one's durability wait. On failure the server becomes
-  /// read-only.
+  /// Enqueues under the held write mutex `lock` (queue order = commit
+  /// order), releases it, and blocks on the group's fsync — so the next
+  /// writer's in-memory commit overlaps this one's durability wait. On
+  /// failure the server becomes read-only.
   Status WalPersist(std::string payload, const Deadline& deadline,
                     std::unique_lock<std::mutex>& lock);
 

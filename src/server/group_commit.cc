@@ -1,5 +1,6 @@
 #include "server/group_commit.h"
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -47,10 +48,10 @@ struct GroupCommitQueue::Ticket {
   std::condition_variable cv;
 };
 
-GroupCommitQueue::GroupCommitQueue(WriteAheadLog* wal, size_t max_batch,
-                                   uint32_t hold_us)
-    : wal_(wal), max_batch_(max_batch < 1 ? 1 : max_batch),
-      hold_us_(hold_us) {}
+GroupCommitQueue::GroupCommitQueue(WriteAheadLog* wal)
+    : wal_(wal),
+      max_batch_(std::max<size_t>(wal->options().group_commit_max_batch, 1)),
+      hold_us_(wal->options().group_commit_hold_us) {}
 
 GroupCommitQueue::~GroupCommitQueue() = default;
 

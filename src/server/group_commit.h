@@ -42,9 +42,11 @@ class GroupCommitQueue {
   /// Enqueue and Wait.
   struct Ticket;
 
-  /// `wal` must outlive the queue. `max_batch` >= 1; `hold_us` may be 0
-  /// (flush immediately, batching only what is already queued).
-  GroupCommitQueue(WriteAheadLog* wal, size_t max_batch, uint32_t hold_us);
+  /// `wal` must outlive the queue, which batches per the log's options:
+  /// up to group_commit_max_batch commits per group (at least 1), held
+  /// open up to group_commit_hold_us (0 flushes immediately, batching only
+  /// what is already queued).
+  explicit GroupCommitQueue(WriteAheadLog* wal);
   ~GroupCommitQueue();
 
   GroupCommitQueue(const GroupCommitQueue&) = delete;

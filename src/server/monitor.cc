@@ -289,7 +289,14 @@ std::string MonitorServer::RenderStatusz() const {
   AppendU64Field(out, "key_attributes",
                  s.schema().key_attributes().size());
   out += "}";
-  AppendU64Field(out, "entries", s.directory().NumEntries());
+  {
+    // Writers move the live count while this renders; a pinned snapshot's
+    // count is race-free. Without MVCC, live reads are the caller's to
+    // serialize against writes (DirectoryServer's concurrency contract).
+    PinnedSnapshot snap = s.PinSnapshot();
+    AppendU64Field(out, "entries",
+                   snap ? snap->num_alive : s.directory().NumEntries());
+  }
 
   out += ",\"health\":{\"state\":";
   out += JsonQuote(std::string(HealthStateName(s.health_state())));

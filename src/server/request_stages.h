@@ -26,7 +26,7 @@ enum class WireStage : uint8_t {
   kWorkerStart,      ///< worker: popped from the dispatch queue
   kAdmitted,         ///< directory server: admission verdict (writes)
   kSnapshotPinned,   ///< worker: MVCC snapshot pinned (reads)
-  kCommitEnqueued,   ///< group-commit enqueue / inline WAL append start
+  kCommitEnqueued,   ///< group-commit enqueue
   kCommitDurable,    ///< WAL durability reached (fsync acknowledged)
   kExecuteDone,      ///< worker: Execute returned
   kResponseQueued,   ///< reactor: response appended to the conn buffer

@@ -28,7 +28,7 @@ namespace fs = std::filesystem;
 // per append/fsync/compaction — the dominant cost at every site is the
 // disk I/O being metered.
 struct WalMetrics {
-  Histogram& append_ns;   ///< one Append: frame build + write (+ fsync)
+  Histogram& append_ns;   ///< one AppendGroup: frames + write (+ fsync)
   Histogram& fsync_ns;    ///< one segment fsync
   Histogram& compact_ns;  ///< one Compact: snapshot + rotate + GC
   Counter& frames_appended;
@@ -450,10 +450,6 @@ Status WriteAheadLog::RotateIfNeeded() {
   LDAPBOUND_RETURN_IF_ERROR(OpenSegment(next_seq_, /*create=*/true));
   GetWalMetrics().rotations.Increment();
   return SyncDirectory(dir_);
-}
-
-Status WriteAheadLog::Append(std::string_view payload) {
-  return AppendGroup({payload});
 }
 
 Status WriteAheadLog::AppendGroup(

@@ -1,6 +1,7 @@
 #ifndef LDAPBOUND_SERVER_WAL_H_
 #define LDAPBOUND_SERVER_WAL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -63,10 +64,11 @@ struct WalOptions {
 
   /// Group commit: batch up to this many concurrently submitted commits
   /// into one frame group made durable by a single fsync (leader/follower
-  /// handoff in DirectoryServer's commit queue). Every commit is still
-  /// acknowledged only after *its* group's fsync, so the durability
-  /// contract is unchanged — the fsync cost is amortized over the batch.
-  /// Values <= 1 disable batching (every commit appends and syncs alone).
+  /// handoff in DirectoryServer's commit queue, which every WAL commit
+  /// goes through). Every commit is still acknowledged only after *its*
+  /// group's fsync, so the durability contract is unchanged — the fsync
+  /// cost is amortized over the batch. At 1 (or 0) every group is one
+  /// commit with its own fsync, and the leader never holds it open.
   size_t group_commit_max_batch = 1;
 
   /// How long a group-commit leader holds the batch open waiting for
@@ -136,8 +138,8 @@ class WriteAheadLog {
   static constexpr char kSchemaFileName[] = "schema.lbs";
 
   /// Opens `dir` for appending, creating it (and a first segment) when
-  /// new. `next_seq` is the sequence number the next Append will carry —
-  /// 1 for a fresh log, `report.last_seq + 1` after recovery.
+  /// new. `next_seq` is the sequence number the next appended frame will
+  /// carry — 1 for a fresh log, `report.last_seq + 1` after recovery.
   static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& dir,
                                                      const WalOptions& options,
                                                      uint64_t next_seq);
@@ -146,24 +148,22 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends one commit's payload as a frame and (per options.sync) makes
-  /// it durable. On OK the commit may be acknowledged. Rotates segments as
-  /// needed.
-  Status Append(std::string_view payload);
-
   /// Appends `payloads` as consecutive frames (one commit sequence each)
-  /// with a single write and a single fsync — the group-commit primitive.
-  /// On OK every commit in the group may be acknowledged; on error none
-  /// may (the durable prefix ends somewhere inside the group, and none of
-  /// its frames were acknowledged). Rotation is checked once, before the
-  /// group, so a group may overshoot segment_bytes (the threshold is
-  /// soft).
+  /// with a single write and (per options.sync) a single fsync — the
+  /// group-commit primitive and the only append. On OK every commit in the
+  /// group may be acknowledged; on error none may (the durable prefix ends
+  /// somewhere inside the group, and none of its frames were
+  /// acknowledged). Rotation is checked once, before the group, so a group
+  /// may overshoot segment_bytes (the threshold is soft).
   Status AppendGroup(const std::vector<std::string_view>& payloads);
 
-  /// Sequence the next Append will carry.
-  uint64_t next_seq() const { return next_seq_; }
+  /// Sequence the next appended frame will carry. Safe to read from any
+  /// thread while a group-commit leader appends (e.g. /statusz).
+  uint64_t next_seq() const {
+    return next_seq_.load(std::memory_order_relaxed);
+  }
   /// Last sequence made durable (0 when none).
-  uint64_t last_sequence() const { return next_seq_ - 1; }
+  uint64_t last_sequence() const { return next_seq() - 1; }
   const std::string& dir() const { return dir_; }
   const WalOptions& options() const { return options_; }
 
@@ -177,7 +177,7 @@ class WriteAheadLog {
   Status Compact(std::string_view snapshot_ldif);
 
   /// Post-failure resync (the recovery probe of DESIGN.md §11): after a
-  /// failed Append/AppendGroup the in-memory directory is ahead of the
+  /// failed AppendGroup the in-memory directory is ahead of the
   /// durable log, and the current segment fd may be poisoned (a failed
   /// fsync makes the kernel's page-cache state untrustworthy). This writes
   /// `snapshot_ldif` — the *current in-memory state*, which supersedes
@@ -203,7 +203,8 @@ class WriteAheadLog {
 
   std::string dir_;
   WalOptions options_;
-  uint64_t next_seq_ = 1;
+  /// Written by one appender at a time; atomic so monitors may read it.
+  std::atomic<uint64_t> next_seq_{1};
   int fd_ = -1;
   std::string segment_path_;
   uint64_t segment_first_seq_ = 0;

@@ -68,9 +68,12 @@ TEST(AdmissionTest, DefaultDeadline) {
 
 TEST(AdmissionTest, QueueBoundShedsWithRetryableOverloaded) {
   std::string dir = FreshDir("bound");
-  auto wal = WriteAheadLog::Open(dir, WalOptions{}, /*next_seq=*/1);
+  WalOptions wal_options;
+  wal_options.group_commit_max_batch = 8;
+  wal_options.group_commit_hold_us = 0;
+  auto wal = WriteAheadLog::Open(dir, wal_options, /*next_seq=*/1);
   ASSERT_TRUE(wal.ok()) << wal.status();
-  GroupCommitQueue queue(wal->get(), /*max_batch=*/8, /*hold_us=*/0);
+  GroupCommitQueue queue(wal->get());
 
   AdmissionOptions options;
   options.max_queue_depth = 2;

@@ -209,15 +209,13 @@ TEST(ChaosTest, FsyncFaultStormNeverLosesAckedCommits) {
   ExpectAckedDurable(dir, wal_options, ledger, server->ExportLdif());
 }
 
-TEST(ChaosTest, OverloadBurstShedsAndStaysBounded) {
-  if (!Failpoints::enabled()) {
-    GTEST_SKIP() << "failpoints compiled out (LDAPBOUND_FAILPOINTS=OFF)";
-  }
+// A writer burst against a stalling disk, with a bounded commit queue.
+void RunOverloadBurst(const std::string& name, const WalOptions& wal_options) {
+  SCOPED_TRACE(name);
   Failpoints::Reset();
-  std::string dir = FreshDir("overload");
+  std::string dir = FreshDir("overload-" + name);
   auto server = DirectoryServer::Create(kWalSchema);
   ASSERT_TRUE(server.ok());
-  const WalOptions wal_options = GroupOptions(2, 0);
   ASSERT_TRUE(server->EnableWal(dir, wal_options).ok());
 
   constexpr size_t kMaxDepth = 2;
@@ -268,6 +266,16 @@ TEST(ChaosTest, OverloadBurstShedsAndStaysBounded) {
   ExpectAckedDurable(dir, wal_options, ledger, server->ExportLdif());
 }
 
+TEST(ChaosTest, OverloadBurstShedsAndStaysBounded) {
+  if (!Failpoints::enabled()) {
+    GTEST_SKIP() << "failpoints compiled out (LDAPBOUND_FAILPOINTS=OFF)";
+  }
+  // A batching queue, and the default batch of one, which `serve` runs
+  // unless --group-commit-batch says otherwise.
+  RunOverloadBurst("batch2", GroupOptions(2, 0));
+  RunOverloadBurst("default", WalOptions{});
+}
+
 TEST(ChaosTest, DeadlinesCancelBeforeWorkUnderStall) {
   if (!Failpoints::enabled()) {
     GTEST_SKIP() << "failpoints compiled out (LDAPBOUND_FAILPOINTS=OFF)";
@@ -276,11 +284,11 @@ TEST(ChaosTest, DeadlinesCancelBeforeWorkUnderStall) {
   std::string dir = FreshDir("deadline-stall");
   auto server = DirectoryServer::Create(kWalSchema);
   ASSERT_TRUE(server.ok());
-  // Inline WAL (no group commit): the fsync stall happens *under* the
-  // write mutex, so later writers burn their budget queued on the mutex —
-  // exactly the window the post-queue deadline checkpoint covers. (In
-  // group mode the budget burns in Wait, past the point of no return,
-  // and by design is not cancelled there.)
+  // The stall sits at server.commit, *under* the write mutex and before
+  // the enqueue, so later writers burn their budget queued on the mutex —
+  // exactly the window the post-queue deadline checkpoint covers. (A
+  // budget that burns in the group's fsync wait is past the point of no
+  // return, and by design is not cancelled there.)
   const WalOptions wal_options{};
   ASSERT_TRUE(server->EnableWal(dir, wal_options).ok());
 
@@ -290,10 +298,10 @@ TEST(ChaosTest, DeadlinesCancelBeforeWorkUnderStall) {
 
   ASSERT_TRUE(ApplyWalCommit(*server, 1).ok());
 
-  // Stall every fsync well past the default budget: writers queued behind
-  // a stalled committer find their budget spent at the write-mutex
+  // Stall every commit well past the default budget: writers queued
+  // behind a stalled committer find their budget spent at the write-mutex
   // checkpoint and are cancelled before any work.
-  Failpoints::Arm("wal.fsync", Failpoints::Action::kSleep, 1,
+  Failpoints::Arm("server.commit", Failpoints::Action::kSleep, 1,
                   /*sleep_ms=*/60);
 
   WriterLedger ledger;

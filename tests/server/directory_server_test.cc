@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
@@ -219,6 +225,116 @@ TEST_F(DirectoryServerTest, ImportRefusesIllegalData) {
   ASSERT_FALSE(n.ok());
   EXPECT_EQ(n.status().code(), StatusCode::kIllegal);
   EXPECT_EQ(server2->directory().NumEntries(), 0u);
+}
+
+// Every file in a WAL directory with its size: equal listings mean no
+// frame and no snapshot reached the log in between.
+using FileSizes = std::vector<std::pair<std::string, uintmax_t>>;
+
+FileSizes WalFiles(const std::string& dir) {
+  FileSizes files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.emplace_back(entry.path().filename().string(), entry.file_size());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST_F(DirectoryServerTest, RefusedImportLeavesNoTrace) {
+  // A populated, durable, MVCC server: a refused import must leave the
+  // head, the published snapshot and the log exactly as they were.
+  const std::string dir = ::testing::TempDir() + "ldapbound_refused_import";
+  std::filesystem::remove_all(dir);
+  server_.EnableMvcc();
+  ASSERT_TRUE(server_.EnableWal(dir).ok());
+  ASSERT_TRUE(server_.Add(Dn("uid=bob,ou=research"), PersonSpec("bob")).ok());
+
+  const std::string before = server_.ExportLdif();
+  const uint64_t version = server_.PinSnapshot()->version;
+  const auto wal_files = WalFiles(dir);
+
+  struct Case {
+    const char* name;
+    const char* ldif;
+  };
+  const Case cases[] = {
+      // Fails mid-load: a staffed team is created, then a record names a
+      // DN that already exists.
+      {"existing DN",
+       "dn: ou=ops\nobjectClass: team\nobjectClass: top\nou: ops\n\n"
+       "dn: uid=eve,ou=ops\nobjectClass: person\nobjectClass: top\n"
+       "uid: eve\nname: p eve\n\n"
+       "dn: uid=ada,ou=research\nobjectClass: person\nobjectClass: top\n"
+       "uid: ada\nname: p ada\n"},
+      // Loads completely, but the result is illegal: the new team has
+      // nobody below it. Carol joins an existing team first.
+      {"illegal result",
+       "dn: uid=carol,ou=research\nobjectClass: person\nobjectClass: top\n"
+       "uid: carol\nname: p carol\n\n"
+       "dn: ou=empty\nobjectClass: team\nobjectClass: top\nou: empty\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto n = server_.ImportLdif(c.ldif);
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(server_.ExportLdif(), before);
+    EXPECT_EQ(server_.PinSnapshot()->version, version);
+    EXPECT_EQ(WalFiles(dir), wal_files);
+    auto recovered = DirectoryServer::Recover(dir);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(recovered->ExportLdif(), before);
+  }
+  EXPECT_TRUE(server_.IsLegal());
+
+  // The refusals left nothing behind that a legal import could trip on.
+  auto n = server_.ImportLdif(
+      "dn: ou=ops\nobjectClass: team\nobjectClass: top\nou: ops\n\n"
+      "dn: uid=eve,ou=ops\nobjectClass: person\nobjectClass: top\n"
+      "uid: eve\nname: p eve\n");
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 2u);
+  EXPECT_GT(server_.PinSnapshot()->version, version);
+  EXPECT_EQ(server_.PinSnapshot()->num_alive,
+            server_.directory().NumEntries());
+  auto recovered = DirectoryServer::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->ExportLdif(), server_.ExportLdif());
+}
+
+TEST_F(DirectoryServerTest, RefusedBeforeTheBodyCountsAsRejected) {
+  // An expired deadline refuses the write before it takes the write
+  // mutex; the refusal is still counted once in the op's own family.
+  auto rejected = [](const std::string& op) {
+    return MetricRegistry::Default()
+        .GetCounter("ldapbound_server_ops_total",
+                    "DirectoryServer operations by outcome",
+                    "op=\"" + op + "\",outcome=\"rejected\"")
+        .Value();
+  };
+  const Deadline expired = Deadline::AfterMs(0);
+
+  uint64_t before = rejected("apply");
+  UpdateTransaction txn;
+  txn.Insert(Dn("uid=bob,ou=research"), PersonSpec("bob"));
+  EXPECT_EQ(server_.Apply(txn, nullptr, expired).code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(rejected("apply"), before + 1);
+
+  before = rejected("modify");
+  EXPECT_EQ(server_.Modify(Dn("uid=ada,ou=research"), {}, expired).code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(rejected("modify"), before + 1);
+
+  before = rejected("modify_dn");
+  EXPECT_EQ(server_
+                .ModifyDn(Dn("uid=ada,ou=research"), Dn("ou=research"),
+                          "uid=lovelace", expired)
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(rejected("modify_dn"), before + 1);
+
+  // stats().rejected counts the schema's refusals only.
+  EXPECT_EQ(server_.stats().rejected, 0u);
 }
 
 TEST_F(DirectoryServerTest, SearchStringErrors) {

@@ -40,11 +40,21 @@ WalOptions GroupOptions(size_t max_batch, uint32_t hold_us) {
   return options;
 }
 
-TEST(GroupCommitTest, DisabledByDefault) {
+TEST(GroupCommitTest, DefaultIsABatchOfOne) {
+  // Every WAL commit goes through the queue; the default batch of one
+  // flushes each commit with its own fsync.
   auto server = DirectoryServer::Create(kWalSchema);
   ASSERT_TRUE(server.ok());
-  ASSERT_TRUE(server->EnableWal(FreshDir("off"), WalOptions{}).ok());
-  EXPECT_EQ(server->group_commit(), nullptr);
+  ASSERT_TRUE(server->EnableWal(FreshDir("default"), WalOptions{}).ok());
+  ASSERT_NE(server->group_commit(), nullptr);
+  EXPECT_EQ(server->group_commit()->max_batch(), 1u);
+
+  constexpr uint64_t kCommits = 5;
+  for (uint64_t i = 1; i <= kCommits; ++i) {
+    ASSERT_TRUE(ApplyWalCommit(*server, i).ok()) << "commit " << i;
+  }
+  EXPECT_EQ(server->group_commit()->commits_flushed(), kCommits);
+  EXPECT_EQ(server->group_commit()->groups_flushed(), kCommits);
 }
 
 TEST(GroupCommitTest, SingleWriterRoundTripAndRecovery) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,6 +120,61 @@ TEST(MonitorConcurrencyTest, ScrapesRaceSearchesAndSlowOps) {
   // A final scrape still renders the full, consistent state.
   std::string metrics = HttpGet(port, "/metrics");
   EXPECT_NE(metrics.find("test_monitor_churn_total"), std::string::npos);
+  (*monitor)->Stop();
+}
+
+TEST(MonitorConcurrencyTest, StatuszRacesDurableWriters) {
+  // /statusz under write traffic, as `serve` sees it when scraped: two
+  // writers commit through a batching WAL while two threads render. The
+  // entry count and the WAL sequence move under the renderers, so both
+  // must be read race-free. The writers use only names the schema already
+  // has, so nothing is interned while the renderers read the vocabulary.
+  const std::string dir = ::testing::TempDir() + "ldapbound_statusz_writers";
+  std::filesystem::remove_all(dir);
+  auto server = DirectoryServer::Create(kSchema);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  WalOptions wal_options;
+  wal_options.group_commit_max_batch = 4;
+  ASSERT_TRUE(server->EnableWal(dir, wal_options).ok());
+  server->EnableMvcc();
+  auto monitor = MonitorServer::Start(&*server);
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+
+  constexpr int kWriters = 2;
+  constexpr int kCommits = 50;
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&server, &writers_left, &failures, w] {
+      EntrySpec spec;
+      spec.classes = {"person", "top"};
+      for (int i = 0; i < kCommits; ++i) {
+        const std::string name =
+            "w" + std::to_string(w) + "-" + std::to_string(i);
+        spec.values = {{"name", name}};
+        if (!server->Add(Dn("name=" + name), spec).ok() ||
+            !server->Delete(Dn("name=" + name)).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&monitor, &writers_left, &failures] {
+      while (writers_left.load() > 0) {
+        if ((*monitor)->RenderStatusz().find("\"next_seq\":") ==
+            std::string::npos) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server->wal()->next_seq(), 2u * kWriters * kCommits + 1);
   (*monitor)->Stop();
 }
 

@@ -93,7 +93,9 @@ int Usage() {
                "log in <d>\n"
                "  --group-commit-batch <n>\n"
                "                       serve: batch up to n commits per WAL "
-               "fsync (default 1)\n"
+               "fsync (default 1:\n"
+               "                       each commit is a group of one in the "
+               "commit queue)\n"
                "  --group-commit-hold-us <us>\n"
                "                       serve: leader hold window for group "
                "commit (default 200)\n"
