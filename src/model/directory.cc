@@ -7,9 +7,7 @@
 namespace ldapbound {
 
 Directory::Directory(std::shared_ptr<Vocabulary> vocab)
-    : vocab_(std::move(vocab)),
-      class_counts_(
-          std::make_unique<ConcurrentCountTable>(EpochManager::Default())) {}
+    : vocab_(std::move(vocab)) {}
 
 Status Directory::CheckAlive(EntryId id) const {
   if (!IsAlive(id)) {
@@ -23,7 +21,8 @@ std::string Directory::RdnKey(EntryId parent, std::string_view rdn) {
 }
 
 void Directory::BumpClassCount(ClassId c, int delta) {
-  class_counts_->Update(c, delta);
+  if (c >= class_counts_.size()) class_counts_.resize(c + 1, 0);
+  class_counts_[c] += static_cast<size_t>(delta);  // wraps: -1 decrements
 }
 
 Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,

@@ -13,7 +13,6 @@
 #include "model/forest_index.h"
 #include "model/value.h"
 #include "model/vocabulary.h"
-#include "util/concurrent_table.h"
 #include "util/cow.h"
 #include "util/result.h"
 
@@ -131,12 +130,12 @@ class Directory {
 
   /// Number of alive entries that belong to class `c` (maintained
   /// incrementally; this is the count index that, per §4, makes required
-  /// classes incrementally testable under deletion). Lock-free: backed
-  /// by a concurrent count table, safe to call from any thread even
-  /// while the (single) writer mutates.
+  /// classes incrementally testable under deletion). Like every read of
+  /// the live directory it is single-writer: call it on the writer's
+  /// thread or with writers excluded (the server's write mutex). Readers
+  /// concurrent with writers use DirectorySnapshot::CountWithClass.
   size_t CountWithClass(ClassId c) const {
-    int64_t n = class_counts_->Get(c);
-    return n < 0 ? 0 : static_cast<size_t>(n);
+    return c < class_counts_.size() ? class_counts_[c] : 0;
   }
 
   /// Monotonically increasing mutation counter.
@@ -221,9 +220,8 @@ class Directory {
   std::vector<Entry> entries_;
   std::vector<bool> alive_;
   std::vector<EntryId> roots_;
-  /// Class populations; a lock-free concurrent table so readers (e.g.
-  /// required-class checks, monitor) never exclude the writer.
-  std::unique_ptr<ConcurrentCountTable> class_counts_;
+  /// Class populations, indexed by class id.
+  std::vector<size_t> class_counts_;
   /// Sibling-RDN uniqueness index; COW so each snapshot publish shares
   /// the map with prior versions.
   CowMap<std::string, EntryId> rdn_index_;

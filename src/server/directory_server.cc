@@ -1,10 +1,10 @@
 #include "server/directory_server.h"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "consistency/inference.h"
 #include "core/legality_checker.h"
@@ -85,39 +85,34 @@ Status CheckQueuedDeadline(AdmissionController* admission,
       "expired before any work (safe to retry with a fresh budget)");
 }
 
-uint64_t WallClockMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Per-operation bookkeeping scope, the one place an operation's outcome
-/// is recorded: it times the operation into its latency histogram, and
-/// Finish counts the outcome in its family. When the slow log or the JSON
-/// log is on it also assigns the operation id, tags same-thread trace
-/// spans with it (TraceOpScope), captures those spans for the slow-op log
-/// (SpanCollector), and on destruction emits one structured log event and
-/// offers the record to the SlowOpLog.
-///
-/// The diagnostics are passive — no id drawn, nothing captured — when
-/// neither log is on, and when an outer operation is already being
-/// tracked on this thread (Add/Delete delegate to Apply; the outer call
-/// is the operation).
+/// The bookkeeping of one DirectoryServer op, the one place its outcome
+/// is recorded. The outermost op on a thread annotates the request record
+/// current there — installing one for a library call, which has no wire
+/// record — with its name, target, outcome and refusal detail; counts its
+/// outcome and latency in its family at return; and writes its JSON
+/// op-log line. A record it installed it also finishes (FinishRequest):
+/// a wire request's record is finished by the reactor once its response
+/// is flushed. An op nested in another (Add and Delete delegate to Apply)
+/// finds the record annotated and does nothing, so a request counts once,
+/// in the family of the op the caller invoked.
 class OpTracker {
  public:
   OpTracker(OpMetrics& op, SlowOpLog* log, std::atomic<uint64_t>& next_op_id,
             std::string target)
-      : op_(op), start_ns_(Tracer::NowNs()) {
-    bool want_json = JsonLog::Default().enabled();
-    if ((log == nullptr && !want_json) || TraceOpScope::current() != 0) return;
-    log_ = log;
-    target_ = std::move(target);
-    op_id_ = next_op_id.fetch_add(1, std::memory_order_relaxed);
-    start_unix_ms_ = WallClockMs();
-    scope_.emplace(op_id_);
-    if (log_ != nullptr) collector_.emplace();
-    active_ = true;
+      : op_(op), log_(log), record_(RequestScope::current()) {
+    if (record_ == nullptr) {
+      record_ = &own_.emplace();
+      scope_.emplace(record_);
+    } else if (record_->op_start_ns != 0) {
+      record_ = nullptr;  // nested: the outer op owns the annotation
+      return;
+    }
+    record_->op_start_ns = Tracer::NowNs();
+    if (record_->op == nullptr) record_->op = op.name;
+    record_->target = std::move(target);
+    if (log != nullptr || JsonLog::Default().enabled()) {
+      record_->op_id = next_op_id.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   OpTracker(const OpTracker&) = delete;
   OpTracker& operator=(const OpTracker&) = delete;
@@ -125,64 +120,42 @@ class OpTracker {
   /// Counts `status` once as the operation's outcome (`ok` or `rejected`)
   /// and returns it; `explain` is a rejection's "detected by" summary.
   Status Finish(Status status, std::string explain = "") {
+    if (record_ == nullptr) return status;
     (status.ok() ? op_.ok : op_.rejected).Increment();
-    outcome_ = status.ok() ? "ok" : "rejected";
-    if (active_ && !status.ok()) {
-      detail_ = std::string_view(status.message()).substr(0, kMaxDetailChars);
-      explain_ = std::move(explain);
+    record_->outcome = status.ok() ? "ok" : "rejected";
+    if (!status.ok()) {
+      record_->detail =
+          std::string_view(status.message()).substr(0, kMaxDetailChars);
+      record_->explain = std::move(explain);
     }
     return status;
   }
 
   ~OpTracker() {
-    uint64_t duration_ns = Tracer::NowNs() - start_ns_;
+    if (record_ == nullptr) return;
+    const uint64_t end_ns = Tracer::NowNs();
+    const uint64_t duration_ns = end_ns - record_->op_start_ns;
     op_.latency_ns.Observe(duration_ns);
-    if (!active_) return;
-    std::vector<Tracer::Event> spans;
-    if (collector_.has_value()) {
-      spans = collector_->TakeEvents();
-      collector_.reset();
-    }
-    scope_.reset();
     JsonLog& json = JsonLog::Default();
     if (json.enabled()) {
       LogEvent event("op");
-      event.Num("op_id", op_id_)
+      event.Num("op_id", record_->op_id)
           .Str("op", op_.name)
-          .Str("target", target_)
-          .Str("outcome", outcome_)
+          .Str("target", record_->target)
+          .Str("outcome", record_->outcome)
           .Num("duration_ns", duration_ns);
-      if (!detail_.empty()) event.Str("detail", detail_);
+      if (!record_->detail.empty()) event.Str("detail", record_->detail);
       json.Write(event);
     }
-    if (log_ != nullptr) {
-      SlowOp record;
-      record.op_id = op_id_;
-      record.op = op_.name;
-      record.target = std::move(target_);
-      record.outcome = outcome_;
-      record.detail = std::move(detail_);
-      record.explain = std::move(explain_);
-      record.start_unix_ms = start_unix_ms_;
-      record.duration_ns = duration_ns;
-      record.spans = std::move(spans);
-      log_->Record(std::move(record));
-    }
+    if (own_.has_value()) FinishRequest(*own_, end_ns, log_);
   }
 
  private:
   OpMetrics& op_;
-  SlowOpLog* log_ = nullptr;
-  std::string target_;
-  const char* outcome_ = "error";  // until Finish
-  std::string detail_;
-  std::string explain_;
-  uint64_t op_id_ = 0;
-  uint64_t start_unix_ms_ = 0;
-  uint64_t start_ns_;
-  std::optional<TraceOpScope> scope_;
-  std::optional<SpanCollector> collector_;
-  bool active_ = false;
+  SlowOpLog* log_;
+  RequestStamps* record_;  ///< nullptr for a nested op
+  std::optional<RequestStamps> own_;  ///< a library call's record
+  std::optional<RequestScope> scope_;
 };
 
 /// A write body's schema refusal: the Illegal status naming `what`, and in
@@ -226,8 +199,8 @@ Result<DirectoryServer> DirectoryServer::Create(
   return DirectoryServer(std::move(vocab), std::move(schema));
 }
 
-// Add and Delete delegate to Apply, so their latency histograms nest the
-// apply one; their outcome counters are independent of the apply family.
+// Add and Delete delegate to Apply; the nested Apply neither counts nor
+// times (OpTracker), so a request counts once, as add or delete.
 Status DirectoryServer::Add(const DistinguishedName& dn, EntrySpec spec,
                             Deadline deadline) {
   OpTracker tracker(GetServerMetrics().add, slow_ops_.get(),
@@ -268,7 +241,7 @@ Status DirectoryServer::AdmitWrite(Deadline* deadline) {
           "op deadline expired before admission (no work was done; safe to "
           "retry with a fresh budget)");
     }
-    WireStageScope::MarkCurrent(WireStage::kAdmitted);
+    RequestScope::MarkCurrent(RequestStage::kAdmitted);
     return Status::OK();
   }
   if (deadline->infinite()) *deadline = admission_->DefaultDeadline();
@@ -276,7 +249,7 @@ Status DirectoryServer::AdmitWrite(Deadline* deadline) {
   if (!status.ok() && admission_->TakeDegradeSignal()) {
     health_->ReportOverload(admission_->shed_streak());
   }
-  if (status.ok()) WireStageScope::MarkCurrent(WireStage::kAdmitted);
+  if (status.ok()) RequestScope::MarkCurrent(RequestStage::kAdmitted);
   return status;
 }
 
@@ -314,7 +287,7 @@ Status DirectoryServer::WalPersist(std::string payload,
                   "write-ahead log append failed (server is now read-only; "
                   "recover from '" + wal_->dir() + "'): " + status.message());
   }
-  WireStageScope::MarkCurrent(WireStage::kCommitDurable);
+  RequestScope::MarkCurrent(RequestStage::kCommitDurable);
   return status;
 }
 
@@ -331,21 +304,21 @@ IncrementalValidator::Options DirectoryServer::ValidatorOptions() const {
 }
 
 template <typename Body>
-Status DirectoryServer::Write(OpMetrics& op, const char* span,
-                              std::string target, Deadline deadline,
-                              Body&& body) {
+Status DirectoryServer::Write(OpMetrics& op, std::string target,
+                              Deadline deadline, Body&& body) {
   OpTracker tracker(op, slow_ops_.get(), stats_->next_op_id,
                     std::move(target));
-  LDAPBOUND_TRACE_SPAN(span);
   std::string explain;
   Status status = [&]() -> Status {
     LDAPBOUND_RETURN_IF_ERROR(AdmitWrite(&deadline));
     std::unique_lock<std::mutex> lock(*write_mu_);
+    RequestScope::MarkCurrent(RequestStage::kLocked);
     LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
     LDAPBOUND_RETURN_IF_ERROR(CheckQueuedDeadline(admission_.get(), deadline));
     std::vector<ChangeRecord> records;
     const bool recorded = changelog_ != nullptr || wal_ != nullptr;
     Status applied = body(recorded ? &records : nullptr, &explain);
+    RequestScope::MarkCurrent(RequestStage::kBodyDone);
     if (!applied.ok()) {
       ++stats_->rejected;
       return applied;
@@ -353,6 +326,7 @@ Status DirectoryServer::Write(OpMetrics& op, const char* span,
     // Snapshot readers must see this commit once the call returns OK:
     // publish under the mutex, before the durability wait.
     PublishSnapshotLocked();
+    RequestScope::MarkCurrent(RequestStage::kPublished);
     if (records.empty()) return Status::OK();
     const uint64_t txn_id = NextRecordTxnId();
     for (ChangeRecord& record : records) record.txn = txn_id;
@@ -378,7 +352,7 @@ Status DirectoryServer::Write(OpMetrics& op, const char* span,
 Status DirectoryServer::Apply(const UpdateTransaction& txn,
                               CommitStats* stats, Deadline deadline) {
   return Write(
-      GetServerMetrics().apply, "server.apply",
+      GetServerMetrics().apply,
       "txn(" + std::to_string(txn.ops().size()) + " ops)", deadline,
       [&](std::vector<ChangeRecord>* records, std::string*) -> Status {
         TransactionExecutor executor(directory_.get(), *schema_,
@@ -453,7 +427,7 @@ Status DirectoryServer::Modify(const DistinguishedName& dn,
                                const std::vector<Modification>& mods,
                                Deadline deadline) {
   Status status = Write(
-      GetServerMetrics().modify, "server.modify", dn.ToString(), deadline,
+      GetServerMetrics().modify, dn.ToString(), deadline,
       [&](std::vector<ChangeRecord>* records, std::string* explain) -> Status {
         LDAPBOUND_ASSIGN_OR_RETURN(EntryId id, ResolveDn(*directory_, dn));
         std::vector<Modification> undo;
@@ -520,8 +494,7 @@ Status DirectoryServer::ModifyDn(const DistinguishedName& dn,
                                  const DistinguishedName& new_parent_dn,
                                  std::string new_rdn, Deadline deadline) {
   Status status = Write(
-      GetServerMetrics().modify_dn, "server.modify_dn", dn.ToString(),
-      deadline,
+      GetServerMetrics().modify_dn, dn.ToString(), deadline,
       [&](std::vector<ChangeRecord>* records, std::string* explain) -> Status {
         LDAPBOUND_ASSIGN_OR_RETURN(EntryId entry, ResolveDn(*directory_, dn));
         EntryId new_parent = kInvalidEntryId;
@@ -568,14 +541,14 @@ Result<std::vector<EntryId>> DirectoryServer::Search(
     const SearchRequest& request, Deadline deadline) const {
   OpTracker tracker(GetServerMetrics().search, slow_ops_.get(),
                     stats_->next_op_id, request.base.ToString());
-  LDAPBOUND_TRACE_SPAN("server.search");
   if (deadline.expired()) {
     return tracker.Finish(Status::DeadlineExceeded(
         "search cancelled: deadline expired before the scan started"));
   }
-  tracker.Finish(Status::OK());
-  stats_->searches.fetch_add(1, std::memory_order_relaxed);
-  return ldapbound::Search(*directory_, request);
+  Result<std::vector<EntryId>> hits = ldapbound::Search(*directory_, request);
+  if (hits.ok()) stats_->searches.fetch_add(1, std::memory_order_relaxed);
+  tracker.Finish(hits.status());
+  return hits;
 }
 
 Result<std::vector<EntryId>> DirectoryServer::Search(
@@ -592,7 +565,6 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
   OpTracker tracker(GetServerMetrics().import, slow_ops_.get(),
                     stats_->next_op_id,
                     "ldif(" + std::to_string(text.size()) + " bytes)");
-  LDAPBOUND_TRACE_SPAN("server.import");
   std::lock_guard<std::mutex> lock(*write_mu_);
   auto imported = [&]() -> Result<size_t> {
     LDAPBOUND_RETURN_IF_ERROR(CheckWritable());

@@ -251,13 +251,15 @@ class DirectoryServer {
   /// was a bool flipped by a WAL append failure.
   bool wal_failed() const { return !health_->healthy(); }
 
-  /// Starts slow-op diagnostics: every top-level operation (nested
-  /// delegations like Add -> Apply count once) is timed and offered to a
-  /// bounded keep-the-slowest log; retained records carry the trace spans
-  /// the operation's thread recorded (checker passes, constraint queries,
-  /// WAL fsyncs) and, for rejections, the per-violation "detected by"
-  /// summary. Served by the monitor endpoint's /slowz. Call before
-  /// traffic, from the writer thread.
+  /// Starts slow-op diagnostics: every request — a wire request or a
+  /// top-level library call (nested delegations like Add -> Apply count
+  /// once) — is offered to a bounded keep-the-slowest log when it
+  /// finishes; a retained record carries the request's stage spans
+  /// (write-mutex wait, validation, publish, commit wait and, for wire
+  /// requests, the wire pipeline), its wire request id and, for
+  /// rejections, the detail and the per-violation "detected by" summary.
+  /// Served by the monitor endpoint's /slowz. Call before traffic, from
+  /// the writer thread.
   void EnableSlowOps(size_t capacity = 32, uint64_t min_duration_ns = 0) {
     if (slow_ops_ == nullptr) {
       slow_ops_ = std::make_unique<SlowOpLog>(capacity, min_duration_ns);
@@ -268,9 +270,9 @@ class DirectoryServer {
   /// synchronized: reading it is safe concurrently with any operation.
   const SlowOpLog* slow_ops() const { return slow_ops_.get(); }
 
-  /// Mutable access for co-located record producers (the wire front end
-  /// offers completed requests with their stage breakdown — DESIGN.md
-  /// §13); same synchronization contract as slow_ops().
+  /// Mutable access for the wire front end, which finishes its requests'
+  /// records on its reactors (DESIGN.md §13); same synchronization
+  /// contract as slow_ops().
   SlowOpLog* mutable_slow_ops() { return slow_ops_.get(); }
 
   /// Worker configuration for the legality passes this server runs
@@ -320,10 +322,12 @@ class DirectoryServer {
   /// undoes its own change when it fails; on success it appends its
   /// change records to `records` (null when nothing records changes), on
   /// a schema violation it sets `*explain` to the "detected by" summary.
-  /// Each non-OK return counts once as `rejected` in `op`.
+  /// Each non-OK return counts once as `rejected` in `op`. The request
+  /// record is stamped when the write mutex is acquired, when the body
+  /// returns and when the snapshot is published (server/request_stages.h).
   template <typename Body>
-  Status Write(OpMetrics& op, const char* span, std::string target,
-               Deadline deadline, Body&& body);
+  Status Write(OpMetrics& op, std::string target, Deadline deadline,
+               Body&& body);
 
   /// The validator configuration every write checks with.
   IncrementalValidator::Options ValidatorOptions() const;
@@ -368,7 +372,7 @@ class DirectoryServer {
     std::atomic<size_t> searches{0};
     std::atomic<size_t> imports{0};
     std::atomic<size_t> rejected{0};
-    /// Operation-id source for slow-op records and log/trace correlation.
+    /// Operation-id source for slow-op records and JSON op-log lines.
     std::atomic<uint64_t> next_op_id{1};
     /// Set on WAL append failure, cleared by a successful resync: tells
     /// the recovery probe whether the log actually needs re-basing (an

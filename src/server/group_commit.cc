@@ -57,9 +57,9 @@ GroupCommitQueue::~GroupCommitQueue() = default;
 
 GroupCommitQueue::Ticket* GroupCommitQueue::Enqueue(std::string payload,
                                                     Deadline deadline) {
-  // Wire-path stage model: the durability wait starts here (the caller's
+  // Request stage model: the durability wait starts here (the caller's
   // Wait ends it via WalPersist's kCommitDurable stamp).
-  WireStageScope::MarkCurrent(WireStage::kCommitEnqueued);
+  RequestScope::MarkCurrent(RequestStage::kCommitEnqueued);
   auto* ticket = new Ticket{std::move(payload), deadline};
   std::lock_guard<std::mutex> lock(mu_);
   queue_.push_back(ticket);

@@ -53,8 +53,8 @@ Status Errno(const char* what) {
                           std::strerror(errno));
 }
 
-/// Slow-op / span naming for wire requests (span names must be literals:
-/// Tracer::Event stores the pointer).
+/// A wire request's op name in its record (a literal, as RequestStamps
+/// requires).
 const char* WireOpName(WireOp op) {
   switch (op) {
     case WireOp::kPing:
@@ -215,8 +215,7 @@ struct NetServer::ReactorCounters {
 };
 
 /// Counters with no reactor affiliation: the dispatch queue and the
-/// worker pool are shared, and the stage histograms decompose the whole
-/// pipeline regardless of which shard carried the socket.
+/// worker pool are shared.
 struct NetServer::SharedCounters {
   SharedCounters()
       : m_shed_ops(MetricRegistry::Default().GetCounter(
@@ -236,24 +235,17 @@ struct NetServer::SharedCounters {
             "Paged-search cursors retaining a snapshot version")),
         m_cursors_expired(MetricRegistry::Default().GetCounter(
             "ldapbound_net_cursors_expired_total",
-            "Paged-search cursors reaped by the idle timeout")),
-        stage_dispatch(StageHistogram("dispatch")),
-        stage_queue_wait(StageHistogram("queue_wait")),
-        stage_execute(StageHistogram("execute")),
-        stage_commit_wait(StageHistogram("commit_wait")),
-        stage_completion(StageHistogram("completion")),
-        stage_write_back(StageHistogram("write_back")),
-        stage_total(StageHistogram("total")) {}
+            "Paged-search cursors reaped by the idle timeout")) {}
 
-  static Histogram& StageHistogram(const char* stage) {
-    return MetricRegistry::Default().GetHistogram(
-        "ldapbound_wire_stage_ns",
-        "Per-stage wire request latency decomposition (DESIGN.md §13): "
-        "dispatch = decode to enqueue, queue_wait = enqueue to worker, "
-        "execute = worker execution (commit_wait = its WAL durability "
-        "share), completion = execute done to response queued, write_back "
-        "= response queued to bytes flushed, total = decode to flush",
-        MakeLabel("stage", stage));
+  /// Counts one answered request in stats() and on /metrics alike.
+  void CountOutcome(bool ok) {
+    if (ok) {
+      ops_ok.fetch_add(1, std::memory_order_relaxed);
+      m_ops_ok.Increment();
+    } else {
+      ops_rejected.fetch_add(1, std::memory_order_relaxed);
+      m_ops_rejected.Increment();
+    }
   }
 
   std::atomic<uint64_t> shed_ops{0};
@@ -266,13 +258,6 @@ struct NetServer::SharedCounters {
   Gauge& g_queue_depth;
   Gauge& g_cursors_open;
   Counter& m_cursors_expired;
-  Histogram& stage_dispatch;
-  Histogram& stage_queue_wait;
-  Histogram& stage_execute;
-  Histogram& stage_commit_wait;
-  Histogram& stage_completion;
-  Histogram& stage_write_back;
-  Histogram& stage_total;
 };
 
 Result<std::unique_ptr<NetServer>> NetServer::Start(
@@ -656,7 +641,6 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
       break;
     }
     if (!*extracted) break;  // partial frame: wait for more bytes
-    uint64_t decoded_ns = options_.stage_metrics ? Tracer::NowNs() : 0;
     r.counters->frames_in.fetch_add(1, std::memory_order_relaxed);
     r.counters->m_frames_in.Increment();
 
@@ -665,7 +649,7 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
       pong.op = WireOp::kPing;
       pong.request_id = request.request_id;
       QueueResponse(r, conn, pong);
-      shared_->ops_ok.fetch_add(1, std::memory_order_relaxed);
+      shared_->CountOutcome(true);
     } else if (stopping_.load(std::memory_order_acquire)) {
       WireResponse unavailable;
       unavailable.op = request.op;
@@ -676,15 +660,14 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
       QueueResponse(r, conn, unavailable);
     } else {
       WorkItem item;
+      item.record.Mark(RequestStage::kDecoded);
       item.reactor = r.index;
       item.fd = fd;
       item.gen = conn.gen;
       item.op = request.op;
-      item.request_id = request.request_id;
       item.body = std::string(request.body);
-      if (options_.stage_metrics) {
-        item.stages.ns[static_cast<size_t>(WireStage::kDecoded)] = decoded_ns;
-      }
+      item.record.request_id = request.request_id;
+      item.record.op = WireOpName(request.op);
       batch.push_back(std::move(item));
     }
     consumed_total += consumed;
@@ -699,10 +682,10 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
       for (WorkItem& item : batch) {
         if (options_.max_pending_ops > 0 &&
             queue_.size() >= options_.max_pending_ops) {
-          shed.emplace_back(item.op, item.request_id);
+          shed.emplace_back(item.op, item.record.request_id);
           continue;
         }
-        if (options_.stage_metrics) item.stages.Mark(WireStage::kEnqueued);
+        item.record.Mark(RequestStage::kEnqueued);
         queue_.push_back(std::move(item));
         ++enqueued;
         conn.inflight++;
@@ -796,79 +779,11 @@ bool NetServer::FlushWrites(Reactor& r, int fd, Conn& conn) {
 void NetServer::FinalizeFlushed(Conn& conn) {
   while (!conn.pending_flush.empty() &&
          conn.pending_flush.front().end_offset <= conn.bytes_flushed) {
-    StageRecord rec = std::move(conn.pending_flush.front());
+    RequestStamps& record = conn.pending_flush.front().record;
+    record.Mark(RequestStage::kBytesFlushed);
+    FinishRequest(record, record.at(RequestStage::kBytesFlushed),
+                  server_->mutable_slow_ops());
     conn.pending_flush.pop_front();
-    rec.stages.Mark(WireStage::kBytesFlushed);
-
-    auto at = [&rec](WireStage s) { return rec.stages.at(s); };
-    auto span_ns = [&at](WireStage a, WireStage b) -> uint64_t {
-      // A stage pair contributes only when the op crossed both
-      // boundaries in order (clock is monotonic; 0 = never crossed).
-      if (at(a) == 0 || at(b) < at(a)) return 0;
-      return at(b) - at(a);
-    };
-    struct StageSpan {
-      const char* name;  // literal: Tracer::Event stores the pointer
-      Histogram& hist;
-      WireStage from;
-      WireStage to;
-    };
-    const StageSpan kSpans[] = {
-        {"wire.dispatch", shared_->stage_dispatch, WireStage::kDecoded,
-         WireStage::kEnqueued},
-        {"wire.queue_wait", shared_->stage_queue_wait, WireStage::kEnqueued,
-         WireStage::kWorkerStart},
-        {"wire.execute", shared_->stage_execute, WireStage::kWorkerStart,
-         WireStage::kExecuteDone},
-        {"wire.commit_wait", shared_->stage_commit_wait,
-         WireStage::kCommitEnqueued, WireStage::kCommitDurable},
-        {"wire.completion", shared_->stage_completion,
-         WireStage::kExecuteDone, WireStage::kResponseQueued},
-        {"wire.write_back", shared_->stage_write_back,
-         WireStage::kResponseQueued, WireStage::kBytesFlushed},
-        {"wire.total", shared_->stage_total, WireStage::kDecoded,
-         WireStage::kBytesFlushed},
-    };
-
-    SlowOpLog* log = server_->mutable_slow_ops();
-    // Only pay for the SlowOp's strings and span vector when the request
-    // is slow enough to displace something in the ring — at tens of
-    // thousands of ops/s, building a discarded record for every request
-    // is measurable reactor-thread overhead. The floor is advisory (a
-    // concurrent Record can raise it); Record re-checks under the mutex.
-    uint64_t total_ns = span_ns(WireStage::kDecoded, WireStage::kBytesFlushed);
-    const bool offer = log != nullptr && total_ns >= log->retention_floor_ns();
-    SlowOp op;
-    for (const StageSpan& span : kSpans) {
-      if (at(span.from) == 0 || at(span.to) == 0) continue;
-      uint64_t dur = span_ns(span.from, span.to);
-      span.hist.Observe(dur);
-      if (offer) {
-        Tracer::Event event;
-        event.name = span.name;
-        event.tid = 0;
-        event.start_ns = at(span.from);
-        event.dur_ns = dur;
-        event.op_id = rec.request_id;
-        op.spans.push_back(event);
-      }
-    }
-    if (!offer) continue;
-    // Offer the request to the slow-op ring: the keep-the-slowest policy
-    // and its min-duration floor decide retention, so /slowz explains
-    // tail wire requests with their full stage breakdown.
-    op.op = WireOpName(rec.op);
-    op.target = "wire request " + std::to_string(rec.request_id);
-    op.outcome = WireOutcomeName(rec.code);
-    op.wire_request_id = rec.request_id;
-    op.duration_ns = total_ns;
-    uint64_t now_unix_ms = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-    uint64_t dur_ms = op.duration_ns / 1000000;
-    op.start_unix_ms = now_unix_ms > dur_ms ? now_unix_ms - dur_ms : 0;
-    log->Record(std::move(op));
   }
 }
 
@@ -942,16 +857,9 @@ void NetServer::DrainCompletions(Reactor& r) {
     conn.out_bytes += completion.bytes.size();
     conn.out_frames.push_back(std::move(completion.bytes));
     if (conn.out_bytes > conn.out_hwm) conn.out_hwm = conn.out_bytes;
-    if (options_.stage_metrics) {
-      completion.stages.Mark(WireStage::kResponseQueued);
-      StageRecord rec;
-      rec.end_offset = conn.bytes_queued;
-      rec.op = completion.op;
-      rec.request_id = completion.request_id;
-      rec.code = completion.code;
-      rec.stages = completion.stages;
-      conn.pending_flush.push_back(std::move(rec));
-    }
+    completion.record.Mark(RequestStage::kResponseQueued);
+    conn.pending_flush.push_back(
+        StageRecord{conn.bytes_queued, std::move(completion.record)});
     if (completion.code == WireCode::kProtocolError) {
       // A worker-detected protocol error (e.g. a malformed pagination
       // cookie): flush the error frame, then close.
@@ -997,32 +905,24 @@ void NetServer::WorkerLoop() {
       queue_.pop_front();
       shared_->g_queue_depth.Set(static_cast<int64_t>(queue_.size()));
     }
+    item.record.Mark(RequestStage::kWorkerStart);
     WireResponse response;
-    if (options_.stage_metrics) {
-      item.stages.Mark(WireStage::kWorkerStart);
-      // The scope lets the layers below (admission verdict, group-commit
-      // enqueue, WAL durability) stamp this request without plumbing.
-      WireStageScope scope(&item.stages);
-      response = Execute(item);
-      item.stages.Mark(WireStage::kExecuteDone);
-    } else {
+    {
+      // The scope lets the layers below (admission, the commit skeleton,
+      // group-commit enqueue, WAL durability) stamp this request and the
+      // DirectoryServer op annotate it, without plumbing.
+      RequestScope scope(&item.record);
       response = Execute(item);
     }
-    if (response.ok()) {
-      shared_->ops_ok.fetch_add(1, std::memory_order_relaxed);
-      shared_->m_ops_ok.Increment();
-    } else {
-      shared_->ops_rejected.fetch_add(1, std::memory_order_relaxed);
-      shared_->m_ops_rejected.Increment();
-    }
+    item.record.Mark(RequestStage::kExecuteDone);
+    item.record.outcome = WireOutcomeName(response.code);
+    shared_->CountOutcome(response.ok());
     Completion completion;
     completion.fd = item.fd;
     completion.gen = item.gen;
     completion.bytes = EncodeResponseFrame(response);
-    completion.op = item.op;
-    completion.request_id = item.request_id;
     completion.code = response.code;
-    completion.stages = item.stages;
+    completion.record = std::move(item.record);
     PostCompletion(item.reactor, std::move(completion));
   }
 }
@@ -1040,7 +940,7 @@ void NetServer::PostCompletion(size_t reactor, Completion completion) {
 WireResponse NetServer::Execute(const WorkItem& item) {
   WireResponse response;
   response.op = item.op;
-  response.request_id = item.request_id;
+  response.request_id = item.record.request_id;
 
   auto fail = [&](const Status& status) {
     response.code = WireCodeFromStatus(status);
@@ -1062,7 +962,7 @@ WireResponse NetServer::Execute(const WorkItem& item) {
       if (!snap) {
         return fail(Status::Internal("MVCC snapshots are not enabled"));
       }
-      WireStageScope::MarkCurrent(WireStage::kSnapshotPinned);
+      RequestScope::MarkCurrent(RequestStage::kSnapshotPinned);
       auto hits =
           SnapshotSearch(*snap, server_->vocab(), *base, *scope, *filter);
       if (!hits.ok()) return fail(hits.status());
@@ -1114,7 +1014,7 @@ WireResponse NetServer::Execute(const WorkItem& item) {
       if (!snap) {
         return fail(Status::Internal("MVCC snapshots are not enabled"));
       }
-      WireStageScope::MarkCurrent(WireStage::kSnapshotPinned);
+      RequestScope::MarkCurrent(RequestStage::kSnapshotPinned);
       LegalityChecker checker(server_->schema(),
                               server_->check_options());
       PutU8(response.body, checker.CheckStructure(*snap) ? 1 : 0);
@@ -1132,7 +1032,7 @@ WireResponse NetServer::Execute(const WorkItem& item) {
 WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
   WireResponse response;
   response.op = item.op;
-  response.request_id = item.request_id;
+  response.request_id = item.record.request_id;
   auto fail = [&](const Status& status) {
     response.code = WireCodeFromStatus(status);
     response.retryable = status.retryable();
@@ -1166,7 +1066,7 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
     if (!pinned) {
       return fail(Status::Internal("MVCC snapshots are not enabled"));
     }
-    WireStageScope::MarkCurrent(WireStage::kSnapshotPinned);
+    RequestScope::MarkCurrent(RequestStage::kSnapshotPinned);
     // Copy the snapshot by value and release the pin immediately: the
     // copy retains exactly this version's COW state through refcounts,
     // while a pin held across pages (worse, across client think time)

@@ -68,14 +68,6 @@ struct NetServerOptions {
   /// Per-frame payload cap (see wire.h); larger declared lengths are
   /// protocol errors that close the connection.
   size_t max_frame_payload = kMaxFramePayload;
-
-  /// Stage-level request observability (DESIGN.md §13): stamp every
-  /// dispatched request at each pipeline boundary, record per-stage
-  /// log-linear histograms (ldapbound_wire_stage_ns{stage=...}) and feed
-  /// slow wire requests — request_id plus full stage breakdown — into
-  /// the DirectoryServer's slow-op ring. Off = the A/B baseline for the
-  /// overhead budget in EXPERIMENTS.md.
-  bool stage_metrics = true;
 };
 
 /// Async wire-level front end for a DirectoryServer (DESIGN.md §12/§15):
@@ -161,14 +153,11 @@ class NetServer {
 
   /// A dispatched response waiting for its bytes to clear the socket:
   /// once the connection's flushed-byte counter passes `end_offset`, the
-  /// request's kBytesFlushed stamp lands and the record finalizes into
-  /// the stage histograms (and, when slow, the slow-op ring).
+  /// request's kBytesFlushed stamp lands and its record is finished
+  /// (FinishRequest: stage histograms, slow-op ring, trace).
   struct StageRecord {
     uint64_t end_offset = 0;  ///< conn bytes_queued after this response
-    WireOp op = WireOp::kPing;
-    uint64_t request_id = 0;
-    WireCode code = WireCode::kOk;
-    WireStageStamps stages;
+    RequestStamps record;
   };
 
   struct Conn {
@@ -194,19 +183,16 @@ class NetServer {
     int fd = -1;
     uint64_t gen = 0;
     WireOp op = WireOp::kPing;
-    uint64_t request_id = 0;
     std::string body;
-    WireStageStamps stages;
+    RequestStamps record;  ///< carries the request id
   };
 
   struct Completion {
     int fd = -1;
     uint64_t gen = 0;
     std::string bytes;
-    WireOp op = WireOp::kPing;
-    uint64_t request_id = 0;
     WireCode code = WireCode::kOk;
-    WireStageStamps stages;
+    RequestStamps record;
   };
 
   /// One reactor shard: its listener, its epoll/eventfd, its
@@ -263,8 +249,8 @@ class NetServer {
   void QueueResponse(Reactor& r, Conn& conn, const WireResponse& response);
 
   /// Retires every pending_flush record whose bytes have cleared the
-  /// socket: stamps kBytesFlushed, observes the per-stage histograms and
-  /// offers slow requests to the server's slow-op ring (reactor thread).
+  /// socket: stamps kBytesFlushed and finishes the record (reactor
+  /// thread).
   void FinalizeFlushed(Conn& conn);
 
   /// Executes one request against the DirectoryServer (worker threads).

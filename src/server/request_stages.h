@@ -3,75 +3,108 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "util/trace.h"
 
 namespace ldapbound {
 
-/// The wire path's stage model (DESIGN.md §13): every dispatched request
-/// is stamped with a monotonic timestamp as it crosses each boundary, so
-/// a tail latency decomposes into queue wait, execution, durability wait
-/// and write-back instead of one opaque client-side number.
+class SlowOpLog;
+
+/// The request stage model (DESIGN.md §13), the only per-request timing
+/// source: every request — a wire request or a library call — carries
+/// one record, stamped as it crosses each boundary. A wire request
+/// crosses
 ///
 ///   reactor            worker                 reactor
 ///   kDecoded ──► kEnqueued ──► kWorkerStart ──► kExecuteDone ──►
 ///     kResponseQueued ──► kBytesFlushed
 ///
-/// with the worker's execution window refined by whichever of these the
-/// op crosses: kSnapshotPinned (reads), kAdmitted (writes, admission
-/// verdict), kCommitEnqueued / kCommitDurable (writes, WAL durability).
-enum class WireStage : uint8_t {
-  kDecoded = 0,      ///< reactor: frame parsed out of the read buffer
-  kEnqueued,         ///< reactor: pushed onto the dispatch queue
-  kWorkerStart,      ///< worker: popped from the dispatch queue
-  kAdmitted,         ///< directory server: admission verdict (writes)
-  kSnapshotPinned,   ///< worker: MVCC snapshot pinned (reads)
-  kCommitEnqueued,   ///< group-commit enqueue
-  kCommitDurable,    ///< WAL durability reached (fsync acknowledged)
-  kExecuteDone,      ///< worker: Execute returned
-  kResponseQueued,   ///< reactor: response appended to the conn buffer
-  kBytesFlushed,     ///< reactor: the response's last byte hit the socket
+/// and the execution window (a library call's whole life) is refined by
+/// whichever of these the op crosses: kSnapshotPinned (reads), and for
+/// writes kAdmitted ──► kLocked ──► kBodyDone ──► kPublished ──►
+/// kCommitEnqueued ──► kCommitDurable.
+enum class RequestStage : uint8_t {
+  kDecoded = 0,     ///< reactor: frame parsed out of the read buffer
+  kEnqueued,        ///< reactor: pushed onto the dispatch queue
+  kWorkerStart,     ///< worker: popped from the dispatch queue
+  kAdmitted,        ///< write: admission verdict
+  kLocked,          ///< write: write mutex acquired
+  kBodyDone,        ///< write: body returned (applied and checked, or
+                    ///< refused and undone)
+  kPublished,       ///< write: MVCC snapshot published
+  kSnapshotPinned,  ///< read: MVCC snapshot pinned
+  kCommitEnqueued,  ///< write: group-commit enqueue
+  kCommitDurable,   ///< write: WAL durability reached (fsync acknowledged)
+  kExecuteDone,     ///< worker: Execute returned
+  kResponseQueued,  ///< reactor: response appended to the conn buffer
+  kBytesFlushed,    ///< reactor: the response's last byte hit the socket
   kCount
 };
 
-constexpr size_t kWireStageCount = static_cast<size_t>(WireStage::kCount);
+constexpr size_t kRequestStageCount =
+    static_cast<size_t>(RequestStage::kCount);
 
-/// One request's stamps, in Tracer::NowNs() time (the trace-span
-/// timebase, so synthesized stage spans and checker spans line up in the
-/// same slow-op record). 0 = the request never crossed that boundary.
-struct WireStageStamps {
-  uint64_t ns[kWireStageCount] = {};
+/// One request's record. Stamps are in Tracer::NowNs() time, so stage
+/// and checker spans line up in one Chrome trace; 0 = never crossed. The
+/// wire path fills `request_id`, `op` and `outcome`; the outermost
+/// DirectoryServer op the request runs fills the annotation.
+struct RequestStamps {
+  uint64_t ns[kRequestStageCount] = {};
+  uint64_t request_id = 0;       ///< wire request id; 0 for library calls
+  const char* op = nullptr;      ///< "wire.add", "add", ...: a literal
+  const char* outcome = "error"; ///< "ok", "rejected", "error": a literal
 
-  void Mark(WireStage stage) {
+  // The annotation of the outermost DirectoryServer op.
+  uint64_t op_start_ns = 0;  ///< the op's entry stamp; 0 = not annotated
+  uint64_t op_id = 0;        ///< slow-op / JSON op-log id; 0 = none drawn
+  std::string target;        ///< DN / request summary
+  std::string detail;        ///< refusal message (truncated)
+  std::string explain;       ///< per-violation "detected by" lines
+
+  void Mark(RequestStage stage) {
     ns[static_cast<size_t>(stage)] = Tracer::NowNs();
   }
-  uint64_t at(WireStage stage) const {
+  uint64_t at(RequestStage stage) const {
     return ns[static_cast<size_t>(stage)];
   }
 };
 
-/// Lets layers below the worker loop (directory_server admission and WAL
-/// durability, group_commit enqueue) stamp the wire request currently
-/// executing on this thread without threading a parameter through every
-/// signature. The worker installs a scope around Execute; MarkCurrent is
-/// a no-op on threads with no live scope (CLI ops, tests, recovery).
-class WireStageScope {
+/// The record of the request executing on this thread, so layers below
+/// the worker loop (admission, the commit skeleton, group-commit enqueue,
+/// WAL durability) stamp it and the DirectoryServer op annotates it
+/// without a parameter on every signature. The wire worker installs a
+/// scope around Execute; the outermost DirectoryServer op installs one
+/// when no record is current (library calls, the CLI, recovery replay).
+class RequestScope {
  public:
-  explicit WireStageScope(WireStageStamps* stamps) : prev_(tls_) {
-    tls_ = stamps;
+  explicit RequestScope(RequestStamps* record) : prev_(tls_) {
+    tls_ = record;
   }
-  ~WireStageScope() { tls_ = prev_; }
-  WireStageScope(const WireStageScope&) = delete;
-  WireStageScope& operator=(const WireStageScope&) = delete;
+  ~RequestScope() { tls_ = prev_; }
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
 
-  static void MarkCurrent(WireStage stage) {
+  /// The calling thread's record, or nullptr.
+  static RequestStamps* current() { return tls_; }
+
+  static void MarkCurrent(RequestStage stage) {
     if (tls_ != nullptr) tls_->Mark(stage);
   }
 
  private:
-  static inline thread_local WireStageStamps* tls_ = nullptr;
-  WireStageStamps* prev_;
+  static inline thread_local RequestStamps* tls_ = nullptr;
+  RequestStamps* prev_;
 };
+
+/// Finishes one request that ended at `end_ns`, the one place a record
+/// becomes numbers: a wire request's stage pairs go into the
+/// ldapbound_wire_stage_ns{stage} histograms; `log` (may be null) counts
+/// the request and, when it is slow enough, retains one SlowOp; while
+/// the tracer is enabled the same spans go into the Chrome trace. A wire
+/// request is finished at kBytesFlushed, a library call at op return.
+void FinishRequest(const RequestStamps& record, uint64_t end_ns,
+                   SlowOpLog* log);
 
 }  // namespace ldapbound
 

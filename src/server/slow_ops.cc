@@ -57,24 +57,30 @@ std::string SlowOp::RenderJson() const {
 
 SlowOpLog::SlowOpLog(size_t capacity, uint64_t min_duration_ns)
     : capacity_(capacity == 0 ? 1 : capacity),
-      min_duration_ns_(min_duration_ns) {}
+      min_duration_ns_(min_duration_ns),
+      floor_ns_(min_duration_ns) {}
 
-void SlowOpLog::Record(SlowOp op) {
+void SlowOpLog::Retain(SlowOp op) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++recorded_;
-  if (op.duration_ns < min_duration_ns_) return;
+  // The floor only moves under this mutex, so here it is exact: a full
+  // log's floor is one more than its fastest op, which the newcomer
+  // therefore evicts. Capacity is small (tens), so linear scans beat
+  // heap bookkeeping.
+  if (op.duration_ns < floor_ns_.load(std::memory_order_relaxed)) return;
+  auto fastest = [this] {
+    return std::min_element(ops_.begin(), ops_.end(),
+                            [](const SlowOp& a, const SlowOp& b) {
+                              return a.duration_ns < b.duration_ns;
+                            });
+  };
   if (ops_.size() < capacity_) {
     ops_.push_back(std::move(op));
-    return;
+  } else {
+    *fastest() = std::move(op);
   }
-  // Evict the fastest retained op if the newcomer is slower. Capacity is
-  // small (tens), so a linear scan beats heap bookkeeping.
-  size_t fastest = 0;
-  for (size_t i = 1; i < ops_.size(); ++i) {
-    if (ops_[i].duration_ns < ops_[fastest].duration_ns) fastest = i;
-  }
-  if (op.duration_ns > ops_[fastest].duration_ns) {
-    ops_[fastest] = std::move(op);
+  if (ops_.size() == capacity_) {
+    floor_ns_.store(std::max(min_duration_ns_, fastest()->duration_ns + 1),
+                    std::memory_order_relaxed);
   }
 }
 
@@ -89,23 +95,6 @@ std::vector<SlowOp> SlowOpLog::Snapshot() const {
     return a.op_id < b.op_id;
   });
   return out;
-}
-
-uint64_t SlowOpLog::retention_floor_ns() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ops_.size() < capacity_) return min_duration_ns_;
-  uint64_t fastest = ops_[0].duration_ns;
-  for (size_t i = 1; i < ops_.size(); ++i) {
-    fastest = std::min(fastest, ops_[i].duration_ns);
-  }
-  // When full, a newcomer is only kept if strictly slower than the
-  // fastest retained op (and past the min-duration gate).
-  return std::max(min_duration_ns_, fastest + 1);
-}
-
-uint64_t SlowOpLog::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recorded_;
 }
 
 std::string SlowOpLog::RenderJson() const {

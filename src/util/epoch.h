@@ -13,8 +13,8 @@ namespace ldapbound {
 
 /// Epoch-based reclamation: the grace-period primitive under the MVCC read
 /// path. A publisher that replaces a shared immutable object (a
-/// DirectorySnapshot, a grown ConcurrentCountTable) cannot free the old
-/// version while a reader may still hold a raw pointer to it; reference
+/// DirectorySnapshot) cannot free the old version while a reader may
+/// still hold a raw pointer to it; reference
 /// counting the pointer itself would put an atomic RMW on a shared cache
 /// line into every read. Instead readers *pin an epoch*:
 ///

@@ -15,9 +15,6 @@ namespace ldapbound {
 
 namespace {
 
-thread_local uint64_t g_current_op_id = 0;
-thread_local SpanCollector* g_span_collector = nullptr;
-
 /// Process-wide mirror of the ring's eviction count, so silent span loss
 /// is visible on /metrics even when nobody reads Tracer::dropped().
 Counter& DroppedSpansCounter() {
@@ -118,22 +115,12 @@ ThreadBuffer& LocalBuffer() {
 
 void AppendJsonEvent(std::string& out, const Tracer::Event& e, bool first) {
   char buf[256];
-  if (e.op_id != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
-                  "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"op_id\":%llu}}",
-                  first ? "" : ",\n", e.name, e.tid,
-                  static_cast<double>(e.start_ns) / 1000.0,
-                  static_cast<double>(e.dur_ns) / 1000.0,
-                  static_cast<unsigned long long>(e.op_id));
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
-                  "\"ts\":%.3f,\"dur\":%.3f}",
-                  first ? "" : ",\n", e.name, e.tid,
-                  static_cast<double>(e.start_ns) / 1000.0,
-                  static_cast<double>(e.dur_ns) / 1000.0);
-  }
+  std::snprintf(buf, sizeof(buf),
+                "%s{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
+                "\"ts\":%.3f,\"dur\":%.3f}",
+                first ? "" : ",\n", e.name, e.tid,
+                static_cast<double>(e.start_ns) / 1000.0,
+                static_cast<double>(e.dur_ns) / 1000.0);
   out += buf;
 }
 
@@ -152,9 +139,8 @@ Tracer& Tracer::Default() {
 }
 
 void Tracer::Record(const char* name, uint64_t start_ns, uint64_t dur_ns) {
-  Event e{name, 0, start_ns, dur_ns, g_current_op_id};
-  if (g_span_collector != nullptr) g_span_collector->Add(e);
   if (!enabled()) return;
+  Event e{name, 0, start_ns, dur_ns};
   ThreadBuffer& buffer = LocalBuffer();
   std::vector<Event> overflow;
   {
@@ -167,22 +153,6 @@ void Tracer::Record(const char* name, uint64_t start_ns, uint64_t dur_ns) {
   }
   PushToRing(std::move(overflow), dropped_);
 }
-
-TraceOpScope::TraceOpScope(uint64_t op_id) : saved_(g_current_op_id) {
-  g_current_op_id = op_id;
-}
-
-TraceOpScope::~TraceOpScope() { g_current_op_id = saved_; }
-
-uint64_t TraceOpScope::current() { return g_current_op_id; }
-
-SpanCollector::SpanCollector() : prev_(g_span_collector) {
-  g_span_collector = this;
-}
-
-SpanCollector::~SpanCollector() { g_span_collector = prev_; }
-
-SpanCollector* SpanCollector::current() { return g_span_collector; }
 
 void Tracer::DrainAllLocked() {
   BufferRegistry& registry = GlobalRegistry();

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ldapbound {
 
@@ -18,12 +17,13 @@ namespace ldapbound {
 /// Perfetto): `ldapbound check --trace-out file.json`.
 ///
 /// Cost model: tracing is off by default and every span site is one
-/// relaxed atomic load plus one thread-local read (the SpanCollector
-/// probe) in that state. Enabled, a span is two steady_clock
-/// reads plus an uncontended per-thread mutex (the owner takes it per
-/// event; an exporter takes it only while draining), so sites on
-/// per-pass/per-query granularity are safe — do not put spans in
-/// per-entry loops.
+/// relaxed atomic load in that state. Enabled, a span is two
+/// steady_clock reads plus an uncontended per-thread mutex (the owner
+/// takes it per event; an exporter takes it only while draining), so
+/// sites on per-pass/per-query granularity are safe — do not put spans
+/// in per-entry loops. Per-request timing is not a span site: a server
+/// request's stage stamps (server/request_stages.h) are recorded here
+/// once, when the request finishes, while tracing is on.
 ///
 /// Span names must be string literals (or otherwise outlive the tracer):
 /// events store the pointer, not a copy.
@@ -34,7 +34,6 @@ class Tracer {
     uint32_t tid;       ///< small per-thread id (not the OS tid)
     uint64_t start_ns;  ///< steady_clock, ns
     uint64_t dur_ns;
-    uint64_t op_id = 0; ///< server operation id (TraceOpScope); 0 = none
   };
 
   /// The process-wide tracer (never destroyed).
@@ -80,56 +79,12 @@ class Tracer {
   std::atomic<uint64_t> dropped_{0};
 };
 
-/// Tags spans recorded by this thread while the scope is alive with a
-/// server operation id, so a trace export (and the slow-op diagnostics) can
-/// attribute checker/evaluator/WAL spans to the operation that ran them.
-/// Scopes nest; the enclosing id is restored on destruction.
-class TraceOpScope {
- public:
-  explicit TraceOpScope(uint64_t op_id);
-  ~TraceOpScope();
-  TraceOpScope(const TraceOpScope&) = delete;
-  TraceOpScope& operator=(const TraceOpScope&) = delete;
-
-  /// The calling thread's current operation id (0 when none).
-  static uint64_t current();
-
- private:
-  uint64_t saved_;
-};
-
-/// Captures every span recorded by THIS thread while alive, independently
-/// of whether the global tracer is enabled — the slow-op diagnostics use
-/// one per tracked operation to retain its span tree. Collectors nest; an
-/// inner collector shadows the outer one (spans go to the innermost).
-class SpanCollector {
- public:
-  SpanCollector();
-  ~SpanCollector();
-  SpanCollector(const SpanCollector&) = delete;
-  SpanCollector& operator=(const SpanCollector&) = delete;
-
-  const std::vector<Tracer::Event>& events() const { return events_; }
-  std::vector<Tracer::Event> TakeEvents() { return std::move(events_); }
-
-  /// The calling thread's innermost live collector, or nullptr.
-  static SpanCollector* current();
-
-  /// Internal (called by Tracer::Record on the owning thread).
-  void Add(const Tracer::Event& event) { events_.push_back(event); }
-
- private:
-  std::vector<Tracer::Event> events_;
-  SpanCollector* prev_;
-};
-
 /// RAII span: captures the start time at construction if tracing is
-/// enabled (or a SpanCollector is active on this thread), records on
-/// destruction. Name must be a string literal.
+/// enabled, records on destruction. Name must be a string literal.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name) {
-    if (Tracer::Default().enabled() || SpanCollector::current() != nullptr) {
+    if (Tracer::Default().enabled()) {
       name_ = name;
       start_ns_ = Tracer::NowNs();
     }

@@ -342,6 +342,25 @@ TEST_F(DirectoryServerTest, SearchStringErrors) {
   EXPECT_FALSE(server_.Search("ou=nowhere", "(uid=*)").ok());
 }
 
+TEST_F(DirectoryServerTest, SearchCountsItsRealOutcome) {
+  // A missing base is a NotFound search: counted as rejected, not as ok,
+  // and not in stats().searches (which counts successful searches).
+  auto series = [](const std::string& outcome) {
+    return MetricRegistry::Default()
+        .GetCounter("ldapbound_server_ops_total",
+                    "DirectoryServer operations by outcome",
+                    "op=\"search\",outcome=\"" + outcome + "\"")
+        .Value();
+  };
+  const uint64_t ok_before = series("ok");
+  const uint64_t rejected_before = series("rejected");
+  EXPECT_EQ(server_.Search("ou=nowhere", "(uid=*)").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(series("rejected"), rejected_before + 1);
+  EXPECT_EQ(series("ok"), ok_before);
+  EXPECT_EQ(server_.stats().searches, 0u);
+}
+
 TEST_F(DirectoryServerTest, StatsAreASnapshot) {
   DirectoryServer::Stats before = server_.stats();
   ASSERT_TRUE(server_.Search("", "(uid=ada)").ok());

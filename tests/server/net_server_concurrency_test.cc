@@ -2,9 +2,10 @@
 // under TSan via the `concurrency` ctest label, and under ASan in the
 // sanitizer sweep): slow byte-at-a-time clients, half-closed
 // connections, a disconnect storm racing in-flight responses, and
-// overload sheds at the dispatch bound. The invariants: the process
-// never dies (no SIGPIPE, no data race), every shed is retryable, and
-// the directory is exactly consistent afterwards.
+// overload sheds at the dispatch bound, and monitor scrapes racing the
+// requests' slow-op records. The invariants: the process never dies (no
+// SIGPIPE, no data race), every shed is retryable, and the directory is
+// exactly consistent afterwards.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "server/directory_server.h"
+#include "server/monitor.h"
 #include "server/net_server.h"
 #include "server/wal.h"
 #include "server/wire.h"
@@ -90,6 +93,51 @@ bool ReadResponse(int fd, std::string& buffer, WireResponse* out) {
     if (n <= 0) return false;
     buffer.append(buf, static_cast<size_t>(n));
   }
+}
+
+/// One HTTP GET against the monitor: the whole response, "" when the
+/// connection fails.
+std::string HttpGet(uint16_t port, const std::string& path) {
+  int fd = Connect(port);
+  if (fd < 0) return "";
+  std::string request = "GET " + path + " HTTP/1.1\r\n\r\n";
+  std::string response;
+  if (SendAll(fd, request)) {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+      response.append(buf, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+/// True when `json` is one balanced JSON value: every bracket outside a
+/// string literal closes in order.
+bool BalancedJson(std::string_view json) {
+  std::string open;
+  bool in_string = false;
+  bool escaped = false;
+  for (char c : json) {
+    if (in_string) {
+      if (escaped) {
+        escaped = false;
+      } else if (c == '\\') {
+        escaped = true;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      open.push_back(c == '{' ? '}' : ']');
+    } else if (c == '}' || c == ']') {
+      if (open.empty() || open.back() != c) return false;
+      open.pop_back();
+    }
+  }
+  return !json.empty() && !in_string && open.empty();
 }
 
 class NetServerConcurrencyTest : public ::testing::Test {
@@ -482,6 +530,115 @@ TEST_F(NetServerConcurrencyTest, PagedReadsRaceGroupCommitWriters) {
   EXPECT_GE(scans.load(), 3u);
   EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
   EXPECT_EQ(net_->stats().reactors, 2u);
+}
+
+// One record per request under load: two clients commit wire adds and
+// deletes through a batching WAL — every fourth add refused by the
+// schema — while two threads scrape /slowz and /metrics. Every scrape
+// answers 200 (/slowz with a balanced body), and the slow-op ring holds
+// exactly one record per request, each carrying its wire request id.
+TEST_F(NetServerConcurrencyTest, SlowOpRecordsRaceWireWritesAndScrapes) {
+  const std::string wal_dir =
+      ::testing::TempDir() + "ldapbound_net_slowz_race";
+  std::filesystem::remove_all(wal_dir);
+  WalOptions wal_options;
+  wal_options.group_commit_max_batch = 4;
+  ASSERT_TRUE(server_.EnableWal(wal_dir, wal_options).ok());
+  server_.EnableSlowOps(/*capacity=*/256);  // room for every record
+  StartNet();
+  auto monitor = MonitorServer::Start(&server_);
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+  const uint16_t monitor_port = (*monitor)->port();
+
+  constexpr int kClients = 2;
+  constexpr int kRounds = 24;  // every fourth add is refused
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> requests{0};
+  std::atomic<uint64_t> refused{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      int fd = Connect(net_->port());
+      if (fd < 0) {
+        failures.fetch_add(1);
+        return;
+      }
+      std::string buffer;
+      WireResponse response;
+      uint64_t id = 1;
+      auto call = [&](const std::string& frame) {
+        requests.fetch_add(1);
+        return SendAll(fd, frame) && ReadResponse(fd, buffer, &response);
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        std::string uid = "c" + std::to_string(c) + "r" + std::to_string(round);
+        std::string dn = "uid=" + uid + ",ou=load";
+        const bool illegal = round % 4 == 3;  // a person without its name
+        std::vector<std::pair<std::string, std::string>> values = {
+            {"uid", uid}};
+        if (!illegal) values.emplace_back("name", uid);
+        if (!call(EncodeAddRequest(id++, dn, {"top", "person"}, values))) {
+          failures.fetch_add(1);
+          break;
+        }
+        if (illegal) {
+          if (response.ok()) failures.fetch_add(1);
+          refused.fetch_add(1);
+          continue;
+        }
+        if (!response.ok() || !call(EncodeDeleteRequest(id++, dn)) ||
+            !response.ok()) {
+          failures.fetch_add(1);
+          break;
+        }
+      }
+      ::close(fd);
+    });
+  }
+  std::atomic<bool> clients_done{false};
+  std::atomic<int> scrape_failures{0};
+  std::vector<std::thread> scrapers;
+  for (std::string path : {"/slowz", "/metrics"}) {
+    scrapers.emplace_back([&, path] {
+      do {
+        std::string response = HttpGet(monitor_port, path);
+        size_t body = response.find("\r\n\r\n");
+        if (response.find("HTTP/1.1 200 OK") != 0 ||
+            body == std::string::npos ||
+            (path == "/slowz" &&
+             !BalancedJson(std::string_view(response).substr(body + 4)))) {
+          scrape_failures.fetch_add(1);
+        }
+      } while (!clients_done.load());
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  clients_done.store(true);
+  for (std::thread& t : scrapers) t.join();
+  (*monitor)->Stop();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(scrape_failures.load(), 0);
+  EXPECT_EQ(refused.load(), static_cast<uint64_t>(kClients * kRounds / 4));
+  // A wire record is finished once its response is flushed, a hair after
+  // the client read it; wait for the last ones.
+  const SlowOpLog& log = *server_.slow_ops();
+  for (int i = 0; i < 400 && log.recorded() < requests.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(log.recorded(), requests.load());
+  std::vector<SlowOp> ops = log.Snapshot();
+  EXPECT_EQ(ops.size(), requests.load());
+  uint64_t rejected = 0;
+  for (const SlowOp& op : ops) {
+    EXPECT_NE(op.wire_request_id, 0u) << op.op << " " << op.target;
+    if (op.outcome == "rejected") {
+      ++rejected;
+      EXPECT_FALSE(op.detail.empty()) << op.target;
+    }
+  }
+  EXPECT_EQ(rejected, refused.load());
+  EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -386,10 +387,10 @@ TEST_F(NetServerTest, StopDrainsAndReleasesThePort) {
   }
 }
 
-/// Wire records in the slow-op log (the ones the stage pipeline feeds)
-/// carry a nonzero wire_request_id; directory-level OpTracker records
-/// do not. Polls because finalization runs on the reactor thread a hair
-/// after the client reads its response bytes.
+/// Wire requests' records in the slow-op log carry a nonzero
+/// wire_request_id; library calls' records do not. Polls because a wire
+/// record is finished on the reactor thread a hair after the client
+/// reads its response bytes.
 std::vector<SlowOp> WaitForWireRecords(const SlowOpLog* log, size_t want) {
   for (int i = 0; i < 200; ++i) {
     std::vector<SlowOp> wire;
@@ -455,7 +456,6 @@ TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
       EXPECT_LE(span->start_ns + span->dur_ns,
                 total->start_ns + total->dur_ns)
           << name;
-      EXPECT_EQ(span->op_id, id) << name;
       prev_start = span->start_ns;
     }
     // No WAL on this server, so the durability stamps never fire and
@@ -475,21 +475,97 @@ TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
   EXPECT_GE(net_->stats().ops_ok, 4u);
 }
 
-TEST_F(NetServerTest, StageMetricsOptOutProducesNoWireRecords) {
+// A durable wire add is one request with one record: the wire pipeline
+// and the commit skeleton's stamps land in the same /slowz entry, which
+// the DirectoryServer op annotated with its DN and outcome.
+TEST_F(NetServerTest, DurableWireAddIsOneRecordWithCommitStages) {
+  const std::string dir = ::testing::TempDir() + "ldapbound_net_one_record";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(server_.EnableWal(dir).ok());  // group-commit batch 1
   server_.EnableSlowOps(/*capacity=*/64, /*min_duration_ns=*/0);
-  NetServerOptions options;
-  options.stage_metrics = false;
-  StartNet(options);
+  StartNet();
   WireClient client(net_->port());
   ASSERT_TRUE(client.connected());
-  auto response = client.Call(EncodeSearchRequest(9, "ou=load", 2, ""));
-  ASSERT_TRUE(response.ok() && response->ok());
-  // Serving works identically; the stage pipeline just never produces
-  // a wire record (brief grace so a hypothetical one could finalize).
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  for (const SlowOp& op : server_.slow_ops()->Snapshot()) {
-    EXPECT_EQ(op.wire_request_id, 0u) << op.op;
+  auto response = client.Call(EncodeAddRequest(
+      7, "uid=d0,ou=load", {"top", "person"},
+      {{"uid", "d0"}, {"name", "durable zero"}}));
+  ASSERT_TRUE(response.ok() && response->ok()) << response->message;
+
+  std::vector<SlowOp> wire = WaitForWireRecords(server_.slow_ops(), 1);
+  ASSERT_EQ(wire.size(), 1u);
+  EXPECT_EQ(server_.slow_ops()->Snapshot().size(), 1u);
+  const SlowOp& op = wire[0];
+  EXPECT_EQ(op.wire_request_id, 7u);
+  EXPECT_EQ(op.op, "wire.add");
+  EXPECT_EQ(op.target, "uid=d0,ou=load");
+  EXPECT_EQ(op.outcome, "ok");
+  EXPECT_GT(op.op_id, 0u);
+
+  // Lock wait, validation, publish and the durability wait, in stamp
+  // order, each inside wire.total.
+  const Tracer::Event* total = FindSpan(op, "wire.total");
+  ASSERT_NE(total, nullptr);
+  uint64_t prev_end = total->start_ns;
+  for (const char* name : {"commit.lock_wait", "commit.validate",
+                           "commit.publish", "wire.commit_wait"}) {
+    const Tracer::Event* span = FindSpan(op, name);
+    ASSERT_NE(span, nullptr) << name;
+    EXPECT_GE(span->start_ns, prev_end) << name;
+    EXPECT_LE(span->start_ns + span->dur_ns,
+              total->start_ns + total->dur_ns)
+        << name;
+    prev_end = span->start_ns + span->dur_ns;
   }
+}
+
+// A schema-refused wire add: its one record carries the request id and
+// what the DirectoryServer op knew — the DN and the refusal.
+TEST_F(NetServerTest, RefusedWireAddIsOneRecordWithDnAndDetail) {
+  server_.EnableSlowOps(/*capacity=*/64, /*min_duration_ns=*/0);
+  StartNet();
+  WireClient client(net_->port());
+  ASSERT_TRUE(client.connected());
+  // A person without its required name.
+  auto response = client.Call(EncodeAddRequest(
+      8, "uid=r0,ou=load", {"top", "person"}, {{"uid", "r0"}}));
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE(response->ok());
+
+  std::vector<SlowOp> wire = WaitForWireRecords(server_.slow_ops(), 1);
+  ASSERT_EQ(wire.size(), 1u);
+  EXPECT_EQ(server_.slow_ops()->Snapshot().size(), 1u);
+  const SlowOp& op = wire[0];
+  EXPECT_EQ(op.wire_request_id, 8u);
+  EXPECT_EQ(op.op, "wire.add");
+  EXPECT_EQ(op.target, "uid=r0,ou=load");
+  EXPECT_EQ(op.outcome, "rejected");
+  EXPECT_FALSE(op.detail.empty());
+  // Refused inside the body: the lock was taken and the body undone,
+  // nothing was published or logged.
+  EXPECT_NE(FindSpan(op, "commit.validate"), nullptr);
+  EXPECT_EQ(FindSpan(op, "commit.publish"), nullptr);
+  std::string json = server_.slow_ops()->RenderJson();
+  EXPECT_NE(json.find("\"request_id\":8"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"detail\":"), std::string::npos) << json;
+}
+
+// Pings answer inline on the reactor; they count as ok in stats() and on
+// /metrics alike, so /statusz and /metrics agree.
+TEST_F(NetServerTest, InlinePingsCountInStatsAndMetrics) {
+  StartNet();
+  Counter& ok_metric = MetricRegistry::Default().GetCounter(
+      "ldapbound_net_ops_total", "Wire requests executed, by outcome",
+      "outcome=\"ok\"");
+  const uint64_t stats_before = net_->stats().ops_ok;
+  const uint64_t metric_before = ok_metric.Value();
+  WireClient client(net_->port());
+  ASSERT_TRUE(client.connected());
+  constexpr uint64_t kPings = 10;
+  for (uint64_t i = 1; i <= kPings; ++i) {
+    ASSERT_TRUE(client.Call(EncodePingRequest(i)).ok());
+  }
+  EXPECT_EQ(net_->stats().ops_ok - stats_before, kPings);
+  EXPECT_EQ(ok_metric.Value() - metric_before, kPings);
 }
 
 TEST_F(NetServerTest, SearchEntriesReturnsFullPayloadsWithDns) {

@@ -58,7 +58,7 @@ TEST(SlowOpLogTest, RenderJsonEscapesAndNests) {
   SlowOp op = MakeOp(1, 5000);
   op.target = "uid=\"quoted\"";
   op.detail = "line1\nline2";
-  op.spans.push_back(Tracer::Event{"server.apply", 0, 10, 20, 1});
+  op.spans.push_back(Tracer::Event{"commit.validate", 0, 10, 20});
   log.Record(std::move(op));
   std::string json = log.RenderJson();
   EXPECT_NE(json.find("\"capacity\":2"), std::string::npos) << json;
@@ -66,7 +66,7 @@ TEST(SlowOpLogTest, RenderJsonEscapesAndNests) {
   EXPECT_NE(json.find("\"target\":\"uid=\\\"quoted\\\"\""),
             std::string::npos);
   EXPECT_NE(json.find("\"detail\":\"line1\\nline2\""), std::string::npos);
-  EXPECT_NE(json.find("\"spans\":[{\"name\":\"server.apply\","
+  EXPECT_NE(json.find("\"spans\":[{\"name\":\"commit.validate\","
                       "\"start_ns\":10,\"dur_ns\":20}]"),
             std::string::npos)
       << json;
@@ -127,6 +127,13 @@ EntrySpec PersonSpec(const std::string& name) {
   return spec;
 }
 
+const Tracer::Event* FindSpan(const SlowOp& op, const std::string& name) {
+  for (const Tracer::Event& span : op.spans) {
+    if (name == span.name) return &span;
+  }
+  return nullptr;
+}
+
 TEST(ServerSlowOpsTest, OperationsAreRecordedWithSpansAndOutcomes) {
   auto server = MakeServer();
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -141,20 +148,33 @@ TEST(ServerSlowOpsTest, OperationsAreRecordedWithSpansAndOutcomes) {
   ASSERT_FALSE(server->Add(Dn("name=ghost"), bad).ok());
 
   std::vector<SlowOp> ops = server->slow_ops()->Snapshot();
-  ASSERT_EQ(ops.size(), 2u);  // Add delegates to Apply: tracked ONCE each
+  ASSERT_EQ(ops.size(), 2u);  // Add delegates to Apply: recorded ONCE each
 
   bool saw_ok = false, saw_rejected = false;
   for (const SlowOp& op : ops) {
+    SCOPED_TRACE(op.outcome);
     EXPECT_EQ(op.op, "add");
     EXPECT_GT(op.op_id, 0u);
     EXPECT_GT(op.duration_ns, 0u);
-    // The calling thread's spans were captured (at least server.apply).
-    bool has_apply_span = false;
-    for (const Tracer::Event& e : op.spans) {
-      if (std::string(e.name) == "server.apply") has_apply_span = true;
-      EXPECT_EQ(e.op_id, op.op_id);
+    EXPECT_EQ(op.wire_request_id, 0u);  // a library call
+    // The commit skeleton's stamps: the write-mutex wait, then the body
+    // (apply + Figure-5 check, or refusal + undo), each inside the op.
+    const Tracer::Event* whole = FindSpan(op, "add");
+    const Tracer::Event* lock_wait = FindSpan(op, "commit.lock_wait");
+    const Tracer::Event* validate = FindSpan(op, "commit.validate");
+    ASSERT_NE(whole, nullptr);
+    ASSERT_NE(lock_wait, nullptr);
+    ASSERT_NE(validate, nullptr);
+    EXPECT_EQ(whole->dur_ns, op.duration_ns);
+    EXPECT_LE(lock_wait->start_ns + lock_wait->dur_ns, validate->start_ns);
+    for (const Tracer::Event* span : {lock_wait, validate}) {
+      EXPECT_GE(span->start_ns, whole->start_ns);
+      EXPECT_LE(span->start_ns + span->dur_ns,
+                whole->start_ns + whole->dur_ns);
     }
-    EXPECT_TRUE(has_apply_span) << op.op << " " << op.target;
+    // No WAL, so no durability wait; only a commit publishes.
+    EXPECT_EQ(FindSpan(op, "wire.commit_wait"), nullptr);
+    EXPECT_EQ(FindSpan(op, "commit.publish") != nullptr, op.outcome == "ok");
     if (op.outcome == "ok") saw_ok = true;
     if (op.outcome == "rejected") {
       saw_rejected = true;

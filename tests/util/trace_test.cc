@@ -91,45 +91,6 @@ TEST_F(TraceTest, ManyThreadsRecordConcurrently) {
   EXPECT_EQ(events + dropped, static_cast<size_t>(kThreads) * kSpans);
 }
 
-TEST_F(TraceTest, OpScopeTagsSpansAndNests) {
-  Tracer::Default().Enable();
-  EXPECT_EQ(TraceOpScope::current(), 0u);
-  {
-    TraceOpScope outer(7);
-    EXPECT_EQ(TraceOpScope::current(), 7u);
-    { LDAPBOUND_TRACE_SPAN("tagged.span"); }
-    {
-      TraceOpScope inner(9);
-      EXPECT_EQ(TraceOpScope::current(), 9u);
-    }
-    EXPECT_EQ(TraceOpScope::current(), 7u);
-  }
-  EXPECT_EQ(TraceOpScope::current(), 0u);
-  std::string json = Tracer::Default().ExportChromeTraceJson();
-  EXPECT_NE(json.find("\"op_id\":7"), std::string::npos) << json;
-}
-
-TEST_F(TraceTest, SpanCollectorCapturesWithTracerDisabled) {
-  ASSERT_FALSE(Tracer::Default().enabled());
-  std::vector<Tracer::Event> events;
-  {
-    SpanCollector collector;
-    TraceOpScope op(42);
-    { LDAPBOUND_TRACE_SPAN("collected.inner"); }
-    { LDAPBOUND_TRACE_SPAN("collected.second"); }
-    events = collector.TakeEvents();
-  }
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[0].name, "collected.inner");
-  EXPECT_EQ(events[0].op_id, 42u);
-  EXPECT_STREQ(events[1].name, "collected.second");
-  // Nothing leaked into the (disabled) global tracer.
-  std::string json = Tracer::Default().ExportChromeTraceJson();
-  EXPECT_EQ(json.find("collected.inner"), std::string::npos);
-  // And nothing is captured once the collector is gone.
-  EXPECT_EQ(SpanCollector::current(), nullptr);
-}
-
 TEST_F(TraceTest, DroppedSpansFeedTheMetricCounter) {
   Counter& dropped_total = MetricRegistry::Default().GetCounter(
       "ldapbound_trace_dropped_spans_total",

@@ -15,9 +15,9 @@
 #                                      # --smoke)
 #
 # The build tree defaults to build/; override with BUILD=build-foo.
-# EXTRA_SERVE_ARGS adds flags to the `serve` invocation (the stage-
-# stamping A/B in EXPERIMENTS.md sets "--no-wire-stages
-# --flight-capacity 0").
+# EXTRA_SERVE_ARGS adds flags to the `serve` invocation (CI's durable
+# smoke sets "--wal-dir DIR --trace-out FILE"). On exit the script sends
+# `quit` and allows serve 5 s to drain and write its trace before the kill.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

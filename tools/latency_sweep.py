@@ -24,11 +24,11 @@ committed. The markdown table goes to stdout and, with
 `<!-- latency-sweep:begin -->` / `<!-- latency-sweep:end -->` markers
 in EXPERIMENTS.md.
 
-Extra server flags pass through with --serve-arg (repeatable), which is
-how the stage-stamping A/B is driven:
+Extra server flags pass through with --serve-arg (repeatable), e.g. a
+sweep without the flight recorder:
 
-    tools/latency_sweep.py --smoke --serve-arg --no-wire-stages \
-        --serve-arg --flight-capacity --serve-arg 0
+    tools/latency_sweep.py --smoke --serve-arg --flight-capacity \
+        --serve-arg 0
 
 The build tree defaults to build/; override with --build or BUILD=.
 """

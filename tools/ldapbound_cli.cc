@@ -142,10 +142,6 @@ int Usage() {
                "                       serve: reap idle wire connections "
                "(default 60000,\n"
                "                       0 = never)\n"
-               "  --no-wire-stages     serve: disable stage-level wire "
-               "observability\n"
-               "                       (the A/B baseline for its overhead "
-               "budget)\n"
                "  --flight-interval-ms <ms>\n"
                "                       serve: flight-recorder sampling period "
                "(default 1000)\n"
@@ -443,7 +439,6 @@ struct ServeOptions {
   uint32_t drain_grace_ms = 500;     // Stop() response-flush grace
   uint32_t cursor_idle_ms = 30000;   // paged-cursor reap (0 = never)
   uint32_t idle_timeout_ms = 60000;  // wire idle-connection reap (0 = off)
-  bool wire_stages = true;           // stage-level wire observability
   uint32_t flight_interval_ms = 1000;  // flight-recorder sampling period
   size_t flight_capacity = 300;      // retained samples (0 = recorder off)
 };
@@ -548,7 +543,6 @@ int RunServe(const std::string& schema_path, const std::string& ldif_path,
     net_options.reactors = options.net_reactors;
     net_options.drain_grace_ms = options.drain_grace_ms;
     net_options.cursor_idle_timeout_ms = options.cursor_idle_ms;
-    net_options.stage_metrics = options.wire_stages;
     auto started = NetServer::Start(&*server, net_options);
     if (!started.ok()) return Fail(started.status());
     net = std::move(*started);
@@ -776,8 +770,6 @@ int main(int argc, char** argv) {
       uint_flag(arg, i, UINT32_MAX, &flags.serve.cursor_idle_ms);
     } else if (arg == "--idle-timeout-ms") {
       uint_flag(arg, i, UINT32_MAX, &flags.serve.idle_timeout_ms);
-    } else if (arg == "--no-wire-stages") {
-      flags.serve.wire_stages = false;
     } else if (arg == "--flight-interval-ms") {
       uint_flag(arg, i, UINT32_MAX, &flags.serve.flight_interval_ms);
     } else if (arg == "--flight-capacity") {
