@@ -509,21 +509,26 @@ DirectoryStats Directory::ComputeStats() const {
   DirectoryStats stats;
   stats.num_entries = num_alive_;
   stats.num_roots = roots_.size();
-  const ForestIndex& index = GetIndex();
   size_t depth_sum = 0;
-  ForEachAlive([&](const Entry& e) {
-    uint32_t depth = index.depth(e.id());
+  // Root-first walk: an entry's depth is its parent's plus one.
+  std::vector<std::pair<EntryId, size_t>> stack;
+  for (EntryId root : roots_) stack.emplace_back(root, 0);
+  while (!stack.empty()) {
+    auto [id, depth] = stack.back();
+    stack.pop_back();
+    const Entry& e = entry(id);
     if (depth >= stats.depth_histogram.size()) {
       stats.depth_histogram.resize(depth + 1, 0);
     }
     ++stats.depth_histogram[depth];
     depth_sum += depth;
-    stats.max_depth = std::max<size_t>(stats.max_depth, depth);
+    stats.max_depth = std::max(stats.max_depth, depth);
     stats.max_fanout = std::max(stats.max_fanout, e.children().size());
     if (e.children().empty()) ++stats.num_leaves;
     stats.total_values += e.values().size();
     stats.total_classes += e.classes().size();
-  });
+    for (EntryId child : e.children()) stack.emplace_back(child, depth + 1);
+  }
   stats.avg_depth = num_alive_ == 0
                         ? 0.0
                         : static_cast<double>(depth_sum) /

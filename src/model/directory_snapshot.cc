@@ -43,7 +43,6 @@ EntryId DirectorySnapshot::FindChildByRdn(EntryId parent,
 
 void SnapshotStore::Publish(const DirectorySnapshot* snap) {
   const DirectorySnapshot* old = head_.exchange(snap, std::memory_order_seq_cst);
-  publishes_.fetch_add(1, std::memory_order_relaxed);
   SnapshotMetrics& metrics = SnapshotMetrics::Get();
   metrics.publishes.Increment();
   if (old != nullptr) {

@@ -94,7 +94,7 @@ struct DirectorySnapshot {
   size_t id_capacity = 0;
   size_t num_alive = 0;
 
-  /// Labels / end labels / depth / parents by entry id.
+  /// Labels / end labels / tree links by entry id.
   ForestIndex::LabelViews index;
 
   /// Alive entries at this version.
@@ -254,9 +254,6 @@ class SnapshotStore {
     return PinnedSnapshot(std::move(pin), snap);
   }
 
-  uint64_t publishes() const {
-    return publishes_.load(std::memory_order_relaxed);
-  }
   /// Snapshots retired but not yet reclaimed (grace period pending).
   size_t reclaim_lag() const { return epochs_->retired_pending(); }
   EpochManager& epochs() const { return *epochs_; }
@@ -264,7 +261,6 @@ class SnapshotStore {
  private:
   EpochManager* epochs_;
   std::atomic<const DirectorySnapshot*> head_{nullptr};
-  std::atomic<uint64_t> publishes_{0};
 };
 
 }  // namespace ldapbound

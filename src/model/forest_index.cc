@@ -84,7 +84,6 @@ void ForestIndex::EnsureCapacity(size_t id_capacity) {
   if (labels_.size() < id_capacity) {
     labels_.Resize(id_capacity, kNoLabel);
     end_labels_.Resize(id_capacity, kNoLabel);
-    depth_.Resize(id_capacity, 0);
     links_.Resize(id_capacity, TreeLinks{});
   }
 }
@@ -128,7 +127,6 @@ void ForestIndex::OnErase(EntryId id) {
   if (id >= labels_.size() || labels_[id] == kNoLabel) return;
   labels_.Set(id, kNoLabel);
   end_labels_.Set(id, kNoLabel);
-  depth_.Set(id, 0);
   --num_alive_;
 }
 
@@ -194,7 +192,6 @@ void ForestIndex::Relabel(const Directory& d, EntryId parent) {
     prev = a;
     uint64_t span = end_labels_[a] - labels_[a];
     if (span / kMinSpread >= size) {
-      ++relabels_;
       IndexMetrics::Get().relabels.Increment();
       AssignInterval(d, a, labels_[a], span);
       return;
@@ -204,13 +201,11 @@ void ForestIndex::Relabel(const Directory& d, EntryId parent) {
 }
 
 void ForestIndex::RebuildFromScratch(const Directory& d) {
-  ++full_rebuilds_;
   IndexMetrics::Get().full_rebuilds.Increment();
   EnsureCapacity(d.IdCapacity());
   for (size_t i = 0; i < labels_.size(); ++i) {
     labels_.Set(i, kNoLabel);
     end_labels_.Set(i, kNoLabel);
-    depth_.Set(i, 0);
   }
   num_alive_ = d.NumEntries();
 
@@ -250,8 +245,6 @@ void ForestIndex::AssignInterval(const Directory& d, EntryId root,
     const Entry& e = d.entry(f.id);
     labels_.Set(f.id, f.lo);
     end_labels_.Set(f.id, f.lo + f.width);
-    EntryId parent = e.parent();
-    depth_.Set(f.id, (parent == kInvalidEntryId) ? 0 : depth_[parent] + 1);
     if (e.children().empty()) continue;
 
     // Children get proportional shares of the usable interior minus this
@@ -282,12 +275,11 @@ void ForestIndex::AssignInterval(const Directory& d, EntryId root,
 }
 
 bool ForestIndex::EquivalentToFresh(const Directory& d) const {
-  // A fresh DFS straight off the tree structure: the reference preorder,
-  // subtree ends and depths the incremental state must reproduce.
+  // A fresh DFS straight off the tree structure: the reference preorder
+  // and subtree ends the incremental state must reproduce.
   std::vector<EntryId> expected;
   expected.reserve(d.NumEntries());
   std::vector<size_t> expected_end(d.IdCapacity(), 0);
-  std::vector<uint32_t> expected_depth(d.IdCapacity(), 0);
   struct Frame {
     EntryId id;
     bool exit;
@@ -305,9 +297,6 @@ bool ForestIndex::EquivalentToFresh(const Directory& d) const {
       continue;
     }
     const Entry& e = d.entry(f.id);
-    expected_depth[f.id] = (e.parent() == kInvalidEntryId)
-                               ? 0
-                               : expected_depth[e.parent()] + 1;
     expected.push_back(f.id);
     stack.push_back({f.id, true});
     const std::vector<EntryId>& children = e.children();
@@ -349,7 +338,6 @@ bool ForestIndex::EquivalentToFresh(const Directory& d) const {
     if (!threads(links_[id].first_child, d.entry(id).children())) {
       return false;
     }
-    if (depth(id) != expected_depth[id]) return false;
     EntryId parent = d.entry(id).parent();
     if (parent != kInvalidEntryId &&
         !(labels_[parent] < labels_[id] &&

@@ -46,7 +46,7 @@ class Directory;
 /// its child lists change (add, move, leaf delete), O(1) writes per
 /// commit whatever the fanout.
 ///
-/// The label/depth/link arrays are chunked copy-on-write vectors
+/// The label/link arrays are chunked copy-on-write vectors
 /// (CowVec): FreezeViews() hands an immutable point-in-time view of all
 /// of them (LabelViews) to the MVCC snapshot publisher in O(Δ·chunk).
 /// The query evaluator answers all four hierarchy axes from the parent
@@ -88,7 +88,6 @@ class ForestIndex {
   struct LabelViews {
     CowVec<uint64_t>::View labels;
     CowVec<uint64_t>::View end_labels;
-    CowVec<uint32_t>::View depth;
     CowVec<TreeLinks>::View links;
     EntryId first_root = kInvalidEntryId;
     size_t num_alive = 0;
@@ -99,11 +98,6 @@ class ForestIndex {
   ForestIndex& operator=(const ForestIndex&) = delete;
   ForestIndex(ForestIndex&&) noexcept = default;
   ForestIndex& operator=(ForestIndex&&) noexcept = default;
-
-  /// Root depth 0. Maintained incrementally (never stale).
-  uint32_t depth(EntryId id) const {
-    return id < depth_.size() ? depth_[id] : 0;
-  }
 
   /// Parent of `id`; kInvalidEntryId for roots and out-of-range ids
   /// (dead entries keep a stale parent). O(1), from the tree links.
@@ -138,19 +132,12 @@ class ForestIndex {
   /// publication. Single-writer (called under the commit lock).
   LabelViews FreezeViews() const {
     return LabelViews{labels_.Freeze(), end_labels_.Freeze(),
-                      depth_.Freeze(),  links_.Freeze(),
-                      first_root_,      num_alive_};
+                      links_.Freeze(), first_root_, num_alive_};
   }
-
-  /// Local relabels (redistributions below the forest root) performed so
-  /// far by this instance, and full rebuilds (whole-space
-  /// redistributions).
-  uint64_t relabels() const { return relabels_; }
-  uint64_t full_rebuilds() const { return full_rebuilds_; }
 
   /// Equivalence check against a fresh build: the label order must induce
   /// exactly the DFS preorder of `d`, each label interval must hold
-  /// exactly its subtree, depths must match, and the links must name
+  /// exactly its subtree, and the links must name
   /// every parent and thread every child list and the roots in order.
   /// O(|D|). The property tests run
   /// this after every mutation; the maintenance code uses the same
@@ -197,7 +184,7 @@ class ForestIndex {
   void Relabel(const Directory& d, EntryId parent);
 
   /// Redistributes the interval [lo, lo+width) over the subtree rooted at
-  /// `id` (labels, end labels, depths), children packed into the
+  /// `id` (labels and end labels), children packed into the
   /// first half of the usable space so every entry keeps a growth tail.
   void AssignInterval(const Directory& d, EntryId id, uint64_t lo,
                       uint64_t width);
@@ -209,14 +196,10 @@ class ForestIndex {
   // snapshots instead of copying O(directory) per publish.
   CowVec<uint64_t> labels_;
   CowVec<uint64_t> end_labels_;
-  CowVec<uint32_t> depth_;
   // Tree links, maintained by Link/Unlink independently of the labels.
   CowVec<TreeLinks> links_;
   EntryId first_root_ = kInvalidEntryId;
   size_t num_alive_ = 0;
-  uint64_t relabels_ = 0;
-  uint64_t full_rebuilds_ = 0;
-
 };
 
 }  // namespace ldapbound

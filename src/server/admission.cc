@@ -31,13 +31,11 @@ struct AdmissionMetrics {
 }  // namespace
 
 void AdmissionController::RecordQueuedDeadlineShed() {
-  rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
   AdmissionMetrics::Get().rejected_deadline.Increment();
 }
 
 Status AdmissionController::AdmitWrite(const Deadline& deadline) {
   if (deadline.expired()) {
-    rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
     AdmissionMetrics::Get().rejected_deadline.Increment();
     // Deadline sheds do not feed the overload streak: an expired budget
     // says the *client* is slow or retrying stale work, not that we are.
@@ -48,7 +46,6 @@ Status AdmissionController::AdmitWrite(const Deadline& deadline) {
   if (options_.max_queue_depth > 0 && queue_ != nullptr) {
     const size_t depth = queue_->depth();
     if (depth >= options_.max_queue_depth) {
-      rejected_overload_.fetch_add(1, std::memory_order_relaxed);
       AdmissionMetrics::Get().rejected_overloaded.Increment();
       const uint64_t streak =
           shed_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -62,7 +59,7 @@ Status AdmissionController::AdmitWrite(const Deadline& deadline) {
           " (retry with backoff)");
     }
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
+  AdmissionMetrics::Get().admitted.Increment();
   shed_streak_.store(0, std::memory_order_relaxed);
   return Status::OK();
 }

@@ -19,7 +19,9 @@ class GroupCommitQueue;
 /// cancelled here, before it has done any work.
 ///
 /// All state is relaxed atomics; Admit is called on every write before
-/// the write mutex is taken and must not serialize writers itself.
+/// the write mutex is taken and must not serialize writers itself. Its
+/// verdicts are counted only in the metric registry
+/// (ldapbound_admission_*), which /statusz reads.
 struct AdmissionOptions {
   /// Reject writes while the group-commit queue holds this many commits.
   /// 0 = unbounded (admission control off, the pre-§11 behavior).
@@ -61,16 +63,6 @@ class AdmissionController {
 
   const AdmissionOptions& options() const { return options_; }
 
-  uint64_t admitted() const {
-    return admitted_.load(std::memory_order_relaxed);
-  }
-  uint64_t rejected_overload() const {
-    return rejected_overload_.load(std::memory_order_relaxed);
-  }
-  uint64_t rejected_deadline() const {
-    return rejected_deadline_.load(std::memory_order_relaxed);
-  }
-
   /// Overload rejections since the last admit — the sustained-overload
   /// signal. Reset by any successful admission.
   uint64_t shed_streak() const {
@@ -87,9 +79,6 @@ class AdmissionController {
  private:
   const AdmissionOptions options_;
   GroupCommitQueue* const queue_;
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> rejected_overload_{0};
-  std::atomic<uint64_t> rejected_deadline_{0};
   std::atomic<uint64_t> shed_streak_{0};
   std::atomic<bool> degrade_signal_{false};
 };

@@ -20,10 +20,9 @@
 
 namespace ldapbound {
 
-// Process-wide per-operation mirrors of the per-server StatCounters
-// (ldapbound_server_* families). `rejected` counts every refused call —
-// admission, read-only, an expired deadline, the schema, the WAL — so it
-// can exceed stats().rejected, which counts the schema's refusals only.
+// One operation kind's ldapbound_server_* series, the only count of its
+// outcomes (process-wide, never reset). `rejected` counts every refused
+// call — admission, read-only, an expired deadline, the schema, the WAL.
 struct OpMetrics {
   const char* name;
   Counter& ok;
@@ -180,7 +179,7 @@ DirectoryServer::DirectoryServer(std::shared_ptr<Vocabulary> vocab,
       schema_(std::make_unique<DirectorySchema>(std::move(schema))),
       directory_(std::make_unique<Directory>(vocab_)),
       write_mu_(std::make_unique<std::mutex>()),
-      stats_(std::make_unique<StatCounters>()),
+      atomics_(std::make_unique<Atomics>()),
       health_(std::make_unique<HealthManager>()) {}
 
 Result<DirectoryServer> DirectoryServer::Create(
@@ -204,23 +203,19 @@ Result<DirectoryServer> DirectoryServer::Create(
 Status DirectoryServer::Add(const DistinguishedName& dn, EntrySpec spec,
                             Deadline deadline) {
   OpTracker tracker(GetServerMetrics().add, slow_ops_.get(),
-                    stats_->next_op_id, dn.ToString());
+                    atomics_->next_op_id, dn.ToString());
   UpdateTransaction txn;
   txn.Insert(dn, std::move(spec));
-  Status status = Apply(txn, nullptr, deadline);
-  if (status.ok()) ++stats_->adds;
-  return tracker.Finish(std::move(status));
+  return tracker.Finish(Apply(txn, nullptr, deadline));
 }
 
 Status DirectoryServer::Delete(const DistinguishedName& dn,
                                Deadline deadline) {
   OpTracker tracker(GetServerMetrics().del, slow_ops_.get(),
-                    stats_->next_op_id, dn.ToString());
+                    atomics_->next_op_id, dn.ToString());
   UpdateTransaction txn;
   txn.Delete(dn);
-  Status status = Apply(txn, nullptr, deadline);
-  if (status.ok()) ++stats_->deletes;
-  return tracker.Finish(std::move(status));
+  return tracker.Finish(Apply(txn, nullptr, deadline));
 }
 
 Status DirectoryServer::CheckWritable() const {
@@ -281,7 +276,7 @@ Status DirectoryServer::WalPersist(std::string payload,
     // without touching the log. The recovery probe (EnableResilience)
     // repairs this automatically via a snapshot resync; without it,
     // restart via Recover().
-    stats_->wal_resync_needed.store(true, std::memory_order_release);
+    atomics_->wal_resync_needed.store(true, std::memory_order_release);
     health_->ReportWalFailure(status);
     return Status(status.code(),
                   "write-ahead log append failed (server is now read-only; "
@@ -306,7 +301,7 @@ IncrementalValidator::Options DirectoryServer::ValidatorOptions() const {
 template <typename Body>
 Status DirectoryServer::Write(OpMetrics& op, std::string target,
                               Deadline deadline, Body&& body) {
-  OpTracker tracker(op, slow_ops_.get(), stats_->next_op_id,
+  OpTracker tracker(op, slow_ops_.get(), atomics_->next_op_id,
                     std::move(target));
   std::string explain;
   Status status = [&]() -> Status {
@@ -319,10 +314,7 @@ Status DirectoryServer::Write(OpMetrics& op, std::string target,
     const bool recorded = changelog_ != nullptr || wal_ != nullptr;
     Status applied = body(recorded ? &records : nullptr, &explain);
     RequestScope::MarkCurrent(RequestStage::kBodyDone);
-    if (!applied.ok()) {
-      ++stats_->rejected;
-      return applied;
-    }
+    if (!applied.ok()) return applied;
     // Snapshot readers must see this commit once the call returns OK:
     // publish under the mutex, before the durability wait.
     PublishSnapshotLocked();
@@ -426,7 +418,7 @@ Status DirectoryServer::ApplyOneModification(EntryId id,
 Status DirectoryServer::Modify(const DistinguishedName& dn,
                                const std::vector<Modification>& mods,
                                Deadline deadline) {
-  Status status = Write(
+  return Write(
       GetServerMetrics().modify, dn.ToString(), deadline,
       [&](std::vector<ChangeRecord>* records, std::string* explain) -> Status {
         LDAPBOUND_ASSIGN_OR_RETURN(EntryId id, ResolveDn(*directory_, dn));
@@ -486,14 +478,12 @@ Status DirectoryServer::Modify(const DistinguishedName& dn,
         }
         return Status::OK();
       });
-  if (status.ok()) ++stats_->modifies;
-  return status;
 }
 
 Status DirectoryServer::ModifyDn(const DistinguishedName& dn,
                                  const DistinguishedName& new_parent_dn,
                                  std::string new_rdn, Deadline deadline) {
-  Status status = Write(
+  return Write(
       GetServerMetrics().modify_dn, dn.ToString(), deadline,
       [&](std::vector<ChangeRecord>* records, std::string* explain) -> Status {
         LDAPBOUND_ASSIGN_OR_RETURN(EntryId entry, ResolveDn(*directory_, dn));
@@ -533,20 +523,17 @@ Status DirectoryServer::ModifyDn(const DistinguishedName& dn,
         }
         return Status::OK();
       });
-  if (status.ok()) ++stats_->modifies;
-  return status;
 }
 
 Result<std::vector<EntryId>> DirectoryServer::Search(
     const SearchRequest& request, Deadline deadline) const {
   OpTracker tracker(GetServerMetrics().search, slow_ops_.get(),
-                    stats_->next_op_id, request.base.ToString());
+                    atomics_->next_op_id, request.base.ToString());
   if (deadline.expired()) {
     return tracker.Finish(Status::DeadlineExceeded(
         "search cancelled: deadline expired before the scan started"));
   }
   Result<std::vector<EntryId>> hits = ldapbound::Search(*directory_, request);
-  if (hits.ok()) stats_->searches.fetch_add(1, std::memory_order_relaxed);
   tracker.Finish(hits.status());
   return hits;
 }
@@ -563,7 +550,7 @@ Result<std::vector<EntryId>> DirectoryServer::Search(
 
 Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
   OpTracker tracker(GetServerMetrics().import, slow_ops_.get(),
-                    stats_->next_op_id,
+                    atomics_->next_op_id,
                     "ldif(" + std::to_string(text.size()) + " bytes)");
   std::lock_guard<std::mutex> lock(*write_mu_);
   auto imported = [&]() -> Result<size_t> {
@@ -593,14 +580,13 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
     if (wal_ != nullptr) {
       status = CompactLocked();
       if (!status.ok()) {
-        stats_->wal_resync_needed.store(true, std::memory_order_release);
+        atomics_->wal_resync_needed.store(true, std::memory_order_release);
         health_->ReportWalFailure(status);
         return status;
       }
     }
     return created;
   }();
-  ++(imported.ok() ? stats_->imports : stats_->rejected);
   tracker.Finish(imported.status());
   return imported;
 }
@@ -739,8 +725,6 @@ Result<DirectoryServer> DirectoryServer::Recover(const std::string& dir,
       WriteAheadLog::Open(dir, options, report->last_seq + 1));
   server.group_commit_ =
       std::make_unique<GroupCommitQueue>(server.wal_.get());
-  // Recovery work is not traffic; start the counters clean.
-  server.stats_ = std::make_unique<StatCounters>();
   return server;
 }
 
@@ -762,31 +746,20 @@ Status DirectoryServer::DrainAndResync() {
   if (group_commit_ != nullptr) group_commit_->Drain();
   health_->EnterRecovering();
   if (wal_ != nullptr &&
-      stats_->wal_resync_needed.load(std::memory_order_acquire)) {
+      atomics_->wal_resync_needed.load(std::memory_order_acquire)) {
     // Re-base the log on the in-memory state: it is the acknowledged
     // history plus possibly a suffix of unacknowledged-but-applied
     // commits, which is exactly what the server must continue from (MVCC
     // readers have seen them).
     LDAPBOUND_RETURN_IF_ERROR(wal_->ResyncFromSnapshot(ExportLdif()));
     group_commit_->ResetAfterResync();
-    stats_->wal_resync_needed.store(false, std::memory_order_release);
+    atomics_->wal_resync_needed.store(false, std::memory_order_release);
   }
   return Status::OK();
 }
 
 Status DirectoryServer::TryRecoverNow() {
   return health_->AttemptRecovery([this] { return DrainAndResync(); });
-}
-
-DirectoryServer::Stats DirectoryServer::stats() const {
-  Stats snapshot;
-  snapshot.adds = stats_->adds.load(std::memory_order_relaxed);
-  snapshot.deletes = stats_->deletes.load(std::memory_order_relaxed);
-  snapshot.modifies = stats_->modifies.load(std::memory_order_relaxed);
-  snapshot.searches = stats_->searches.load(std::memory_order_relaxed);
-  snapshot.imports = stats_->imports.load(std::memory_order_relaxed);
-  snapshot.rejected = stats_->rejected.load(std::memory_order_relaxed);
-  return snapshot;
 }
 
 }  // namespace ldapbound

@@ -23,7 +23,8 @@
 
 namespace ldapbound {
 
-/// One operation kind's process-wide metric series (directory_server.cc).
+/// One operation kind's process-wide metric series (directory_server.cc):
+/// the only count of its outcomes.
 struct OpMetrics;
 
 /// An embeddable, schema-guarded directory: the facade a directory
@@ -57,10 +58,13 @@ struct OpMetrics;
 /// EnableMvcc, EnableSlowOps, set_check_options) must happen before
 /// traffic, from one thread.
 ///
+/// Every op counts its outcome once, in the process-wide metric registry
+/// (ldapbound_server_ops_total{op,outcome}); /statusz reads its `stats`
+/// section from there.
+///
 /// Reads come in two flavors:
-///  - the live const reads — Search, ExportLdif, IsLegal, stats() — are
-///    safe to call concurrently with each other and with stats-counter
-///    updates (the counters are atomic), but NOT concurrently with a
+///  - the live const reads — Search, ExportLdif, IsLegal — are safe to
+///    call concurrently with each other, but NOT concurrently with a
 ///    mutation of the directory itself: callers who interleave writes and
 ///    live reads across threads must serialize them externally (e.g. a
 ///    shared_mutex held shared around reads);
@@ -285,22 +289,6 @@ class DirectoryServer {
   }
   const CheckOptions& check_options() const { return check_options_; }
 
-  /// Operation counters (a point-in-time snapshot; the live counters are
-  /// atomic, so stats() is safe concurrently with Searches and with the
-  /// single writer). These are per-server and reset by Recover();
-  /// process-wide, monotonic mirrors (per-op latency histograms and
-  /// outcome counters, ldapbound_server_* families) live in the metric
-  /// registry (util/metrics.h) for `ldapbound stats --metrics`.
-  struct Stats {
-    size_t adds = 0;
-    size_t deletes = 0;
-    size_t modifies = 0;
-    size_t searches = 0;
-    size_t imports = 0;   ///< successful ImportLdif bulk loads
-    size_t rejected = 0;  ///< mutations refused by the schema
-  };
-  Stats stats() const;
-
  private:
   DirectoryServer(std::shared_ptr<Vocabulary> vocab, DirectorySchema schema);
 
@@ -363,16 +351,10 @@ class DirectoryServer {
     return changelog_ != nullptr ? changelog_->NextTxnId() : next_txn_++;
   }
 
-  /// Live atomic counters behind Stats; search counting happens in const
-  /// reads, so they sit behind a pointer to keep the server movable.
-  struct StatCounters {
-    std::atomic<size_t> adds{0};
-    std::atomic<size_t> deletes{0};
-    std::atomic<size_t> modifies{0};
-    std::atomic<size_t> searches{0};
-    std::atomic<size_t> imports{0};
-    std::atomic<size_t> rejected{0};
-    /// Operation-id source for slow-op records and JSON op-log lines.
+  /// The server's atomics, behind a pointer to keep the server movable.
+  struct Atomics {
+    /// Operation-id source for slow-op records and JSON op-log lines
+    /// (advanced by const reads too).
     std::atomic<uint64_t> next_op_id{1};
     /// Set on WAL append failure, cleared by a successful resync: tells
     /// the recovery probe whether the log actually needs re-basing (an
@@ -393,7 +375,7 @@ class DirectoryServer {
   std::unique_ptr<std::mutex> write_mu_;
   uint64_t next_txn_ = 1;
   CheckOptions check_options_;
-  std::unique_ptr<StatCounters> stats_;
+  std::unique_ptr<Atomics> atomics_;
   std::unique_ptr<AdmissionController> admission_;
   /// Declared last so it is destroyed first: its probe thread (when
   /// armed) touches wal_, group_commit_ and write_mu_ and must be joined

@@ -138,10 +138,8 @@ void GroupCommitQueue::LeadFlush(std::unique_lock<std::mutex>& lock) {
     payloads.reserve(batch.size());
     for (const Ticket* t : batch) payloads.push_back(t->payload);
     status = wal_->AppendGroup(payloads);
-    GroupCommitMetrics::Get().batch_size.Observe(static_cast<double>(n));
+    GroupCommitMetrics::Get().batch_size.Observe(n);
     GroupCommitMetrics::Get().groups.Increment();
-    groups_flushed_.fetch_add(1, std::memory_order_relaxed);
-    commits_flushed_.fetch_add(n, std::memory_order_relaxed);
     lock.lock();
     if (!status.ok() && !poisoned()) {
       poison_status_ = Status(

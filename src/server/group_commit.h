@@ -91,14 +91,6 @@ class GroupCommitQueue {
   /// mutex held and the queue drained — no commit may be in flight.
   void ResetAfterResync();
 
-  /// Flushed groups / commits so far (for /statusz).
-  uint64_t groups_flushed() const {
-    return groups_flushed_.load(std::memory_order_relaxed);
-  }
-  uint64_t commits_flushed() const {
-    return commits_flushed_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Runs one leader flush; called by Wait with `lock` held, returns with
   /// it held and the leader's own ticket done.
@@ -117,8 +109,6 @@ class GroupCommitQueue {
   std::atomic<bool> poisoned_{false};
   Status poison_status_ = Status::OK();
   std::atomic<size_t> depth_{0};
-  std::atomic<uint64_t> groups_flushed_{0};
-  std::atomic<uint64_t> commits_flushed_{0};
 };
 
 }  // namespace ldapbound

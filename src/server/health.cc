@@ -122,7 +122,6 @@ bool HealthManager::Transition(HealthState to, std::string_view reason) {
     }
     state_.store(to, std::memory_order_release);
   }
-  transitions_.fetch_add(1, std::memory_order_relaxed);
   HealthMetrics& metrics = HealthMetrics::Get();
   metrics.state.Set(static_cast<int64_t>(to));
   metrics.ForTarget(to).Increment();
@@ -158,11 +157,9 @@ Status HealthManager::AttemptRecovery(const std::function<Status()>& recover) {
         "recovery not attempted: server is " +
         std::string(HealthStateName(state())));
   }
-  recovery_attempts_.fetch_add(1, std::memory_order_relaxed);
   HealthMetrics::Get().recovery_attempts.Increment();
   Status status = recover();
   if (status.ok()) {
-    recoveries_.fetch_add(1, std::memory_order_relaxed);
     HealthMetrics::Get().recoveries.Increment();
     Transition(HealthState::kHealthy, "");
   } else {

@@ -47,8 +47,9 @@ enum class HealthState : uint8_t {
 /// /statusz and log events.
 std::string_view HealthStateName(HealthState state);
 
-/// Owns the health state, its observability (gauge, per-target transition
-/// counters, JSON log events) and the supervised recovery probe thread.
+/// Owns the health state, its observability (the ldapbound_health_* gauge
+/// and counters, which hold its only counts, and JSON log events) and the
+/// supervised recovery probe thread.
 ///
 /// Threading: state() and degraded-reason reads are safe from any thread.
 /// Fault reports are safe from any thread. The probe thread is started by
@@ -111,18 +112,6 @@ class HealthManager {
   /// auto-recovery is armed.
   bool probe_running() const;
 
-  /// Total state transitions (for /statusz; per-target counts are in the
-  /// metric family ldapbound_health_transitions_total).
-  uint64_t transitions() const {
-    return transitions_.load(std::memory_order_relaxed);
-  }
-  uint64_t recovery_attempts() const {
-    return recovery_attempts_.load(std::memory_order_relaxed);
-  }
-  uint64_t recoveries() const {
-    return recoveries_.load(std::memory_order_relaxed);
-  }
-
   /// The delay the probe will wait before its next attempt (for tests and
   /// /statusz; 0 before StartProbe).
   uint64_t next_probe_delay_ms() const;
@@ -135,9 +124,6 @@ class HealthManager {
   bool Transition(HealthState to, std::string_view reason);
 
   std::atomic<HealthState> state_{HealthState::kHealthy};
-  std::atomic<uint64_t> transitions_{0};
-  std::atomic<uint64_t> recovery_attempts_{0};
-  std::atomic<uint64_t> recoveries_{0};
 
   mutable std::mutex mu_;  // guards reason_, backoff_, probe lifecycle
   std::condition_variable cv_;

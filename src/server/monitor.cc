@@ -9,6 +9,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
+#include <string_view>
 
 #include "server/directory_server.h"
 #include "server/flight_recorder.h"
@@ -26,6 +28,30 @@ void AppendU64Field(std::string& out, const char* key, uint64_t value,
   std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRIu64, first ? "" : ",", key,
                 value);
   out += buf;
+}
+
+/// A /statusz count and the registry series it shows: one series, or
+/// with no labels the family's total across its label sets (every
+/// reactor, every reason).
+struct NamedCount {
+  const char* key;
+  const char* metric;
+  const char* labels = "";
+};
+
+void AppendCounts(std::string& out, std::initializer_list<NamedCount> counts) {
+  const MetricRegistry& registry = MetricRegistry::Default();
+  for (const NamedCount& c : counts) {
+    AppendU64Field(out, c.key, registry.Read(c.metric, c.labels));
+  }
+}
+
+/// Successful (`ok`) or refused (`rejected`) DirectoryServer ops of one
+/// kind (directory_server.cc's OpMetrics).
+uint64_t ServerOps(std::string_view op, std::string_view outcome) {
+  return MetricRegistry::Default().Read(
+      "ldapbound_server_ops_total",
+      MakeLabel("op", op) + "," + MakeLabel("outcome", outcome));
 }
 
 void AppendBoolField(std::string& out, const char* key, bool value,
@@ -278,7 +304,6 @@ std::string MonitorServer::RenderHealthz(int* http_code) const {
 std::string MonitorServer::RenderStatusz() const {
   const DirectoryServer& s = *server_;
   const StructureSchema& structure = s.schema().structure();
-  DirectoryServer::Stats stats = s.stats();
 
   std::string out = "{\"schema\":{";
   AppendU64Field(out, "classes", s.vocab().num_classes(), /*first=*/true);
@@ -307,9 +332,10 @@ std::string MonitorServer::RenderStatusz() const {
       out += ",\"reason\":";
       out += JsonQuote(reason);
     }
-    AppendU64Field(out, "transitions", health.transitions());
-    AppendU64Field(out, "recovery_attempts", health.recovery_attempts());
-    AppendU64Field(out, "recoveries", health.recoveries());
+    AppendCounts(
+        out, {{"transitions", "ldapbound_health_transitions_total"},
+              {"recovery_attempts", "ldapbound_health_recovery_attempts_total"},
+              {"recoveries", "ldapbound_health_recoveries_total"}});
     AppendBoolField(out, "auto_recover", health.probe_running());
     if (health.probe_running()) {
       AppendU64Field(out, "next_probe_delay_ms", health.next_probe_delay_ms());
@@ -323,9 +349,12 @@ std::string MonitorServer::RenderStatusz() const {
     AppendU64Field(out, "max_queue_depth", adm->options().max_queue_depth);
     AppendU64Field(out, "default_deadline_ms",
                    adm->options().default_deadline_ms);
-    AppendU64Field(out, "admitted", adm->admitted());
-    AppendU64Field(out, "rejected_overload", adm->rejected_overload());
-    AppendU64Field(out, "rejected_deadline", adm->rejected_deadline());
+    AppendCounts(out,
+                 {{"admitted", "ldapbound_admission_admitted_total"},
+                  {"rejected_overload", "ldapbound_admission_rejected_total",
+                   "reason=\"overloaded\""},
+                  {"rejected_deadline", "ldapbound_admission_rejected_total",
+                   "reason=\"deadline\""}});
     AppendU64Field(out, "shed_streak", adm->shed_streak());
   }
   if (s.group_commit() != nullptr) {
@@ -349,24 +378,32 @@ std::string MonitorServer::RenderStatusz() const {
     const GroupCommitQueue& q = *s.group_commit();
     AppendU64Field(out, "max_batch", q.max_batch());
     AppendU64Field(out, "hold_us", q.hold_us());
-    AppendU64Field(out, "groups_flushed", q.groups_flushed());
-    AppendU64Field(out, "commits_flushed", q.commits_flushed());
+    AppendCounts(out,
+                 {{"groups_flushed", "ldapbound_wal_group_commits_total"},
+                  {"commits_flushed",
+                   "ldapbound_wal_group_commit_batch_size_sum"}});
   }
   out += "}}";
 
   out += ",\"stats\":{";
-  AppendU64Field(out, "adds", stats.adds, /*first=*/true);
-  AppendU64Field(out, "deletes", stats.deletes);
-  AppendU64Field(out, "modifies", stats.modifies);
-  AppendU64Field(out, "searches", stats.searches);
-  AppendU64Field(out, "imports", stats.imports);
-  AppendU64Field(out, "rejected", stats.rejected);
+  AppendU64Field(out, "adds", ServerOps("add", "ok"), /*first=*/true);
+  AppendU64Field(out, "deletes", ServerOps("delete", "ok"));
+  AppendU64Field(out, "modifies",
+                 ServerOps("modify", "ok") + ServerOps("modify_dn", "ok"));
+  AppendU64Field(out, "searches", ServerOps("search", "ok"));
+  AppendU64Field(out, "imports", ServerOps("import", "ok"));
+  uint64_t rejected = 0;
+  for (std::string_view op :
+       {"add", "delete", "apply", "modify", "modify_dn", "import"}) {
+    rejected += ServerOps(op, "rejected");
+  }
+  AppendU64Field(out, "rejected", rejected);
   out += "}";
 
   out += ",\"mvcc\":{";
   AppendBoolField(out, "enabled", s.mvcc_enabled(), /*first=*/true);
   if (const SnapshotStore* store = s.directory().snapshot_store()) {
-    AppendU64Field(out, "publishes", store->publishes());
+    AppendCounts(out, {{"publishes", "ldapbound_snapshot_publishes_total"}});
     AppendU64Field(out, "reclaim_lag", store->reclaim_lag());
     AppendU64Field(out, "live_readers", store->epochs().live_readers());
     if (PinnedSnapshot snap = s.PinSnapshot()) {
@@ -380,24 +417,27 @@ std::string MonitorServer::RenderStatusz() const {
   const NetServer* net = net_.load(std::memory_order_acquire);
   AppendBoolField(out, "enabled", net != nullptr, /*first=*/true);
   if (net != nullptr) {
-    NetServer::Stats wire = net->stats();
     AppendU64Field(out, "port", net->port());
-    AppendU64Field(out, "reactors", wire.reactors);
-    AppendU64Field(out, "connections_accepted", wire.connections_accepted);
-    AppendU64Field(out, "connections_active", wire.connections_active);
-    AppendU64Field(out, "connections_shed", wire.connections_shed);
-    AppendU64Field(out, "accept_errors", wire.accept_errors);
-    AppendU64Field(out, "ops_shed", wire.ops_shed);
-    AppendU64Field(out, "ops_ok", wire.ops_ok);
-    AppendU64Field(out, "ops_rejected", wire.ops_rejected);
-    AppendU64Field(out, "dispatch_queue_depth", wire.dispatch_queue_depth);
-    AppendU64Field(out, "frames_in", wire.frames_in);
-    AppendU64Field(out, "frames_out", wire.frames_out);
-    AppendU64Field(out, "protocol_errors", wire.protocol_errors);
-    AppendU64Field(out, "idle_closed", wire.idle_closed);
-    AppendU64Field(out, "owed_bytes_at_stop", wire.owed_bytes_at_stop);
-    AppendU64Field(out, "cursors_open", wire.cursors_open);
-    AppendU64Field(out, "cursors_expired", wire.cursors_expired);
+    AppendU64Field(out, "reactors", net->reactors());
+    // The levels among these (connections_active, dispatch_queue_depth,
+    // cursors_open) are gauges the net server sets from its own state.
+    AppendCounts(
+        out,
+        {{"connections_accepted", "ldapbound_net_connections_total"},
+         {"connections_active", "ldapbound_net_connections_active"},
+         {"connections_shed", "ldapbound_net_connections_shed_total"},
+         {"accept_errors", "ldapbound_net_accept_errors_total"},
+         {"ops_shed", "ldapbound_net_ops_shed_total"},
+         {"ops_ok", "ldapbound_net_ops_total", "outcome=\"ok\""},
+         {"ops_rejected", "ldapbound_net_ops_total", "outcome=\"rejected\""},
+         {"dispatch_queue_depth", "ldapbound_net_dispatch_queue_depth"},
+         {"frames_in", "ldapbound_net_frames_in_total"},
+         {"frames_out", "ldapbound_net_frames_out_total"},
+         {"protocol_errors", "ldapbound_net_protocol_errors_total"},
+         {"idle_closed", "ldapbound_net_idle_closed_total"},
+         {"owed_bytes_at_stop", "ldapbound_net_owed_bytes_at_stop_total"},
+         {"cursors_open", "ldapbound_net_cursors_open"},
+         {"cursors_expired", "ldapbound_net_cursors_expired_total"}});
   }
   out += "}";
 

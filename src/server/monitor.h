@@ -36,8 +36,12 @@ struct MonitorOptions {
 ///   GET /healthz  "ok" while the health state machine reports healthy;
 ///                 503 with the state name and degradation reason in any
 ///                 other state (degraded / draining / recovering)
-///   GET /statusz  JSON summary: schema shape, entry count, WAL state,
-///                 operation counters, slow-op log configuration
+///   GET /statusz  JSON summary: schema shape, entry count, health,
+///                 admission, WAL, MVCC and wire state, operation counts,
+///                 slow-op log configuration. Every count is read from the
+///                 metric registry, so it is process-wide, never reset and
+///                 equal to its /metrics series by construction; levels
+///                 (queue depths, live readers) come from their owners
 ///   GET /slowz    the slow-op diagnostics ring as JSON (slowest first)
 ///   GET /timeseries  the flight recorder's 1 Hz metric history as JSON
 ///                 (?window=SECONDS keeps only the most recent span)
@@ -65,7 +69,7 @@ class MonitorServer {
   uint16_t port() const { return port_; }
 
   /// Attaches (or detaches, with nullptr) the wire front end so /statusz
-  /// can report its connection and shed counters. The net server must
+  /// reports a `net` section. The net server must
   /// stay alive until detached or until this monitor has stopped.
   void SetNetServer(const NetServer* net) {
     net_.store(net, std::memory_order_release);

@@ -120,9 +120,9 @@ Status PayloadMissing(EntryId id) {
 
 }  // namespace
 
-/// Per-reactor atomics (for stats()) mirrored into ldapbound_net_*
-/// metric series carrying this reactor's `reactor` label, so /metrics
-/// shows how evenly SO_REUSEPORT spreads the load.
+/// One reactor's ldapbound_net_* series, carrying its `reactor` label so
+/// /metrics shows how evenly SO_REUSEPORT spreads the load; /statusz sums
+/// each family across the reactors.
 struct NetServer::ReactorCounters {
   explicit ReactorCounters(size_t index)
       : label(MakeLabel("reactor", std::to_string(index))),
@@ -179,7 +179,6 @@ struct NetServer::ReactorCounters {
             label)) {}
 
   void CountAcceptError(int err) {
-    accept_errors.fetch_add(1, std::memory_order_relaxed);
     if (err == EMFILE) {
       m_accept_emfile.Increment();
     } else if (err == ENFILE) {
@@ -190,15 +189,6 @@ struct NetServer::ReactorCounters {
   }
 
   const std::string label;
-
-  std::atomic<uint64_t> accepted{0};
-  std::atomic<uint64_t> shed_conns{0};
-  std::atomic<uint64_t> frames_in{0};
-  std::atomic<uint64_t> frames_out{0};
-  std::atomic<uint64_t> protocol_errors{0};
-  std::atomic<uint64_t> idle_closed{0};
-  std::atomic<uint64_t> accept_errors{0};
-
   Counter& m_accepted;
   Counter& m_shed_conns;
   Counter& m_frames_in;
@@ -214,8 +204,8 @@ struct NetServer::ReactorCounters {
   Histogram& h_out_hwm;
 };
 
-/// Counters with no reactor affiliation: the dispatch queue and the
-/// worker pool are shared.
+/// Series with no reactor affiliation: the dispatch queue, the worker
+/// pool and the cursor table are shared.
 struct NetServer::SharedCounters {
   SharedCounters()
       : m_shed_ops(MetricRegistry::Default().GetCounter(
@@ -235,22 +225,14 @@ struct NetServer::SharedCounters {
             "Paged-search cursors retaining a snapshot version")),
         m_cursors_expired(MetricRegistry::Default().GetCounter(
             "ldapbound_net_cursors_expired_total",
-            "Paged-search cursors reaped by the idle timeout")) {}
+            "Paged-search cursors reaped by the idle timeout")),
+        m_owed_bytes_at_stop(MetricRegistry::Default().GetCounter(
+            "ldapbound_net_owed_bytes_at_stop_total",
+            "Unflushed response bytes force-closed when Stop's drain "
+            "grace ran out")) {}
 
-  /// Counts one answered request in stats() and on /metrics alike.
-  void CountOutcome(bool ok) {
-    if (ok) {
-      ops_ok.fetch_add(1, std::memory_order_relaxed);
-      m_ops_ok.Increment();
-    } else {
-      ops_rejected.fetch_add(1, std::memory_order_relaxed);
-      m_ops_rejected.Increment();
-    }
-  }
-
-  std::atomic<uint64_t> shed_ops{0};
-  std::atomic<uint64_t> ops_ok{0};
-  std::atomic<uint64_t> ops_rejected{0};
+  /// Counts one answered request, worker-executed or an inline ping.
+  void CountOutcome(bool ok) { (ok ? m_ops_ok : m_ops_rejected).Increment(); }
 
   Counter& m_shed_ops;
   Counter& m_ops_ok;
@@ -258,6 +240,7 @@ struct NetServer::SharedCounters {
   Gauge& g_queue_depth;
   Gauge& g_cursors_open;
   Counter& m_cursors_expired;
+  Counter& m_owed_bytes_at_stop;
 };
 
 Result<std::unique_ptr<NetServer>> NetServer::Start(
@@ -392,36 +375,6 @@ void NetServer::Stop() {
   shared_->g_cursors_open.Set(0);
 }
 
-NetServer::Stats NetServer::stats() const {
-  Stats s;
-  s.reactors = reactors_.size();
-  for (const auto& r : reactors_) {
-    const ReactorCounters& c = *r->counters;
-    s.connections_accepted += c.accepted.load(std::memory_order_relaxed);
-    s.connections_shed += c.shed_conns.load(std::memory_order_relaxed);
-    s.accept_errors += c.accept_errors.load(std::memory_order_relaxed);
-    s.frames_in += c.frames_in.load(std::memory_order_relaxed);
-    s.frames_out += c.frames_out.load(std::memory_order_relaxed);
-    s.protocol_errors += c.protocol_errors.load(std::memory_order_relaxed);
-    s.idle_closed += c.idle_closed.load(std::memory_order_relaxed);
-  }
-  s.connections_active = active_conns_.load(std::memory_order_relaxed);
-  s.ops_shed = shared_->shed_ops.load(std::memory_order_relaxed);
-  s.ops_ok = shared_->ops_ok.load(std::memory_order_relaxed);
-  s.ops_rejected = shared_->ops_rejected.load(std::memory_order_relaxed);
-  s.owed_bytes_at_stop = owed_bytes_at_stop_.load(std::memory_order_relaxed);
-  s.cursors_expired = cursors_expired_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(cursors_mu_);
-    s.cursors_open = cursors_.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    s.dispatch_queue_depth = queue_.size();
-  }
-  return s;
-}
-
 void NetServer::ReactorLoop(Reactor& r) {
   std::chrono::steady_clock::time_point drain_start{};
   bool draining_out = false;
@@ -501,9 +454,7 @@ void NetServer::ReactorLoop(Reactor& r) {
           owed += conn.out_bytes;
           fds.push_back(fd);
         }
-        if (owed > 0) {
-          owed_bytes_at_stop_.fetch_add(owed, std::memory_order_relaxed);
-        }
+        shared_->m_owed_bytes_at_stop.Increment(owed);
         for (int fd : fds) CloseConn(r, fd);
         return;
       }
@@ -546,9 +497,8 @@ void NetServer::HandleAccept(Reactor& r) {
             options_.max_connections) {
       // Shed at the door: count it, then a retryable frame, then close.
       // Counting first means a client that has read the frame and the
-      // EOF also sees the shed in stats(). Best-effort send — the client
+      // EOF also sees the shed on /metrics. Best-effort send — the client
       // may already be gone, which is fine.
-      r.counters->shed_conns.fetch_add(1, std::memory_order_relaxed);
       r.counters->m_shed_conns.Increment();
       (void)!::send(fd, r.shed_frame.data(), r.shed_frame.size(),
                     MSG_NOSIGNAL | MSG_DONTWAIT);
@@ -569,7 +519,6 @@ void NetServer::HandleAccept(Reactor& r) {
     }
     r.conns.emplace(fd, std::move(conn));
     active_conns_.fetch_add(1, std::memory_order_relaxed);
-    r.counters->accepted.fetch_add(1, std::memory_order_relaxed);
     r.counters->m_accepted.Increment();
     r.counters->m_active.Set(static_cast<int64_t>(r.conns.size()));
   }
@@ -626,9 +575,8 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
     std::string_view rest =
         std::string_view(conn.in).substr(consumed_total);
     Result<bool> extracted =
-        ExtractFrame(rest, options_.max_frame_payload, &request, &consumed);
+        ExtractFrame(rest, kMaxFramePayload, &request, &consumed);
     if (!extracted.ok()) {
-      r.counters->protocol_errors.fetch_add(1, std::memory_order_relaxed);
       r.counters->m_protocol_errors.Increment();
       WireResponse error;
       error.op = WireOp::kShed;
@@ -641,7 +589,6 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
       break;
     }
     if (!*extracted) break;  // partial frame: wait for more bytes
-    r.counters->frames_in.fetch_add(1, std::memory_order_relaxed);
     r.counters->m_frames_in.Increment();
 
     if (request.op == WireOp::kPing) {
@@ -698,7 +645,6 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
       queue_cv_.notify_all();
     }
     for (const auto& [op, request_id] : shed) {
-      shared_->shed_ops.fetch_add(1, std::memory_order_relaxed);
       shared_->m_shed_ops.Increment();
       WireResponse overloaded;
       overloaded.op = op;
@@ -722,7 +668,6 @@ void NetServer::QueueResponse(Reactor& r, Conn& conn,
   conn.out_bytes += frame.size();
   conn.out_frames.push_back(std::move(frame));
   if (conn.out_bytes > conn.out_hwm) conn.out_hwm = conn.out_bytes;
-  r.counters->frames_out.fetch_add(1, std::memory_order_relaxed);
   r.counters->m_frames_out.Increment();
 }
 
@@ -809,7 +754,6 @@ void NetServer::SweepIdle(Reactor& r) {
     }
   }
   for (int fd : idle) {
-    r.counters->idle_closed.fetch_add(1, std::memory_order_relaxed);
     r.counters->m_idle_closed.Increment();
     CloseConn(r, fd);
   }
@@ -823,7 +767,6 @@ void NetServer::ReapIdleCursors() {
   for (auto it = cursors_.begin(); it != cursors_.end();) {
     if (now - it->second.last_used > limit) {
       it = cursors_.erase(it);
-      cursors_expired_.fetch_add(1, std::memory_order_relaxed);
       shared_->m_cursors_expired.Increment();
     } else {
       ++it;
@@ -865,7 +808,6 @@ void NetServer::DrainCompletions(Reactor& r) {
       // cookie): flush the error frame, then close.
       conn.closing = true;
     }
-    r.counters->frames_out.fetch_add(1, std::memory_order_relaxed);
     r.counters->m_frames_out.Increment();
     touched.push_back(completion.fd);
   }

@@ -56,18 +56,14 @@ struct NetServerOptions {
   uint32_t idle_timeout_ms = 60000;
 
   /// How long Stop() lets queued responses flush before force-closing;
-  /// bytes still owed at the force-close surface as
-  /// Stats::owed_bytes_at_stop.
+  /// bytes still owed at the force-close are counted in
+  /// ldapbound_net_owed_bytes_at_stop_total.
   uint32_t drain_grace_ms = 500;
 
   /// Paged-search cursors (kSearchEntries) idle longer than this are
   /// reaped and their retained snapshot version released; continuing a
   /// reaped cursor gets a retryable kCursorExpired. 0 = never reap.
   uint32_t cursor_idle_timeout_ms = 30000;
-
-  /// Per-frame payload cap (see wire.h); larger declared lengths are
-  /// protocol errors that close the connection.
-  size_t max_frame_payload = kMaxFramePayload;
 };
 
 /// Async wire-level front end for a DirectoryServer (DESIGN.md §12/§15):
@@ -102,6 +98,11 @@ struct NetServerOptions {
 /// kSearchEntries scans retain their snapshot *version* by value (COW
 /// refcounts), never by epoch pin: a pin held across client think time
 /// would stall reclamation for every reader (DESIGN.md §15).
+///
+/// Every wire event is counted once, in an ldapbound_net_* series of the
+/// process-wide metric registry (reactor-owned series carry a `reactor`
+/// label); levels — open connections, queued requests, open cursors —
+/// are gauges each owner sets from its own state. /statusz reads both.
 class NetServer {
  public:
   /// Binds, starts the reactor and worker threads. `server` must
@@ -121,28 +122,8 @@ class NetServer {
 
   const NetServerOptions& options() const { return options_; }
 
-  /// Wire-level counters, aggregated across reactors (mirrored as
-  /// ldapbound_net_* metric families, which carry a `reactor` label on
-  /// the reactor-owned series).
-  struct Stats {
-    uint64_t reactors = 0;
-    uint64_t connections_accepted = 0;
-    uint64_t connections_active = 0;
-    uint64_t connections_shed = 0;   ///< refused at the connection limit
-    uint64_t accept_errors = 0;      ///< accept4 failures (EMFILE/ENFILE/...)
-    uint64_t ops_shed = 0;           ///< refused at the dispatch bound
-    uint64_t frames_in = 0;
-    uint64_t frames_out = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t idle_closed = 0;
-    uint64_t ops_ok = 0;
-    uint64_t ops_rejected = 0;       ///< executed but non-OK status
-    uint64_t dispatch_queue_depth = 0;  ///< decoded, waiting for a worker
-    uint64_t owed_bytes_at_stop = 0; ///< unflushed response bytes force-closed
-    uint64_t cursors_open = 0;       ///< live paged-search cursors
-    uint64_t cursors_expired = 0;    ///< cursors reaped by the idle timeout
-  };
-  Stats stats() const;
+  /// Reactor threads running (options().reactors with 0 resolved).
+  size_t reactors() const { return reactors_.size(); }
 
  private:
   struct ReactorCounters;
@@ -267,18 +248,16 @@ class NetServer {
   std::vector<std::thread> workers_;
   std::atomic<size_t> active_conns_{0};  ///< across reactors (shed bound)
 
-  mutable std::mutex queue_mu_;  ///< mutable: stats() reads the depth
+  std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<WorkItem> queue_;
 
-  mutable std::mutex cursors_mu_;
+  std::mutex cursors_mu_;
   std::unordered_map<uint64_t, PagedCursor> cursors_;
   uint64_t next_cursor_id_ = 1;
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
-  std::atomic<uint64_t> owed_bytes_at_stop_{0};
-  std::atomic<uint64_t> cursors_expired_{0};
 
   std::unique_ptr<SharedCounters> shared_;
 };

@@ -22,10 +22,9 @@ namespace ldapbound {
 /// Client→server frames are requests, server→client frames are responses;
 /// a response echoes the request's op and request_id, so clients may
 /// pipeline requests and match responses by id. Strings are u32 length +
-/// bytes (no terminator). A frame whose payload exceeds the configured
-/// maximum (kMaxFramePayload by default) is a protocol error and closes
-/// the connection — the length prefix is attacker-controlled input and
-/// must never size an allocation unchecked.
+/// bytes (no terminator). A frame whose payload exceeds kMaxFramePayload
+/// is a protocol error and closes the connection — the length prefix is
+/// attacker-controlled input and must never size an allocation unchecked.
 ///
 /// Request bodies:
 ///   kPing      (empty)
@@ -112,7 +111,8 @@ struct WireRequest {
   std::string_view body;  ///< points into the frame buffer
 };
 
-/// Hard default cap on a frame payload; NetServerOptions can lower it.
+/// Hard cap on a frame payload; the wire server extracts every request
+/// frame against it.
 constexpr size_t kMaxFramePayload = 4 * 1024 * 1024;
 
 /// Little-endian primitive / string appenders (the encode side).

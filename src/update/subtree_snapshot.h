@@ -8,9 +8,10 @@
 
 namespace ldapbound {
 
-/// A detached copy of a directory subtree: enough to re-create it under the
-/// same parent. Used by TransactionExecutor to roll back subtree deletions
-/// when a later step of an update transaction turns out to be illegal.
+/// A detached copy of a directory subtree: enough to re-create it under any
+/// parent, in the same or another directory. Federation uses it to carve
+/// naming contexts out of a directory and to mount them back into the
+/// unified view.
 class SubtreeSnapshot {
  public:
   /// Captures the subtree rooted at `root` (which must be alive).

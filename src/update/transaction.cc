@@ -102,17 +102,11 @@ Status TransactionExecutor::Commit(const UpdateTransaction& txn,
 
   CommitStats local_stats;
   std::vector<EntryId> inserted_roots;  // for rollback
-  struct AppliedDelete {
-    EntryId parent;
-    SubtreeSnapshot snapshot;
-  };
-  std::vector<AppliedDelete> applied_deletes;
 
+  // Every refusal comes before the first deletion (the one delete check
+  // runs on the whole batch first), so rolling back only ever removes the
+  // inserted subtrees.
   auto rollback = [&]() {
-    for (const AppliedDelete& d : applied_deletes) {
-      // Restores cannot fail: the parent is alive and the RDN slot is free.
-      d.snapshot.Restore(directory_, d.parent);
-    }
     for (EntryId root : inserted_roots) {
       directory_->DeleteSubtree(root);
     }
@@ -181,7 +175,7 @@ Status TransactionExecutor::Commit(const UpdateTransaction& txn,
 
   // Phase 2: deleted subtrees — one union-Δ check before any deletion (see
   // CheckBeforeDeleteBatch for why this equals the interleaved per-subtree
-  // checks), then snapshot + delete each.
+  // checks), then delete each.
   if (!delete_roots.empty()) {
     // Every entry of a deleted subtree must have been listed for deletion —
     // transactions delete entries, not implicit subtrees.
@@ -230,11 +224,7 @@ Status TransactionExecutor::Commit(const UpdateTransaction& txn,
       return illegal;
     }
     for (EntryId root : roots) {
-      EntryId parent = directory_->entry(root).parent();
-      LDAPBOUND_ASSIGN_OR_RETURN(SubtreeSnapshot snapshot,
-                                 SubtreeSnapshot::Capture(*directory_, root));
       LDAPBOUND_RETURN_IF_ERROR(directory_->DeleteSubtree(root));
-      applied_deletes.push_back(AppliedDelete{parent, std::move(snapshot)});
     }
     local_stats.deleted_subtrees += delete_roots.size();
     local_stats.deleted_entries += doomed_total;

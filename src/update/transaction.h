@@ -7,7 +7,6 @@
 #include "ldap/dn.h"
 #include "model/directory.h"
 #include "update/incremental.h"
-#include "update/subtree_snapshot.h"
 
 namespace ldapbound {
 
@@ -52,9 +51,10 @@ struct CommitStats {
 /// subtree insertion and before each subtree deletion. The theorem
 /// guarantees the verdict is independent of the original operation order.
 ///
-/// On any failed check the transaction is rolled back completely (inserted
-/// subtrees removed, deleted subtrees restored from snapshots) and the
-/// returned status is kIllegal carrying the violations.
+/// On any failed check the transaction is rolled back completely and the
+/// returned status is kIllegal carrying the violations. Every check runs
+/// before the first deletion, so rolling back removes the inserted
+/// subtrees and nothing else; deleted subtrees are never copied.
 class TransactionExecutor {
  public:
   TransactionExecutor(Directory* directory, const DirectorySchema& schema,

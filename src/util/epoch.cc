@@ -3,30 +3,9 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/metrics.h"
-
 namespace ldapbound {
 
 namespace {
-
-struct EpochMetrics {
-  Gauge& live_readers;
-  Gauge& retired_pending;
-
-  static EpochMetrics& Get() {
-    static EpochMetrics* m = [] {
-      MetricRegistry& r = MetricRegistry::Default();
-      return new EpochMetrics{
-          r.GetGauge("ldapbound_epoch_live_readers",
-                     "Reader threads currently pinned inside an epoch "
-                     "read region."),
-          r.GetGauge("ldapbound_epoch_retired_pending",
-                     "Retired objects awaiting their grace period."),
-      };
-    }();
-    return *m;
-  }
-};
 
 std::atomic<uint64_t> g_next_manager_id{1};
 
@@ -83,8 +62,6 @@ EpochManager::~EpochManager() {
     pending.swap(retired_);
   }
   for (Retired& r : pending) r.deleter();
-  EpochMetrics::Get().retired_pending.Add(
-      -static_cast<int64_t>(pending.size()));
 }
 
 EpochManager& EpochManager::Default() {
@@ -130,8 +107,6 @@ EpochManager::Pin EpochManager::Enter() {
     if (now == e) break;
     e = now;
   }
-  live_readers_.fetch_add(1, std::memory_order_relaxed);
-  EpochMetrics::Get().live_readers.Add(1);
   return Pin(this);
 }
 
@@ -139,8 +114,6 @@ void EpochManager::Leave() {
   EpochTls::Entry& entry = EpochTls::Get().EntryFor(*this);
   if (--entry.depth > 0) return;
   entry.slot->epoch.store(0, std::memory_order_seq_cst);
-  live_readers_.fetch_add(-1, std::memory_order_relaxed);
-  EpochMetrics::Get().live_readers.Add(-1);
 }
 
 void EpochManager::Retire(std::function<void()> deleter) {
@@ -152,7 +125,6 @@ void EpochManager::Retire(std::function<void()> deleter) {
     std::lock_guard<std::mutex> lock(retired_mu_);
     retired_.push_back(Retired{retire_epoch, std::move(deleter)});
   }
-  EpochMetrics::Get().retired_pending.Add(1);
   ReclaimSome();
 }
 
@@ -188,7 +160,6 @@ size_t EpochManager::ReclaimSome() {
   // Deleters run outside both locks: they may be arbitrarily heavy
   // (freeing a whole snapshot) and must not block readers registering.
   for (Retired& r : ready) r.deleter();
-  EpochMetrics::Get().retired_pending.Add(-static_cast<int64_t>(ready.size()));
   return ready.size();
 }
 
@@ -198,8 +169,12 @@ size_t EpochManager::retired_pending() const {
 }
 
 size_t EpochManager::live_readers() const {
-  int64_t n = live_readers_.load(std::memory_order_relaxed);
-  return n < 0 ? 0 : static_cast<size_t>(n);
+  size_t n = 0;
+  std::lock_guard<std::mutex> lock(arena_->mu);
+  for (const Slot& s : arena_->slots) {
+    if (s.epoch.load(std::memory_order_seq_cst) != 0) ++n;
+  }
+  return n;
 }
 
 }  // namespace ldapbound

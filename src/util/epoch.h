@@ -118,7 +118,9 @@ class EpochManager {
   }
   /// Retired-but-not-yet-freed deleters.
   size_t retired_pending() const;
-  /// Reader slots currently inside a read region (approximate: sampled).
+  /// Reader threads currently inside a read region, counted from the
+  /// slots when asked (the scan MinActiveEpoch does): a pin keeps no
+  /// shared count, so this is a sample, exact once the readers are still.
   size_t live_readers() const;
 
  private:
@@ -141,7 +143,6 @@ class EpochManager {
   std::atomic<uint64_t> global_epoch_{1};
   mutable std::mutex retired_mu_;
   std::vector<Retired> retired_;
-  std::atomic<int64_t> live_readers_{0};
 
   friend struct EpochTls;
 };

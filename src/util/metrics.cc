@@ -169,6 +169,46 @@ std::string MakeLabel(std::string_view name, std::string_view value) {
   return out;
 }
 
+uint64_t MetricRegistry::Read(std::string_view name,
+                              std::string_view labels) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto family = families_.find(name);
+  bool histogram_sum = false;
+  if (family == families_.end()) {
+    // Not a family name: perhaps a histogram's `_count` or `_sum`.
+    for (std::string_view suffix : {"_count", "_sum"}) {
+      if (name.ends_with(suffix)) {
+        family = families_.find(name.substr(0, name.size() - suffix.size()));
+        histogram_sum = suffix == "_sum";
+        break;
+      }
+    }
+    if (family == families_.end() ||
+        family->second.kind != Kind::kHistogram) {
+      return 0;
+    }
+  }
+  auto value = [&](const Series& s) -> uint64_t {
+    switch (family->second.kind) {
+      case Kind::kCounter:
+        return s.counter->Value();
+      case Kind::kGauge:
+        return static_cast<uint64_t>(std::max<int64_t>(s.gauge->Value(), 0));
+      case Kind::kHistogram:
+        return histogram_sum ? s.histogram->Sum() : s.histogram->Count();
+    }
+    return 0;
+  };
+  const auto& series = family->second.series;
+  if (!labels.empty()) {
+    auto it = series.find(std::string(labels));
+    return it == series.end() ? 0 : value(it->second);
+  }
+  uint64_t total = 0;
+  for (const auto& [unused, s] : series) total += value(s);
+  return total;
+}
+
 void MetricRegistry::ForEachSample(
     const std::function<void(const std::string& series, double value)>& fn)
     const {

@@ -163,6 +163,15 @@ class MetricRegistry {
   Histogram& GetHistogram(std::string_view name, std::string_view help,
                           std::string_view labels = "");
 
+  /// Reads one number without creating anything: the series
+  /// `name{labels}` of a counter or gauge family, or of a histogram
+  /// family as `<family>_count` / `<family>_sum`; with `labels` empty,
+  /// the total across every label set of the family (every reactor,
+  /// every reason). 0 for an unregistered name or series and for a
+  /// negative gauge. /statusz reads every count through this, so it
+  /// equals /metrics by construction.
+  uint64_t Read(std::string_view name, std::string_view labels = "") const;
+
   /// Prometheus text exposition format, families and series in
   /// lexicographic order (deterministic for tests and diffing).
   std::string RenderPrometheus() const;

@@ -186,9 +186,9 @@ TEST(DirectoryTest, ComputeStats) {
   EntryId r = AddBare(d, kInvalidEntryId, "o=r", {w.top});
   EntryId a = AddBare(d, r, "ou=a", {w.top, w.org});
   ASSERT_TRUE(d.AddValue(a, w.ou, Value("a")).ok());
-  AddBare(d, a, "uid=p1", {w.top, w.person});
+  EntryId p1 = AddBare(d, a, "uid=p1", {w.top, w.person});
   AddBare(d, a, "uid=p2", {w.top, w.person});
-  AddBare(d, kInvalidEntryId, "o=r2", {w.top});
+  EntryId r2 = AddBare(d, kInvalidEntryId, "o=r2", {w.top});
 
   DirectoryStats stats = d.ComputeStats();
   EXPECT_EQ(stats.num_entries, 5u);
@@ -200,6 +200,21 @@ TEST(DirectoryTest, ComputeStats) {
   EXPECT_EQ(stats.total_values, 1u);
   EXPECT_EQ(stats.total_classes, 1 + 2 + 2 + 2 + 1u);
   EXPECT_EQ(stats.depth_histogram, (std::vector<size_t>{2, 1, 2}));
+
+  // Depths follow moves: o=r2 sinks below uid=p1, then ou=a (carrying
+  // p1, p2 and r2) becomes a root.
+  ASSERT_TRUE(d.MoveSubtree(r2, p1).ok());
+  stats = d.ComputeStats();
+  EXPECT_EQ(stats.num_roots, 1u);
+  EXPECT_EQ(stats.max_depth, 3u);
+  EXPECT_EQ(stats.depth_histogram, (std::vector<size_t>{1, 1, 2, 1}));
+  EXPECT_DOUBLE_EQ(stats.avg_depth, (0 + 1 + 2 + 2 + 3) / 5.0);
+  ASSERT_TRUE(d.MoveSubtree(a, kInvalidEntryId).ok());
+  stats = d.ComputeStats();
+  EXPECT_EQ(stats.num_roots, 2u);
+  EXPECT_EQ(stats.max_depth, 2u);
+  EXPECT_EQ(stats.depth_histogram, (std::vector<size_t>{2, 2, 1}));
+  EXPECT_EQ(stats.num_leaves, 3u);
 
   DirectoryStats empty = Directory(w.vocab).ComputeStats();
   EXPECT_EQ(empty.num_entries, 0u);

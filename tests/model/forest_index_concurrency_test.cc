@@ -57,7 +57,6 @@ struct LabelExpectation {
   EntryId id;
   uint64_t label;
   uint64_t end_label;
-  uint32_t depth;
   ForestIndex::TreeLinks links;
 };
 
@@ -83,7 +82,7 @@ TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
       expected.push_back(LabelExpectation{
           id, views.labels.Get(id, ForestIndex::kNoLabel),
           views.end_labels.Get(id, ForestIndex::kNoLabel),
-          views.depth.Get(id, 0), views.links.Get(id, {})});
+          views.links.Get(id, {})});
       ASSERT_NE(expected.back().label, ForestIndex::kNoLabel);
     }
 
@@ -97,7 +96,6 @@ TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
             if (views.labels.Get(e.id, ForestIndex::kNoLabel) != e.label ||
                 views.end_labels.Get(e.id, ForestIndex::kNoLabel) !=
                     e.end_label ||
-                views.depth.Get(e.id, 0) != e.depth ||
                 views.links.Get(e.id, {}) != e.links) {
               failures.fetch_add(1);
               return;

@@ -44,9 +44,9 @@ TEST(ForestIndexTest, PreorderAndIntervals) {
   EXPECT_EQ(idx.parent(a1), a);
   EXPECT_EQ(idx.parent(b), r);
   EXPECT_EQ(idx.parent(r), kInvalidEntryId);
-  EXPECT_EQ(idx.depth(r), 0u);
-  EXPECT_EQ(idx.depth(a), 1u);
-  EXPECT_EQ(idx.depth(a1), 2u);
+  // r at depth 0, a and b at 1, a1 and a2 at 2.
+  EXPECT_EQ(d.ComputeStats().depth_histogram,
+            (std::vector<size_t>{1, 2, 2}));
 }
 
 TEST(ForestIndexTest, IsAncestor) {

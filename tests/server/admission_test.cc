@@ -15,6 +15,7 @@
 #include "server/wal.h"
 #include "tests/server/wal_workload.h"
 #include "util/deadline.h"
+#include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
@@ -30,25 +31,39 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// Admission verdicts so far in this process, as /metrics shows them (the
+/// controller counts them only there): "admitted", "overloaded" or
+/// "deadline".
+uint64_t Verdicts(const std::string& verdict) {
+  if (verdict == "admitted") {
+    return MetricRegistry::Default().Read("ldapbound_admission_admitted_total");
+  }
+  return MetricRegistry::Default().Read("ldapbound_admission_rejected_total",
+                                        "reason=\"" + verdict + "\"");
+}
+
 Deadline ExpiredDeadline() {
   return Deadline::At(Deadline::Clock::now() - std::chrono::milliseconds(5));
 }
 
 TEST(AdmissionTest, UnboundedAdmitsEverything) {
   AdmissionController admission({}, /*queue=*/nullptr);
+  const uint64_t admitted = Verdicts("admitted");
+  const uint64_t overloaded = Verdicts("overloaded");
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(admission.AdmitWrite(Deadline()).ok());
   }
-  EXPECT_EQ(admission.admitted(), 10u);
-  EXPECT_EQ(admission.rejected_overload(), 0u);
+  EXPECT_EQ(Verdicts("admitted"), admitted + 10);
+  EXPECT_EQ(Verdicts("overloaded"), overloaded);
 }
 
 TEST(AdmissionTest, ExpiredDeadlineShedBeforeAnyWork) {
   AdmissionController admission({}, /*queue=*/nullptr);
+  const uint64_t deadline = Verdicts("deadline");
   Status status = admission.AdmitWrite(ExpiredDeadline());
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(status.retryable());
-  EXPECT_EQ(admission.rejected_deadline(), 1u);
+  EXPECT_EQ(Verdicts("deadline"), deadline + 1);
   // Deadline sheds never feed the overload streak.
   EXPECT_EQ(admission.shed_streak(), 0u);
 }
@@ -88,11 +103,12 @@ TEST(AdmissionTest, QueueBoundShedsWithRetryableOverloaded) {
   tickets.push_back(queue.Enqueue("frame-2"));
   ASSERT_EQ(queue.depth(), 2u);
 
+  const uint64_t overloaded = Verdicts("overloaded");
   Status shed = admission.AdmitWrite(Deadline());
   EXPECT_EQ(shed.code(), StatusCode::kOverloaded);
   EXPECT_TRUE(shed.retryable());
   EXPECT_NE(shed.message().find("depth 2"), std::string::npos) << shed;
-  EXPECT_EQ(admission.rejected_overload(), 1u);
+  EXPECT_EQ(Verdicts("overloaded"), overloaded + 1);
   EXPECT_EQ(admission.shed_streak(), 1u);
 
   // The degrade signal fires exactly when the streak crosses the
@@ -155,8 +171,10 @@ TEST(AdmissionTest, ServerAppliesConfiguredDefaultDeadline) {
   server->EnableResilience(resilience);
   ASSERT_NE(server->admission(), nullptr);
 
+  const uint64_t admitted = Verdicts("admitted");
+  const uint64_t deadline = Verdicts("deadline");
   ASSERT_TRUE(ApplyWalCommit(*server, 1).ok());
-  EXPECT_EQ(server->admission()->admitted(), 1u);
+  EXPECT_EQ(Verdicts("admitted"), admitted + 1);
 
   // An explicit deadline still wins over the default.
   EntrySpec spec;
@@ -165,7 +183,7 @@ TEST(AdmissionTest, ServerAppliesConfiguredDefaultDeadline) {
   Status status = server->Add(*DistinguishedName::Parse("uid=u98,ou=t1"),
                               spec, ExpiredDeadline());
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(server->admission()->rejected_deadline(), 1u);
+  EXPECT_EQ(Verdicts("deadline"), deadline + 1);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "tests/server/wal_workload.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
@@ -40,6 +41,15 @@ std::string FreshDir(const std::string& name) {
   fs::create_directories(dir);
   return dir;
 }
+
+/// A count so far in this process, as /metrics shows it; the server
+/// counts only in the registry, so each case compares against a reading
+/// taken before its storm.
+uint64_t Metric(const char* name, const char* labels = "") {
+  return MetricRegistry::Default().Read(name, labels);
+}
+constexpr char kRecoveries[] = "ldapbound_health_recoveries_total";
+constexpr char kAdmissionRejected[] = "ldapbound_admission_rejected_total";
 
 WalOptions GroupOptions(size_t max_batch, uint32_t hold_us) {
   WalOptions options;
@@ -145,6 +155,7 @@ TEST(ChaosTest, FsyncFaultStormNeverLosesAckedCommits) {
   }
   Failpoints::Reset();
   std::string dir = FreshDir("fsync-storm");
+  const uint64_t recoveries = Metric(kRecoveries);
   auto server = DirectoryServer::Create(kWalSchema);
   ASSERT_TRUE(server.ok());
   const WalOptions wal_options = GroupOptions(4, 100);
@@ -205,7 +216,7 @@ TEST(ChaosTest, FsyncFaultStormNeverLosesAckedCommits) {
         << "unexpected failure code " << static_cast<int>(code) << " ("
         << count << "x)";
   }
-  EXPECT_GE(server->health()->recoveries(), 1u);
+  EXPECT_GE(Metric(kRecoveries) - recoveries, 1u);
   ExpectAckedDurable(dir, wal_options, ledger, server->ExportLdif());
 }
 
@@ -214,6 +225,8 @@ void RunOverloadBurst(const std::string& name, const WalOptions& wal_options) {
   SCOPED_TRACE(name);
   Failpoints::Reset();
   std::string dir = FreshDir("overload-" + name);
+  const uint64_t overloaded =
+      Metric(kAdmissionRejected, "reason=\"overloaded\"");
   auto server = DirectoryServer::Create(kWalSchema);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server->EnableWal(dir, wal_options).ok());
@@ -259,7 +272,8 @@ void RunOverloadBurst(const std::string& name, const WalOptions& wal_options) {
   // writers already admitted but not yet enqueued.
   EXPECT_GT(ledger.failures[StatusCode::kOverloaded], 0u);
   EXPECT_LE(max_depth_seen.load(), kMaxDepth + kWriters);
-  EXPECT_GT(server->admission()->rejected_overload(), 0u);
+  EXPECT_GT(Metric(kAdmissionRejected, "reason=\"overloaded\"") - overloaded,
+            0u);
   EXPECT_FALSE(ledger.acked.empty());
   EXPECT_TRUE(server->wal_failed() == false);  // overload is not a fault
 
@@ -282,6 +296,8 @@ TEST(ChaosTest, DeadlinesCancelBeforeWorkUnderStall) {
   }
   Failpoints::Reset();
   std::string dir = FreshDir("deadline-stall");
+  const uint64_t deadline =
+      Metric(kAdmissionRejected, "reason=\"deadline\"");
   auto server = DirectoryServer::Create(kWalSchema);
   ASSERT_TRUE(server.ok());
   // The stall sits at server.commit, *under* the write mutex and before
@@ -313,7 +329,7 @@ TEST(ChaosTest, DeadlinesCancelBeforeWorkUnderStall) {
   Failpoints::Reset();
 
   EXPECT_GT(ledger.failures[StatusCode::kDeadlineExceeded], 0u);
-  EXPECT_GT(server->admission()->rejected_deadline(), 0u);
+  EXPECT_GT(Metric(kAdmissionRejected, "reason=\"deadline\"") - deadline, 0u);
   // Deadline sheds did no work: the durable state replays to exactly the
   // in-memory state, containing every acknowledged DN.
   ExpectAckedDurable(dir, wal_options, ledger, server->ExportLdif());
@@ -325,6 +341,7 @@ TEST(ChaosTest, SustainedOverloadDegradesAndProbeHeals) {
   }
   Failpoints::Reset();
   std::string dir = FreshDir("sustained");
+  const uint64_t recoveries = Metric(kRecoveries);
   auto server = DirectoryServer::Create(kWalSchema);
   ASSERT_TRUE(server.ok());
   const WalOptions wal_options = GroupOptions(2, 0);
@@ -358,7 +375,7 @@ TEST(ChaosTest, SustainedOverloadDegradesAndProbeHeals) {
   ASSERT_TRUE(WaitFor([&] { return !server->wal_failed(); }))
       << "probe did not heal after sustained overload; state="
       << HealthStateName(server->health_state());
-  EXPECT_GE(server->health()->recoveries(), 1u);
+  EXPECT_GE(Metric(kRecoveries) - recoveries, 1u);
   ASSERT_TRUE(ApplyWalCommit(*server, 2).ok());  // writable again
 
   ExpectAckedDurable(dir, wal_options, ledger, server->ExportLdif());

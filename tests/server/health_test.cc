@@ -14,6 +14,7 @@
 #include "server/directory_server.h"
 #include "tests/server/wal_workload.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
@@ -44,6 +45,30 @@ bool WaitFor(Pred done, std::chrono::milliseconds budget =
   return true;
 }
 
+/// Health counts since construction, read from the metric registry (the
+/// manager counts only there; the registry is process-wide, so tests
+/// assert deltas).
+class HealthCountsSince {
+ public:
+  uint64_t transitions() const {
+    return Read(kTransitions) - transitions_;
+  }
+  uint64_t recovery_attempts() const { return Read(kAttempts) - attempts_; }
+  uint64_t recoveries() const { return Read(kRecoveries) - recoveries_; }
+
+ private:
+  static constexpr char kTransitions[] = "ldapbound_health_transitions_total";
+  static constexpr char kAttempts[] =
+      "ldapbound_health_recovery_attempts_total";
+  static constexpr char kRecoveries[] = "ldapbound_health_recoveries_total";
+  static uint64_t Read(const char* name) {
+    return MetricRegistry::Default().Read(name);
+  }
+  const uint64_t transitions_ = Read(kTransitions);
+  const uint64_t attempts_ = Read(kAttempts);
+  const uint64_t recoveries_ = Read(kRecoveries);
+};
+
 TEST(HealthTest, StateNames) {
   EXPECT_EQ(HealthStateName(HealthState::kHealthy), "healthy");
   EXPECT_EQ(HealthStateName(HealthState::kDegraded), "degraded");
@@ -53,26 +78,28 @@ TEST(HealthTest, StateNames) {
 
 TEST(HealthTest, StartsHealthyWithEmptyReason) {
   HealthManager health;
+  const HealthCountsSince counts;
   EXPECT_EQ(health.state(), HealthState::kHealthy);
   EXPECT_TRUE(health.healthy());
   EXPECT_EQ(health.reason(), "");
-  EXPECT_EQ(health.transitions(), 0u);
+  EXPECT_EQ(counts.transitions(), 0u);
 }
 
 TEST(HealthTest, WalFailureDegradesAndKeepsFirstReason) {
   HealthManager health;
+  const HealthCountsSince counts;
   health.ReportWalFailure(Status::Internal("fsync exploded"));
   EXPECT_EQ(health.state(), HealthState::kDegraded);
   EXPECT_FALSE(health.healthy());
   EXPECT_NE(health.reason().find("fsync exploded"), std::string::npos);
-  EXPECT_EQ(health.transitions(), 1u);
+  EXPECT_EQ(counts.transitions(), 1u);
 
   // A second fault while already degraded keeps the first reason (the
   // probe is already on it) and is not a state transition.
   health.ReportWalFailure(Status::Internal("a later, different fault"));
   EXPECT_EQ(health.state(), HealthState::kDegraded);
   EXPECT_NE(health.reason().find("fsync exploded"), std::string::npos);
-  EXPECT_EQ(health.transitions(), 1u);
+  EXPECT_EQ(counts.transitions(), 1u);
 }
 
 TEST(HealthTest, OverloadDegrades) {
@@ -84,6 +111,7 @@ TEST(HealthTest, OverloadDegrades) {
 
 TEST(HealthTest, RecoveryNotAttemptedWhileHealthy) {
   HealthManager health;
+  const HealthCountsSince counts;
   bool called = false;
   Status status = health.AttemptRecovery([&] {
     called = true;
@@ -92,11 +120,12 @@ TEST(HealthTest, RecoveryNotAttemptedWhileHealthy) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(called);
   EXPECT_EQ(health.state(), HealthState::kHealthy);
-  EXPECT_EQ(health.recovery_attempts(), 0u);
+  EXPECT_EQ(counts.recovery_attempts(), 0u);
 }
 
 TEST(HealthTest, SuccessfulRecoveryRoundTrip) {
   HealthManager health;
+  const HealthCountsSince counts;
   health.ReportWalFailure(Status::Internal("boom"));
 
   Status status = health.AttemptRecovery([&] {
@@ -109,14 +138,15 @@ TEST(HealthTest, SuccessfulRecoveryRoundTrip) {
   EXPECT_TRUE(status.ok()) << status;
   EXPECT_EQ(health.state(), HealthState::kHealthy);
   EXPECT_EQ(health.reason(), "");
-  EXPECT_EQ(health.recovery_attempts(), 1u);
-  EXPECT_EQ(health.recoveries(), 1u);
+  EXPECT_EQ(counts.recovery_attempts(), 1u);
+  EXPECT_EQ(counts.recoveries(), 1u);
   // healthy →degraded →draining →recovering →healthy
-  EXPECT_EQ(health.transitions(), 4u);
+  EXPECT_EQ(counts.transitions(), 4u);
 }
 
 TEST(HealthTest, FailedRecoveryFallsBackToDegraded) {
   HealthManager health;
+  const HealthCountsSince counts;
   health.ReportWalFailure(Status::Internal("boom"));
 
   Status status = health.AttemptRecovery([&] {
@@ -126,12 +156,13 @@ TEST(HealthTest, FailedRecoveryFallsBackToDegraded) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(health.state(), HealthState::kDegraded);
   EXPECT_NE(health.reason().find("disk still broken"), std::string::npos);
-  EXPECT_EQ(health.recovery_attempts(), 1u);
-  EXPECT_EQ(health.recoveries(), 0u);
+  EXPECT_EQ(counts.recovery_attempts(), 1u);
+  EXPECT_EQ(counts.recoveries(), 0u);
 }
 
 TEST(HealthTest, ProbeAutoRecoversWithBackoff) {
   HealthManager health;
+  const HealthCountsSince counts;
   // Fail the first two attempts, succeed on the third: the probe must
   // ride the backoff schedule and keep retrying without supervision.
   std::atomic<int> attempts{0};
@@ -151,8 +182,8 @@ TEST(HealthTest, ProbeAutoRecoversWithBackoff) {
   ASSERT_TRUE(WaitFor([&] { return health.healthy(); }))
       << "probe did not recover the server; state="
       << HealthStateName(health.state());
-  EXPECT_GE(health.recovery_attempts(), 3u);
-  EXPECT_EQ(health.recoveries(), 1u);
+  EXPECT_GE(counts.recovery_attempts(), 3u);
+  EXPECT_EQ(counts.recoveries(), 1u);
 
   health.StopProbe();
   EXPECT_FALSE(health.probe_running());
@@ -160,6 +191,7 @@ TEST(HealthTest, ProbeAutoRecoversWithBackoff) {
 
 TEST(HealthTest, ProbeRecoversRepeatedFaults) {
   HealthManager health;
+  const HealthCountsSince counts;
   ExponentialBackoff::Options backoff;
   backoff.initial_ms = 1;
   health.StartProbe(
@@ -174,7 +206,7 @@ TEST(HealthTest, ProbeRecoversRepeatedFaults) {
     ASSERT_TRUE(WaitFor([&] { return health.healthy(); }))
         << "round " << round;
   }
-  EXPECT_EQ(health.recoveries(), 3u);
+  EXPECT_EQ(counts.recoveries(), 3u);
 }
 
 // --- DirectoryServer integration: the read-only flip and its recovery ---
@@ -227,6 +259,7 @@ TEST(HealthTest, ServerAutoRecoversViaProbe) {
   }
   Failpoints::Reset();
   std::string dir = FreshDir("server-probe");
+  const HealthCountsSince counts;
   auto server = DirectoryServer::Create(kWalSchema);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server->EnableWal(dir).ok());
@@ -246,7 +279,7 @@ TEST(HealthTest, ServerAutoRecoversViaProbe) {
       << "probe did not restore writability; state="
       << HealthStateName(server->health_state());
   ASSERT_TRUE(ApplyWalCommit(*server, 3).ok());
-  EXPECT_GE(server->health()->recoveries(), 1u);
+  EXPECT_GE(counts.recoveries(), 1u);
 }
 
 TEST(HealthTest, ServerDiskFullSurfacesDistinctly) {

@@ -13,16 +13,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "server/directory_server.h"
+#include "tests/testing/helpers.h"
 #include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
+
+using testing::StatuszCount;
 
 constexpr char kSchema[] = R"(
 attribute name string
@@ -72,9 +76,14 @@ TEST(MonitorConcurrencyTest, ScrapesRaceSearchesAndSlowOps) {
   auto monitor = MonitorServer::Start(&*server);
   ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
   uint16_t port = (*monitor)->port();
+  auto searches = [] {
+    return MetricRegistry::Default().Read("ldapbound_server_ops_total",
+                                          "op=\"search\",outcome=\"ok\"");
+  };
+  const uint64_t searches_before = searches();
 
   // Searches are const reads, safe to run concurrently with each other
-  // and with scrapes; each one feeds the stats counters and the slow-op
+  // and with scrapes; each one feeds the op counters and the slow-op
   // ring, so the monitor renders state that is mutating under it.
   constexpr int kWorkers = 4;
   constexpr int kScrapers = 4;
@@ -111,8 +120,8 @@ TEST(MonitorConcurrencyTest, ScrapesRaceSearchesAndSlowOps) {
 
   EXPECT_EQ(scrape_failures.load(), 0);
   // Every search was tracked; the ring retained at most its capacity.
-  EXPECT_EQ(server->stats().searches,
-            static_cast<uint64_t>(kWorkers) * kIterations + 0u);
+  EXPECT_EQ(searches() - searches_before,
+            static_cast<uint64_t>(kWorkers) * kIterations);
   EXPECT_LE(server->slow_ops()->Snapshot().size(), 8u);
   EXPECT_GE(server->slow_ops()->recorded(),
             static_cast<uint64_t>(kWorkers) * kIterations);
@@ -175,6 +184,67 @@ TEST(MonitorConcurrencyTest, StatuszRacesDurableWriters) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server->wal()->next_seq(), 2u * kWriters * kCommits + 1);
+  (*monitor)->Stop();
+}
+
+TEST(MonitorConcurrencyTest, StatuszRacesSnapshotPinners) {
+  // /statusz renders its registry counts and samples the epoch slots for
+  // mvcc.live_readers while four threads pin snapshots (nested, as a
+  // paged read does) and a writer publishes a snapshot per commit. Every
+  // render sees at most the pinners plus the writer, a publish count that
+  // never goes backwards, and, once everyone is done, no reader left.
+  auto server = DirectoryServer::Create(kSchema);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  server->EnableMvcc();
+  auto monitor = MonitorServer::Start(&*server);
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+
+  constexpr int kPinners = 4;
+  constexpr int kCommits = 100;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&server, &writer_done, &failures] {
+    EntrySpec spec;
+    spec.classes = {"person", "top"};
+    for (int i = 0; i < kCommits; ++i) {
+      const std::string name = "p" + std::to_string(i);
+      spec.values = {{"name", name}};
+      if (!server->Add(Dn("name=" + name), spec).ok()) failures.fetch_add(1);
+    }
+    writer_done.store(true);
+  });
+  for (int p = 0; p < kPinners; ++p) {
+    threads.emplace_back([&server, &writer_done, &failures] {
+      while (!writer_done.load()) {
+        PinnedSnapshot outer = server->PinSnapshot();
+        PinnedSnapshot inner = server->PinSnapshot();
+        if (!outer || !inner || inner->version < outer->version) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&monitor, &writer_done, &failures] {
+    uint64_t last_publishes = 0;
+    while (!writer_done.load()) {
+      const std::string statusz = (*monitor)->RenderStatusz();
+      const uint64_t readers = StatuszCount(statusz, "mvcc", "live_readers");
+      const uint64_t publishes = StatuszCount(statusz, "mvcc", "publishes");
+      if (readers > kPinners + 1 || publishes < last_publishes ||
+          publishes == UINT64_MAX) {
+        failures.fetch_add(1);
+      }
+      last_publishes = publishes;
+    }
+  });
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  const std::string statusz = (*monitor)->RenderStatusz();
+  EXPECT_EQ(StatuszCount(statusz, "mvcc", "live_readers"), 0u) << statusz;
+  EXPECT_GE(StatuszCount(statusz, "mvcc", "publishes"), uint64_t{kCommits})
+      << statusz;
   (*monitor)->Stop();
 }
 

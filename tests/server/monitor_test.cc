@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,13 +18,20 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "server/directory_server.h"
 #include "server/health.h"
+#include "server/net_server.h"
+#include "server/wire.h"
+#include "tests/testing/helpers.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
+
+using testing::StatuszCount;
 
 constexpr char kSchema[] = R"(
 attribute name string
@@ -85,6 +93,11 @@ void ExpectBalancedJson(const std::string& json) {
   EXPECT_EQ(depth, 0) << json;
 }
 
+/// A count as /metrics shows it (see MetricRegistry::Read).
+uint64_t Metric(const std::string& name, const std::string& labels = "") {
+  return MetricRegistry::Default().Read(name, labels);
+}
+
 class MonitorTest : public ::testing::Test {
  protected:
   MonitorTest() : server_(DirectoryServer::Create(kSchema).value()) {
@@ -124,7 +137,11 @@ TEST_F(MonitorTest, StatuszSummarizesTheServer) {
   ExpectBalancedJson(body);
   EXPECT_NE(body.find("\"schema\":{"), std::string::npos) << body;
   EXPECT_NE(body.find("\"entries\":1"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"adds\":1"), std::string::npos) << body;
+  // Counts are process-wide: the fixture's add is one of them.
+  const uint64_t adds = StatuszCount(body, "stats", "adds");
+  EXPECT_GE(adds, 1u) << body;
+  EXPECT_EQ(adds,
+            Metric("ldapbound_server_ops_total", "op=\"add\",outcome=\"ok\""));
   EXPECT_NE(body.find("\"wal\":{\"enabled\":false"), std::string::npos);
   EXPECT_NE(body.find("\"slow_ops\":{\"enabled\":true"), std::string::npos);
 }
@@ -235,6 +252,217 @@ TEST_F(MonitorTest, StatuszReportsHealthAndAdmission) {
   // No EnableResilience on this server: admission reports itself off.
   EXPECT_NE(body.find("\"admission\":{\"enabled\":false"),
             std::string::npos) << body;
+}
+
+/// Blocking wire client for the /statusz-vs-/metrics test: one
+/// connection, one request in flight.
+class WireConn {
+ public:
+  explicit WireConn(uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+        0) {
+      ::close(fd_);
+      fd_ = -1;
+      return;
+    }
+    timeval timeout{10, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~WireConn() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  WireConn(const WireConn&) = delete;
+  WireConn& operator=(const WireConn&) = delete;
+
+  bool connected() const { return fd_ >= 0; }
+
+  /// Sends one request frame and reads its response.
+  Result<WireResponse> Call(const std::string& frame) {
+    if (::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(frame.size())) {
+      return Status::Unavailable("send failed");
+    }
+    for (;;) {
+      if (buffer_.size() >= 4) {
+        uint32_t len = *WireCursor(std::string_view(buffer_).substr(0, 4))
+                            .GetU32();
+        if (buffer_.size() >= 4 + static_cast<size_t>(len)) {
+          auto response = DecodeResponsePayload(
+              std::string_view(buffer_).substr(4, len));
+          buffer_.erase(0, 4 + len);
+          return response;
+        }
+      }
+      char buf[4096];
+      ssize_t n = ::read(fd_, buf, sizeof(buf));
+      if (n <= 0) return Status::Unavailable("connection closed");
+      buffer_.append(buf, static_cast<size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  std::string buffer_;
+};
+
+/// The DirectoryServer ops of one kind and outcome, as /metrics shows
+/// them.
+uint64_t ServerOps(const std::string& op, const std::string& outcome) {
+  return Metric("ldapbound_server_ops_total",
+                "op=\"" + op + "\",outcome=\"" + outcome + "\"");
+}
+
+// Every count /statusz shows is the registry series it names, so the two
+// endpoints agree by construction; and each event lands there once. A
+// durable, admission-bounded, MVCC server behind a 2-reactor front end
+// takes wire adds, a schema-refused wire add, pings, a paged search left
+// open, and a library write whose deadline has already expired.
+TEST(MonitorStatuszTest, EveryCountEqualsItsMetric) {
+  std::string dir = ::testing::TempDir() + "ldapbound_monitor/statusz";
+  std::filesystem::remove_all(dir);
+  DirectoryServer server = DirectoryServer::Create(kSchema).value();
+  WalOptions wal;
+  wal.group_commit_max_batch = 4;
+  wal.group_commit_hold_us = 0;
+  ASSERT_TRUE(server.EnableWal(dir, wal).ok());
+  server.EnableMvcc();
+  DirectoryServer::ResilienceOptions resilience;
+  resilience.admission.max_queue_depth = 16;
+  server.EnableResilience(resilience);
+  server.EnableSlowOps(/*capacity=*/8);
+  NetServerOptions net_options;
+  net_options.reactors = 2;
+  auto net = NetServer::Start(&server, net_options);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  auto monitor = MonitorServer::Start(&server);
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+  (*monitor)->SetNetServer(net->get());
+
+  const uint64_t admitted = Metric("ldapbound_admission_admitted_total");
+  const uint64_t deadline_shed =
+      Metric("ldapbound_admission_rejected_total", "reason=\"deadline\"");
+  const uint64_t adds = ServerOps("add", "ok");
+  const uint64_t add_rejected = ServerOps("add", "rejected");
+  const uint64_t net_ok = Metric("ldapbound_net_ops_total", "outcome=\"ok\"");
+  const uint64_t net_rejected =
+      Metric("ldapbound_net_ops_total", "outcome=\"rejected\"");
+  const uint64_t publishes = Metric("ldapbound_snapshot_publishes_total");
+
+  WireConn client((*net)->port());
+  ASSERT_TRUE(client.connected());
+  uint64_t id = 1;
+  constexpr int kAdds = 3;
+  for (int i = 0; i < kAdds; ++i) {
+    const std::string name = "w" + std::to_string(i);
+    auto added = client.Call(EncodeAddRequest(
+        id++, "name=" + name, {"person", "top"}, {{"name", name}}));
+    ASSERT_TRUE(added.ok() && added->ok()) << added->message;
+  }
+  // A person without its required name: admitted, then refused.
+  auto refused =
+      client.Call(EncodeAddRequest(id++, "name=bad", {"person", "top"}, {}));
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(refused->code, WireCode::kIllegal);
+  constexpr int kPings = 4;
+  for (int i = 0; i < kPings; ++i) {
+    ASSERT_TRUE(client.Call(EncodePingRequest(id++)).ok());
+  }
+  auto page = client.Call(
+      EncodeSearchEntriesRequest(id++, "", 2, "(objectClass=person)", 1, ""));
+  ASSERT_TRUE(page.ok() && page->ok()) << page->message;
+  ASSERT_TRUE(DecodeSearchEntriesResponseBody(page->body)->has_more);
+  EXPECT_EQ(server.Add(Dn("name=late"), PersonSpec("late"),
+                       Deadline::AfterMs(0))
+                .code(),
+            StatusCode::kDeadlineExceeded);
+
+  // Each event counted once.
+  EXPECT_EQ(Metric("ldapbound_admission_admitted_total") - admitted,
+            kAdds + 1u);
+  EXPECT_EQ(Metric("ldapbound_admission_rejected_total",
+                   "reason=\"deadline\"") -
+                deadline_shed,
+            1u);
+  EXPECT_EQ(ServerOps("add", "ok") - adds, uint64_t{kAdds});
+  EXPECT_EQ(ServerOps("add", "rejected") - add_rejected, 2u);
+  EXPECT_EQ(Metric("ldapbound_net_ops_total", "outcome=\"ok\"") - net_ok,
+            kAdds + kPings + 1u);
+  EXPECT_EQ(Metric("ldapbound_net_ops_total", "outcome=\"rejected\"") -
+                net_rejected,
+            1u);
+  EXPECT_EQ(Metric("ldapbound_snapshot_publishes_total") - publishes,
+            uint64_t{kAdds});
+
+  // ...and /statusz shows exactly what /metrics holds.
+  const std::string statusz = (*monitor)->RenderStatusz();
+  ExpectBalancedJson(statusz);
+  uint64_t rejected_writes = 0;
+  for (const char* op :
+       {"add", "delete", "apply", "modify", "modify_dn", "import"}) {
+    rejected_writes += ServerOps(op, "rejected");
+  }
+  struct Named {
+    const char* section;
+    const char* key;
+    uint64_t metric;
+  };
+  const std::vector<Named> counts = {
+      {"health", "transitions", Metric("ldapbound_health_transitions_total")},
+      {"health", "recovery_attempts",
+       Metric("ldapbound_health_recovery_attempts_total")},
+      {"health", "recoveries", Metric("ldapbound_health_recoveries_total")},
+      {"admission", "admitted", Metric("ldapbound_admission_admitted_total")},
+      {"admission", "rejected_overload",
+       Metric("ldapbound_admission_rejected_total", "reason=\"overloaded\"")},
+      {"admission", "rejected_deadline",
+       Metric("ldapbound_admission_rejected_total", "reason=\"deadline\"")},
+      {"group_commit", "groups_flushed",
+       Metric("ldapbound_wal_group_commits_total")},
+      {"group_commit", "commits_flushed",
+       Metric("ldapbound_wal_group_commit_batch_size_sum")},
+      {"stats", "adds", ServerOps("add", "ok")},
+      {"stats", "deletes", ServerOps("delete", "ok")},
+      {"stats", "modifies",
+       ServerOps("modify", "ok") + ServerOps("modify_dn", "ok")},
+      {"stats", "searches", ServerOps("search", "ok")},
+      {"stats", "imports", ServerOps("import", "ok")},
+      {"stats", "rejected", rejected_writes},
+      {"mvcc", "publishes", Metric("ldapbound_snapshot_publishes_total")},
+      {"net", "connections_accepted",
+       Metric("ldapbound_net_connections_total")},
+      {"net", "connections_active", Metric("ldapbound_net_connections_active")},
+      {"net", "connections_shed",
+       Metric("ldapbound_net_connections_shed_total")},
+      {"net", "accept_errors", Metric("ldapbound_net_accept_errors_total")},
+      {"net", "ops_shed", Metric("ldapbound_net_ops_shed_total")},
+      {"net", "ops_ok", Metric("ldapbound_net_ops_total", "outcome=\"ok\"")},
+      {"net", "ops_rejected",
+       Metric("ldapbound_net_ops_total", "outcome=\"rejected\"")},
+      {"net", "dispatch_queue_depth",
+       Metric("ldapbound_net_dispatch_queue_depth")},
+      {"net", "frames_in", Metric("ldapbound_net_frames_in_total")},
+      {"net", "frames_out", Metric("ldapbound_net_frames_out_total")},
+      {"net", "protocol_errors", Metric("ldapbound_net_protocol_errors_total")},
+      {"net", "idle_closed", Metric("ldapbound_net_idle_closed_total")},
+      {"net", "owed_bytes_at_stop",
+       Metric("ldapbound_net_owed_bytes_at_stop_total")},
+      {"net", "cursors_open", Metric("ldapbound_net_cursors_open")},
+      {"net", "cursors_expired", Metric("ldapbound_net_cursors_expired_total")},
+  };
+  for (const Named& named : counts) {
+    EXPECT_EQ(StatuszCount(statusz, named.section, named.key), named.metric)
+        << named.section << "." << named.key << " in " << statusz;
+  }
+  EXPECT_EQ(StatuszCount(statusz, "net", "reactors"), 2u);
+  EXPECT_EQ(StatuszCount(statusz, "net", "connections_active"), 1u);
+  EXPECT_EQ(StatuszCount(statusz, "net", "cursors_open"), 1u);
+
+  (*monitor)->SetNetServer(nullptr);
+  (*net)->Stop();
 }
 
 // A silent client — connects, sends nothing — must not park the single

@@ -26,6 +26,7 @@
 #include "server/net_server.h"
 #include "server/wal.h"
 #include "server/wire.h"
+#include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
@@ -314,6 +315,8 @@ TEST_F(NetServerConcurrencyTest, DispatchBoundShedsRetryablyUnderPressure) {
   options.max_pending_ops = 2;
   options.worker_threads = 1;
   StartNet(options);
+  const uint64_t shed_before =
+      MetricRegistry::Default().Read("ldapbound_net_ops_shed_total");
 
   std::atomic<uint64_t> ok{0}, shed{0}, other{0};
   std::vector<std::thread> clients;
@@ -347,7 +350,9 @@ TEST_F(NetServerConcurrencyTest, DispatchBoundShedsRetryablyUnderPressure) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(ok.load() + shed.load(), 6u * 32u);
   EXPECT_EQ(other.load(), 0u);
-  EXPECT_EQ(net_->stats().ops_shed, shed.load());
+  EXPECT_EQ(MetricRegistry::Default().Read("ldapbound_net_ops_shed_total") -
+                shed_before,
+            shed.load());
 }
 
 // Mixed read/write traffic over many connections: wire adds/deletes
@@ -529,7 +534,7 @@ TEST_F(NetServerConcurrencyTest, PagedReadsRaceGroupCommitWriters) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GE(scans.load(), 3u);
   EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
-  EXPECT_EQ(net_->stats().reactors, 2u);
+  EXPECT_EQ(net_->reactors(), 2u);
 }
 
 // One record per request under load: two clients commit wire adds and

@@ -12,6 +12,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -20,10 +21,13 @@
 #include "server/monitor.h"
 #include "server/slow_ops.h"
 #include "server/wire.h"
+#include "tests/testing/helpers.h"
 #include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
+
+using testing::StatuszCount;
 
 constexpr char kSchema[] = R"(
 attribute ou string
@@ -41,6 +45,13 @@ structure {
   require person ancestor orgUnit
 }
 )";
+
+/// A wire count (summed across reactors) or level as /metrics, and so
+/// /statusz, shows it. The registry is process-wide and never reset, so
+/// counts are asserted as deltas.
+uint64_t Net(std::string_view name, std::string_view labels = "") {
+  return MetricRegistry::Default().Read(name, labels);
+}
 
 DistinguishedName Dn(const std::string& s) {
   return *DistinguishedName::Parse(s);
@@ -272,21 +283,29 @@ TEST_F(NetServerTest, StatuszReportsWireConnectionAndShedCounters) {
   auto monitor = MonitorServer::Start(&server_);
   ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
   (*monitor)->SetNetServer(net_.get());
+  const uint64_t accepted = Net("ldapbound_net_connections_total");
+  const uint64_t ok = Net("ldapbound_net_ops_total", "outcome=\"ok\"");
+  const uint64_t shed = Net("ldapbound_net_connections_shed_total");
 
   WireClient client(net_->port());
   ASSERT_TRUE(client.connected());
   auto response = client.Call(EncodeSearchRequest(5, "ou=load", 2, ""));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(Net("ldapbound_net_connections_total"), accepted + 1);
+  EXPECT_EQ(Net("ldapbound_net_ops_total", "outcome=\"ok\""), ok + 1);
+  EXPECT_EQ(Net("ldapbound_net_connections_shed_total"), shed);
 
+  // /statusz shows the process-wide counts /metrics holds.
   std::string statusz = (*monitor)->RenderStatusz();
   EXPECT_NE(statusz.find("\"net\":{\"enabled\":true"), std::string::npos)
       << statusz;
-  EXPECT_NE(statusz.find("\"connections_accepted\":1"), std::string::npos)
+  EXPECT_EQ(StatuszCount(statusz, "net", "connections_accepted"),
+            accepted + 1)
       << statusz;
-  EXPECT_NE(statusz.find("\"ops_ok\":1"), std::string::npos) << statusz;
-  EXPECT_NE(statusz.find("\"connections_shed\":0"), std::string::npos)
+  EXPECT_EQ(StatuszCount(statusz, "net", "ops_ok"), ok + 1) << statusz;
+  EXPECT_EQ(StatuszCount(statusz, "net", "connections_shed"), shed)
       << statusz;
-  EXPECT_NE(statusz.find("\"dispatch_queue_depth\":0"), std::string::npos)
+  EXPECT_EQ(StatuszCount(statusz, "net", "dispatch_queue_depth"), 0u)
       << statusz;
 
   (*monitor)->SetNetServer(nullptr);
@@ -297,6 +316,7 @@ TEST_F(NetServerTest, StatuszReportsWireConnectionAndShedCounters) {
 
 TEST_F(NetServerTest, MalformedFrameGetsProtocolErrorThenClose) {
   StartNet();
+  const uint64_t errors = Net("ldapbound_net_protocol_errors_total");
   WireClient client(net_->port());
   ASSERT_TRUE(client.connected());
   std::string garbage;
@@ -308,13 +328,14 @@ TEST_F(NetServerTest, MalformedFrameGetsProtocolErrorThenClose) {
   // ...and then the server closes the connection.
   auto eof = client.ReadResponse();
   EXPECT_FALSE(eof.ok());
-  EXPECT_EQ(net_->stats().protocol_errors, 1u);
+  EXPECT_EQ(Net("ldapbound_net_protocol_errors_total"), errors + 1);
 }
 
 TEST_F(NetServerTest, ConnectionLimitShedsWithARetryableFrame) {
   NetServerOptions options;
   options.max_connections = 1;
   StartNet(options);
+  const uint64_t shed_before = Net("ldapbound_net_connections_shed_total");
   WireClient first(net_->port());
   ASSERT_TRUE(first.connected());
   ASSERT_TRUE(first.Call(EncodePingRequest(1)).ok());  // fully accepted
@@ -327,7 +348,7 @@ TEST_F(NetServerTest, ConnectionLimitShedsWithARetryableFrame) {
   EXPECT_EQ(shed->code, WireCode::kOverloaded);
   EXPECT_TRUE(shed->retryable);
   EXPECT_FALSE(second.ReadResponse().ok());  // closed after the frame
-  EXPECT_GE(net_->stats().connections_shed, 1u);
+  EXPECT_GE(Net("ldapbound_net_connections_shed_total") - shed_before, 1u);
 
   // The accepted connection is unaffected.
   EXPECT_TRUE(first.Call(EncodePingRequest(2)).ok());
@@ -361,12 +382,13 @@ TEST_F(NetServerTest, IdleConnectionsAreReaped) {
   NetServerOptions options;
   options.idle_timeout_ms = 100;
   StartNet(options);
+  const uint64_t idle_before = Net("ldapbound_net_idle_closed_total");
   WireClient idle(net_->port());
   ASSERT_TRUE(idle.connected());
   // Say nothing; the sweep (every epoll timeout) must close us.
   auto eof = idle.ReadResponse();
   EXPECT_FALSE(eof.ok());
-  EXPECT_GE(net_->stats().idle_closed, 1u);
+  EXPECT_GE(Net("ldapbound_net_idle_closed_total") - idle_before, 1u);
 }
 
 TEST_F(NetServerTest, StopDrainsAndReleasesThePort) {
@@ -413,6 +435,7 @@ const Tracer::Event* FindSpan(const SlowOp& op, const std::string& name) {
 TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
   server_.EnableSlowOps(/*capacity=*/64, /*min_duration_ns=*/0);
   StartNet();
+  const uint64_t ok = Net("ldapbound_net_ops_total", "outcome=\"ok\"");
   WireClient client(net_->port());
   ASSERT_TRUE(client.connected());
 
@@ -472,7 +495,7 @@ TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
             std::string::npos);
   EXPECT_NE(metrics.find("ldapbound_net_dispatch_queue_depth"),
             std::string::npos);
-  EXPECT_GE(net_->stats().ops_ok, 4u);
+  EXPECT_GE(Net("ldapbound_net_ops_total", "outcome=\"ok\"") - ok, 4u);
 }
 
 // A durable wire add is one request with one record: the wire pipeline
@@ -549,23 +572,19 @@ TEST_F(NetServerTest, RefusedWireAddIsOneRecordWithDnAndDetail) {
   EXPECT_NE(json.find("\"detail\":"), std::string::npos) << json;
 }
 
-// Pings answer inline on the reactor; they count as ok in stats() and on
-// /metrics alike, so /statusz and /metrics agree.
+// Pings answer inline on the reactor; they count as ok on /metrics, which
+// /statusz reads, like the requests the workers execute.
 TEST_F(NetServerTest, InlinePingsCountInStatsAndMetrics) {
   StartNet();
-  Counter& ok_metric = MetricRegistry::Default().GetCounter(
-      "ldapbound_net_ops_total", "Wire requests executed, by outcome",
-      "outcome=\"ok\"");
-  const uint64_t stats_before = net_->stats().ops_ok;
-  const uint64_t metric_before = ok_metric.Value();
+  const uint64_t before = Net("ldapbound_net_ops_total", "outcome=\"ok\"");
   WireClient client(net_->port());
   ASSERT_TRUE(client.connected());
   constexpr uint64_t kPings = 10;
   for (uint64_t i = 1; i <= kPings; ++i) {
     ASSERT_TRUE(client.Call(EncodePingRequest(i)).ok());
   }
-  EXPECT_EQ(net_->stats().ops_ok - stats_before, kPings);
-  EXPECT_EQ(ok_metric.Value() - metric_before, kPings);
+  EXPECT_EQ(Net("ldapbound_net_ops_total", "outcome=\"ok\"") - before,
+            kPings);
 }
 
 TEST_F(NetServerTest, SearchEntriesReturnsFullPayloadsWithDns) {
@@ -593,7 +612,7 @@ TEST_F(NetServerTest, SearchEntriesReturnsFullPayloadsWithDns) {
   EXPECT_EQ(values.at("name"), "user u0");
 
   // A single-page scan never opens a server-side cursor.
-  EXPECT_EQ(net_->stats().cursors_open, 0u);
+  EXPECT_EQ(Net("ldapbound_net_cursors_open"), 0u);
 }
 
 TEST_F(NetServerTest, SearchEntriesPaginatesEveryEntryExactlyOnce) {
@@ -627,13 +646,13 @@ TEST_F(NetServerTest, SearchEntriesPaginatesEveryEntryExactlyOnce) {
     EXPECT_EQ(page->cookie.empty(), !page->has_more);
     if (!page->has_more) break;
     EXPECT_EQ(page->entries.size(), 2u);
-    EXPECT_EQ(net_->stats().cursors_open, 1u);
+    EXPECT_EQ(Net("ldapbound_net_cursors_open"), 1u);
     cookie = page->cookie;
   }
   EXPECT_EQ(uids, (std::vector<std::string>{"u0", "u1", "u2", "u3", "u4",
                                             "u5"}));
   // The exhausted scan released its cursor.
-  EXPECT_EQ(net_->stats().cursors_open, 0u);
+  EXPECT_EQ(Net("ldapbound_net_cursors_open"), 0u);
 }
 
 TEST_F(NetServerTest, SearchEntriesPagesStayOnThePinnedSnapshot) {
@@ -688,6 +707,7 @@ TEST_F(NetServerTest, IdleCursorsAreReapedAndExpireRetryably) {
   NetServerOptions options;
   options.cursor_idle_timeout_ms = 50;
   StartNet(options);
+  const uint64_t expired = Net("ldapbound_net_cursors_expired_total");
   WireClient client(net_->port());
   ASSERT_TRUE(client.connected());
 
@@ -707,8 +727,8 @@ TEST_F(NetServerTest, IdleCursorsAreReapedAndExpireRetryably) {
   ASSERT_TRUE(stale.ok()) << stale.status().ToString();
   EXPECT_EQ(stale->code, WireCode::kCursorExpired);
   EXPECT_TRUE(stale->retryable);
-  EXPECT_GE(net_->stats().cursors_expired, 1u);
-  EXPECT_EQ(net_->stats().cursors_open, 0u);
+  EXPECT_GE(Net("ldapbound_net_cursors_expired_total") - expired, 1u);
+  EXPECT_EQ(Net("ldapbound_net_cursors_open"), 0u);
 
   // The connection survives: an expired cursor is the client's cue to
   // restart the scan, not a protocol violation.
@@ -753,7 +773,8 @@ TEST_F(NetServerTest, MultiReactorFrontEndServesEveryConnection) {
   NetServerOptions options;
   options.reactors = 2;
   StartNet(options);
-  EXPECT_EQ(net_->stats().reactors, 2u);
+  EXPECT_EQ(net_->reactors(), 2u);
+  const uint64_t accepted = Net("ldapbound_net_connections_total");
 
   // A handful of connections; SO_REUSEPORT steers each to one of the
   // two reactors and every one must serve reads and paged scans.
@@ -772,7 +793,7 @@ TEST_F(NetServerTest, MultiReactorFrontEndServesEveryConnection) {
     EXPECT_EQ(
         DecodeSearchEntriesResponseBody(search->body)->entries.size(), 2u);
   }
-  EXPECT_GE(net_->stats().connections_accepted, 6u);
+  EXPECT_GE(Net("ldapbound_net_connections_total") - accepted, 6u);
 
   // The per-reactor metric families carry the reactor label.
   std::string metrics = MetricRegistry::Default().RenderPrometheus();
@@ -785,6 +806,7 @@ TEST_F(NetServerTest, CleanStopOwesNoBytesAndHonorsDrainGrace) {
   NetServerOptions options;
   options.drain_grace_ms = 100;
   StartNet(options);
+  const uint64_t owed = Net("ldapbound_net_owed_bytes_at_stop_total");
   uint16_t port = net_->port();
   {
     WireClient client(port);
@@ -797,7 +819,7 @@ TEST_F(NetServerTest, CleanStopOwesNoBytesAndHonorsDrainGrace) {
   auto elapsed = std::chrono::steady_clock::now() - started;
   // Nothing was in flight, so the drain must not eat the full grace.
   EXPECT_LT(elapsed, std::chrono::milliseconds(2000));
-  EXPECT_EQ(net_->stats().owed_bytes_at_stop, 0u);
+  EXPECT_EQ(Net("ldapbound_net_owed_bytes_at_stop_total"), owed);
 }
 
 // The SnapshotSearch core, exercised directly against pinned snapshots.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -71,6 +72,26 @@ inline EntryId AddBare(Directory& directory, EntryId parent,
     abort();
   }
   return *result;
+}
+
+/// The number a /statusz body renders as `"key":N` directly inside its
+/// `"section":{...}`; UINT64_MAX when the section or the key is missing.
+inline uint64_t StatuszCount(const std::string& json,
+                             const std::string& section,
+                             const std::string& key) {
+  size_t open = json.find("\"" + section + "\":{");
+  if (open == std::string::npos) return UINT64_MAX;
+  open = json.find('{', open);
+  size_t close = open;
+  for (int depth = 0; close < json.size(); ++close) {
+    if (json[close] == '{') ++depth;
+    if (json[close] == '}' && --depth == 0) break;
+  }
+  const std::string body = json.substr(open, close - open);
+  const std::string needle = "\"" + key + "\":";
+  size_t at = body.find(needle);
+  if (at == std::string::npos) return UINT64_MAX;
+  return std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
 }
 
 }  // namespace ldapbound::testing

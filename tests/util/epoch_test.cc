@@ -182,5 +182,41 @@ TEST(EpochTest, ConcurrentPinRetireStress) {
   EXPECT_EQ(epochs.retired_pending(), 0u);
 }
 
+// live_readers() counts pinned slots when asked: with the readers still
+// it is exact — one per thread however deeply it nests its pins — and it
+// falls back to 0 once they release.
+TEST(EpochTest, LiveReadersCountsPinnedThreadsExactly) {
+  EpochManager epochs;
+  constexpr int kReaders = 5;
+  std::atomic<int> pinned{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      EpochManager::Pin outer = epochs.Enter();
+      EpochManager::Pin inner = epochs.Enter();
+      EpochManager::Pin innermost = epochs.Enter();
+      pinned.fetch_add(1, std::memory_order_acq_rel);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (pinned.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(epochs.live_readers(), static_cast<size_t>(kReaders));
+  {
+    EpochManager::Pin mine = epochs.Enter();
+    EpochManager::Pin nested = epochs.Enter();
+    EXPECT_EQ(epochs.live_readers(), static_cast<size_t>(kReaders) + 1);
+  }
+  EXPECT_EQ(epochs.live_readers(), static_cast<size_t>(kReaders));
+
+  release.store(true, std::memory_order_release);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(epochs.live_readers(), 0u);
+}
+
 }  // namespace
 }  // namespace ldapbound

@@ -106,6 +106,33 @@ TEST(MetricRegistryTest, ForEachSampleFlattensSeries) {
   EXPECT_EQ(samples.size(), 4u);
 }
 
+TEST(MetricRegistryTest, ReadReturnsOneSeriesOrTheFamilyTotal) {
+  MetricRegistry reg;
+  reg.GetCounter("rd_total", "h", "op=\"add\"").Increment(3);
+  reg.GetCounter("rd_total", "h", "op=\"del\"").Increment(4);
+  reg.GetCounter("rd_bare_total", "h").Increment(5);
+  reg.GetGauge("rd_level", "h", "reactor=\"0\"").Set(2);
+  reg.GetGauge("rd_level", "h", "reactor=\"1\"").Set(-9);
+  reg.GetHistogram("rd_ns", "h").Observe(10);
+  reg.GetHistogram("rd_ns", "h").Observe(30);
+
+  EXPECT_EQ(reg.Read("rd_total", "op=\"add\""), 3u);
+  EXPECT_EQ(reg.Read("rd_total"), 7u);
+  EXPECT_EQ(reg.Read("rd_bare_total"), 5u);
+  EXPECT_EQ(reg.Read("rd_level", "reactor=\"0\""), 2u);
+  EXPECT_EQ(reg.Read("rd_level", "reactor=\"1\""), 0u);  // negative gauge
+  EXPECT_EQ(reg.Read("rd_level"), 2u);
+  EXPECT_EQ(reg.Read("rd_ns_count"), 2u);
+  EXPECT_EQ(reg.Read("rd_ns_sum"), 40u);
+
+  // Unknown names and label sets read 0 and register nothing.
+  EXPECT_EQ(reg.Read("rd_total", "op=\"mod\""), 0u);
+  EXPECT_EQ(reg.Read("rd_missing_total"), 0u);
+  EXPECT_EQ(reg.Read("rd_total_count"), 0u);  // not a histogram
+  EXPECT_EQ(reg.RenderPrometheus().find("op=\"mod\""), std::string::npos);
+  EXPECT_EQ(reg.RenderPrometheus().find("rd_missing"), std::string::npos);
+}
+
 TEST(LatencyTimerTest, ObservesOnDestruction) {
   Histogram h;
   { LatencyTimer t(h); }

@@ -39,6 +39,7 @@
 #include "server/group_commit.h"
 #include "server/health.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -310,10 +311,15 @@ int Run(const Options& options) {
                 std::string(StatusCodeToString(code)).c_str(),
                 static_cast<unsigned long long>(count));
   }
-  std::printf("health: %s, transitions %llu, recoveries %llu\n",
-              std::string(HealthStateName(server.health_state())).c_str(),
-              static_cast<unsigned long long>(server.health()->transitions()),
-              static_cast<unsigned long long>(server.health()->recoveries()));
+  // One server per process: the process-wide counts are its own.
+  const MetricRegistry& metrics = MetricRegistry::Default();
+  std::printf(
+      "health: %s, transitions %llu, recoveries %llu\n",
+      std::string(HealthStateName(server.health_state())).c_str(),
+      static_cast<unsigned long long>(
+          metrics.Read("ldapbound_health_transitions_total")),
+      static_cast<unsigned long long>(
+          metrics.Read("ldapbound_health_recoveries_total")));
 
   const uint64_t violations = ledger.violations.load();
   if (violations > 0) {
