@@ -91,8 +91,8 @@ int main() {
   }
   std::printf("=== replica after replaying %zu change(s) ===\n%s",
               *applied, replica->ExportLdif().c_str());
-  std::printf("converged: %s\n",
-              replica->ExportLdif() == primary->ExportLdif() ? "yes" : "no");
+  const bool converged = replica->ExportLdif() == primary->ExportLdif();
+  std::printf("converged: %s\n", converged ? "yes" : "no");
 
   // Incremental shipping: only the new changes flow.
   uint64_t shipped = primary->changelog()->last_sequence();
@@ -104,8 +104,10 @@ int main() {
       primary->changelog()->ToLdif(primary->vocab(), shipped);
   std::printf("\n=== incremental delta ===\n%s", delta.c_str());
   (void)ApplyChangeLdif(delta, &*replica);
+  const bool converged_after_delta =
+      replica->ExportLdif() == primary->ExportLdif();
   std::printf("converged after delta: %s\n",
-              replica->ExportLdif() == primary->ExportLdif() ? "yes" : "no");
+              converged_after_delta ? "yes" : "no");
 
   // The replica enforces the schema on replay too: a hand-tampered change
   // file cannot corrupt it.
@@ -118,5 +120,5 @@ int main() {
   auto bad = ApplyChangeLdif(tampered, &*replica);
   std::printf("\ntampered change file: %s\n",
               bad.ok() ? "accepted (?!)" : bad.status().ToString().c_str());
-  return 0;
+  return converged && converged_after_delta ? 0 : 1;
 }

@@ -171,102 +171,31 @@ unsigned LegalityChecker::EffectiveThreads(size_t work_items) const {
   return t == 0 ? 1 : t;
 }
 
-bool LegalityChecker::CheckEntryClassSchema(const Directory&,
-                                            const Entry& entry,
-                                            std::vector<Violation>* out) const {
-  const ClassSchema& classes = schema_.classes();
+bool LegalityChecker::CheckClassList(const std::vector<ClassId>& classes,
+                                    EntryId entry,
+                                    std::vector<Violation>* out) const {
+  const ClassSchema& cs = schema_.classes();
   bool ok = true;
+  auto report = [&](ViolationKind kind, ClassId cls, ClassId cls2) {
+    Violation v;
+    v.kind = kind;
+    v.entry = entry;
+    v.cls = cls;
+    v.cls2 = cls2;
+    return Report(out, v, &ok);
+  };
 
   // Only schema classes may be present; split into core and auxiliary.
   ClassId deepest = kInvalidClassId;
   uint32_t deepest_depth = 0;
   size_t num_core = 0;
-  for (ClassId c : entry.classes()) {
-    if (!classes.Contains(c)) {
-      Violation v;
-      v.kind = ViolationKind::kUnknownClass;
-      v.entry = entry.id();
-      v.cls = c;
-      if (!Report(out, v, &ok)) return false;
+  for (ClassId c : classes) {
+    if (!cs.Contains(c)) {
+      if (!report(ViolationKind::kUnknownClass, c, kInvalidClassId)) {
+        return false;
+      }
       continue;
     }
-    if (classes.IsCore(c)) {
-      ++num_core;
-      uint32_t d = classes.DepthOf(c);
-      if (deepest == kInvalidClassId || d > deepest_depth) {
-        deepest = c;
-        deepest_depth = d;
-      }
-    }
-  }
-
-  // At least one core class.
-  if (num_core == 0) {
-    Violation v;
-    v.kind = ViolationKind::kNoCoreClass;
-    v.entry = entry.id();
-    if (!Report(out, v, &ok)) return false;
-    return ok;  // inheritance/auxiliary checks need a core chain
-  }
-
-  // Single inheritance: the core classes must be exactly the ancestors of
-  // the deepest one — any other configuration is either a missing
-  // superclass or a pair of incomparable core classes.
-  std::vector<ClassId> chain = classes.AncestorsOf(deepest);
-  std::sort(chain.begin(), chain.end());
-  for (ClassId c : entry.classes()) {
-    if (!classes.IsCore(c)) continue;
-    if (!std::binary_search(chain.begin(), chain.end(), c)) {
-      Violation v;
-      v.kind = ViolationKind::kExclusiveClasses;
-      v.entry = entry.id();
-      v.cls = deepest;
-      v.cls2 = c;
-      if (!Report(out, v, &ok)) return false;
-    }
-  }
-  for (ClassId c : chain) {
-    if (!entry.HasClass(c)) {
-      Violation v;
-      v.kind = ViolationKind::kMissingSuperclass;
-      v.entry = entry.id();
-      v.cls = deepest;
-      v.cls2 = c;
-      if (!Report(out, v, &ok)) return false;
-    }
-  }
-
-  // Auxiliary classes must be allowed by some core class of the entry.
-  for (ClassId c : entry.classes()) {
-    if (!classes.IsAuxiliary(c)) continue;
-    bool allowed = false;
-    for (ClassId core : entry.classes()) {
-      if (!classes.IsCore(core)) continue;
-      const std::vector<ClassId>& aux = classes.AuxAllowed(core);
-      if (std::binary_search(aux.begin(), aux.end(), c)) {
-        allowed = true;
-        break;
-      }
-    }
-    if (!allowed) {
-      Violation v;
-      v.kind = ViolationKind::kDisallowedAuxiliary;
-      v.entry = entry.id();
-      v.cls = c;
-      if (!Report(out, v, &ok)) return false;
-    }
-  }
-  return ok;
-}
-
-bool LegalityChecker::ClassListClean(
-    const std::vector<ClassId>& classes) const {
-  const ClassSchema& cs = schema_.classes();
-  ClassId deepest = kInvalidClassId;
-  uint32_t deepest_depth = 0;
-  size_t num_core = 0;
-  for (ClassId c : classes) {
-    if (!cs.Contains(c)) return false;
     if (cs.IsCore(c)) {
       ++num_core;
       uint32_t d = cs.DepthOf(c);
@@ -276,18 +205,33 @@ bool LegalityChecker::ClassListClean(
       }
     }
   }
-  if (num_core == 0) return false;
+
+  // At least one core class; the inheritance and auxiliary checks need a
+  // core chain.
+  if (num_core == 0) {
+    report(ViolationKind::kNoCoreClass, kInvalidClassId, kInvalidClassId);
+    return false;
+  }
+
+  // Single inheritance: the core classes must be exactly the ancestors of
+  // the deepest one — any other configuration is either a missing
+  // superclass or a pair of incomparable core classes.
   std::vector<ClassId> chain = cs.AncestorsOf(deepest);
   std::sort(chain.begin(), chain.end());
   for (ClassId c : classes) {
-    if (cs.IsCore(c) &&
-        !std::binary_search(chain.begin(), chain.end(), c)) {
+    if (cs.IsCore(c) && !std::binary_search(chain.begin(), chain.end(), c) &&
+        !report(ViolationKind::kExclusiveClasses, deepest, c)) {
       return false;
     }
   }
   for (ClassId c : chain) {
-    if (!std::binary_search(classes.begin(), classes.end(), c)) return false;
+    if (!std::binary_search(classes.begin(), classes.end(), c) &&
+        !report(ViolationKind::kMissingSuperclass, deepest, c)) {
+      return false;
+    }
   }
+
+  // Auxiliary classes must be allowed by some core class of the entry.
   for (ClassId c : classes) {
     if (!cs.IsAuxiliary(c)) continue;
     bool allowed = false;
@@ -299,9 +243,12 @@ bool LegalityChecker::ClassListClean(
         break;
       }
     }
-    if (!allowed) return false;
+    if (!allowed &&
+        !report(ViolationKind::kDisallowedAuxiliary, c, kInvalidClassId)) {
+      return false;
+    }
   }
-  return true;
+  return ok;
 }
 
 bool LegalityChecker::CheckEntryAttributeSchema(
@@ -355,7 +302,7 @@ bool LegalityChecker::CheckEntryContent(const Directory& directory,
                                         EntryId id,
                                         std::vector<Violation>* out) const {
   const Entry& entry = directory.entry(id);
-  bool class_ok = CheckEntryClassSchema(directory, entry, out);
+  bool class_ok = CheckClassList(entry.classes(), id, out);
   if (!class_ok && out == nullptr) return false;
   bool attr_ok = CheckEntryAttributeSchema(directory, entry, out);
   return class_ok && attr_ok;
@@ -369,7 +316,7 @@ bool LegalityChecker::CheckEntryContentCached(
   auto it = cache.infos.find(entry.classes());
   if (it == cache.infos.end()) {
     ContentCache::ClassSetInfo info;
-    info.clean = ClassListClean(entry.classes());
+    info.clean = CheckClassList(entry.classes(), id, nullptr);
     if (info.clean) {
       const AttributeSchema& attrs = schema_.attributes();
       AttributeId max_allowed = 0;
@@ -438,28 +385,11 @@ bool LegalityChecker::CheckContent(const Directory& directory,
   const size_t num_chunks = (cap + grain - 1) / grain;
   const unsigned threads = EffectiveThreads(num_chunks);
 
-  if (threads <= 1) {
-    ContentCache cache;
-    cache.objectclass = directory.vocab().objectclass_attr();
-    ContentCounters counters;
-    bool ok = true;
-    for (size_t id = 0; id < cap; ++id) {
-      EntryId eid = static_cast<EntryId>(id);
-      if (!directory.IsAlive(eid)) continue;
-      if (!CheckEntryContentCached(directory, eid, cache, counters, out)) {
-        ok = false;
-        if (out == nullptr) break;
-      }
-    }
-    counters.Flush();
-    (ok ? metrics.content_legal : metrics.content_illegal).Increment();
-    return ok;
-  }
-
   // Sharded pass: chunk k covers ids [k*grain, (k+1)*grain); per-chunk
-  // buffers concatenated in chunk order reproduce the serial ascending-id
+  // buffers concatenated in chunk order reproduce the ascending-id
   // violation order exactly. Each lane keeps its own class-set memo and
-  // tallies (flushed to the global metrics once, after the join).
+  // tallies (flushed to the global metrics once, after the join). At one
+  // lane ParallelFor runs the chunks inline, in id order, with no pool.
   std::vector<std::vector<Violation>> buffers(out != nullptr ? num_chunks : 0);
   std::vector<ContentCache> caches(threads);
   for (ContentCache& c : caches) {

@@ -149,8 +149,11 @@ class LegalityChecker {
   /// once per shard — never per entry.
   struct ContentCounters;
 
-  bool CheckEntryClassSchema(const Directory& directory, const Entry& entry,
-                             std::vector<Violation>* out) const;
+  /// The class-schema check of one entry's sorted class list: violations
+  /// are reported against `entry` into `out`, or, with a null `out`, the
+  /// check stops at the first failure (the memo screen's verdict).
+  bool CheckClassList(const std::vector<ClassId>& classes, EntryId entry,
+                      std::vector<Violation>* out) const;
   bool CheckEntryAttributeSchema(const Directory& directory,
                                  const Entry& entry,
                                  std::vector<Violation>* out) const;
@@ -160,8 +163,6 @@ class LegalityChecker {
                                ContentCache& cache,
                                ContentCounters& counters,
                                std::vector<Violation>* out) const;
-  /// True iff this class list passes every class-schema condition.
-  bool ClassListClean(const std::vector<ClassId>& classes) const;
 
   /// The one Figure-4 checker behind both CheckStructure overloads:
   /// Cr, then Er, then Ef, offenders ascending, constraint queries fanned

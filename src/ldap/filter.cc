@@ -129,12 +129,16 @@ class FilterParser {
           bound));
     }
 
-    // objectClass equality compiles to a class-membership test.
-    if (EqualsIgnoreCase(attr_name, "objectClass") &&
-        value.find('*') == std::string::npos) {
-      auto cls = vocab_.FindClass(value);
-      if (!cls.ok()) return NothingFilter();
-      return MatchClass(*cls);
+    // objectClass equality compiles to a class-membership test, and
+    // objectClass presence to match-all: every entry has a class, though
+    // no entry stores objectClass as a value.
+    if (EqualsIgnoreCase(attr_name, "objectClass")) {
+      if (value == "*") return MatchAll();
+      if (value.find('*') == std::string::npos) {
+        auto cls = vocab_.FindClass(value);
+        if (!cls.ok()) return NothingFilter();
+        return MatchClass(*cls);
+      }
     }
 
     auto attr = vocab_.FindAttribute(attr_name);

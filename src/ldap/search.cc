@@ -34,10 +34,6 @@ Result<std::vector<EntryId>> SearchFrom(const Directory& directory,
         for (EntryId root : directory.roots()) consider(root);
         break;
       case SearchScope::kSubtree:
-        // Root-by-root tree walk, same order as the dense preorder but
-        // with no dense-cache dependency: Search is a const read that
-        // must stay safe concurrently with other const reads, and a
-        // stale dense cache may only be materialized single-threaded.
         for (EntryId root : directory.roots()) {
           for (EntryId id : directory.SubtreeEntries(root)) consider(id);
         }

@@ -85,15 +85,14 @@ Status CheckQueuedDeadline(AdmissionController* admission,
 }
 
 /// The bookkeeping of one DirectoryServer op, the one place its outcome
-/// is recorded. The outermost op on a thread annotates the request record
-/// current there — installing one for a library call, which has no wire
-/// record — with its name, target, outcome and refusal detail; counts its
-/// outcome and latency in its family at return; and writes its JSON
-/// op-log line. A record it installed it also finishes (FinishRequest):
-/// a wire request's record is finished by the reactor once its response
-/// is flushed. An op nested in another (Add and Delete delegate to Apply)
-/// finds the record annotated and does nothing, so a request counts once,
-/// in the family of the op the caller invoked.
+/// is recorded. The op annotates the request record current on its thread
+/// — installing one for a library call, which has no wire record — with
+/// its name, target, outcome and refusal detail; counts its outcome and
+/// latency in its family at return; and writes its JSON op-log line. A
+/// record it installed it also finishes (FinishRequest): a wire request's
+/// record is finished by the reactor once its response is flushed. No op
+/// runs inside another, so a request counts once, in the family of the op
+/// the caller invoked.
 class OpTracker {
  public:
   OpTracker(OpMetrics& op, SlowOpLog* log, std::atomic<uint64_t>& next_op_id,
@@ -102,9 +101,6 @@ class OpTracker {
     if (record_ == nullptr) {
       record_ = &own_.emplace();
       scope_.emplace(record_);
-    } else if (record_->op_start_ns != 0) {
-      record_ = nullptr;  // nested: the outer op owns the annotation
-      return;
     }
     record_->op_start_ns = Tracer::NowNs();
     if (record_->op == nullptr) record_->op = op.name;
@@ -119,7 +115,6 @@ class OpTracker {
   /// Counts `status` once as the operation's outcome (`ok` or `rejected`)
   /// and returns it; `explain` is a rejection's "detected by" summary.
   Status Finish(Status status, std::string explain = "") {
-    if (record_ == nullptr) return status;
     (status.ok() ? op_.ok : op_.rejected).Increment();
     record_->outcome = status.ok() ? "ok" : "rejected";
     if (!status.ok()) {
@@ -131,7 +126,6 @@ class OpTracker {
   }
 
   ~OpTracker() {
-    if (record_ == nullptr) return;
     const uint64_t end_ns = Tracer::NowNs();
     const uint64_t duration_ns = end_ns - record_->op_start_ns;
     op_.latency_ns.Observe(duration_ns);
@@ -152,23 +146,29 @@ class OpTracker {
  private:
   OpMetrics& op_;
   SlowOpLog* log_;
-  RequestStamps* record_;  ///< nullptr for a nested op
+  RequestStamps* record_;
   std::optional<RequestStamps> own_;  ///< a library call's record
   std::optional<RequestScope> scope_;
 };
 
-/// A write body's schema refusal: the Illegal status naming `what`, and in
-/// `*explain` one "detected by" line per violation — the constraint-level
-/// summary the slow-op record keeps alongside the human-readable detail.
+/// A write body's schema refusal: the Illegal status naming `what`.
 Status SchemaRefusal(const std::string& what,
                      const std::vector<Violation>& violations,
-                     const Vocabulary& vocab, std::string* explain) {
-  for (const Violation& v : violations) {
-    if (!explain->empty()) *explain += '\n';
-    *explain += v.DetectedBy(vocab);
-  }
+                     const Vocabulary& vocab) {
   return Status::Illegal(what + " violates the schema:\n" +
                          DescribeViolations(violations, vocab));
+}
+
+/// One "detected by" line per violation: the constraint-level summary the
+/// slow-op record keeps alongside a refusal's human-readable detail.
+std::string ExplainRefusal(const std::vector<Violation>& violations,
+                           const Vocabulary& vocab) {
+  std::string explain;
+  for (const Violation& v : violations) {
+    if (!explain.empty()) explain += '\n';
+    explain += v.DetectedBy(vocab);
+  }
+  return explain;
 }
 
 }  // namespace
@@ -198,24 +198,22 @@ Result<DirectoryServer> DirectoryServer::Create(
   return DirectoryServer(std::move(vocab), std::move(schema));
 }
 
-// Add and Delete delegate to Apply; the nested Apply neither counts nor
-// times (OpTracker), so a request counts once, as add or delete.
+// Add and Delete commit one-op transactions through Apply's body, counted
+// and timed as add or delete.
 Status DirectoryServer::Add(const DistinguishedName& dn, EntrySpec spec,
                             Deadline deadline) {
-  OpTracker tracker(GetServerMetrics().add, slow_ops_.get(),
-                    atomics_->next_op_id, dn.ToString());
   UpdateTransaction txn;
   txn.Insert(dn, std::move(spec));
-  return tracker.Finish(Apply(txn, nullptr, deadline));
+  return CommitTxn(GetServerMetrics().add, dn.ToString(), txn, nullptr,
+                   deadline);
 }
 
 Status DirectoryServer::Delete(const DistinguishedName& dn,
                                Deadline deadline) {
-  OpTracker tracker(GetServerMetrics().del, slow_ops_.get(),
-                    atomics_->next_op_id, dn.ToString());
   UpdateTransaction txn;
   txn.Delete(dn);
-  return tracker.Finish(Apply(txn, nullptr, deadline));
+  return CommitTxn(GetServerMetrics().del, dn.ToString(), txn, nullptr,
+                   deadline);
 }
 
 Status DirectoryServer::CheckWritable() const {
@@ -303,6 +301,7 @@ Status DirectoryServer::Write(OpMetrics& op, std::string target,
                               Deadline deadline, Body&& body) {
   OpTracker tracker(op, slow_ops_.get(), atomics_->next_op_id,
                     std::move(target));
+  std::vector<Violation> violations;
   std::string explain;
   Status status = [&]() -> Status {
     LDAPBOUND_RETURN_IF_ERROR(AdmitWrite(&deadline));
@@ -312,9 +311,14 @@ Status DirectoryServer::Write(OpMetrics& op, std::string target,
     LDAPBOUND_RETURN_IF_ERROR(CheckQueuedDeadline(admission_.get(), deadline));
     std::vector<ChangeRecord> records;
     const bool recorded = changelog_ != nullptr || wal_ != nullptr;
-    Status applied = body(recorded ? &records : nullptr, &explain);
+    Status applied = body(recorded ? &records : nullptr, &violations);
     RequestScope::MarkCurrent(RequestStage::kBodyDone);
-    if (!applied.ok()) return applied;
+    if (!applied.ok()) {
+      // Under the mutex: naming the violations reads the vocabulary,
+      // which other writers intern into.
+      explain = ExplainRefusal(violations, *vocab_);
+      return applied;
+    }
     // Snapshot readers must see this commit once the call returns OK:
     // publish under the mutex, before the durability wait.
     PublishSnapshotLocked();
@@ -343,13 +347,21 @@ Status DirectoryServer::Write(OpMetrics& op, std::string target,
 
 Status DirectoryServer::Apply(const UpdateTransaction& txn,
                               CommitStats* stats, Deadline deadline) {
+  return CommitTxn(GetServerMetrics().apply,
+                   "txn(" + std::to_string(txn.ops().size()) + " ops)", txn,
+                   stats, deadline);
+}
+
+Status DirectoryServer::CommitTxn(OpMetrics& op, std::string target,
+                                  const UpdateTransaction& txn,
+                                  CommitStats* stats, Deadline deadline) {
   return Write(
-      GetServerMetrics().apply,
-      "txn(" + std::to_string(txn.ops().size()) + " ops)", deadline,
-      [&](std::vector<ChangeRecord>* records, std::string*) -> Status {
+      op, std::move(target), deadline,
+      [&](std::vector<ChangeRecord>* records,
+          std::vector<Violation>* violations) -> Status {
         TransactionExecutor executor(directory_.get(), *schema_,
                                      ValidatorOptions());
-        LDAPBOUND_RETURN_IF_ERROR(executor.Commit(txn, stats));
+        LDAPBOUND_RETURN_IF_ERROR(executor.Commit(txn, stats, violations));
         if (records == nullptr) return Status::OK();
         records->reserve(txn.ops().size());
         for (const UpdateOp& op : txn.ops()) {
@@ -420,7 +432,8 @@ Status DirectoryServer::Modify(const DistinguishedName& dn,
                                Deadline deadline) {
   return Write(
       GetServerMetrics().modify, dn.ToString(), deadline,
-      [&](std::vector<ChangeRecord>* records, std::string* explain) -> Status {
+      [&](std::vector<ChangeRecord>* records,
+          std::vector<Violation>* violations) -> Status {
         LDAPBOUND_ASSIGN_OR_RETURN(EntryId id, ResolveDn(*directory_, dn));
         std::vector<Modification> undo;
         auto rollback = [&]() {
@@ -454,20 +467,19 @@ Status DirectoryServer::Modify(const DistinguishedName& dn,
         // which covers the entry's content and exactly the entries whose
         // structural requirements can be affected.
         LegalityChecker checker(*schema_, check_options_);
-        std::vector<Violation> violations;
         bool ok;
         if (added_classes.empty() && removed_classes.empty()) {
-          ok = checker.CheckEntryContent(*directory_, id, &violations);
+          ok = checker.CheckEntryContent(*directory_, id, violations);
         } else {
           IncrementalValidator validator(*schema_, ValidatorOptions());
           ok = validator.CheckAfterReclassify(*directory_, id, added_classes,
-                                              removed_classes, &violations);
+                                              removed_classes, violations);
         }
-        ok = checker.CheckKeys(*directory_, &violations) && ok;
+        ok = checker.CheckKeys(*directory_, violations) && ok;
         if (!ok) {
           rollback();
           return SchemaRefusal("modify of '" + dn.ToString() + "'",
-                               violations, *vocab_, explain);
+                               *violations, *vocab_);
         }
         if (records != nullptr) {
           ChangeRecord record;
@@ -485,7 +497,8 @@ Status DirectoryServer::ModifyDn(const DistinguishedName& dn,
                                  std::string new_rdn, Deadline deadline) {
   return Write(
       GetServerMetrics().modify_dn, dn.ToString(), deadline,
-      [&](std::vector<ChangeRecord>* records, std::string* explain) -> Status {
+      [&](std::vector<ChangeRecord>* records,
+          std::vector<Violation>* violations) -> Status {
         LDAPBOUND_ASSIGN_OR_RETURN(EntryId entry, ResolveDn(*directory_, dn));
         EntryId new_parent = kInvalidEntryId;
         if (!new_parent_dn.IsEmpty()) {
@@ -505,13 +518,12 @@ Status DirectoryServer::ModifyDn(const DistinguishedName& dn,
         }
 
         IncrementalValidator validator(*schema_, ValidatorOptions());
-        std::vector<Violation> violations;
         if (!validator.CheckAfterMove(*directory_, entry, old_parent,
-                                      &violations)) {
+                                      violations)) {
           (void)directory_->Rename(entry, old_rdn);
           (void)directory_->MoveSubtree(entry, old_parent);
-          return SchemaRefusal("moving '" + dn.ToString() + "'", violations,
-                               *vocab_, explain);
+          return SchemaRefusal("moving '" + dn.ToString() + "'", *violations,
+                               *vocab_);
         }
         if (records != nullptr) {
           ChangeRecord record;

@@ -256,8 +256,7 @@ class DirectoryServer {
   bool wal_failed() const { return !health_->healthy(); }
 
   /// Starts slow-op diagnostics: every request — a wire request or a
-  /// top-level library call (nested delegations like Add -> Apply count
-  /// once) — is offered to a bounded keep-the-slowest log when it
+  /// library call — is offered to a bounded keep-the-slowest log when it
   /// finishes; a retained record carries the request's stage spans
   /// (write-mutex wait, validation, publish, commit wait and, for wire
   /// requests, the wire pipeline), its wire request id and, for
@@ -306,16 +305,24 @@ class DirectoryServer {
   Status AdmitWrite(Deadline* deadline);
 
   /// The commit skeleton every mutation runs (DESIGN.md §7). `body(records,
-  /// explain)` mutates and validates the head under the write mutex and
+  /// violations)` mutates and validates the head under the write mutex and
   /// undoes its own change when it fails; on success it appends its
   /// change records to `records` (null when nothing records changes), on
-  /// a schema violation it sets `*explain` to the "detected by" summary.
+  /// a schema refusal it leaves the violations behind it in `violations`,
+  /// whose "detected by" lines the request record keeps as `explain`.
   /// Each non-OK return counts once as `rejected` in `op`. The request
   /// record is stamped when the write mutex is acquired, when the body
   /// returns and when the snapshot is published (server/request_stages.h).
   template <typename Body>
   Status Write(OpMetrics& op, std::string target, Deadline deadline,
                Body&& body);
+
+  /// Commits `txn` through Write as op `op` on `target`: Apply's body,
+  /// which Add and Delete run as one-op transactions in their own
+  /// families.
+  Status CommitTxn(OpMetrics& op, std::string target,
+                   const UpdateTransaction& txn, CommitStats* stats,
+                   Deadline deadline);
 
   /// The validator configuration every write checks with.
   IncrementalValidator::Options ValidatorOptions() const;

@@ -45,7 +45,7 @@ struct GroupCommitQueue::Ticket {
   // group wakes exactly its members, not every committer in the queue (a
   // notify_all herd serializes badly on few cores). Notified only under
   // mu_, so a waiter can never destroy the ticket mid-notify.
-  std::condition_variable cv;
+  std::condition_variable cv{};
 };
 
 GroupCommitQueue::GroupCommitQueue(WriteAheadLog* wal)

@@ -464,7 +464,7 @@ void NetServer::ReactorLoop(Reactor& r) {
 
 void NetServer::ArmAccept(Reactor& r, bool on) {
   epoll_event ev{};
-  ev.events = on ? EPOLLIN : 0;
+  ev.events = on ? static_cast<uint32_t>(EPOLLIN) : 0u;
   ev.data.fd = r.listen_fd;
   ::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, r.listen_fd, &ev);
   r.accept_disarmed = !on;
@@ -1145,20 +1145,20 @@ Result<PostingFilter> ResolveFilter(const DirectorySnapshot& snapshot,
     match.match_all = true;
     return match;
   }
+  // Refused by shape: a compound (&, |, !), an ordering or approximate
+  // match (>=, <=, ~=), a presence or substring value, nested parentheses.
   size_t eq = f.find('=');
-  if (eq == std::string_view::npos || eq == 0) {
+  if (eq == std::string_view::npos || eq == 0 ||
+      std::string_view("&|!").find(f.front()) != std::string_view::npos ||
+      std::string_view("<>~").find(f[eq - 1]) != std::string_view::npos ||
+      f.find_first_of("()*") != std::string_view::npos) {
     return Status::InvalidArgument(
         "search: unsupported filter '" + std::string(filter) +
-        "' (the wire path answers \"\", \"(objectClass=C)\" and "
-        "\"(attr=value)\" filters)");
+        "' (the wire path answers \"\", \"(objectClass=*)\", "
+        "\"(objectClass=C)\" and \"(attr=value)\" filters)");
   }
   std::string_view attr = StripWhitespace(f.substr(0, eq));
   std::string_view value = f.substr(eq + 1);
-  if (value == "*") {
-    return Status::InvalidArgument(
-        "search: presence filters are not supported on the wire search "
-        "path");
-  }
   if (EqualsIgnoreCase(attr, "objectClass")) {
     auto cls = vocab.FindClass(value);
     if (cls.ok()) {

@@ -264,9 +264,13 @@ class NetServer {
 
 /// Filtered, scoped search against a pinned MVCC snapshot — the wire
 /// kSearch implementation, exposed for tests. Supports the filters a
-/// snapshot can answer from postings alone: "" (match everything),
-/// "(objectClass=C)" (class membership) and "(attr=value)" (equality);
-/// anything else is kInvalidArgument. `base_dn` "" = the whole forest
+/// snapshot can answer from postings alone: "" and "(objectClass=*)"
+/// (match everything), "(objectClass=C)" (class membership) and
+/// "(attr=value)" (equality). Every other shape is kInvalidArgument: a
+/// compound ("(&...)", "(|...)", "(!...)"), an ">=", "<=" or "~="
+/// operator, and a value holding '*', '(' or ')' (presence, substrings,
+/// nesting). A name the schema does not know matches nothing, as in
+/// LDAP; it is not an error. `base_dn` "" = the whole forest
 /// (kSubtree/kOneLevel only). Returns matching alive entry ids in
 /// preorder (ascending label order, the order live SearchFrom returns).
 ///

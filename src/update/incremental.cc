@@ -121,40 +121,48 @@ bool IncrementalValidator::CheckKeysAfterInsert(
 
 namespace {
 
-// Does `source_entry` have an axis-related entry of class `target`?
-// Child/parent are O(fanout)/O(1); descendant is an early-exit DFS;
-// ancestor walks the root path.
-bool SatisfiesRequired(const Directory& directory, EntryId source_entry,
-                       const StructuralRelationship& rel) {
-  const Entry& e = directory.entry(source_entry);
-  switch (rel.axis) {
-    case Axis::kChild:
-      for (EntryId c : e.children()) {
-        if (directory.entry(c).HasClass(rel.target)) return true;
-      }
-      return false;
-    case Axis::kParent:
-      return e.parent() != kInvalidEntryId &&
-             directory.entry(e.parent()).HasClass(rel.target);
-    case Axis::kDescendant: {
-      std::vector<EntryId> stack(e.children().begin(), e.children().end());
-      while (!stack.empty()) {
-        EntryId cur = stack.back();
-        stack.pop_back();
-        if (directory.entry(cur).HasClass(rel.target)) return true;
-        const auto& kids = directory.entry(cur).children();
-        stack.insert(stack.end(), kids.begin(), kids.end());
-      }
-      return false;
+// Does `e` have an entry of class `cls` along `axis`? Parent/ancestor
+// climb the root path; child/descendant test each child as soon as it is
+// reached, so a hit under a high-fanout entry returns before the rest of
+// its siblings are scanned. On those downward walks, entries in `skip`
+// (whole subtrees, e.g. a doomed Δ) do not count, nor does anything below
+// them.
+bool HasRelated(const Directory& directory, EntryId e, Axis axis, ClassId cls,
+                const EntrySet* skip = nullptr) {
+  if (axis == Axis::kParent || axis == Axis::kAncestor) {
+    for (EntryId a = directory.entry(e).parent(); a != kInvalidEntryId;
+         a = directory.entry(a).parent()) {
+      if (directory.entry(a).HasClass(cls)) return true;
+      if (axis == Axis::kParent) break;
     }
-    case Axis::kAncestor:
-      for (EntryId a = e.parent(); a != kInvalidEntryId;
-           a = directory.entry(a).parent()) {
-        if (directory.entry(a).HasClass(rel.target)) return true;
-      }
-      return false;
+    return false;
   }
-  return false;
+  std::vector<EntryId> stack;
+  for (EntryId cur = e;;) {
+    for (EntryId c : directory.entry(cur).children()) {
+      if (skip != nullptr && skip->Contains(c)) continue;
+      if (directory.entry(c).HasClass(cls)) return true;
+      if (axis == Axis::kDescendant) stack.push_back(c);
+    }
+    if (stack.empty()) return false;
+    cur = stack.back();
+    stack.pop_back();
+  }
+}
+
+// Calls `fn(u)`, nearest first, for every entry u of class rel.source that
+// `rel` (child or descendant axis) pairs as the upper side with a child of
+// `parent`: `parent` itself on the child axis, `parent` and each of its
+// ancestors on the descendant axis. Returns false as soon as `fn` does.
+template <typename Fn>
+bool ForEachUpper(const Directory& directory, EntryId parent,
+                  const StructuralRelationship& rel, Fn&& fn) {
+  for (EntryId a = parent; a != kInvalidEntryId;
+       a = directory.entry(a).parent()) {
+    if (directory.entry(a).HasClass(rel.source) && !fn(a)) return false;
+    if (rel.axis == Axis::kChild) break;
+  }
+  return true;
 }
 
 }  // namespace
@@ -192,26 +200,21 @@ bool IncrementalValidator::CheckAfterReclassify(
   for (const StructuralRelationship& rel : structure.required()) {
     // The entry itself, for requirements its new classes impose.
     if (in(added, rel.source) && entry.HasClass(rel.source) &&
-        !SatisfiesRequired(directory, id, rel)) {
+        !HasRelated(directory, id, rel.axis, rel.target)) {
       if (!ReportRelationship(out, &ok, rel, id)) return false;
     }
     // Entries that may have relied on this entry as their target.
     if (!in(removed, rel.target)) continue;
     auto recheck = [&](EntryId candidate) -> bool {
       if (!directory.entry(candidate).HasClass(rel.source)) return true;
-      if (SatisfiesRequired(directory, candidate, rel)) return true;
+      if (HasRelated(directory, candidate, rel.axis, rel.target)) return true;
       return ReportRelationship(out, &ok, rel, candidate);
     };
     switch (rel.axis) {
-      case Axis::kChild: {
-        EntryId p = entry.parent();
-        if (p != kInvalidEntryId && !recheck(p)) return false;
-        break;
-      }
+      case Axis::kChild:
       case Axis::kDescendant:
-        for (EntryId a = entry.parent(); a != kInvalidEntryId;
-             a = directory.entry(a).parent()) {
-          if (!recheck(a)) return false;
+        if (!ForEachUpper(directory, entry.parent(), rel, recheck)) {
+          return false;
         }
         break;
       case Axis::kParent:
@@ -229,40 +232,18 @@ bool IncrementalValidator::CheckAfterReclassify(
 
   for (const StructuralRelationship& rel : structure.forbidden()) {
     // Upper side: the entry's new classes forbid certain relatives below.
-    if (in(added, rel.source) && entry.HasClass(rel.source)) {
-      if (rel.axis == Axis::kChild) {
-        for (EntryId c : entry.children()) {
-          if (directory.entry(c).HasClass(rel.target)) {
-            if (!ReportRelationship(out, &ok, rel, id)) return false;
-            break;
-          }
-        }
-      } else {
-        for (EntryId d : directory.SubtreeEntries(id)) {
-          if (d != id && directory.entry(d).HasClass(rel.target)) {
-            if (!ReportRelationship(out, &ok, rel, id)) return false;
-            break;
-          }
-        }
-      }
+    if (in(added, rel.source) && entry.HasClass(rel.source) &&
+        HasRelated(directory, id, rel.axis, rel.target) &&
+        !ReportRelationship(out, &ok, rel, id)) {
+      return false;
     }
     // Lower side: the entry's new classes are forbidden below certain
     // ancestors.
-    if (in(added, rel.target) && entry.HasClass(rel.target)) {
-      if (rel.axis == Axis::kChild) {
-        EntryId p = entry.parent();
-        if (p != kInvalidEntryId &&
-            directory.entry(p).HasClass(rel.source)) {
-          if (!ReportRelationship(out, &ok, rel, p)) return false;
-        }
-      } else {
-        for (EntryId a = entry.parent(); a != kInvalidEntryId;
-             a = directory.entry(a).parent()) {
-          if (directory.entry(a).HasClass(rel.source)) {
-            if (!ReportRelationship(out, &ok, rel, a)) return false;
-          }
-        }
-      }
+    if (in(added, rel.target) && entry.HasClass(rel.target) &&
+        !ForEachUpper(directory, entry.parent(), rel, [&](EntryId upper) {
+          return ReportRelationship(out, &ok, rel, upper);
+        })) {
+      return false;
     }
   }
   return ok;
@@ -272,80 +253,49 @@ bool IncrementalValidator::CheckAfterMove(const Directory& directory,
                                           EntryId root, EntryId old_parent,
                                           std::vector<Violation>* out) const {
   const StructureSchema& structure = schema_.structure();
+  const Entry& moved = directory.entry(root);
   bool ok = true;
-  std::vector<EntryId> subtree = directory.SubtreeEntries(root);
 
   for (const StructuralRelationship& rel : structure.required()) {
+    auto recheck = [&](EntryId e) {
+      return HasRelated(directory, e, rel.axis, rel.target) ||
+             ReportRelationship(out, &ok, rel, e);
+    };
     switch (rel.axis) {
-      case Axis::kChild: {
-        // Only the old parent lost a child.
-        if (old_parent != kInvalidEntryId &&
-            directory.entry(old_parent).HasClass(rel.source) &&
-            !SatisfiesRequired(directory, old_parent, rel)) {
-          if (!ReportRelationship(out, &ok, rel, old_parent)) return false;
-        }
+      case Axis::kChild:
+      case Axis::kDescendant:
+        // The old parent lost a child, the old ancestor chain the
+        // subtree's entries.
+        if (!ForEachUpper(directory, old_parent, rel, recheck)) return false;
         break;
-      }
-      case Axis::kDescendant: {
-        // The old ancestor chain lost the subtree's entries.
-        for (EntryId a = old_parent; a != kInvalidEntryId;
-             a = directory.entry(a).parent()) {
-          if (directory.entry(a).HasClass(rel.source) &&
-              !SatisfiesRequired(directory, a, rel)) {
-            if (!ReportRelationship(out, &ok, rel, a)) return false;
-          }
-        }
-        break;
-      }
-      case Axis::kParent: {
+      case Axis::kParent:
         // Only the subtree root's parent changed.
-        if (directory.entry(root).HasClass(rel.source) &&
-            !SatisfiesRequired(directory, root, rel)) {
-          if (!ReportRelationship(out, &ok, rel, root)) return false;
-        }
+        if (moved.HasClass(rel.source) && !recheck(root)) return false;
         break;
-      }
-      case Axis::kAncestor: {
+      case Axis::kAncestor:
         // Every subtree entry's ancestor set above `root` changed.
-        for (EntryId id : subtree) {
-          if (directory.entry(id).HasClass(rel.source) &&
-              !SatisfiesRequired(directory, id, rel)) {
-            if (!ReportRelationship(out, &ok, rel, id)) return false;
+        for (EntryId id : directory.SubtreeEntries(root)) {
+          if (directory.entry(id).HasClass(rel.source) && !recheck(id)) {
+            return false;
           }
         }
         break;
-      }
     }
   }
 
   // Forbidden: new (upper, lower) pairs pair the new ancestors with the
-  // subtree's entries.
+  // subtree's entries — the root alone on the child axis, any of them on
+  // the descendant axis.
   for (const StructuralRelationship& rel : structure.forbidden()) {
-    if (rel.axis == Axis::kChild) {
-      EntryId p = directory.entry(root).parent();
-      if (p != kInvalidEntryId && directory.entry(p).HasClass(rel.source) &&
-          directory.entry(root).HasClass(rel.target)) {
-        if (!ReportRelationship(out, &ok, rel, p)) return false;
-      }
-      continue;
-    }
-    // Descendant axis: does any subtree entry carry the target class, and
-    // any new ancestor the source class?
-    bool subtree_has_target = false;
-    for (EntryId id : subtree) {
-      if (directory.entry(id).HasClass(rel.target)) {
-        subtree_has_target = true;
-        break;
-      }
-    }
-    if (!subtree_has_target) continue;
-    for (EntryId a = directory.entry(root).parent(); a != kInvalidEntryId;
-         a = directory.entry(a).parent()) {
-      if (directory.entry(a).HasClass(rel.source)) {
-        // Precise blame: the ancestor must dominate a target-class entry —
-        // it does (subtree_has_target and a is above the whole subtree).
-        if (!ReportRelationship(out, &ok, rel, a)) return false;
-      }
+    const bool has_lower =
+        moved.HasClass(rel.target) ||
+        (rel.axis == Axis::kDescendant &&
+         HasRelated(directory, root, Axis::kDescendant, rel.target));
+    if (has_lower &&
+        !ForEachUpper(directory, moved.parent(), rel, [&](EntryId upper) {
+          return ReportRelationship(out, &ok, rel, upper);
+        })) {
+      return false;
     }
   }
   return ok;
@@ -356,90 +306,31 @@ bool IncrementalValidator::CheckStructureAfterInsertDeltaDriven(
     std::vector<Violation>* out) const {
   const StructureSchema& structure = schema_.structure();
   bool ok = true;
-
-  // Early-exit search for a target-class entry in the subtree below `from`
-  // (the subtree of a new entry consists of new entries only, so this is
-  // bounded by |Δ|).
-  auto has_descendant = [&](EntryId from, ClassId target) {
-    std::vector<EntryId> stack(directory.entry(from).children().begin(),
-                               directory.entry(from).children().end());
-    while (!stack.empty()) {
-      EntryId cur = stack.back();
-      stack.pop_back();
-      if (directory.entry(cur).HasClass(target)) return true;
-      const auto& kids = directory.entry(cur).children();
-      stack.insert(stack.end(), kids.begin(), kids.end());
-    }
-    return false;
-  };
-  auto has_ancestor = [&](EntryId from, ClassId target) {
-    for (EntryId a = directory.entry(from).parent(); a != kInvalidEntryId;
-         a = directory.entry(a).parent()) {
-      if (directory.entry(a).HasClass(target)) return true;
-    }
-    return false;
-  };
-
   bool stop = false;
   delta.ForEach([&](EntryId id) {
     if (stop || !directory.IsAlive(id)) return;
     const Entry& entry = directory.entry(id);
 
-    // Required relationships: only new sources can violate.
+    // Required relationships: only new sources can violate. A new entry's
+    // child/descendant relatives are new too, so those walks stay in Δ.
     for (const StructuralRelationship& rel : structure.required()) {
-      if (!entry.HasClass(rel.source)) continue;
-      bool satisfied = false;
-      switch (rel.axis) {
-        case Axis::kChild:
-          for (EntryId c : entry.children()) {
-            if (directory.entry(c).HasClass(rel.target)) {
-              satisfied = true;
-              break;
-            }
-          }
-          break;
-        case Axis::kDescendant:
-          satisfied = has_descendant(id, rel.target);
-          break;
-        case Axis::kParent:
-          satisfied = entry.parent() != kInvalidEntryId &&
-                      directory.entry(entry.parent()).HasClass(rel.target);
-          break;
-        case Axis::kAncestor:
-          satisfied = has_ancestor(id, rel.target);
-          break;
-      }
-      if (!satisfied) {
-        if (!ReportRelationship(out, &ok, rel, id)) {
-          stop = true;
-          return;
-        }
+      if (entry.HasClass(rel.source) &&
+          !HasRelated(directory, id, rel.axis, rel.target) &&
+          !ReportRelationship(out, &ok, rel, id)) {
+        stop = true;
+        return;
       }
     }
 
-    // Forbidden relationships: every new pair has its lower entry in Δ, so
-    // check each new entry's parent (child axis) and ancestors (descendant
-    // axis) — they may be old or new.
+    // Forbidden relationships: every new pair has its lower entry in Δ;
+    // its upper entries may be old or new.
     for (const StructuralRelationship& rel : structure.forbidden()) {
-      if (!entry.HasClass(rel.target)) continue;
-      if (rel.axis == Axis::kChild) {
-        EntryId p = entry.parent();
-        if (p != kInvalidEntryId && directory.entry(p).HasClass(rel.source)) {
-          if (!ReportRelationship(out, &ok, rel, p)) {
-            stop = true;
-            return;
-          }
-        }
-      } else {
-        for (EntryId a = entry.parent(); a != kInvalidEntryId;
-             a = directory.entry(a).parent()) {
-          if (directory.entry(a).HasClass(rel.source)) {
-            if (!ReportRelationship(out, &ok, rel, a)) {
-              stop = true;
-              return;
-            }
-          }
-        }
+      if (entry.HasClass(rel.target) &&
+          !ForEachUpper(directory, entry.parent(), rel, [&](EntryId upper) {
+            return ReportRelationship(out, &ok, rel, upper);
+          })) {
+        stop = true;
+        return;
       }
     }
   });
@@ -578,51 +469,15 @@ bool IncrementalValidator::CheckStructureBeforeDelete(
     }
   }
 
-  // Surviving target-descendant search with early exit, skipping Δ. The
-  // class test happens as each child is first seen — not after queueing a
-  // whole child list — so a hit under a high-fanout parent returns before
-  // scanning the remaining siblings.
-  auto has_surviving_descendant = [&](EntryId from, ClassId target) {
-    std::vector<EntryId> stack;
-    stack.push_back(from);
-    while (!stack.empty()) {
-      EntryId cur = stack.back();
-      stack.pop_back();
-      for (EntryId c : directory.entry(cur).children()) {
-        if (delta.Contains(c)) continue;
-        if (directory.entry(c).HasClass(target)) return true;
-        stack.push_back(c);
-      }
-    }
-    return false;
-  };
-
+  // Each checked entry's surviving relatives: the walk skips Δ.
   for (const StructuralRelationship& rel : structure.required()) {
-    if (rel.axis == Axis::kChild) {
-      for (EntryId parent : parents) {
-        if (!directory.entry(parent).HasClass(rel.source)) continue;
-        bool satisfied = false;
-        for (EntryId c : directory.entry(parent).children()) {
-          if (delta.Contains(c)) continue;
-          if (directory.entry(c).HasClass(rel.target)) {
-            satisfied = true;
-            break;
-          }
-        }
-        if (!satisfied) {
-          if (!ReportRelationship(out, &ok, rel, parent)) return false;
-        }
+    if (rel.axis != Axis::kChild && rel.axis != Axis::kDescendant) continue;
+    for (EntryId e : rel.axis == Axis::kChild ? parents : ancestors) {
+      if (directory.entry(e).HasClass(rel.source) &&
+          !HasRelated(directory, e, rel.axis, rel.target, &delta) &&
+          !ReportRelationship(out, &ok, rel, e)) {
+        return false;
       }
-      continue;
-    }
-    if (rel.axis == Axis::kDescendant) {
-      for (EntryId anc : ancestors) {
-        if (!directory.entry(anc).HasClass(rel.source)) continue;
-        if (!has_surviving_descendant(anc, rel.target)) {
-          if (!ReportRelationship(out, &ok, rel, anc)) return false;
-        }
-      }
-      continue;
     }
   }
   return ok;

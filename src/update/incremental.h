@@ -37,6 +37,12 @@ namespace ldapbound {
 ///     its effect measured by the ablation benchmark;
 ///   - required classes Cr: testable thanks to the directory's maintained
 ///     class counts (the counting extension §4.2 suggests).
+///
+/// The Δ-driven insert, ancestor-path delete, reclassify and move checks
+/// share one walk per question (DESIGN.md §9): one asks whether an entry
+/// has an axis-related entry of a class, optionally skipping Δ; the other
+/// lists the entries above an entry that a child/descendant relationship
+/// pairs with it.
 class IncrementalValidator {
  public:
   struct Options {

@@ -95,7 +95,8 @@ Status TransactionExecutor::Normalize(
 }
 
 Status TransactionExecutor::Commit(const UpdateTransaction& txn,
-                                   CommitStats* stats) {
+                                   CommitStats* stats,
+                                   std::vector<Violation>* violations_out) {
   std::vector<InsertGroup> insert_groups;
   std::vector<DistinguishedName> delete_roots;
   LDAPBOUND_RETURN_IF_ERROR(Normalize(txn, &insert_groups, &delete_roots));
@@ -168,6 +169,7 @@ Status TransactionExecutor::Commit(const UpdateTransaction& txn,
                      " more) violates the schema:\n"
                : "' violates the schema:\n") +
           DescribeViolations(violations, schema_.vocab()));
+      if (violations_out != nullptr) *violations_out = std::move(violations);
       rollback();
       return illegal;
     }
@@ -220,6 +222,7 @@ Status TransactionExecutor::Commit(const UpdateTransaction& txn,
                      " more) violates the schema:\n"
                : "' violates the schema:\n") +
           DescribeViolations(violations, schema_.vocab()));
+      if (violations_out != nullptr) *violations_out = std::move(violations);
       rollback();
       return illegal;
     }

@@ -63,7 +63,10 @@ class TransactionExecutor {
         validator_(schema, options) {}
 
   /// Validates and applies `txn`. The directory must be legal beforehand.
-  Status Commit(const UpdateTransaction& txn, CommitStats* stats = nullptr);
+  /// When the check refuses it, the kIllegal status describes the
+  /// violations and, if `violations` is non-null, they are stored there.
+  Status Commit(const UpdateTransaction& txn, CommitStats* stats = nullptr,
+                std::vector<Violation>* violations = nullptr);
 
  private:
   struct InsertGroup {

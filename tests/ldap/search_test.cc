@@ -65,6 +65,14 @@ TEST_F(SearchTest, SubtreeScope) {
             2u);
 }
 
+TEST_F(SearchTest, ObjectClassPresenceMatchesEveryEntryInScope) {
+  EXPECT_EQ(Run("o=att", SearchScope::kSubtree, "(objectClass=*)").size(),
+            4u);
+  EXPECT_EQ(
+      Run("ou=labs,o=att", SearchScope::kOneLevel, "(objectClass=*)").size(),
+      2u);
+}
+
 TEST_F(SearchTest, BaseScope) {
   auto hits = Run("ou=labs,o=att", SearchScope::kBase, "");
   ASSERT_EQ(hits.size(), 1u);

@@ -254,5 +254,61 @@ TEST(MvccConcurrencyTest, PinHeldAcrossCommitsAnswersAtItsVersion) {
   EXPECT_EQ(x9->size(), 1u);
 }
 
+// A refused write names the constraint that refused it from the
+// vocabulary, which a concurrent add grows when it names a class the
+// schema has never seen: both run under the write mutex, so the refusal's
+// "detected by" lines never read a name table another writer is growing.
+TEST(MvccConcurrencyTest, RefusalsNameConstraintsWhileAddsInternClasses) {
+  constexpr int kRounds = 150;
+  auto server = DirectoryServer::Create(kSchema);
+  ASSERT_TRUE(server.ok());
+  server->EnableSlowOps(/*capacity=*/2 * kRounds + 1);  // keeps every op
+  {
+    UpdateTransaction txn;
+    txn.Insert(Dn("ou=seed"), TeamSpec("seed"));
+    txn.Insert(Dn("uid=seed,ou=seed"), PersonSpec("seed"));
+    ASSERT_TRUE(server->Apply(txn).ok());
+  }
+
+  std::atomic<int> unexpected{0};
+  // A person below a person breaks `forbid person child top`.
+  std::thread refused([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      const std::string who = "kid" + std::to_string(r);
+      if (server->Add(Dn("uid=" + who + ",uid=seed,ou=seed"), PersonSpec(who))
+              .ok()) {
+        unexpected.fetch_add(1);
+      }
+    }
+  });
+  // Each add interns four classes no schema defines, and is refused.
+  std::thread interning([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      const std::string tag = std::to_string(r);
+      EntrySpec spec = PersonSpec("fresh" + tag);
+      for (const char* suffix : {"a", "b", "c", "d"}) {
+        spec.classes.push_back("fresh" + tag + suffix);
+      }
+      if (server->Add(Dn("uid=fresh" + tag + ",ou=seed"), std::move(spec))
+              .ok()) {
+        unexpected.fetch_add(1);
+      }
+    }
+  });
+  refused.join();
+  interning.join();
+
+  EXPECT_EQ(unexpected.load(), 0);
+  // The refused adds did grow the vocabulary.
+  EXPECT_TRUE(server->vocab().FindClass("fresh0a").ok());
+  bool named = false;
+  for (const SlowOp& op : server->slow_ops()->Snapshot()) {
+    if (op.explain.find("person -> top (forbidden)") != std::string::npos) {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named);
+}
+
 }  // namespace
 }  // namespace ldapbound

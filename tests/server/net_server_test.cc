@@ -822,6 +822,11 @@ TEST_F(NetServerTest, CleanStopOwesNoBytesAndHonorsDrainGrace) {
   EXPECT_EQ(Net("ldapbound_net_owed_bytes_at_stop_total"), owed);
 }
 
+// Filter shapes the postings cannot answer: refused, never answered empty.
+constexpr const char* kUnanswerableFilters[] = {
+    "(uid=u*)", "(&(objectClass=person)(uid=u0))", "(|(uid=u0)(uid=u1))",
+    "(!(uid=u0))", "(uid>=u)"};
+
 // The SnapshotSearch core, exercised directly against pinned snapshots.
 TEST_F(NetServerTest, SnapshotSearchScopesAndFilters) {
   server_.EnableMvcc();
@@ -868,11 +873,36 @@ TEST_F(NetServerTest, SnapshotSearchScopesAndFilters) {
 
   // Unsupported filter shapes are errors; unknown names are empty.
   EXPECT_FALSE(SnapshotSearch(*snap, vocab, "ou=load", 2, "(a=*)").ok());
+  for (const char* filter : kUnanswerableFilters) {
+    EXPECT_EQ(SnapshotSearch(*snap, vocab, "ou=load", 2, filter)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << filter;
+    EXPECT_EQ(SnapshotSearchPage(*snap, vocab, "ou=load", 2, filter, 0, 10)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << filter;
+  }
   EXPECT_FALSE(SnapshotSearch(*snap, vocab, "ou=load", 3, "").ok());
   auto unknown_class = SnapshotSearch(*snap, vocab, "ou=load", 2,
                                       "(objectClass=nosuch)");
   ASSERT_TRUE(unknown_class.ok());
   EXPECT_TRUE(unknown_class->empty());
+}
+
+TEST_F(NetServerTest, SearchRefusesFiltersItCannotAnswer) {
+  StartNet();
+  WireClient client(net_->port());
+  ASSERT_TRUE(client.connected());
+  uint64_t request_id = 0;
+  for (const char* filter : kUnanswerableFilters) {
+    auto response =
+        client.Call(EncodeSearchRequest(++request_id, "ou=load", 2, filter));
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->code, WireCode::kInvalidArgument) << filter;
+  }
 }
 
 // The paged core: label-ordered, inclusive from_label, limit-truncated.

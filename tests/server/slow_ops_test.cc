@@ -214,6 +214,31 @@ TEST(ServerSlowOpsTest, RejectedModifyCarriesConstraintExplain) {
   EXPECT_TRUE(found);
 }
 
+TEST(ServerSlowOpsTest, RejectedAddCarriesConstraintExplain) {
+  auto server = DirectoryServer::Create(std::string(kSchema) + R"(
+structure {
+  forbid person child top
+}
+)");
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  server->EnableSlowOps();
+  ASSERT_TRUE(server->Add(Dn("name=bob"), PersonSpec("bob")).ok());
+
+  // A person below a person breaks the forbidden relationship.
+  ASSERT_FALSE(server->Add(Dn("name=kid,name=bob"), PersonSpec("kid")).ok());
+
+  bool found = false;
+  for (const SlowOp& op : server->slow_ops()->Snapshot()) {
+    if (op.op == "add" && op.outcome == "rejected") {
+      found = true;
+      EXPECT_NE(op.explain.find("structure pass: person -> top (forbidden)"),
+                std::string::npos)
+          << op.explain;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(ServerSlowOpsTest, StatsSnapshotIncludesImports) {
   auto server = MakeServer();
   ASSERT_TRUE(server.ok());

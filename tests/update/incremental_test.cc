@@ -183,6 +183,36 @@ TEST_F(IncrementalTest, InsertForbiddenDescendantRow) {
   (void)ok_delta;
 }
 
+TEST_F(IncrementalTest, ForbiddenChildPairsOnlyTheParent) {
+  // forbid org child engineer: an engineer two levels below an org (a
+  // plain entry between them) pairs with nothing, whichever update puts it
+  // there.
+  ASSERT_TRUE(w_.schema.mutable_structure()
+                  .Forbid(w_.org, Axis::kChild, w_.engineer)
+                  .ok());
+  EntryId team = AddBare(d_, hr_, "cn=team", {w_.top});
+  for (bool delta_driven : {false, true}) {
+    IncrementalValidator::Options options;
+    options.delta_driven_insert = delta_driven;
+    IncrementalValidator validator(w_.schema, options);
+    EntrySet added = InsertChain(team, {{w_.top, w_.person, w_.engineer}});
+    EXPECT_TRUE(validator.CheckAfterInsert(d_, added)) << delta_driven;
+  }
+  IncrementalValidator validator(w_.schema);
+  EntryId carol = d_.AddEntry(team, "uid=carol", {w_.top, w_.person},
+                              {{w_.name, Value("Carol")}})
+                      .value();
+  ASSERT_TRUE(d_.AddClass(carol, w_.engineer).ok());
+  EXPECT_TRUE(validator.CheckAfterReclassify(d_, carol, {w_.engineer}, {}));
+  EntryId lab = AddBare(d_, kInvalidEntryId, "cn=lab", {w_.top});
+  EntryId dave = d_.AddEntry(lab, "uid=dave",
+                             {w_.top, w_.person, w_.engineer},
+                             {{w_.name, Value("Dave")}})
+                     .value();
+  ASSERT_TRUE(d_.MoveSubtree(dave, team).ok());
+  EXPECT_TRUE(validator.CheckAfterMove(d_, dave, lab));
+}
+
 TEST_F(IncrementalTest, DeleteRequiredChildNeedsRecheck) {
   w_.schema.mutable_structure().Require(w_.org, Axis::kChild, w_.person);
   // Make D legal first: acme needs a person child of its own.

@@ -130,6 +130,23 @@ TEST_F(MoveTest, CheckAfterMoveForbiddenDescendant) {
   EXPECT_TRUE(out[0].relationship.forbidden);
 }
 
+TEST_F(MoveTest, CheckAfterMoveForbiddenDescendantBelowRoot) {
+  ASSERT_TRUE(w_.schema.mutable_structure()
+                  .Forbid(w_.org, Axis::kDescendant, w_.engineer)
+                  .ok());
+  // The moved root is no engineer; the engineer sits below it.
+  EntryId lab = AddBare(d_, kInvalidEntryId, "cn=lab", {w_.top});
+  AddBare(d_, lab, "uid=carol", {w_.top, w_.person, w_.engineer});
+  IncrementalValidator validator(w_.schema);
+  ASSERT_TRUE(d_.MoveSubtree(lab, eng_).ok());
+  std::vector<Violation> out;
+  EXPECT_FALSE(validator.CheckAfterMove(d_, lab, kInvalidEntryId, &out));
+  // Every new org ancestor offends, nearest first.
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].entry, eng_);
+  EXPECT_EQ(out[1].entry, acme_);
+}
+
 TEST_F(MoveTest, LegalMovePasses) {
   IncrementalValidator validator(w_.schema);
   ASSERT_TRUE(d_.MoveSubtree(bob_, eng_).ok());

@@ -61,7 +61,9 @@ TEST(CowVecTest, FrozenViewIsolatedFromLaterWrites) {
   ASSERT_EQ(v1.size(), n);
   for (size_t i = 0; i < n; i += 97) EXPECT_EQ(v1[i], i);
   for (size_t i = 1; i < n; i += 97) {
-    if (i % 97 != 0) EXPECT_EQ(v1.Get(i, 0), 0u);
+    if (i % 97 != 0) {
+      EXPECT_EQ(v1.Get(i, 0), 0u);
+    }
   }
   EXPECT_EQ(v2[0], 1u << 20);
   EXPECT_EQ(v2.Get(n + 1, 0), 5u);

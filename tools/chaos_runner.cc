@@ -5,7 +5,7 @@
 // deterministic storms; this driver is the operator-facing knob for
 // longer soaks and ad-hoc experiments:
 //
-//   chaos_runner --dir /tmp/chaos --seconds 30 --fault mix \
+//   chaos_runner --dir /tmp/chaos --seconds 30 --fault mix
 //       --writers 4 --readers 2 --max-queue-depth 8
 //
 // Faults (--fault): fsync (injected fsync errors), enospc (disk full),
