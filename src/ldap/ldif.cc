@@ -195,32 +195,48 @@ Result<size_t> LoadLdif(std::string_view text, Directory* directory) {
 std::string WriteLdif(const Directory& directory) {
   std::string out;
   const Vocabulary& vocab = directory.vocab();
-  auto emit = [&out](const std::string& attr, const std::string& value) {
-    if (IsLdifSafe(value)) {
-      out += attr + ": " + value + "\n";
-    } else {
-      out += attr + ":: " + Base64Encode(value) + "\n";
-    }
+  auto emit = [&out](std::string_view attr, std::string_view sep,
+                     std::string_view value) {
+    out.append(attr).append(sep).append(value).push_back('\n');
   };
-  // Tree walk in preorder (roots in insertion order, children in sibling
-  // order) without touching the dense index cache: export is a const
-  // read, and a stale cache may only be materialized single-threaded.
-  std::vector<EntryId> order;
-  order.reserve(directory.NumEntries());
-  for (EntryId root : directory.roots()) {
-    for (EntryId id : directory.SubtreeEntries(root)) order.push_back(id);
+  // Preorder walk (roots in insertion order, children in sibling order)
+  // that carries the DN down: an entry's DN is its RDN, a comma and its
+  // parent's DN, formed once per entry in dns[depth]. That is the text
+  // DnOf renders, without DnOf's re-parse of it.
+  struct Frame {
+    EntryId id;
+    size_t depth;
+  };
+  std::vector<Frame> stack;
+  const std::vector<EntryId>& roots = directory.roots();
+  for (auto it = roots.rbegin(); it != roots.rend(); ++it) {
+    stack.push_back({*it, 0});
   }
-  for (EntryId id : order) {
+  std::vector<std::string> dns;  // dns[k]: DN of the path's depth-k entry
+  while (!stack.empty()) {
+    const auto [id, depth] = stack.back();
+    stack.pop_back();
     const Entry& e = directory.entry(id);
-    auto dn = DnOf(directory, id);
-    out += "dn: " + dn->ToString() + "\n";
-    for (ClassId c : e.classes()) {
-      out += "objectClass: " + vocab.ClassName(c) + "\n";
-    }
+    if (dns.size() <= depth) dns.resize(depth + 1);
+    std::string& dn = dns[depth];
+    dn = e.rdn();
+    if (depth > 0) dn.append(",").append(dns[depth - 1]);
+    emit("dn", ": ", dn);
+    for (ClassId c : e.classes()) emit("objectClass", ": ", vocab.ClassName(c));
     for (const AttributeValue& av : e.values()) {
-      emit(vocab.AttributeName(av.attribute), av.value.ToString());
+      const std::string& attr = vocab.AttributeName(av.attribute);
+      std::string value = av.value.ToString();
+      if (IsLdifSafe(value)) {
+        emit(attr, ": ", value);
+      } else {
+        emit(attr, ":: ", Base64Encode(value));
+      }
     }
-    out += "\n";
+    out.push_back('\n');
+    const std::vector<EntryId>& children = e.children();
+    for (auto it = children.rbegin(); it != children.rend(); ++it) {
+      stack.push_back({*it, depth + 1});
+    }
   }
   return out;
 }

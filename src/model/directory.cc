@@ -31,7 +31,8 @@ Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
   if (parent != kInvalidEntryId) {
     LDAPBOUND_RETURN_IF_ERROR(CheckAlive(parent));
   }
-  if (FindChildByRdn(parent, rdn) != kInvalidEntryId) {
+  std::string rdn_key = RdnKey(parent, rdn);
+  if (rdn_index_.Find(rdn_key) != nullptr) {
     return Status::AlreadyExists("sibling with RDN '" + rdn +
                                  "' already exists");
   }
@@ -92,7 +93,7 @@ Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
   alive_.push_back(true);
   ++num_alive_;
   Attach(id, parent);
-  rdn_index_.Set(RdnKey(parent, e.rdn_), id);
+  rdn_index_.Set(std::move(rdn_key), id);
   for (ClassId c : e.classes_) BumpClassCount(c, +1);
   index_.OnInsert(*this, id);
   TrackAlive(id, true);
@@ -378,56 +379,45 @@ void Directory::TrackAlive(EntryId id, bool on) {
 void Directory::TrackClass(EntryId id, ClassId cls, bool add) {
   if (!snapshots_enabled_) return;
   using ClassPosting = DirectorySnapshot::ClassPosting;
-  std::shared_ptr<ClassPosting>* pending = by_class_.FindMutableInPending(cls);
-  std::shared_ptr<ClassPosting> posting;
-  if (pending != nullptr) {
-    posting = *pending;  // cloned earlier in this delta: private to the writer
-  } else {
-    const std::shared_ptr<ClassPosting>* frozen = by_class_.Find(cls);
-    posting = frozen != nullptr
-                  ? std::make_shared<ClassPosting>(**frozen)
-                  : std::make_shared<ClassPosting>(
-                        ClassPosting{EntrySet(PostingCapacity()), 0});
-    by_class_.Set(cls, posting);
-  }
-  EntrySet& set = posting->members;
+  ClassPosting& posting = *by_class_.Mutable(
+      cls, [&](const std::shared_ptr<ClassPosting>* frozen) {
+        return frozen != nullptr
+                   ? std::make_shared<ClassPosting>(**frozen)
+                   : std::make_shared<ClassPosting>(
+                         ClassPosting{EntrySet(PostingCapacity()), 0});
+      });
+  EntrySet& set = posting.members;
   if (set.capacity() <= id) set.Resize(PostingCapacity());
   if (set.Contains(id) == add) return;
   if (add) {
     set.Insert(id);
-    ++posting->count;
+    ++posting.count;
   } else {
     set.Erase(id);
-    --posting->count;
+    --posting.count;
   }
 }
 
 void Directory::TrackValue(EntryId id, AttributeId attr, const Value& value,
                            bool add) {
   if (!snapshots_enabled_) return;
+  using Posting = std::vector<EntryId>;
   SnapshotValueKey key{attr, value};
-  std::shared_ptr<std::vector<EntryId>>* pending =
-      by_value_.FindMutableInPending(key);
-  std::shared_ptr<std::vector<EntryId>> posting;
-  if (pending != nullptr) {
-    posting = *pending;  // private to the writer (cloned this delta)
-  } else {
-    const std::shared_ptr<std::vector<EntryId>>* frozen = by_value_.Find(key);
-    posting = frozen != nullptr
-                  ? std::make_shared<std::vector<EntryId>>(**frozen)
-                  : std::make_shared<std::vector<EntryId>>();
-    by_value_.Set(key, posting);
-  }
-  auto it = std::lower_bound(posting->begin(), posting->end(), id);
+  Posting& posting = *by_value_.Mutable(
+      key, [](const std::shared_ptr<Posting>* frozen) {
+        return frozen != nullptr ? std::make_shared<Posting>(**frozen)
+                                 : std::make_shared<Posting>();
+      });
+  auto it = std::lower_bound(posting.begin(), posting.end(), id);
   if (add) {
-    if (it == posting->end() || *it != id) posting->insert(it, id);
-  } else if (it != posting->end() && *it == id) {
-    posting->erase(it);
+    if (it == posting.end() || *it != id) posting.insert(it, id);
+  } else if (it != posting.end() && *it == id) {
+    posting.erase(it);
     // Drop drained postings from the mirror entirely. Transient values
     // (unique uids, renamed RDN values, ...) would otherwise pin a dead
     // key in the map forever, growing the fold base — and fold cost —
     // without bound under add/delete churn.
-    if (posting->empty()) by_value_.Erase(key);
+    if (posting.empty()) by_value_.Erase(key);
   }
 }
 
@@ -478,6 +468,10 @@ void Directory::EnableSnapshots() {
   store_ = std::make_unique<SnapshotStore>(EpochManager::Default());
   alive_shared_ = std::make_shared<EntrySet>(PostingCapacity());
   alive_private_ = true;
+  size_t num_values = 0;
+  ForEachAlive([&](const Entry& e) { num_values += e.values().size(); });
+  by_value_.Reserve(num_values);
+  by_entry_.Reserve(NumEntries());
   ForEachAlive([&](const Entry& e) {
     alive_shared_->Insert(e.id());
     for (ClassId c : e.classes()) TrackClass(e.id(), c, true);

@@ -74,7 +74,7 @@ struct DirectorySnapshot {
   // Payload pointers are non-const shared_ptrs so the single writer can
   // mutate a payload it cloned within the current (unfrozen) delta;
   // once a payload reaches a frozen View it is never written again
-  // (clone-once-per-delta discipline, see CowMap::FindMutableInPending).
+  // (clone-once-per-delta discipline, see CowMap::Mutable).
   using ClassPostingMap = CowMap<ClassId, std::shared_ptr<ClassPosting>>;
   using ValuePostingMap =
       CowMap<SnapshotValueKey, std::shared_ptr<std::vector<EntryId>>,

@@ -165,14 +165,23 @@ void ForestIndex::PlaceSubtree(const Directory& d, EntryId id) {
     return;
   }
 
+  // A childless entry (every AddEntry places one) is a subtree of size
+  // 1: it is labeled here, with no size map and no stack.
+  const bool leaf = e.children().empty();
   SizeMap sizes;
-  uint64_t bare = ComputeSizes(d, id, sizes);
-  uint64_t avail = hi - next;
+  const uint64_t bare = leaf ? 1 : ComputeSizes(d, id, sizes);
+  const uint64_t avail = hi - next;
   if (avail < bare) {
     Relabel(d, parent);
     return;
   }
-  AssignInterval(d, id, next, AllocWidth(avail, bare));
+  const uint64_t width = AllocWidth(avail, bare);
+  if (leaf) {
+    labels_.Set(id, next);
+    end_labels_.Set(id, next + width);
+  } else {
+    AssignInterval(d, id, next, width);
+  }
 }
 
 void ForestIndex::Relabel(const Directory& d, EntryId parent) {

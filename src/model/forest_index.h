@@ -27,7 +27,8 @@ class Directory;
 ///    [label(id), end_label(id)) nested strictly inside its parent's
 ///    interval, siblings in insertion order; the forest as a whole lives
 ///    in [0, kLabelSpace);
-///  - inserting a leaf claims a slice of its parent's free tail in O(1);
+///  - inserting a leaf claims a slice of its parent's free tail in O(1),
+///    with no allocation;
 ///    deleting a leaf clears its labels in O(1) (the tail slice is reused
 ///    when the freed entry was the youngest sibling); moving a subtree
 ///    relabels only the k moved entries;

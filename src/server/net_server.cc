@@ -414,6 +414,10 @@ void NetServer::ReactorLoop(Reactor& r) {
         // FlushWrites may close a finished connection; re-find.
         it = r.conns.find(fd);
         if (it == r.conns.end()) continue;
+        // A drained backlog must disarm EPOLLOUT: level-triggered, it
+        // would otherwise fire at once on every wait while the socket
+        // stays writable.
+        UpdateEpoll(r, fd, it->second);
       }
       if ((events[i].events & EPOLLIN) != 0) {
         HandleReadable(r, fd, it->second);
@@ -513,6 +517,7 @@ void NetServer::HandleAccept(Reactor& r) {
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
+    conn.epoll_mask = ev.events;
     if (::epoll_ctl(r.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
       ::close(fd);
       continue;
@@ -830,8 +835,11 @@ void NetServer::UpdateEpoll(Reactor& r, int fd, Conn& conn) {
   ev.events = 0;
   if (!conn.read_closed && !conn.closing) ev.events |= EPOLLIN;
   if (conn.out_bytes > 0) ev.events |= EPOLLOUT;
+  if (ev.events == conn.epoll_mask) return;  // armed already: no syscall
   ev.data.fd = fd;
-  ::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, fd, &ev);
+  if (::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, fd, &ev) == 0) {
+    conn.epoll_mask = ev.events;
+  }
 }
 
 void NetServer::WorkerLoop() {

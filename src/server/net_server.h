@@ -152,6 +152,7 @@ class NetServer {
     uint32_t inflight = 0; ///< dispatched requests, response pending
     bool read_closed = false;  ///< peer half-closed (EOF seen)
     bool closing = false;      ///< close once out drains and inflight==0
+    uint32_t epoll_mask = 0;   ///< events last armed (UpdateEpoll)
     std::chrono::steady_clock::time_point last_activity;
     uint64_t bytes_queued = 0;   ///< lifetime response bytes queued
     uint64_t bytes_flushed = 0;  ///< lifetime response bytes sent
@@ -216,6 +217,9 @@ class NetServer {
   void SweepIdle(Reactor& r);
   void ReapIdleCursors();
   void DrainCompletions(Reactor& r);
+  /// Re-arms `fd` for what `conn` now waits on: EPOLLIN while it still
+  /// reads, EPOLLOUT while bytes are owed. Calls epoll_ctl only when that
+  /// mask differs from the one last armed.
   void UpdateEpoll(Reactor& r, int fd, Conn& conn);
   /// Arms (on) or disarms (off, EMFILE/ENFILE backoff) the listener's
   /// EPOLLIN interest.

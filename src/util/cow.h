@@ -122,20 +122,21 @@ class CowVec {
 /// Copy-on-write hash map: a shared immutable base plus a chain of
 /// overlay deltas. The writer mutates only the newest (mutable) overlay;
 /// Freeze() seals it into the chain and starts a fresh one, so a commit
-/// group of Δ keys publishes in O(Δ). Overlay entries are optional
-/// values; nullopt is a tombstone shadowing a base entry. Lookup walks
-/// overlays newest→oldest, then the base. Two mechanisms bound the
-/// chain without ever paying O(base) for an O(Δ) commit: adjacent
-/// overlays of similar size are merged binary-counter style (chain
-/// depth and per-entry recopying both O(log)), and the whole chain is
-/// folded into a fresh base only once the overlay volume is a constant
-/// fraction of the base — so the O(base) fold is amortized over O(base)
-/// delta entries.
+/// group of Δ keys publishes in O(Δ). The base and every overlay are one
+/// map type whose entries are optional values; nullopt is a tombstone
+/// shadowing older state. Lookup walks overlays newest→oldest, then the
+/// base. Two mechanisms bound the chain without ever paying O(base) for
+/// an O(Δ) commit: adjacent overlays of similar size are merged
+/// binary-counter style (chain depth and per-entry recopying both
+/// O(log)), and the whole chain is folded into a fresh base only once
+/// the overlay volume is a constant fraction of the base — so the
+/// O(base) fold is amortized over O(base) delta entries. A fold into an
+/// empty base with one sealed overlay (the first Freeze after a bulk
+/// load) adopts that overlay as the base and copies nothing.
 template <typename K, typename V, typename Hash = std::hash<K>>
 class CowMap {
  public:
-  using OverlayMap = std::unordered_map<K, std::optional<V>, Hash>;
-  using BaseMap = std::unordered_map<K, V, Hash>;
+  using Map = std::unordered_map<K, std::optional<V>, Hash>;
 
   /// Immutable point-in-time view (shares base + sealed overlays).
   class View {
@@ -143,17 +144,7 @@ class CowMap {
     View() = default;
 
     const V* Find(const K& key) const {
-      for (auto it = overlays_.rbegin(); it != overlays_.rend(); ++it) {
-        auto found = (*it)->find(key);
-        if (found != (*it)->end()) {
-          return found->second.has_value() ? &*found->second : nullptr;
-        }
-      }
-      if (base_ != nullptr) {
-        auto found = base_->find(key);
-        if (found != base_->end()) return &found->second;
-      }
-      return nullptr;
+      return FindInChain(overlays_, base_.get(), key);
     }
 
     /// Visits every live (non-tombstoned) entry, in no particular
@@ -173,34 +164,45 @@ class CowMap {
       }
       if (base_ != nullptr) {
         for (const auto& [key, value] : *base_) {
-          if (!shadowed(key, 0)) fn(key, value);
+          if (value.has_value() && !shadowed(key, 0)) fn(key, *value);
         }
       }
     }
 
    private:
     friend class CowMap;
-    std::shared_ptr<const BaseMap> base_;
-    std::vector<std::shared_ptr<const OverlayMap>> overlays_;  // old→new
+    std::shared_ptr<const Map> base_;
+    std::vector<std::shared_ptr<const Map>> overlays_;  // old→new
   };
 
-  CowMap() : base_(std::make_shared<BaseMap>()) {}
+  CowMap() : base_(std::make_shared<Map>()) {}
 
-  void Set(const K& key, V value) { mutable_overlay_[key] = std::move(value); }
+  void Set(K key, V value) {
+    mutable_overlay_.insert_or_assign(std::move(key), std::move(value));
+  }
   void Erase(const K& key) { mutable_overlay_[key] = std::nullopt; }
 
-  /// The value for `key` IF it sits in the not-yet-frozen delta; nullptr
-  /// otherwise (absent, tombstoned, or only in frozen state). Values in
-  /// the pending delta were placed there after the last Freeze, so for
-  /// pointer-like V the writer may mutate the pointee in place: no
-  /// frozen View can reference it. This is the clone-once-per-delta
-  /// discipline payload maps (class/value postings) rely on.
-  V* FindMutableInPending(const K& key) {
-    auto it = mutable_overlay_.find(key);
-    if (it != mutable_overlay_.end() && it->second.has_value()) {
-      return &*it->second;
+  /// Sizes the open delta for `n` keys, so a bulk build rehashes once.
+  void Reserve(size_t n) { mutable_overlay_.reserve(n); }
+
+  /// The writer-private value for `key` in the open delta, in one probe
+  /// of it. The first touch since the last Freeze stores `make(frozen)`
+  /// there, where `frozen` points at the value frozen state holds for
+  /// `key` (nullptr when absent), or is nullptr when this delta erased
+  /// it; later touches return the same value in place. A value a Freeze
+  /// has sealed is never handed out: for pointer-like V, `make` clones
+  /// the pointee, and the writer may mutate the clone until the next
+  /// Freeze, since no frozen View can reference it. This is the
+  /// clone-once-per-delta discipline payload maps (class/value
+  /// postings) rely on.
+  template <typename Make>
+  V& Mutable(const K& key, Make&& make) {
+    auto [it, inserted] = mutable_overlay_.try_emplace(key);
+    if (!it->second.has_value()) {
+      it->second = make(inserted ? FindInChain(sealed_, base_.get(), key)
+                                 : nullptr);
     }
-    return nullptr;
+    return *it->second;
   }
 
   const V* Find(const K& key) const {
@@ -208,15 +210,7 @@ class CowMap {
     if (in_mutable != mutable_overlay_.end()) {
       return in_mutable->second.has_value() ? &*in_mutable->second : nullptr;
     }
-    for (auto it = sealed_.rbegin(); it != sealed_.rend(); ++it) {
-      auto found = (*it)->find(key);
-      if (found != (*it)->end()) {
-        return found->second.has_value() ? &*found->second : nullptr;
-      }
-    }
-    auto found = base_->find(key);
-    if (found != base_->end()) return &found->second;
-    return nullptr;
+    return FindInChain(sealed_, base_.get(), key);
   }
 
   /// Seals the pending delta and returns an immutable view of the
@@ -226,8 +220,8 @@ class CowMap {
   /// O(base) worth of delta entries accumulated.
   View Freeze() {
     if (!mutable_overlay_.empty()) {
-      sealed_.push_back(std::make_shared<const OverlayMap>(
-          std::move(mutable_overlay_)));
+      sealed_.push_back(
+          std::make_shared<const Map>(std::move(mutable_overlay_)));
       mutable_overlay_.clear();  // moved-from: restore known-empty state
       sealed_entries_ += sealed_.back()->size();
     }
@@ -241,7 +235,7 @@ class CowMap {
       while (sealed_.size() >= 2 &&
              sealed_.back()->size() >= sealed_[sealed_.size() - 2]->size()) {
         auto merged =
-            std::make_shared<OverlayMap>(*sealed_[sealed_.size() - 2]);
+            std::make_shared<Map>(*sealed_[sealed_.size() - 2]);
         for (const auto& [key, value] : *sealed_.back()) {
           (*merged)[key] = value;  // newer wins; tombstones shadow base
         }
@@ -276,26 +270,47 @@ class CowMap {
   }
 
  private:
-  void Fold() {
-    auto folded = std::make_shared<BaseMap>(*base_);
-    for (const auto& overlay : sealed_) {
-      for (const auto& [key, value] : *overlay) {
-        if (value.has_value()) {
-          (*folded)[key] = *value;
-        } else {
-          folded->erase(key);
-        }
+  /// `key`'s value in `overlays` (old→new, searched newest first) over
+  /// `base`; nullptr when absent or a tombstone.
+  static const V* FindInChain(
+      const std::vector<std::shared_ptr<const Map>>& overlays,
+      const Map* base, const K& key) {
+    for (auto it = overlays.rbegin(); it != overlays.rend(); ++it) {
+      auto found = (*it)->find(key);
+      if (found != (*it)->end()) {
+        return found->second.has_value() ? &*found->second : nullptr;
       }
     }
-    base_ = std::move(folded);
+    if (base == nullptr || base->empty()) return nullptr;  // no key hash
+    auto found = base->find(key);
+    return found != base->end() && found->second.has_value()
+               ? &*found->second
+               : nullptr;
+  }
+
+  void Fold() {
+    if (base_->empty() && sealed_.size() == 1) {
+      // Sealed overlays are immutable, so the one overlay can serve as
+      // the base as it is; Views that hold it as an overlay keep reading
+      // it. Its tombstones stay until the next fold, and lookups skip
+      // them.
+      base_ = std::move(sealed_.front());
+    } else {
+      auto folded = std::make_shared<Map>(*base_);
+      for (const auto& overlay : sealed_) {
+        for (const auto& [key, value] : *overlay) (*folded)[key] = value;
+      }
+      std::erase_if(*folded, [](const auto& kv) { return !kv.second; });
+      base_ = std::move(folded);
+    }
     sealed_.clear();
     sealed_entries_ = 0;
   }
 
-  std::shared_ptr<const BaseMap> base_;
-  std::vector<std::shared_ptr<const OverlayMap>> sealed_;  // old→new
+  std::shared_ptr<const Map> base_;
+  std::vector<std::shared_ptr<const Map>> sealed_;  // old→new
   size_t sealed_entries_ = 0;
-  OverlayMap mutable_overlay_;
+  Map mutable_overlay_;
 };
 
 }  // namespace ldapbound

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "ldap/dn.h"
 #include "tests/testing/helpers.h"
+#include "util/string_util.h"
 
 namespace ldapbound {
 namespace {
@@ -276,12 +281,39 @@ TEST(LdifTest, WriteLoadWriteIsByteIdentical) {
   ASSERT_TRUE(d.AddEntry(root, "uid=b", {w.top, w.person},
                          {{w.name, Value("plain value")}})
                   .ok());
+  // A depth-3 chain under the root, and an RDN holding an escaped comma.
+  EntryId lab = d.AddEntry(root, "ou=lab", {w.top, w.org},
+                           {{w.ou, Value("lab")}})
+                    .value();
+  EntryId team = d.AddEntry(lab, "ou=team", {w.top, w.org},
+                            {{w.ou, Value("team")}})
+                     .value();
+  ASSERT_TRUE(d.AddEntry(team, "uid=deep", {w.top, w.person},
+                         {{w.name, Value("deep")}})
+                  .ok());
+  ASSERT_TRUE(d.AddEntry(root, "cn=a\\,b", {w.top, w.person},
+                         {{w.name, Value("comma")}})
+                  .ok());
 
   std::string out1 = WriteLdif(d);
+  // Each dn: line is the DN DnOf names for its entry, in preorder.
+  std::vector<std::string> dn_lines;
+  for (std::string_view line : Split(out1, '\n')) {
+    if (line.starts_with("dn: ")) dn_lines.emplace_back(line.substr(4));
+  }
+  std::vector<std::string> expected_dns;
+  for (EntryId id : d.SubtreeEntries(root)) {
+    expected_dns.push_back(DnOf(d, id)->ToString());
+  }
+  EXPECT_EQ(dn_lines, expected_dns);
+  EXPECT_NE(out1.find("dn: uid=deep,ou=team,ou=lab,o=att\n"),
+            std::string::npos);
+  EXPECT_NE(out1.find("dn: cn=a\\,b,o=att\n"), std::string::npos);
+
   Directory d2(w.vocab);
   auto n = LoadLdif(out1, &d2);
   ASSERT_TRUE(n.ok()) << n.status() << "\n" << out1;
-  EXPECT_EQ(*n, 3u);
+  EXPECT_EQ(*n, 7u);
   std::string out2 = WriteLdif(d2);
   EXPECT_EQ(out2, out1);
 

@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,6 +83,163 @@ TEST(DirectorySnapshotTest, EnableOnPopulatedDirectoryPublishesCurrentState) {
   EXPECT_EQ(snap->FindChildByRdn(root, "CN=ALICE"), alice);
   EXPECT_EQ(snap->FindChildByRdn(root, "cn=nobody"), kInvalidEntryId);
   EXPECT_EQ(snap->FindChildByRdn(kInvalidEntryId, "o=acme"), root);
+}
+
+// Everything a snapshot answers, in comparable form: every value
+// posting and payload blob and the whole RDN index (via View::ForEach,
+// so tombstones must stay invisible), and every class's population and
+// members.
+struct SnapshotImage {
+  std::map<std::pair<AttributeId, std::string>, std::vector<EntryId>> values;
+  std::map<ClassId, std::pair<size_t, std::vector<EntryId>>> classes;
+  std::map<EntryId, std::string> payloads;
+  std::map<std::string, EntryId> rdns;
+
+  SnapshotImage(const DirectorySnapshot& snap, size_t num_classes) {
+    snap.by_value.ForEach([&](const SnapshotValueKey& key,
+                              const std::shared_ptr<std::vector<EntryId>>& p) {
+      values[{key.attribute, key.value.ToString()}] = *p;
+    });
+    for (ClassId c = 0; c < num_classes; ++c) {
+      std::vector<EntryId> members;
+      if (const EntrySet* set = snap.ClassSet(c)) {
+        for (EntryId id = 0; id < snap.id_capacity; ++id) {
+          if (set->Contains(id)) members.push_back(id);
+        }
+      }
+      classes[c] = {snap.CountWithClass(c), std::move(members)};
+    }
+    snap.by_entry.ForEach(
+        [&](const EntryId& id, const std::shared_ptr<const std::string>& p) {
+          payloads[id] = *p;
+        });
+    snap.rdn.ForEach(
+        [&](const std::string& key, const EntryId& id) { rdns[key] = id; });
+  }
+};
+
+// One deterministic history over `d`, calling `after_each` after every
+// mutation: persons with values under ten units, then renames, value
+// and class churn, moves and leaf deletes. Adds every (parent, RDN) pair
+// it ever used to `probes`, renamed-away and moved-away ones included.
+void RunHistory(Directory& d, const SimpleWorld& w, int first, int count,
+                const std::function<void()>& after_each,
+                std::vector<std::pair<EntryId, std::string>>& probes) {
+  auto add = [&](EntryId parent, const std::string& rdn,
+                 std::vector<ClassId> classes,
+                 std::vector<AttributeValue> values) {
+    auto id = d.AddEntry(parent, rdn, std::move(classes), std::move(values));
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    probes.emplace_back(parent, rdn);
+    after_each();
+    return id.ok() ? *id : kInvalidEntryId;
+  };
+  auto expect_ok = [&](const Status& status) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    after_each();
+  };
+  EntryId root = d.FindChildByRdn(kInvalidEntryId, "o=acme");
+  if (root == kInvalidEntryId) {
+    root = add(kInvalidEntryId, "o=acme", {w.top, w.org},
+               {{w.ou, Value("acme")}});
+  }
+  std::vector<EntryId> units;
+  for (int u = 0; u < 10; ++u) {
+    const std::string rdn = "ou=u" + std::to_string(u);
+    EntryId unit = d.FindChildByRdn(root, rdn);
+    if (unit == kInvalidEntryId) {
+      unit = add(root, rdn, {w.top, w.org}, {{w.ou, Value(rdn.substr(3))}});
+    }
+    units.push_back(unit);
+  }
+  std::vector<EntryId> persons;
+  for (int i = first; i < first + count; ++i) {
+    const std::string n = std::to_string(i);
+    std::vector<ClassId> classes{w.top, w.person};
+    std::vector<AttributeValue> values{{w.name, Value("Person " + n)},
+                                       {w.age, Value(int64_t{i % 40})},
+                                       {w.mail, Value("p" + n + "@acme")}};
+    if (i % 3 == 0) {
+      classes.push_back(w.mailbox);
+    } else {
+      values.pop_back();
+    }
+    persons.push_back(add(units[i % 10], "cn=p" + n, classes, values));
+  }
+  for (int k = 0; k < count; ++k) {
+    const int i = first + k;
+    const EntryId p = persons[k];
+    const std::string n = std::to_string(i);
+    if (i % 7 == 0) {
+      expect_ok(d.Rename(p, "cn=r" + n));
+      probes.emplace_back(d.entry(p).parent(), "cn=r" + n);
+    }
+    if (i % 5 == 0) {
+      expect_ok(d.RemoveValue(p, w.name, Value("Person " + n)));
+      expect_ok(d.AddValue(p, w.name, Value("Renamed " + n)));
+    }
+    if (i % 9 == 0) expect_ok(d.AddClass(p, w.engineer));
+    if (i % 18 == 0) expect_ok(d.RemoveClass(p, w.engineer));
+    if (i % 13 == 0) {
+      const EntryId to = units[(i + 1) % 10];
+      expect_ok(d.MoveSubtree(p, to));
+      probes.emplace_back(to, d.entry(p).rdn());
+    }
+    if (i % 11 == 0) expect_ok(d.DeleteLeaf(p));
+  }
+}
+
+// Snapshots turned on after a load must publish exactly what snapshots
+// maintained from the start publish — at a size where the first publish
+// folds each map (the late copy's RDN delta holds the load's renames and
+// deletes as tombstones), and again after a second history folds them
+// onto non-empty bases.
+TEST(DirectorySnapshotTest, EnabledLateMatchesMaintainedFromTheStart) {
+  SimpleWorld w;
+  Directory early(w.vocab);
+  Directory late(w.vocab);
+  early.EnableSnapshots();
+  std::vector<std::pair<EntryId, std::string>> probes;
+  std::vector<std::pair<EntryId, std::string>> unused;
+  auto publish_early = [&] { early.PublishSnapshot(); };
+  RunHistory(early, w, 0, 560, publish_early, probes);
+  RunHistory(late, w, 0, 560, [] {}, unused);
+  ASSERT_GE(late.NumEntries(), 500u);
+  late.EnableSnapshots();
+
+  auto expect_same = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    PinnedSnapshot a = early.PinSnapshot();
+    PinnedSnapshot b = late.PinSnapshot();
+    ASSERT_TRUE(a);
+    ASSERT_TRUE(b);
+    ASSERT_EQ(a->id_capacity, b->id_capacity);
+    EXPECT_EQ(a->num_alive, b->num_alive);
+    const size_t num_classes = w.vocab->num_classes();
+    SnapshotImage image_a(*a, num_classes);
+    SnapshotImage image_b(*b, num_classes);
+    EXPECT_FALSE(image_a.values.empty());
+    EXPECT_EQ(image_a.values, image_b.values);
+    EXPECT_EQ(image_a.classes, image_b.classes);
+    EXPECT_EQ(image_a.payloads.size(), late.NumEntries());
+    EXPECT_EQ(image_a.payloads, image_b.payloads);
+    EXPECT_EQ(image_a.rdns.size(), late.NumEntries());
+    EXPECT_EQ(image_a.rdns, image_b.rdns);
+    for (const auto& [parent, rdn] : probes) {
+      EXPECT_EQ(a->FindChildByRdn(parent, rdn), b->FindChildByRdn(parent, rdn))
+          << rdn;
+      EXPECT_EQ(b->FindChildByRdn(parent, rdn), late.FindChildByRdn(parent, rdn))
+          << rdn;
+    }
+  };
+  expect_same("after the load");
+
+  // A second history, published once in the late copy: enough new keys
+  // that every map folds onto the base its first publish made.
+  RunHistory(early, w, 560, 320, publish_early, probes);
+  RunHistory(late, w, 560, 320, [] {}, unused);
+  late.PublishSnapshot();
+  expect_same("after a second history");
 }
 
 TEST(DirectorySnapshotTest, PinnedVersionSurvivesLaterMutations) {

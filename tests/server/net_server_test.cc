@@ -67,8 +67,13 @@ EntrySpec PersonSpec(const std::string& uid) {
 /// Blocking wire client: one connection, synchronous call/response.
 class WireClient {
  public:
-  explicit WireClient(uint16_t port) {
+  /// `rcvbuf` > 0 shrinks the socket's receive buffer (and so the TCP
+  /// window the server may fill) before connecting.
+  explicit WireClient(uint16_t port, int rcvbuf = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (rcvbuf > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -820,6 +825,41 @@ TEST_F(NetServerTest, CleanStopOwesNoBytesAndHonorsDrainGrace) {
   // Nothing was in flight, so the drain must not eat the full grace.
   EXPECT_LT(elapsed, std::chrono::milliseconds(2000));
   EXPECT_EQ(Net("ldapbound_net_owed_bytes_at_stop_total"), owed);
+}
+
+// A response backlog that drains while the client goes quiet must leave
+// the reactor idle. EPOLLOUT is level-triggered: left armed on a socket
+// that is writable again, it ends every epoll_wait at once, and the
+// reactor spins a whole CPU until the client sends again.
+TEST_F(NetServerTest, DrainedBacklogLeavesTheReactorIdle) {
+  for (int i = 2; i < 3000; ++i) {
+    const std::string uid = "u" + std::to_string(i);
+    ASSERT_TRUE(server_.Add(Dn("uid=" + uid + ",ou=load"), PersonSpec(uid))
+                    .ok());
+  }
+  NetServerOptions options;
+  options.reactors = 1;
+  StartNet(options);
+  // A 4 KB receive window against ~24 KB answers: the server's sends
+  // hit EAGAIN and the connection waits on EPOLLOUT.
+  WireClient client(net_->port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(client.connected());
+  constexpr int kSearches = 400;
+  std::string batch;
+  for (int i = 0; i < kSearches; ++i) {
+    batch += EncodeSearchRequest(i, "ou=load", 2, "(objectClass=person)");
+  }
+  ASSERT_TRUE(client.Send(batch));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (int i = 0; i < kSearches; ++i) {
+    auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok()) << response->message;
+  }
+  // Every answer is read, so the backlog is gone; the client now idles.
+  const uint64_t before = Net("ldapbound_net_epoll_wakeup_events_count");
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_LT(Net("ldapbound_net_epoll_wakeup_events_count") - before, 10u);
 }
 
 // Filter shapes the postings cannot answer: refused, never answered empty.

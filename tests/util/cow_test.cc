@@ -114,41 +114,63 @@ TEST(CowMapTest, TombstoneShadowsFrozenState) {
   EXPECT_EQ(*v3.Find(1), 30);
 }
 
-TEST(CowMapTest, FindMutableInPendingOnlySeesTheOpenDelta) {
+TEST(CowMapTest, MutableClonesSealedValuesOncePerDelta) {
   CowMap<int, int> m;
+  std::vector<const int*> made_from;  // make()'s argument, per call
+  auto make = [&](const int* frozen) {
+    made_from.push_back(frozen);
+    return frozen == nullptr ? 0 : *frozen + 100;
+  };
   m.Set(1, 10);
-  // Before any freeze the key sits in the open delta: mutable.
-  ASSERT_NE(m.FindMutableInPending(1), nullptr);
-  *m.FindMutableInPending(1) = 11;
+  // Before any freeze the key sits in the open delta: returned in place.
+  m.Mutable(1, make) = 11;
+  EXPECT_TRUE(made_from.empty());
   EXPECT_EQ(*m.Find(1), 11);
 
-  m.Freeze();
-  // After the freeze the key is sealed — a frozen View may reference the
-  // value, so the writer must NOT get a mutable pointer.
-  EXPECT_EQ(m.FindMutableInPending(1), nullptr);
-  EXPECT_NE(m.Find(1), nullptr);
+  CowMap<int, int>::View sealed = m.Freeze();
+  // After the freeze the value is sealed — a frozen View references it,
+  // so the writer gets a clone made from it, never the value itself.
+  int& clone = m.Mutable(1, make);
+  ASSERT_EQ(made_from.size(), 1u);
+  ASSERT_NE(made_from[0], nullptr);
+  EXPECT_EQ(*made_from[0], 11);
+  EXPECT_EQ(clone, 111);
+  EXPECT_NE(&clone, sealed.Find(1));
+  clone = 112;
+  EXPECT_EQ(*sealed.Find(1), 11);
+  // The clone is the delta's value now: the next touch returns it.
+  EXPECT_EQ(&m.Mutable(1, make), &clone);
+  EXPECT_EQ(made_from.size(), 1u);
 
-  // Re-setting re-admits it to the new delta.
-  m.Set(1, 12);
-  ASSERT_NE(m.FindMutableInPending(1), nullptr);
-  // Tombstones are not mutable values.
+  // A tombstone is not a value: the next touch makes one from nothing.
   m.Erase(1);
-  EXPECT_EQ(m.FindMutableInPending(1), nullptr);
+  EXPECT_EQ(m.Find(1), nullptr);
+  EXPECT_EQ(m.Mutable(1, make), 0);
+  ASSERT_EQ(made_from.size(), 2u);
+  EXPECT_EQ(made_from[1], nullptr);
+  // So does a key no state holds.
+  EXPECT_EQ(m.Mutable(2, make), 0);
+  ASSERT_EQ(made_from.size(), 3u);
+  EXPECT_EQ(made_from[2], nullptr);
+  EXPECT_EQ(*sealed.Find(1), 11);
+  EXPECT_EQ(sealed.Find(2), nullptr);
 }
 
-// Fold/compaction correctness: push enough sealed overlays (and churn)
-// that the chain both merges pairwise and folds into a fresh base, and
-// check every version — old views must survive both untouched.
-TEST(CowMapTest, FoldPreservesAllVersions) {
+// Fold/compaction correctness: write `writes` keys per round (some
+// erasures) over a key space of `keys` for `rounds` rounds, freezing
+// after each, so the chain both merges pairwise and folds into a fresh
+// base, and check every version — old views must survive both untouched.
+void ExpectEveryVersionSurvives(int keys, int writes, int rounds) {
+  SCOPED_TRACE("key space " + std::to_string(keys) + ", " +
+               std::to_string(writes) + " writes per round");
   CowMap<int, int> m;
   std::vector<CowMap<int, int>::View> versions;
   std::vector<std::map<int, int>> oracles;
   std::map<int, int> oracle;
 
-  constexpr int kRounds = 20;  // enough freezes to merge and fold repeatedly
-  for (int round = 0; round < kRounds; ++round) {
-    for (int k = 0; k < 10; ++k) {
-      int key = (round * 7 + k * 13) % 40;
+  for (int round = 0; round < rounds; ++round) {
+    for (int k = 0; k < writes; ++k) {
+      int key = (round * 7 + k * 13) % keys;
       if ((round + k) % 5 == 0) {
         m.Erase(key);
         oracle.erase(key);
@@ -161,12 +183,19 @@ TEST(CowMapTest, FoldPreservesAllVersions) {
     oracles.push_back(oracle);
   }
 
-  for (int r = 0; r < kRounds; ++r) {
-    // Every oracle entry is found with the right value...
-    for (const auto& [key, value] : oracles[r]) {
+  for (int r = 0; r < rounds; ++r) {
+    // Every oracle entry is found with the right value, and nothing else
+    // in the key space is...
+    for (int key = 0; key < keys; ++key) {
       const int* found = versions[r].Find(key);
+      auto expected = oracles[r].find(key);
+      if (expected == oracles[r].end()) {
+        EXPECT_EQ(found, nullptr) << "version " << r << " key " << key;
+        continue;
+      }
       ASSERT_NE(found, nullptr) << "version " << r << " key " << key;
-      EXPECT_EQ(*found, value) << "version " << r << " key " << key;
+      EXPECT_EQ(*found, expected->second)
+          << "version " << r << " key " << key;
     }
     // ...and ForEach enumerates exactly the oracle.
     std::map<int, int> seen;
@@ -175,6 +204,14 @@ TEST(CowMapTest, FoldPreservesAllVersions) {
     });
     EXPECT_EQ(seen, oracles[r]) << "version " << r;
   }
+}
+
+TEST(CowMapTest, FoldPreservesAllVersions) {
+  // Folds once, at round 11: four sealed overlays onto an empty base.
+  ExpectEveryVersionSurvives(/*keys=*/40, /*writes=*/10, /*rounds=*/20);
+  // Folds 12 times: one overlay adopted as the empty base (round 0), one
+  // overlay onto a non-empty base (rounds 1-3), then pairs of overlays.
+  ExpectEveryVersionSurvives(/*keys=*/1000, /*writes=*/150, /*rounds=*/20);
 }
 
 }  // namespace
