@@ -93,7 +93,7 @@ void BM_SnapshotScopedScan(benchmark::State& state) {
     options.persons_per_unit = kPersonsPerUnit;
     world->directory = std::make_unique<Directory>(
         MakeWhitePagesInstance(*world->schema, options).value());
-    world->directory->EnableSnapshots();
+    world->directory->PublishSnapshot();
     world_fanout = fanout;
   }
   const Directory& d = *world->directory;

@@ -60,7 +60,7 @@ BENCHMARK(BM_StructureLegality_NaivePairwise)
 // needs no pass over the entries.
 void BM_StructureLegality_Snapshot(benchmark::State& state) {
   const World& world = GetWorld(static_cast<size_t>(state.range(0)));
-  world.directory->EnableSnapshots();  // idempotent; nothing here mutates
+  world.directory->PublishSnapshot();  // the loaded state; nothing mutates
   PinnedSnapshot snap = world.directory->PinSnapshot();
   LegalityChecker checker(*world.schema);
   for (auto _ : state) {

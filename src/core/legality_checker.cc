@@ -5,7 +5,6 @@
 #include <iterator>
 #include <map>
 #include <mutex>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -477,9 +476,8 @@ bool LegalityChecker::CheckStructureOn(const Source& source,
 
   // Er and Ef: the Figure 4 violation query of each relationship must be
   // empty; its members are the offending entries. The queries are
-  // independent, so they fan out across the pool — one QueryEvaluator per
-  // task (the evaluator holds mutable stats) over shared read-only
-  // per-class atomic selections.
+  // independent, so they fan out across the pool, one QueryEvaluator per
+  // task (the evaluator holds mutable stats).
   std::vector<const StructuralRelationship*> rels;
   rels.reserve(structure.required().size() + structure.forbidden().size());
   for (const StructuralRelationship& rel : structure.required()) {
@@ -496,55 +494,11 @@ bool LegalityChecker::CheckStructureOn(const Source& source,
   const unsigned threads = EffectiveThreads(rels.size());
   std::mutex stats_mu;
 
-  // Phase 1: the (objectClass=c) selection of every distinct class. A
-  // snapshot's class postings already are these selections. A live
-  // directory fills them all in ONE pass over the entries (each alive
-  // entry marks itself in the sets of its wanted classes) instead of
-  // |classes| full scans. Shards are aligned to whole bitmap words, so
-  // concurrent lanes never touch the same word of a set.
-  std::unordered_map<ClassId, EntrySet> class_cache;
-  if constexpr (std::is_same_v<Source, Directory>) {
-    LDAPBOUND_TRACE_SPAN("checker.class_cache");
-    std::vector<ClassId> classes;
-    classes.reserve(rels.size() * 2);
-    for (const StructuralRelationship* rel : rels) {
-      classes.push_back(rel->source);
-      classes.push_back(rel->target);
-    }
-    std::sort(classes.begin(), classes.end());
-    classes.erase(std::unique(classes.begin(), classes.end()),
-                  classes.end());
-    class_cache.reserve(classes.size());
-    const size_t cap = source.IdCapacity();
-    std::vector<EntrySet*> sets(classes.size());
-    for (size_t i = 0; i < classes.size(); ++i) {
-      sets[i] = &class_cache.emplace(classes[i], EntrySet(cap)).first->second;
-    }
-    const size_t grain =
-        (std::max<size_t>(options_.grain, 64) + 63) / 64 * 64;
-    ParallelFor(Pool(), 0, cap, grain, EffectiveThreads(cap),
-                [&](unsigned, size_t, size_t lo, size_t hi) {
-                  for (size_t eid = lo; eid < hi; ++eid) {
-                    const EntryId id = static_cast<EntryId>(eid);
-                    if (!source.IsAlive(id)) continue;
-                    for (ClassId c : source.entry(id).classes()) {
-                      auto it = std::lower_bound(classes.begin(),
-                                                 classes.end(), c);
-                      if (it != classes.end() && *it == c) {
-                        sets[it - classes.begin()]->Insert(id);
-                      }
-                    }
-                  }
-                });
-    // Account the pass as one scan answering |classes| selection nodes.
-    stats.nodes_evaluated += classes.size();
-    stats.entries_scanned += source.NumEntries();
-  }
-
-  // Phase 2: the violation queries, one task per relationship. With a
-  // null `out` only emptiness matters: the evaluator's lazy IsEmpty stops
-  // at the first surviving id and remaining tasks are skipped once any
-  // relationship has failed.
+  // The violation queries, one task per relationship; each class
+  // selection reads the source's class posting. With a null `out` only
+  // emptiness matters: the evaluator's lazy IsEmpty stops at the first
+  // surviving id and remaining tasks are skipped once any relationship
+  // has failed.
   std::vector<EntrySet> offenders(out != nullptr ? rels.size() : 0);
   std::vector<uint8_t> rel_bad(rels.size(), 0);
   std::atomic<bool> bad{false};
@@ -554,7 +508,6 @@ bool LegalityChecker::CheckStructureOn(const Source& source,
         for (size_t i = lo; i < hi; ++i) {
           if (out == nullptr && bad.load(std::memory_order_relaxed)) return;
           QueryEvaluator evaluator(source);
-          evaluator.set_class_cache(&class_cache);
           {
             LDAPBOUND_TRACE_SPAN("checker.constraint");
             LatencyTimer constraint_timer(metrics.constraint_ns);

@@ -77,10 +77,9 @@ struct CheckOptions {
 ///    to report violations in the identical order;
 ///  - the structure pass evaluates each constraint query on its own
 ///    QueryEvaluator (the evaluator holds mutable stats, so instances are
-///    not shared) over the per-class atomic selections — a shared
-///    read-only cache filled in one pass on a live directory, the class
-///    postings on a snapshot — and uses the evaluator's lazy IsEmpty when
-///    only a verdict is needed (out == nullptr).
+///    not shared), whose class selections read the class postings of the
+///    live head or of a snapshot alike, and uses the evaluator's lazy
+///    IsEmpty when only a verdict is needed (out == nullptr).
 ///
 /// The checker borrows the schema; the schema must outlive it and must
 /// share the directory's Vocabulary.
@@ -108,10 +107,10 @@ class LegalityChecker {
                       EvaluatorStats* stats = nullptr) const;
 
   /// The same check against a pinned MVCC snapshot (DESIGN.md §10): the
-  /// same loop, order and pool fan-out, with the class selections answered
-  /// from the snapshot's postings, so it runs lock-free alongside the
-  /// writer and reports exactly what CheckStructure reports on the live
-  /// directory at that version.
+  /// same loop, order and pool fan-out over the snapshot's frozen
+  /// postings, so it runs lock-free alongside the writer and reports
+  /// exactly what CheckStructure reports on the live directory at that
+  /// version.
   bool CheckStructure(const DirectorySnapshot& snapshot,
                       std::vector<Violation>* out = nullptr,
                       EvaluatorStats* stats = nullptr) const;

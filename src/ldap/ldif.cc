@@ -134,6 +134,20 @@ Result<std::vector<Record>> Tokenize(std::string_view text) {
 Result<size_t> LoadLdif(std::string_view text, Directory* directory) {
   LDAPBOUND_ASSIGN_OR_RETURN(std::vector<Record> records, Tokenize(text));
 
+  // Size the mirrors' hash deltas once, from the tokenized records: one
+  // RDN key and one payload per record, one value key per value
+  // (objectClass values become class memberships, not value keys).
+  const Vocabulary& vocab = directory->vocab();
+  const std::string& objectclass =
+      vocab.AttributeName(vocab.objectclass_attr());
+  size_t num_values = 0;
+  for (const Record& record : records) {
+    for (const auto& [attr, value] : record.values) {
+      if (!EqualsIgnoreCase(attr, objectclass)) ++num_values;
+    }
+  }
+  directory->Reserve(records.size(), num_values);
+
   // Records may appear in any order (RFC 2849 does not require
   // parent-before-child). First pass: file order — a well-ordered file
   // creates its entries exactly as before (same EntryId assignment);
@@ -193,6 +207,17 @@ Result<size_t> LoadLdif(std::string_view text, Directory* directory) {
 }
 
 std::string WriteLdif(const Directory& directory) {
+  std::string text;
+  (void)WriteLdif(directory, [&text](std::string_view chunk) {
+    text.append(chunk);
+    return Status::OK();
+  });
+  return text;
+}
+
+Status WriteLdif(const Directory& directory,
+                 const std::function<Status(std::string_view chunk)>& sink) {
+  constexpr size_t kChunkBytes = size_t{64} << 10;
   std::string out;
   const Vocabulary& vocab = directory.vocab();
   auto emit = [&out](std::string_view attr, std::string_view sep,
@@ -233,12 +258,16 @@ std::string WriteLdif(const Directory& directory) {
       }
     }
     out.push_back('\n');
+    if (out.size() >= kChunkBytes) {
+      LDAPBOUND_RETURN_IF_ERROR(sink(out));
+      out.clear();
+    }
     const std::vector<EntryId>& children = e.children();
     for (auto it = children.rbegin(); it != children.rend(); ++it) {
       stack.push_back({*it, depth + 1});
     }
   }
-  return out;
+  return out.empty() ? Status::OK() : sink(out);
 }
 
 }  // namespace ldapbound

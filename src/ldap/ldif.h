@@ -1,6 +1,7 @@
 #ifndef LDAPBOUND_LDAP_LDIF_H_
 #define LDAPBOUND_LDAP_LDIF_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -34,6 +35,13 @@ Result<size_t> LoadLdif(std::string_view text, Directory* directory);
 /// Renders the directory as LDIF, entries in preorder (parents first), so
 /// the output round-trips through LoadLdif.
 std::string WriteLdif(const Directory& directory);
+
+/// The same text, streamed: calls `sink` with consecutive chunks of about
+/// 64 KiB, each ending at an entry boundary, so no more than one chunk is
+/// ever held. Stops at, and returns, the first non-OK status `sink`
+/// returns.
+Status WriteLdif(const Directory& directory,
+                 const std::function<Status(std::string_view chunk)>& sink);
 
 }  // namespace ldapbound
 

@@ -7,7 +7,12 @@
 namespace ldapbound {
 
 Directory::Directory(std::shared_ptr<Vocabulary> vocab)
-    : vocab_(std::move(vocab)) {}
+    : vocab_(std::move(vocab)),
+      store_(std::make_unique<SnapshotStore>(EpochManager::Default())) {
+  alive_ = std::make_shared<EntrySet>(PostingCapacity());
+  alive_private_ = true;
+  PublishSnapshot();
+}
 
 Status Directory::CheckAlive(EntryId id) const {
   if (!IsAlive(id)) {
@@ -18,11 +23,6 @@ Status Directory::CheckAlive(EntryId id) const {
 
 std::string Directory::RdnKey(EntryId parent, std::string_view rdn) {
   return SnapshotRdnKey(parent, rdn);
-}
-
-void Directory::BumpClassCount(ClassId c, int delta) {
-  if (c >= class_counts_.size()) class_counts_.resize(c + 1, 0);
-  class_counts_[c] += static_cast<size_t>(delta);  // wraps: -1 decrements
 }
 
 Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
@@ -90,13 +90,11 @@ Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
   e.rdn_ = std::move(rdn);
   e.classes_ = std::move(classes);
   e.values_ = std::move(kept);
-  alive_.push_back(true);
+  TrackAlive(id, true);
   ++num_alive_;
   Attach(id, parent);
   rdn_index_.Set(std::move(rdn_key), id);
-  for (ClassId c : e.classes_) BumpClassCount(c, +1);
   index_.OnInsert(*this, id);
-  TrackAlive(id, true);
   for (ClassId c : e.classes_) TrackClass(id, c, true);
   for (const AttributeValue& av : e.values_) {
     TrackValue(id, av.attribute, av.value, true);
@@ -188,7 +186,6 @@ Status Directory::AddClass(EntryId id, ClassId cls) {
   auto it = std::lower_bound(e.classes_.begin(), e.classes_.end(), cls);
   if (it != e.classes_.end() && *it == cls) return Status::OK();
   e.classes_.insert(it, cls);
-  BumpClassCount(cls, +1);
   TrackClass(id, cls, true);
   TrackEntryPayload(id);
   ++version_;
@@ -207,7 +204,6 @@ Status Directory::RemoveClass(EntryId id, ClassId cls) {
         "an entry must belong to at least one object class");
   }
   e.classes_.erase(it);
-  BumpClassCount(cls, -1);
   TrackClass(id, cls, false);
   TrackEntryPayload(id);
   ++version_;
@@ -272,10 +268,8 @@ Status Directory::DeleteLeaf(EntryId id) {
         "only leaf entries can be deleted (entry has " +
         std::to_string(e.children_.size()) + " children)");
   }
-  alive_[id] = false;
-  --num_alive_;
-  for (ClassId c : e.classes_) BumpClassCount(c, -1);
   TrackAlive(id, false);
+  --num_alive_;
   for (ClassId c : e.classes_) TrackClass(id, c, false);
   for (const AttributeValue& av : e.values_) {
     TrackValue(id, av.attribute, av.value, false);
@@ -319,10 +313,8 @@ void Directory::Detach(EntryId id) {
 }
 
 EntrySet Directory::AliveSet() const {
-  EntrySet set(IdCapacity());
-  for (size_t id = 0; id < entries_.size(); ++id) {
-    if (alive_[id]) set.Insert(static_cast<EntryId>(id));
-  }
+  EntrySet set = *alive_;
+  set.Resize(IdCapacity());
   return set;
 }
 
@@ -358,16 +350,14 @@ EntrySet* Directory::MutableAlive() {
   const size_t want = PostingCapacity();
   if (!alive_private_) {
     // A published snapshot holds the current set: clone before writing.
-    auto clone = std::make_shared<EntrySet>(*alive_shared_);
-    alive_shared_ = std::move(clone);
+    alive_ = std::make_shared<EntrySet>(*alive_);
     alive_private_ = true;
   }
-  if (alive_shared_->capacity() < want) alive_shared_->Resize(want);
-  return alive_shared_.get();
+  if (alive_->capacity() < want) alive_->Resize(want);
+  return alive_.get();
 }
 
 void Directory::TrackAlive(EntryId id, bool on) {
-  if (!snapshots_enabled_) return;
   EntrySet* alive = MutableAlive();
   if (on) {
     alive->Insert(id);
@@ -377,8 +367,6 @@ void Directory::TrackAlive(EntryId id, bool on) {
 }
 
 void Directory::TrackClass(EntryId id, ClassId cls, bool add) {
-  if (!snapshots_enabled_) return;
-  using ClassPosting = DirectorySnapshot::ClassPosting;
   ClassPosting& posting = *by_class_.Mutable(
       cls, [&](const std::shared_ptr<ClassPosting>* frozen) {
         return frozen != nullptr
@@ -400,7 +388,6 @@ void Directory::TrackClass(EntryId id, ClassId cls, bool add) {
 
 void Directory::TrackValue(EntryId id, AttributeId attr, const Value& value,
                            bool add) {
-  if (!snapshots_enabled_) return;
   using Posting = std::vector<EntryId>;
   SnapshotValueKey key{attr, value};
   Posting& posting = *by_value_.Mutable(
@@ -444,7 +431,6 @@ void PayloadPutString(std::string& out, std::string_view s) {
 }  // namespace
 
 void Directory::TrackEntryPayload(EntryId id, bool alive) {
-  if (!snapshots_enabled_) return;
   if (!alive) {
     by_entry_.Erase(id);
     return;
@@ -462,35 +448,24 @@ void Directory::TrackEntryPayload(EntryId id, bool alive) {
   by_entry_.Set(id, std::make_shared<const std::string>(std::move(blob)));
 }
 
-void Directory::EnableSnapshots() {
-  if (snapshots_enabled_) return;
-  snapshots_enabled_ = true;
-  store_ = std::make_unique<SnapshotStore>(EpochManager::Default());
-  alive_shared_ = std::make_shared<EntrySet>(PostingCapacity());
-  alive_private_ = true;
-  size_t num_values = 0;
-  ForEachAlive([&](const Entry& e) { num_values += e.values().size(); });
-  by_value_.Reserve(num_values);
-  by_entry_.Reserve(NumEntries());
-  ForEachAlive([&](const Entry& e) {
-    alive_shared_->Insert(e.id());
-    for (ClassId c : e.classes()) TrackClass(e.id(), c, true);
-    for (const AttributeValue& av : e.values()) {
-      TrackValue(e.id(), av.attribute, av.value, true);
-    }
-    TrackEntryPayload(e.id());
-  });
-  PublishSnapshot();
+void Directory::Reserve(size_t entries, size_t values) {
+  rdn_index_.Reserve(entries);
+  by_entry_.Reserve(entries);
+  by_value_.Reserve(values);
+}
+
+size_t Directory::UnpublishedKeys() const {
+  return rdn_index_.OpenDeltaSize() + by_class_.OpenDeltaSize() +
+         by_value_.OpenDeltaSize() + by_entry_.OpenDeltaSize();
 }
 
 void Directory::PublishSnapshot() {
-  if (!snapshots_enabled_) return;
   auto* snap = new DirectorySnapshot();
   snap->version = version_;
   snap->id_capacity = entries_.size();
   snap->num_alive = num_alive_;
   snap->index = index_.FreezeViews();
-  snap->alive = alive_shared_;
+  snap->alive = alive_;
   alive_private_ = false;  // the snapshot holds it: next write clones
   snap->by_class = by_class_.Freeze();
   snap->by_value = by_value_.Freeze();

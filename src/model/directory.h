@@ -59,6 +59,12 @@ struct DirectoryStats {
 /// index is kept *live* across mutations (gap-label maintenance in
 /// ForestIndex, O(|Δ|) amortized per structural change), so GetIndex()
 /// is O(1) and never rebuilds the whole directory.
+///
+/// The mutators also keep the snapshot mirrors (DESIGN.md §10) from
+/// construction on: the alive set, the class and (attribute, value)
+/// postings, the RDN index and the entry payloads. The head reads its
+/// own mirrors (IsAlive, CountWithClass, ClassSet, ValuePosting), and
+/// PublishSnapshot freezes them into the next immutable version.
 class Directory {
  public:
   explicit Directory(std::shared_ptr<Vocabulary> vocab);
@@ -111,9 +117,7 @@ class Directory {
   /// Deletes an entire subtree, leaves first.
   Status DeleteSubtree(EntryId id);
 
-  bool IsAlive(EntryId id) const {
-    return id < entries_.size() && alive_[id];
-  }
+  bool IsAlive(EntryId id) const { return alive_->Contains(id); }
 
   /// Read access; `id` must be alive or tombstoned (but allocated).
   const Entry& entry(EntryId id) const { return entries_[id]; }
@@ -128,14 +132,30 @@ class Directory {
   /// this as their capacity.
   size_t IdCapacity() const { return entries_.size(); }
 
-  /// Number of alive entries that belong to class `c` (maintained
-  /// incrementally; this is the count index that, per §4, makes required
-  /// classes incrementally testable under deletion). Like every read of
-  /// the live directory it is single-writer: call it on the writer's
-  /// thread or with writers excluded (the server's write mutex). Readers
+  /// Number of alive entries that belong to class `c`: the class
+  /// posting's count, the index that, per §4, makes required classes
+  /// incrementally testable under deletion. Like every read of the live
+  /// directory it is single-writer: call it on the writer's thread or
+  /// with writers excluded (the server's write mutex). Readers
   /// concurrent with writers use DirectorySnapshot::CountWithClass.
   size_t CountWithClass(ClassId c) const {
-    return c < class_counts_.size() ? class_counts_[c] : 0;
+    const std::shared_ptr<ClassPosting>* p = by_class_.Find(c);
+    return p == nullptr ? 0 : (*p)->count;
+  }
+
+  /// Members of class `c`, or nullptr when no alive entry has it. As on
+  /// DirectorySnapshot, the set's capacity may exceed IdCapacity().
+  const EntrySet* ClassSet(ClassId c) const {
+    const std::shared_ptr<ClassPosting>* p = by_class_.Find(c);
+    return p == nullptr ? nullptr : &(*p)->members;
+  }
+
+  /// Alive entries carrying (attr, value), ascending; nullptr when none.
+  const std::vector<EntryId>* ValuePosting(AttributeId attr,
+                                           const Value& value) const {
+    const std::shared_ptr<std::vector<EntryId>>* p =
+        by_value_.Find(SnapshotValueKey{attr, value});
+    return p == nullptr ? nullptr : p->get();
   }
 
   /// Monotonically increasing mutation counter.
@@ -148,9 +168,7 @@ class Directory {
   /// Calls `fn(const Entry&)` for each alive entry in id order.
   template <typename Fn>
   void ForEachAlive(Fn&& fn) const {
-    for (size_t id = 0; id < entries_.size(); ++id) {
-      if (alive_[id]) fn(entries_[id]);
-    }
+    alive_->ForEach([&](EntryId id) { fn(entries_[id]); });
   }
 
   /// The set of all alive entries.
@@ -167,27 +185,35 @@ class Directory {
   /// Shape summary of the instance; O(|D|).
   DirectoryStats ComputeStats() const;
 
+  /// Sizes the mirrors' open deltas for a bulk load of `entries` entries
+  /// holding `values` (attribute, value) pairs, objectClass aside, so the
+  /// load rehashes each once.
+  void Reserve(size_t entries, size_t values);
+
+  /// Keys the mirrors' open deltas hold: what the next PublishSnapshot
+  /// seals. Bounded by the keys changed since the last publish, however
+  /// often each changed.
+  size_t UnpublishedKeys() const;
+
   // -- MVCC snapshots (DESIGN.md §10) --
 
-  /// Turns on snapshot maintenance: builds the posting maps (O(|D|),
-  /// once) and publishes the first snapshot. Before this, mutators skip
-  /// posting upkeep entirely. Idempotent; single-writer.
-  void EnableSnapshots();
-  bool snapshots_enabled() const { return snapshots_enabled_; }
+  /// Does nothing: the mirrors are kept from construction on. Its only
+  /// caller is perfbench/src/replay.cc, which the next benchmark change
+  /// updates; this shim goes with that call.
+  void EnableSnapshots() {}
 
   /// Publishes an immutable snapshot of the current version (O(Δ) since
-  /// the previous publish). No-op when snapshots are disabled.
-  /// Single-writer: call under the same exclusion as the mutators.
+  /// the previous publish). Single-writer: call under the same exclusion
+  /// as the mutators.
   void PublishSnapshot();
 
-  /// Pins the latest published snapshot; empty when disabled. Lock-free,
-  /// callable from any thread concurrently with the writer.
-  PinnedSnapshot PinSnapshot() const {
-    return store_ == nullptr ? PinnedSnapshot() : store_->Pin();
-  }
+  /// Pins the latest published snapshot: version 0 (empty) until the
+  /// first PublishSnapshot. Lock-free, callable from any thread
+  /// concurrently with the writer.
+  PinnedSnapshot PinSnapshot() const { return store_->Pin(); }
 
-  /// The publication point, for metrics; nullptr when disabled.
-  const SnapshotStore* snapshot_store() const { return store_.get(); }
+  /// The publication point, for metrics.
+  const SnapshotStore& snapshot_store() const { return *store_; }
 
  private:
   Status CheckAlive(EntryId id) const;
@@ -198,11 +224,11 @@ class Directory {
   /// index's tree links to match.
   void Attach(EntryId id, EntryId parent);
   void Detach(EntryId id);
-  void BumpClassCount(ClassId c, int delta);
   // Key of the sibling-RDN uniqueness index: "<parent>/<lowercased rdn>".
   static std::string RdnKey(EntryId parent, std::string_view rdn);
 
-  // Snapshot-posting upkeep (no-ops until EnableSnapshots):
+  // Mirror upkeep:
+  using ClassPosting = DirectorySnapshot::ClassPosting;
   /// Capacity snapshot EntrySets are built at: IdCapacity rounded up to
   /// a power of two, so growth reallocates postings O(log n) times.
   size_t PostingCapacity() const;
@@ -218,10 +244,7 @@ class Directory {
 
   std::shared_ptr<Vocabulary> vocab_;
   std::vector<Entry> entries_;
-  std::vector<bool> alive_;
   std::vector<EntryId> roots_;
-  /// Class populations, indexed by class id.
-  std::vector<size_t> class_counts_;
   /// Sibling-RDN uniqueness index; COW so each snapshot publish shares
   /// the map with prior versions.
   CowMap<std::string, EntryId> rdn_index_;
@@ -230,11 +253,11 @@ class Directory {
 
   ForestIndex index_;  // live: maintained by the mutators
 
-  // MVCC snapshot state (inert until EnableSnapshots).
-  bool snapshots_enabled_ = false;
-  std::shared_ptr<EntrySet> alive_shared_;
-  /// True while alive_shared_ has not been captured by a publish (the
-  /// writer may mutate it in place; else it clones first).
+  // The snapshot mirrors, read by the head as well.
+  /// The alive entries.
+  std::shared_ptr<EntrySet> alive_;
+  /// True while alive_ has not been captured by a publish (the writer
+  /// may mutate it in place; else it clones first).
   bool alive_private_ = false;
   DirectorySnapshot::ClassPostingMap by_class_;
   DirectorySnapshot::ValuePostingMap by_value_;

@@ -138,7 +138,7 @@ struct DirectorySnapshot {
     return p == nullptr ? nullptr : p->get();
   }
 
-  bool IsAlive(EntryId id) const { return alive != nullptr && alive->Contains(id); }
+  bool IsAlive(EntryId id) const { return alive->Contains(id); }
   EntryId parent(EntryId id) const { return index.links.Get(id, {}).parent; }
 
   /// Calls `visit(id)` for every alive entry of `scope` under `base`, in
@@ -202,8 +202,8 @@ bool DirectorySnapshot::WalkScope(EntryId base, SearchScope scope,
 /// A snapshot pointer held open by an epoch pin: the snapshot (and every
 /// older structure it shares) cannot be reclaimed while this object
 /// lives. Short-lived by design — hold for one query/check, not across
-/// blocking waits; an empty PinnedSnapshot (get() == nullptr) means
-/// snapshots were not enabled. Must not outlive the SnapshotStore.
+/// blocking waits; only a default-constructed or released PinnedSnapshot
+/// is empty (get() == nullptr). Must not outlive the SnapshotStore.
 class PinnedSnapshot {
  public:
   PinnedSnapshot() = default;

@@ -137,6 +137,21 @@ bool ForEachRelated(Axis axis, const EntrySet& nodes, const EntrySet& related,
   return true;
 }
 
+/// True iff `query` is an unscoped class, `attr=value` or match-all
+/// selection: one that the postings of either source answer.
+bool IsPostingSelect(const Query& query) {
+  if (query.scope() != Scope::kAll) return false;
+  const Matcher* m = query.matcher().get();
+  return dynamic_cast<const ClassMatcher*>(m) != nullptr ||
+         dynamic_cast<const AttrEqualsMatcher*>(m) != nullptr ||
+         dynamic_cast<const TrueMatcher*>(m) != nullptr;
+}
+
+size_t NumAlive(const Directory& directory) { return directory.NumEntries(); }
+size_t NumAlive(const DirectorySnapshot& snapshot) {
+  return snapshot.num_alive;
+}
+
 }  // namespace
 
 QueryMetrics& GetQueryMetrics() {
@@ -147,10 +162,6 @@ QueryMetrics& GetQueryMetrics() {
       MetricRegistry::Default().GetCounter(
           "ldapbound_query_entries_scanned_total",
           "Per-entry work units performed by evaluators"),
-      MetricRegistry::Default().GetCounter(
-          "ldapbound_query_cache_hits_total",
-          "Atomic selections answered from the shared class-selection "
-          "cache"),
       MetricRegistry::Default().GetCounter(
           "ldapbound_query_short_circuits_total",
           "Lazy-emptiness early exits (IsEmpty concluded at a witness)"),
@@ -168,7 +179,6 @@ void AddEvaluatorStatsToMetrics(const EvaluatorStats& stats) {
   QueryMetrics& metrics = GetQueryMetrics();
   metrics.nodes_evaluated.Increment(stats.nodes_evaluated);
   metrics.entries_scanned.Increment(stats.entries_scanned);
-  metrics.cache_hits.Increment(stats.cache_hits);
   metrics.short_circuits.Increment(stats.short_circuits);
   metrics.nodes_per_query.Observe(stats.nodes_evaluated);
   metrics.scan_length.Observe(stats.entries_scanned);
@@ -282,7 +292,7 @@ bool QueryEvaluator::IsEmpty(const Query& query) {
 
 EntrySet QueryEvaluator::AliveSet() const {
   if (directory_ != nullptr) return directory_->AliveSet();
-  EntrySet out = snapshot_->alive != nullptr ? *snapshot_->alive : EntrySet();
+  EntrySet out = *snapshot_->alive;
   out.Resize(capacity_);
   return out;
 }
@@ -395,19 +405,24 @@ EntrySet QueryEvaluator::EvaluateSelect(const Query& query) {
     RecordStrategy("empty-scope");
     return EntrySet(capacity_);
   }
-  const Matcher& matcher = *query.matcher();
-  if (scope == Scope::kAll && class_cache_ != nullptr) {
-    if (const auto* cm = dynamic_cast<const ClassMatcher*>(&matcher)) {
-      auto it = class_cache_->find(cm->cls());
-      if (it != class_cache_->end()) {
-        ++stats_.cache_hits;
-        RecordStrategy("class-cache");
-        return it->second;
-      }
-    }
+  if (IsPostingSelect(query)) {
+    RecordStrategy("posting");
+    return snapshot_ != nullptr ? PostingSelect(*snapshot_, query)
+                                : PostingSelect(*directory_, query);
   }
-  if (snapshot_ != nullptr) return SnapshotSelect(query);
   EntrySet out(capacity_);
+  if (snapshot_ != nullptr) {
+    if (status_.ok()) {
+      status_ = Status::InvalidArgument(
+          scope != Scope::kAll
+              ? "snapshot query: delta-relative scopes need the live "
+                "directory"
+              : "snapshot query: only class, attribute-equality and "
+                "match-all selections are answered from postings");
+    }
+    return out;
+  }
+  const Matcher& matcher = *query.matcher();
   if (scope == Scope::kDeltaOnly) {
     // Δ-scoped selections touch only Δ — the ingredient that makes the
     // Figure 5 insertion checks cost O(|Δ|) rather than O(|D|).
@@ -432,23 +447,14 @@ EntrySet QueryEvaluator::EvaluateSelect(const Query& query) {
   return out;
 }
 
-EntrySet QueryEvaluator::SnapshotSelect(const Query& query) {
+template <typename Source>
+EntrySet QueryEvaluator::PostingSelect(const Source& source,
+                                       const Query& query) {
   EntrySet out(capacity_);
-  auto unanswerable = [&](const char* why) {
-    if (status_.ok()) {
-      status_ =
-          Status::InvalidArgument(std::string("snapshot query: ") + why);
-    }
-    return out;
-  };
-  if (query.scope() != Scope::kAll) {
-    return unanswerable("delta-relative scopes need the live directory");
-  }
   const Matcher* matcher = query.matcher().get();
-  RecordStrategy("posting");
   if (const auto* cm = dynamic_cast<const ClassMatcher*>(matcher)) {
-    if (const EntrySet* posting = snapshot_->ClassSet(cm->cls())) {
-      stats_.entries_scanned += snapshot_->CountWithClass(cm->cls());
+    if (const EntrySet* posting = source.ClassSet(cm->cls())) {
+      stats_.entries_scanned += source.CountWithClass(cm->cls());
       out = *posting;
       out.Resize(capacity_);  // postings grow in doubling steps
     }
@@ -456,40 +462,27 @@ EntrySet QueryEvaluator::SnapshotSelect(const Query& query) {
   }
   if (const auto* eq = dynamic_cast<const AttrEqualsMatcher*>(matcher)) {
     if (const std::vector<EntryId>* posting =
-            snapshot_->ValuePosting(eq->attr(), eq->value())) {
+            source.ValuePosting(eq->attr(), eq->value())) {
       stats_.entries_scanned += posting->size();
       for (EntryId id : *posting) out.Insert(id);
     }
     return out;
   }
-  if (dynamic_cast<const TrueMatcher*>(matcher) != nullptr) {
-    stats_.entries_scanned += snapshot_->num_alive;
-    return AliveSet();
-  }
-  return unanswerable(
-      "only class, attribute-equality and match-all selections are "
-      "answered from postings");
+  stats_.entries_scanned += NumAlive(source);  // match-all
+  return AliveSet();
 }
 
 bool QueryEvaluator::SelectIsEmpty(const Query& query) {
-  // A snapshot answers from postings: no scan to cut short.
-  if (snapshot_ != nullptr) return EvaluateSelect(query).Empty();
+  // Postings answer without a scan to cut short.
+  if (snapshot_ != nullptr || IsPostingSelect(query)) {
+    return EvaluateSelect(query).Empty();
+  }
   const Scope scope = query.scope();
   if (scope == Scope::kEmpty) {
     RecordStrategy("empty-scope");
     return true;
   }
   const Matcher& matcher = *query.matcher();
-  if (scope == Scope::kAll && class_cache_ != nullptr) {
-    if (const auto* cm = dynamic_cast<const ClassMatcher*>(&matcher)) {
-      auto it = class_cache_->find(cm->cls());
-      if (it != class_cache_->end()) {
-        ++stats_.cache_hits;
-        RecordStrategy("class-cache");
-        return it->second.Empty();
-      }
-    }
-  }
   if (scope == Scope::kDeltaOnly) {
     RecordStrategy("delta-scan");
     if (delta_ == nullptr) return true;

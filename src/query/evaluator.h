@@ -2,7 +2,6 @@
 #define LDAPBOUND_QUERY_EVALUATOR_H_
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "model/directory.h"
 #include "model/directory_snapshot.h"
@@ -18,8 +17,6 @@ namespace ldapbound {
 struct EvaluatorStats {
   uint64_t nodes_evaluated = 0;   ///< query AST nodes processed
   uint64_t entries_scanned = 0;   ///< per-entry work units performed
-  uint64_t cache_hits = 0;        ///< atomic selections answered from the
-                                  ///< shared class-selection cache
   uint64_t short_circuits = 0;    ///< lazy-emptiness early exits: an
                                   ///< IsEmpty node that concluded at a
                                   ///< witness (or an empty operand)
@@ -28,7 +25,6 @@ struct EvaluatorStats {
   EvaluatorStats& operator+=(const EvaluatorStats& other) {
     nodes_evaluated += other.nodes_evaluated;
     entries_scanned += other.entries_scanned;
-    cache_hits += other.cache_hits;
     short_circuits += other.short_circuits;
     return *this;
   }
@@ -42,7 +38,6 @@ struct EvaluatorStats {
 struct QueryMetrics {
   Counter& nodes_evaluated;
   Counter& entries_scanned;
-  Counter& cache_hits;
   Counter& short_circuits;
   Histogram& nodes_per_query;  ///< |Q| of each published batch
   Histogram& scan_length;      ///< entries scanned by each published batch
@@ -69,19 +64,20 @@ void AddEvaluatorStatsToMetrics(const EvaluatorStats& stats);
 ///   - ancestor:   memoized parent-chain walk from each A-member;
 ///   - diff / union / intersect: bitmap algebra.
 ///
-/// The live source scans entries for selections; an optional Δ-set enables
-/// the scoped predicates of Figure 5 (selections restricted to Δ, to its
-/// complement, or suppressed). The snapshot source answers class,
-/// `attr=value` and match-all selections from the snapshot's postings and
-/// never touches the live Directory, so any number of snapshot evaluators
-/// run concurrently with the writer. A Δ scope or a matcher that reads
-/// entry contents has no answer on a snapshot: evaluating one sets
-/// status() to an error instead of returning a wrong set.
+/// Both sources answer unscoped class, `attr=value` and match-all
+/// selections from the same postings: the live head reads the mirrors the
+/// Directory keeps, a snapshot reads their frozen copy. The live source
+/// scans entries for every other selection; an optional Δ-set enables the
+/// scoped predicates of Figure 5 (selections restricted to Δ, to its
+/// complement, or suppressed). The snapshot source never touches the live
+/// Directory, so any number of snapshot evaluators run concurrently with
+/// the writer. A Δ scope or a matcher that reads entry contents has no
+/// answer on a snapshot: evaluating one sets status() to an error instead
+/// of returning a wrong set.
 ///
 /// The evaluator holds mutable counters (stats_), so one instance must not
 /// be shared across threads; the parallel legality engine creates one
-/// evaluator per worker and merges the stats afterwards. A read-only
-/// class-selection cache MAY be shared across evaluators (set_class_cache).
+/// evaluator per worker and merges the stats afterwards.
 class QueryEvaluator {
  public:
   /// Live source. `delta`, if given, must remain valid while the evaluator
@@ -96,15 +92,6 @@ class QueryEvaluator {
   /// snapshot must stay pinned while the evaluator is used.
   explicit QueryEvaluator(const DirectorySnapshot& snapshot)
       : snapshot_(&snapshot), capacity_(snapshot.id_capacity) {}
-
-  /// Optional read-only cache of unscoped `(objectClass=c)` selection
-  /// results, keyed by class id. Consulted for kAll-scoped ClassMatcher
-  /// selections only; missing classes fall back to the normal path. The
-  /// cache must stay valid and unmodified while this evaluator runs; it
-  /// may be shared by concurrent evaluators.
-  void set_class_cache(const std::unordered_map<ClassId, EntrySet>* cache) {
-    class_cache_ = cache;
-  }
 
   /// Attaches an EXPLAIN profile: each subsequent top-level Evaluate or
   /// IsEmpty call rebuilds `*profile` with the per-node plan tree (input /
@@ -144,9 +131,10 @@ class QueryEvaluator {
   auto Profiled(const Query& query, Body&& body);
   EntrySet EvaluateSelect(const Query& query);
   bool SelectIsEmpty(const Query& query);
-  /// A kAll/kDeltaOnly/kExcludeDelta selection answered from the snapshot's
-  /// postings; an empty set plus an error status when it has no answer.
-  EntrySet SnapshotSelect(const Query& query);
+  /// An unscoped class, `attr=value` or match-all selection answered
+  /// from `source`'s postings (the live Directory or a snapshot).
+  template <typename Source>
+  EntrySet PostingSelect(const Source& source, const Query& query);
   EntrySet EvaluateHier(const Query& query);
   bool HierIsEmpty(const Query& query);
   /// Finds the members of `node_set` with an `axis`-neighbor in `related`:
@@ -172,7 +160,6 @@ class QueryEvaluator {
   const DirectorySnapshot* snapshot_ = nullptr;  // pinned source
   const EntrySet* delta_ = nullptr;
   size_t capacity_;
-  const std::unordered_map<ClassId, EntrySet>* class_cache_ = nullptr;
   EvaluatorStats stats_;
   Status status_;
 

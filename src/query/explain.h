@@ -18,7 +18,7 @@ namespace ldapbound {
 /// constraint's query did it, and what did its evaluation look like?" —
 /// the explainable-validation-report problem ShEx/SHACL systems solve for
 /// RDF shapes. An ExplainNode answers it for one AST node: what the node
-/// computed, how (posting vs class-cache hit vs scan, which axis walk,
+/// computed, how (posting vs scan, which axis walk,
 /// lazy short-circuit), how much it read and produced, and how long it
 /// took.
 ///
@@ -31,7 +31,7 @@ struct ExplainNode {
                          ///< "ancestor", "diff", "union", "intersect"
   std::string detail;    ///< matcher rendering for selects ("objectClass=x")
   std::string strategy;  ///< how the node was answered ("scan",
-                         ///< "posting", "class-cache", "delta-scan",
+                         ///< "posting", "delta-scan",
                          ///< "mark-ancestors", "bitmap", "subset-test",
                          ///< ...; see query/evaluator.cc)
   std::string scope;     ///< instance scope of a select ("all", "delta", ...)
@@ -51,7 +51,7 @@ struct ExplainNode {
 
   /// Indented plan tree, one node per line:
   ///   descendant  out=0 scanned=12 18.3us [mark-ancestors, short-circuit]
-  ///     select (objectClass=orgGroup)  out=9 scanned=9 4.1us [class-cache]
+  ///     select (objectClass=orgGroup)  out=9 scanned=9 4.1us [posting]
   std::string RenderText(int indent = 0) const;
 
   /// The node (recursively) as a JSON object.

@@ -321,7 +321,7 @@ Status DirectoryServer::Write(OpMetrics& op, std::string target,
     }
     // Snapshot readers must see this commit once the call returns OK:
     // publish under the mutex, before the durability wait.
-    PublishSnapshotLocked();
+    directory_->PublishSnapshot();
     RequestScope::MarkCurrent(RequestStage::kPublished);
     if (records.empty()) return Status::OK();
     const uint64_t txn_id = NextRecordTxnId();
@@ -586,7 +586,7 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
       }
       return status;
     }
-    PublishSnapshotLocked();
+    directory_->PublishSnapshot();
     // Bulk imports bypass the changelog, so they must reach the WAL as a
     // snapshot or the durable state would silently diverge.
     if (wal_ != nullptr) {
@@ -669,7 +669,9 @@ Status DirectoryServer::CompactLocked() {
   // recovery would apply that commit twice. The write mutex is held, so
   // nothing new can enqueue behind the drain.
   group_commit_->Drain();
-  return wal_->Compact(ExportLdif());
+  return wal_->Compact([this](const SnapshotSink& sink) {
+    return WriteLdif(*directory_, sink);
+  });
 }
 
 Result<DirectoryServer> DirectoryServer::Recover(const std::string& dir,
@@ -763,7 +765,10 @@ Status DirectoryServer::DrainAndResync() {
     // history plus possibly a suffix of unacknowledged-but-applied
     // commits, which is exactly what the server must continue from (MVCC
     // readers have seen them).
-    LDAPBOUND_RETURN_IF_ERROR(wal_->ResyncFromSnapshot(ExportLdif()));
+    LDAPBOUND_RETURN_IF_ERROR(
+        wal_->ResyncFromSnapshot([this](const SnapshotSink& sink) {
+          return WriteLdif(*directory_, sink);
+        }));
     group_commit_->ResetAfterResync();
     atomics_->wal_resync_needed.store(false, std::memory_order_release);
   }

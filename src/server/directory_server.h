@@ -55,8 +55,8 @@ struct OpMetrics;
 /// in-memory commit overlaps the previous one's durability wait (at
 /// group_commit_max_batch 1 each group is one commit; larger batches also
 /// share the fsync). The setup calls (EnableChangelog, EnableWal,
-/// EnableMvcc, EnableSlowOps, set_check_options) must happen before
-/// traffic, from one thread.
+/// EnableSlowOps, set_check_options) must happen before traffic, from one
+/// thread.
 ///
 /// Every op counts its outcome once, in the process-wide metric registry
 /// (ldapbound_server_ops_total{op,outcome}); /statusz reads its `stats`
@@ -68,13 +68,13 @@ struct OpMetrics;
 ///    mutation of the directory itself: callers who interleave writes and
 ///    live reads across threads must serialize them externally (e.g. a
 ///    shared_mutex held shared around reads);
-///  - with EnableMvcc, PinSnapshot() hands out an immutable epoch-pinned
-///    snapshot of the last committed state (DESIGN.md §10). Pinning and
-///    reading a snapshot is lock-free and safe from any thread, fully
-///    concurrent with the writers — no external serialization needed.
-///    Every successful commit publishes the next snapshot before it
-///    blocks on durability, so a pin taken after a mutation returned OK
-///    sees that mutation.
+///  - PinSnapshot() hands out an immutable epoch-pinned snapshot of the
+///    last committed state (DESIGN.md §10). Pinning and reading a snapshot
+///    is lock-free and safe from any thread, fully concurrent with the
+///    writers — no external serialization needed. Every successful commit
+///    and import publishes the next snapshot before it blocks on
+///    durability, so a pin taken after a mutation returned OK sees that
+///    mutation.
 class DirectoryServer {
  public:
   /// Parses `schema_text`, checks consistency, starts with an empty
@@ -160,18 +160,13 @@ class DirectoryServer {
   /// iff the schema requires no classes).
   bool IsLegal() const;
 
-  /// Turns on the MVCC read path (DESIGN.md §10): builds the snapshot
-  /// posting maps over the current state and publishes the first
-  /// snapshot; every subsequent successful commit republishes in O(Δ).
-  /// Idempotent. Call before traffic, from one thread.
-  void EnableMvcc() {
-    std::lock_guard<std::mutex> lock(*write_mu_);
-    directory_->EnableSnapshots();
-  }
-  bool mvcc_enabled() const { return directory_->snapshots_enabled(); }
+  /// Does nothing: every server publishes snapshots from construction
+  /// on. Its only caller is perfbench/src/replay.cc, which the next
+  /// benchmark change updates; this shim goes with that call.
+  void EnableMvcc() {}
 
-  /// Pins the latest published snapshot (empty when EnableMvcc was not
-  /// called). Lock-free; safe from any thread concurrently with writers.
+  /// Pins the latest published snapshot. Lock-free; safe from any thread
+  /// concurrently with writers.
   PinnedSnapshot PinSnapshot() const { return directory_->PinSnapshot(); }
 
   /// Starts recording committed mutations as ChangeRecords (for
@@ -332,13 +327,6 @@ class DirectoryServer {
   /// resyncs the WAL from a snapshot of the in-memory state, and re-arms
   /// the queue.
   Status DrainAndResync();
-
-  /// Publishes the next MVCC snapshot after a successful in-memory
-  /// commit; no-op when EnableMvcc was not called. The publish folds
-  /// writer-side delta state, so the caller must hold write_mu_.
-  void PublishSnapshotLocked() {
-    if (directory_->snapshots_enabled()) directory_->PublishSnapshot();
-  }
 
   /// Compact() body; `write_mu_` must be held (EnableWal and ImportLdif
   /// call it with the mutex already taken).

@@ -314,14 +314,9 @@ std::string MonitorServer::RenderStatusz() const {
   AppendU64Field(out, "key_attributes",
                  s.schema().key_attributes().size());
   out += "}";
-  {
-    // Writers move the live count while this renders; a pinned snapshot's
-    // count is race-free. Without MVCC, live reads are the caller's to
-    // serialize against writes (DirectoryServer's concurrency contract).
-    PinnedSnapshot snap = s.PinSnapshot();
-    AppendU64Field(out, "entries",
-                   snap ? snap->num_alive : s.directory().NumEntries());
-  }
+  // Writers move the live count while this renders; a pinned snapshot's
+  // count is race-free.
+  AppendU64Field(out, "entries", s.PinSnapshot()->num_alive);
 
   out += ",\"health\":{\"state\":";
   out += JsonQuote(std::string(HealthStateName(s.health_state())));
@@ -401,15 +396,17 @@ std::string MonitorServer::RenderStatusz() const {
   out += "}";
 
   out += ",\"mvcc\":{";
-  AppendBoolField(out, "enabled", s.mvcc_enabled(), /*first=*/true);
-  if (const SnapshotStore* store = s.directory().snapshot_store()) {
-    AppendCounts(out, {{"publishes", "ldapbound_snapshot_publishes_total"}});
-    AppendU64Field(out, "reclaim_lag", store->reclaim_lag());
-    AppendU64Field(out, "live_readers", store->epochs().live_readers());
-    if (PinnedSnapshot snap = s.PinSnapshot()) {
-      AppendU64Field(out, "version", snap->version);
-      AppendU64Field(out, "num_alive", snap->num_alive);
-    }
+  {
+    const SnapshotStore& store = s.directory().snapshot_store();
+    AppendU64Field(out, "publishes",
+                   MetricRegistry::Default().Read(
+                       "ldapbound_snapshot_publishes_total"),
+                   /*first=*/true);
+    AppendU64Field(out, "reclaim_lag", store.reclaim_lag());
+    AppendU64Field(out, "live_readers", store.epochs().live_readers());
+    PinnedSnapshot snap = s.PinSnapshot();
+    AppendU64Field(out, "version", snap->version);
+    AppendU64Field(out, "num_alive", snap->num_alive);
   }
   out += "}";
 

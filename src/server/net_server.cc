@@ -291,10 +291,6 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
     if (::listen(fd, 1024) != 0) return fail(Errno("listen"));
   }
 
-  // The read side of the serving path is snapshot-only; make sure the
-  // server publishes them (idempotent, must happen before traffic).
-  server->EnableMvcc();
-
   std::unique_ptr<NetServer> net(new NetServer(server, options, port));
   for (size_t i = 0; i < nreactors; ++i) {
     auto r = std::make_unique<Reactor>();
@@ -909,9 +905,6 @@ WireResponse NetServer::Execute(const WorkItem& item) {
       auto filter = cursor.GetString();
       if (!filter.ok()) return fail(filter.status());
       PinnedSnapshot snap = server_->PinSnapshot();
-      if (!snap) {
-        return fail(Status::Internal("MVCC snapshots are not enabled"));
-      }
       RequestScope::MarkCurrent(RequestStage::kSnapshotPinned);
       auto hits =
           SnapshotSearch(*snap, server_->vocab(), *base, *scope, *filter);
@@ -961,9 +954,6 @@ WireResponse NetServer::Execute(const WorkItem& item) {
     }
     case WireOp::kValidate: {
       PinnedSnapshot snap = server_->PinSnapshot();
-      if (!snap) {
-        return fail(Status::Internal("MVCC snapshots are not enabled"));
-      }
       RequestScope::MarkCurrent(RequestStage::kSnapshotPinned);
       LegalityChecker checker(server_->schema(),
                               server_->check_options());
@@ -1013,9 +1003,6 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
   DirectorySnapshot snap;
   if (cookie->empty()) {
     PinnedSnapshot pinned = server_->PinSnapshot();
-    if (!pinned) {
-      return fail(Status::Internal("MVCC snapshots are not enabled"));
-    }
     RequestScope::MarkCurrent(RequestStage::kSnapshotPinned);
     // Copy the snapshot by value and release the pin immediately: the
     // copy retains exactly this version's COW state through refcounts,

@@ -93,8 +93,8 @@ struct NetServerOptions {
 ///    drain_grace_ms), then everything closes.
 ///
 /// Reads (search/validate) run against pinned MVCC snapshots, never the
-/// live directory — Start enables MVCC on the server (idempotent), and
-/// any number of workers may then read while writers commit. Paged
+/// live directory — every server publishes them from construction on, so
+/// any number of workers may read while writers commit. Paged
 /// kSearchEntries scans retain their snapshot *version* by value (COW
 /// refcounts), never by epoch pin: a pin held across client think time
 /// would stall reclamation for every reader (DESIGN.md §15).

@@ -145,13 +145,21 @@ Status SyncDirectory(const std::string& dir) {
   return Status::OK();
 }
 
-Status WriteFileAndSync(const std::string& path, std::string_view data) {
+/// Creates `path`, streams `write`'s chunks into it and fsyncs it.
+/// Returns the bytes written.
+Result<uint64_t> WriteFileAndSync(const std::string& path,
+                                  const SnapshotWriter& write) {
   int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) return Errno("create '" + path + "'");
-  Status status = WriteFully(fd, data);
+  uint64_t bytes = 0;
+  Status status = write([fd, &bytes](std::string_view chunk) {
+    bytes += chunk.size();
+    return WriteFully(fd, chunk);
+  });
   if (status.ok() && ::fsync(fd) != 0) status = Errno("fsync '" + path + "'");
   ::close(fd);
-  return status;
+  if (!status.ok()) return status;
+  return bytes;
 }
 
 Result<std::string> ReadFileBytes(const std::string& path) {
@@ -341,7 +349,10 @@ Status ReplayWal(const WalDirListing& listing, uint64_t after_seq,
 
 Status AtomicWriteFile(const std::string& path, std::string_view text) {
   std::string tmp = path + ".tmp";
-  LDAPBOUND_RETURN_IF_ERROR(WriteFileAndSync(tmp, text));
+  LDAPBOUND_RETURN_IF_ERROR(
+      WriteFileAndSync(tmp, [text](const SnapshotSink& sink) {
+        return sink(text);
+      }).status());
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     return Errno("rename '" + tmp + "' to '" + path + "'");
   }
@@ -509,14 +520,15 @@ Status WriteAheadLog::AppendGroup(
   return Status::OK();
 }
 
-Status WriteAheadLog::Compact(std::string_view snapshot_ldif) {
+Status WriteAheadLog::Compact(const SnapshotWriter& write_snapshot) {
   LDAPBOUND_TRACE_SPAN("wal.compact");
   LatencyTimer timer(GetWalMetrics().compact_ns);
   const uint64_t through = next_seq_ - 1;
   LDAPBOUND_RETURN_IF_ERROR(SyncSegment());
   const std::string final_path = dir_ + "/" + SnapshotFileName(through);
   const std::string tmp_path = final_path + ".tmp";
-  LDAPBOUND_RETURN_IF_ERROR(WriteFileAndSync(tmp_path, snapshot_ldif));
+  LDAPBOUND_ASSIGN_OR_RETURN(const uint64_t bytes,
+                             WriteFileAndSync(tmp_path, write_snapshot));
   LDAPBOUND_FAILPOINT("wal.rename");
   if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     return Errno("rename snapshot '" + tmp_path + "'");
@@ -530,11 +542,12 @@ Status WriteAheadLog::Compact(std::string_view snapshot_ldif) {
   LDAPBOUND_RETURN_IF_ERROR(DeleteObsolete(through));
   WalMetrics& metrics = GetWalMetrics();
   metrics.compactions.Increment();
-  metrics.snapshot_bytes.Increment(snapshot_ldif.size());
+  metrics.snapshot_bytes.Increment(bytes);
   return SyncDirectory(dir_);
 }
 
-Status WriteAheadLog::ResyncFromSnapshot(std::string_view snapshot_ldif) {
+Status WriteAheadLog::ResyncFromSnapshot(
+    const SnapshotWriter& write_snapshot) {
   LDAPBOUND_TRACE_SPAN("wal.resync");
   // Drop the old segment fd without fsync: its durable content up to the
   // last acknowledged group is already on disk (fsync-before-ack), and
@@ -551,7 +564,8 @@ Status WriteAheadLog::ResyncFromSnapshot(std::string_view snapshot_ldif) {
   LDAPBOUND_FAILPOINT("wal.resync.snapshot");
   LDAPBOUND_FAILPOINT_AS("wal.resync.enospc",
                          DiskFull("resync snapshot '" + tmp_path + "'"));
-  LDAPBOUND_RETURN_IF_ERROR(WriteFileAndSync(tmp_path, snapshot_ldif));
+  LDAPBOUND_ASSIGN_OR_RETURN(const uint64_t bytes,
+                             WriteFileAndSync(tmp_path, write_snapshot));
   if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     return Errno("rename snapshot '" + tmp_path + "'");
   }
@@ -560,7 +574,7 @@ Status WriteAheadLog::ResyncFromSnapshot(std::string_view snapshot_ldif) {
   LDAPBOUND_RETURN_IF_ERROR(DeleteObsolete(through));
   WalMetrics& metrics = GetWalMetrics();
   metrics.resyncs.Increment();
-  metrics.snapshot_bytes.Increment(snapshot_ldif.size());
+  metrics.snapshot_bytes.Increment(bytes);
   return SyncDirectory(dir_);
 }
 

@@ -78,6 +78,14 @@ struct WalOptions {
   uint32_t group_commit_hold_us = 200;
 };
 
+/// Receives a snapshot's text in consecutive chunks; a non-OK return
+/// stops the writer.
+using SnapshotSink = std::function<Status(std::string_view chunk)>;
+
+/// Writes a whole snapshot into `sink` (e.g. a bound WriteLdif), returning
+/// the first non-OK status the sink returned.
+using SnapshotWriter = std::function<Status(const SnapshotSink& sink)>;
+
 /// What recovery found; filled by DirectoryServer::Recover.
 struct WalRecoveryReport {
   uint64_t snapshot_seq = 0;      ///< commits covered by the loaded snapshot
@@ -167,27 +175,29 @@ class WriteAheadLog {
   const std::string& dir() const { return dir_; }
   const WalOptions& options() const { return options_; }
 
-  /// Log-truncation compaction: writes `snapshot_ldif` as a point-in-time
-  /// snapshot covering every appended commit (tmp file + fsync + rename +
-  /// directory fsync), rotates to a fresh segment, then deletes the
-  /// segments and snapshots the new snapshot supersedes. Crash-safe at
-  /// every step: an unrenamed .tmp is ignored by recovery, and stale
-  /// segments left by a crash after the rename are skipped (their frames
-  /// are ≤ the snapshot sequence).
-  Status Compact(std::string_view snapshot_ldif);
+  /// Log-truncation compaction: streams the LDIF `write_snapshot` writes
+  /// into a point-in-time snapshot covering every appended commit (tmp
+  /// file + fsync + rename + directory fsync), rotates to a fresh
+  /// segment, then deletes the segments and snapshots the new snapshot
+  /// supersedes. The text goes to the file chunk by chunk, never whole
+  /// into memory. Crash-safe at every step: an unrenamed .tmp is ignored
+  /// by recovery, and stale segments left by a crash after the rename are
+  /// skipped (their frames are ≤ the snapshot sequence).
+  Status Compact(const SnapshotWriter& write_snapshot);
 
   /// Post-failure resync (the recovery probe of DESIGN.md §11): after a
   /// failed AppendGroup the in-memory directory is ahead of the
   /// durable log, and the current segment fd may be poisoned (a failed
-  /// fsync makes the kernel's page-cache state untrustworthy). This writes
-  /// `snapshot_ldif` — the *current in-memory state*, which supersedes
-  /// everything the log holds including any torn frames of the failed
-  /// group — as a durable snapshot, opens a fresh segment on a fresh fd,
-  /// and garbage-collects the old segments. Unlike Compact it never
-  /// fsyncs the old segment. On OK the log is writable again and durable
-  /// state == in-memory state; on error (e.g. the disk is still full) the
-  /// log stays failed and the probe retries with backoff.
-  Status ResyncFromSnapshot(std::string_view snapshot_ldif);
+  /// fsync makes the kernel's page-cache state untrustworthy). This
+  /// streams what `write_snapshot` writes — the *current in-memory
+  /// state*, which supersedes everything the log holds including any torn
+  /// frames of the failed group — into a durable snapshot, opens a fresh
+  /// segment on a fresh fd, and garbage-collects the old segments. Unlike
+  /// Compact it never fsyncs the old segment. On OK the log is writable
+  /// again and durable state == in-memory state; on error (e.g. the disk
+  /// is still full) the log stays failed and the probe retries with
+  /// backoff.
+  Status ResyncFromSnapshot(const SnapshotWriter& write_snapshot);
 
   static std::string SegmentFileName(uint64_t first_seq);
   static std::string SnapshotFileName(uint64_t through_seq);

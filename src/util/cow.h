@@ -180,10 +180,29 @@ class CowMap {
   void Set(K key, V value) {
     mutable_overlay_.insert_or_assign(std::move(key), std::move(value));
   }
-  void Erase(const K& key) { mutable_overlay_[key] = std::nullopt; }
 
-  /// Sizes the open delta for `n` keys, so a bulk build rehashes once.
-  void Reserve(size_t n) { mutable_overlay_.reserve(n); }
+  /// Removes `key`. A tombstone goes into the open delta only when frozen
+  /// state holds the key; a key no Freeze has sealed has nothing to
+  /// shadow and simply leaves the delta. So a writer that never freezes
+  /// keeps its delta at the live keys, however many come and go. One
+  /// chain probe per erase.
+  void Erase(const K& key) {
+    if (FindInChain(sealed_, base_.get(), key) == nullptr) {
+      mutable_overlay_.erase(key);
+    } else {
+      mutable_overlay_.insert_or_assign(key, std::nullopt);
+    }
+  }
+
+  /// Sizes the open delta for `n` more keys, so a bulk build rehashes
+  /// once.
+  void Reserve(size_t n) {
+    mutable_overlay_.reserve(mutable_overlay_.size() + n);
+  }
+
+  /// Keys (tombstones included) the open delta holds: what the next
+  /// Freeze seals.
+  size_t OpenDeltaSize() const { return mutable_overlay_.size(); }
 
   /// The writer-private value for `key` in the open delta, in one probe
   /// of it. The first touch since the last Freeze stores `make(frozen)`

@@ -66,7 +66,7 @@ TEST_P(OraclePropertyTest, QueryCheckerMatchesNaiveOracle) {
     // Boolean-only variants agree with the collecting ones.
     EXPECT_EQ(LegalityChecker(*schema).CheckStructure(d), fast_ok);
 
-    d.EnableSnapshots();
+    d.PublishSnapshot();
     PinnedSnapshot pin = d.PinSnapshot();
     std::vector<Violation> pinned;
     EXPECT_EQ(LegalityChecker(*schema).CheckStructure(*pin, &pinned),

@@ -56,7 +56,21 @@ void ExpectMatchesLive(const DirectorySnapshot& snap, const Directory& d,
   }
 }
 
-TEST(DirectorySnapshotTest, EnableOnPopulatedDirectoryPublishesCurrentState) {
+// A directory publishes from construction: a fresh one pins its (empty)
+// current state with no setup call.
+TEST(DirectorySnapshotTest, FreshDirectoryPinsItsCurrentState) {
+  SimpleWorld w;
+  Directory d(w.vocab);
+  PinnedSnapshot snap = d.PinSnapshot();
+  ASSERT_TRUE(snap);
+  ExpectMatchesLive(*snap, d, w);
+  EXPECT_EQ(snap->version, 0u);
+  EXPECT_FALSE(snap->IsAlive(0));
+  EXPECT_EQ(snap->ClassSet(w.top), nullptr);
+  EXPECT_EQ(snap->FindChildByRdn(kInvalidEntryId, "o=acme"), kInvalidEntryId);
+}
+
+TEST(DirectorySnapshotTest, PublishOnPopulatedDirectoryPublishesCurrentState) {
   SimpleWorld w;
   Directory d(w.vocab);
   EntryId root = AddBare(d, kInvalidEntryId, "o=acme", {w.top, w.org});
@@ -65,13 +79,14 @@ TEST(DirectorySnapshotTest, EnableOnPopulatedDirectoryPublishesCurrentState) {
   ASSERT_TRUE(d.AddValue(alice, w.name, Value("Alice")).ok());
   AddBare(d, root, "cn=bob", {w.top, w.person});
 
-  EXPECT_FALSE(d.PinSnapshot());  // not enabled yet
-  d.EnableSnapshots();
+  // Until a publish, readers keep the version published at construction.
+  EXPECT_EQ(d.PinSnapshot()->num_alive, 0u);
+  d.PublishSnapshot();
   PinnedSnapshot snap = d.PinSnapshot();
   ASSERT_TRUE(snap);
   ExpectMatchesLive(*snap, d, w);
 
-  // Value postings were built for the pre-existing values.
+  // Value postings hold the values added before the publish.
   const std::vector<EntryId>* posting =
       snap->ValuePosting(w.name, Value("Alice"));
   ASSERT_NE(posting, nullptr);
@@ -189,23 +204,22 @@ void RunHistory(Directory& d, const SimpleWorld& w, int first, int count,
   }
 }
 
-// Snapshots turned on after a load must publish exactly what snapshots
-// maintained from the start publish — at a size where the first publish
-// folds each map (the late copy's RDN delta holds the load's renames and
-// deletes as tombstones), and again after a second history folds them
-// onto non-empty bases.
+// A directory published once after a load must publish exactly what one
+// published after every mutation publishes — at a size where the first
+// publish folds each map (the late copy's open deltas hold the whole
+// load, its renames and deletes included), and again after a second
+// history folds them onto non-empty bases.
 TEST(DirectorySnapshotTest, EnabledLateMatchesMaintainedFromTheStart) {
   SimpleWorld w;
   Directory early(w.vocab);
   Directory late(w.vocab);
-  early.EnableSnapshots();
   std::vector<std::pair<EntryId, std::string>> probes;
   std::vector<std::pair<EntryId, std::string>> unused;
   auto publish_early = [&] { early.PublishSnapshot(); };
   RunHistory(early, w, 0, 560, publish_early, probes);
   RunHistory(late, w, 0, 560, [] {}, unused);
   ASSERT_GE(late.NumEntries(), 500u);
-  late.EnableSnapshots();
+  late.PublishSnapshot();
 
   auto expect_same = [&](const char* phase) {
     SCOPED_TRACE(phase);
@@ -245,7 +259,6 @@ TEST(DirectorySnapshotTest, EnabledLateMatchesMaintainedFromTheStart) {
 TEST(DirectorySnapshotTest, PinnedVersionSurvivesLaterMutations) {
   SimpleWorld w;
   Directory d(w.vocab);
-  d.EnableSnapshots();
   EntryId root = AddBare(d, kInvalidEntryId, "o=acme", {w.top, w.org});
   EntryId alice = AddBare(d, root, "cn=alice", {w.top, w.person});
   ASSERT_TRUE(d.AddValue(alice, w.name, Value("Alice")).ok());
@@ -294,7 +307,6 @@ TEST(DirectorySnapshotTest, PinnedVersionSurvivesLaterMutations) {
 TEST(DirectorySnapshotTest, ValuePostingsStaySortedThroughChurn) {
   SimpleWorld w;
   Directory d(w.vocab);
-  d.EnableSnapshots();
   EntryId root = AddBare(d, kInvalidEntryId, "o=acme", {w.top, w.org});
   std::vector<EntryId> carriers;
   for (int i = 0; i < 20; ++i) {
@@ -330,10 +342,8 @@ TEST(DirectorySnapshotTest, ValuePostingsStaySortedThroughChurn) {
 TEST(DirectorySnapshotTest, PublishIsCheapOnNoChange) {
   SimpleWorld w;
   Directory d(w.vocab);
-  d.EnableSnapshots();
   AddBare(d, kInvalidEntryId, "o=acme", {w.top, w.org});
   d.PublishSnapshot();
-  ASSERT_NE(d.snapshot_store(), nullptr);
   auto publishes = [] {
     return MetricRegistry::Default().Read("ldapbound_snapshot_publishes_total");
   };
@@ -350,7 +360,6 @@ TEST(DirectorySnapshotTest, PublishIsCheapOnNoChange) {
 TEST(DirectorySnapshotTest, MoveSubtreeReflectedInLabelsAndRdnIndex) {
   SimpleWorld w;
   Directory d(w.vocab);
-  d.EnableSnapshots();
   EntryId a = AddBare(d, kInvalidEntryId, "o=a", {w.top, w.org});
   EntryId b = AddBare(d, kInvalidEntryId, "o=b", {w.top, w.org});
   EntryId child = AddBare(d, a, "cn=c", {w.top, w.person});
@@ -377,6 +386,31 @@ TEST(DirectorySnapshotTest, MoveSubtreeReflectedInLabelsAndRdnIndex) {
   EXPECT_LT(label(child), label(leaf));
   EXPECT_LT(end_label(leaf), end_label(child) + 1);
   EXPECT_FALSE(label(a) < label(child) && label(child) < end_label(a));
+}
+
+// A library loop that never publishes keeps its open deltas at the keys
+// it changed, however often: renaming one entry 400,000 times must not
+// leave one RDN tombstone per name it passed through.
+TEST(DirectorySnapshotTest, RenameLoopWithoutPublishKeepsDeltasBounded) {
+  SimpleWorld w;
+  Directory d(w.vocab);
+  EntryId root = AddBare(d, kInvalidEntryId, "o=acme", {w.top, w.org});
+  EntryId p = AddBare(d, root, "cn=p", {w.top, w.person});
+  const size_t before = d.UnpublishedKeys();
+  for (int i = 0; i < 400000; ++i) {
+    ASSERT_TRUE(d.Rename(p, "cn=r" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(d.UnpublishedKeys(), before);
+  EXPECT_EQ(d.FindChildByRdn(root, "cn=r399999"), p);
+  EXPECT_EQ(d.FindChildByRdn(root, "cn=r0"), kInvalidEntryId);
+
+  // A published name, renamed away, still needs its tombstone.
+  d.PublishSnapshot();
+  ASSERT_TRUE(d.Rename(p, "cn=q").ok());
+  d.PublishSnapshot();
+  EXPECT_EQ(d.PinSnapshot()->FindChildByRdn(root, "cn=r399999"),
+            kInvalidEntryId);
+  EXPECT_EQ(d.PinSnapshot()->FindChildByRdn(root, "cn=q"), p);
 }
 
 // Minimal reader for the payload blob's little-endian encoding (the
@@ -436,7 +470,6 @@ DecodedPayload Decode(const std::string& blob) {
 TEST(DirectorySnapshotTest, EntryPayloadsTrackMutationsPerVersion) {
   SimpleWorld w;
   Directory d(w.vocab);
-  d.EnableSnapshots();
   EntryId root = AddBare(d, kInvalidEntryId, "o=acme", {w.top, w.org});
   EntryId alice = AddBare(d, root, "cn=alice", {w.top, w.person});
   ASSERT_TRUE(d.AddValue(alice, w.name, Value("Alice")).ok());

@@ -64,7 +64,6 @@ TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
   SimpleWorld w;
   Directory d(w.vocab);
   std::mt19937_64 rng(4711);
-  d.EnableSnapshots();
 
   constexpr int kRounds = 20;
   constexpr int kReaders = 4;

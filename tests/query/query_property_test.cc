@@ -111,7 +111,7 @@ TEST_P(QueryPropertyTest, EvaluatorAgreesWithBruteForce) {
   // A delta: every third entry.
   EntrySet delta(d.IdCapacity());
   for (EntryId id = 0; id < d.IdCapacity(); id += 3) delta.Insert(id);
-  d.EnableSnapshots();
+  d.PublishSnapshot();
   PinnedSnapshot pin = d.PinSnapshot();
   ASSERT_TRUE(pin);
 

@@ -77,7 +77,7 @@ class HeadPinnedOracleTest : public ::testing::Test {
     d_ = std::make_unique<Directory>(w_.vocab);
     std::mt19937_64 rng(99);
     BuildWorld(*d_, w_, rng);
-    d_->EnableSnapshots();
+    d_->PublishSnapshot();
     pin_ = d_->PinSnapshot();
     ASSERT_TRUE(pin_);
   }

@@ -160,9 +160,6 @@ TEST(ChaosTest, FsyncFaultStormNeverLosesAckedCommits) {
   ASSERT_TRUE(server.ok());
   const WalOptions wal_options = GroupOptions(4, 100);
   ASSERT_TRUE(server->EnableWal(dir, wal_options).ok());
-  // Concurrent readers ride MVCC snapshots, as in production `serve`;
-  // searching the mutable directory under writers would be a data race.
-  server->EnableMvcc();
 
   DirectoryServer::ResilienceOptions resilience;
   resilience.auto_recover = true;

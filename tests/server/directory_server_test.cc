@@ -253,12 +253,34 @@ FileSizes WalFiles(const std::string& dir) {
   return files;
 }
 
+// Every server publishes from construction: a pin right after the import
+// sees the imported state, with no setup call.
+TEST(DirectoryServerSnapshotTest, PinAfterImportSeesTheImport) {
+  DirectoryServer server = DirectoryServer::Create(kSchema).value();
+  ASSERT_TRUE(server.PinSnapshot());
+  EXPECT_EQ(server.PinSnapshot()->num_alive, 0u);
+  ASSERT_TRUE(server
+                  .ImportLdif("dn: ou=t\nobjectClass: team\n"
+                              "objectClass: top\nou: t\n\n"
+                              "dn: uid=a,ou=t\nobjectClass: person\n"
+                              "objectClass: top\nuid: a\nname: A\n\n")
+                  .ok());
+  PinnedSnapshot snap = server.PinSnapshot();
+  ASSERT_TRUE(snap);
+  EXPECT_EQ(snap->version, server.directory().version());
+  EXPECT_EQ(snap->num_alive, 2u);
+  const ClassId person = *server.vocab().FindClass("person");
+  EXPECT_EQ(snap->CountWithClass(person), 1u);
+  const EntryId team = snap->FindChildByRdn(kInvalidEntryId, "ou=t");
+  ASSERT_NE(team, kInvalidEntryId);
+  EXPECT_NE(snap->FindChildByRdn(team, "uid=a"), kInvalidEntryId);
+}
+
 TEST_F(DirectoryServerTest, RefusedImportLeavesNoTrace) {
-  // A populated, durable, MVCC server: a refused import must leave the
-  // head, the published snapshot and the log exactly as they were.
+  // A populated, durable server: a refused import must leave the head,
+  // the published snapshot and the log exactly as they were.
   const std::string dir = ::testing::TempDir() + "ldapbound_refused_import";
   std::filesystem::remove_all(dir);
-  server_.EnableMvcc();
   ASSERT_TRUE(server_.EnableWal(dir).ok());
   ASSERT_TRUE(server_.Add(Dn("uid=bob,ou=research"), PersonSpec("bob")).ok());
 

@@ -145,7 +145,6 @@ TEST(MonitorConcurrencyTest, StatuszRacesDurableWriters) {
   WalOptions wal_options;
   wal_options.group_commit_max_batch = 4;
   ASSERT_TRUE(server->EnableWal(dir, wal_options).ok());
-  server->EnableMvcc();
   auto monitor = MonitorServer::Start(&*server);
   ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
 
@@ -195,7 +194,6 @@ TEST(MonitorConcurrencyTest, StatuszRacesSnapshotPinners) {
   // never goes backwards, and, once everyone is done, no reader left.
   auto server = DirectoryServer::Create(kSchema);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  server->EnableMvcc();
   auto monitor = MonitorServer::Start(&*server);
   ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
 

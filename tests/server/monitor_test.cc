@@ -329,7 +329,6 @@ TEST(MonitorStatuszTest, EveryCountEqualsItsMetric) {
   wal.group_commit_max_batch = 4;
   wal.group_commit_hold_us = 0;
   ASSERT_TRUE(server.EnableWal(dir, wal).ok());
-  server.EnableMvcc();
   DirectoryServer::ResilienceOptions resilience;
   resilience.admission.max_queue_depth = 16;
   server.EnableResilience(resilience);

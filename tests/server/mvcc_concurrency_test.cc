@@ -80,7 +80,6 @@ TEST(MvccConcurrencyTest, ReadersSeeConsistentSnapshotsUnderGroupCommit) {
   wal.group_commit_max_batch = 16;
   wal.group_commit_hold_us = 50;
   ASSERT_TRUE(server->EnableWal(FreshDir("readers"), wal).ok());
-  server->EnableMvcc();
 
   // Seed one legal team so the directory is never trivially empty.
   {
@@ -216,7 +215,6 @@ TEST(MvccConcurrencyTest, PinHeldAcrossCommitsAnswersAtItsVersion) {
   auto server = DirectoryServer::Create(kSchema);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server->EnableWal(FreshDir("pinned"), WalOptions{}).ok());
-  server->EnableMvcc();
   {
     UpdateTransaction txn;
     txn.Insert(Dn("ou=seed"), TeamSpec("seed"));

@@ -869,7 +869,6 @@ constexpr const char* kUnanswerableFilters[] = {
 
 // The SnapshotSearch core, exercised directly against pinned snapshots.
 TEST_F(NetServerTest, SnapshotSearchScopesAndFilters) {
-  server_.EnableMvcc();
   ASSERT_TRUE(
       server_.Add(Dn("ou=deep,ou=load"), [] {
         EntrySpec spec;
@@ -947,7 +946,6 @@ TEST_F(NetServerTest, SearchRefusesFiltersItCannotAnswer) {
 
 // The paged core: label-ordered, inclusive from_label, limit-truncated.
 TEST_F(NetServerTest, SnapshotSearchPageResumesAtTheFromLabel) {
-  server_.EnableMvcc();
   PinnedSnapshot snap = server_.PinSnapshot();
   ASSERT_TRUE(static_cast<bool>(snap));
   const Vocabulary& vocab = server_.vocab();

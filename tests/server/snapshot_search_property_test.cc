@@ -234,7 +234,7 @@ TEST(SnapshotSearchPropertyTest, SnapshotSearchEqualsLiveSearchUnderChurn) {
     for (EntryId id : AliveIds(d)) {
       ASSERT_TRUE(d.AddValue(id, w.tag, w.Tag(id)).ok());
     }
-    d.EnableSnapshots();
+    d.PublishSnapshot();
     std::mt19937_64 rng(seed);
     uint64_t serial = 0;
 

@@ -7,12 +7,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "ldap/ldif.h"
 #include "server/directory_server.h"
 #include "tests/server/wal_workload.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 
 namespace ldapbound {
 namespace {
@@ -142,6 +145,43 @@ TEST(WalTest, CompactionSnapshotsAndTruncatesTheLog) {
   EXPECT_EQ(report.frames_replayed, 4u);  // only the post-snapshot delta
   EXPECT_EQ(report.last_seq, 14u);
   EXPECT_EQ(recovered->ExportLdif(), *ExpectedLdifAfter(14));
+}
+
+// The WAL snapshot is streamed to its file chunk by chunk; the file must
+// hold exactly WriteLdif's text, and recovery must load it.
+TEST(WalTest, StreamedSnapshotIsWriteLdifByteForByte) {
+  std::string dir = FreshDir("streamed");
+  DirectoryServer server = NewServer();
+  std::string ldif = "dn: ou=big\nobjectClass: team\nobjectClass: top\n"
+                     "ou: big\n\n";
+  for (int i = 0; i < 3000; ++i) {
+    const std::string uid = "u" + std::to_string(i);
+    ldif += "dn: uid=" + uid + ",ou=big\nobjectClass: person\n"
+            "objectClass: top\nuid: " + uid + "\nname: person " + uid +
+            "\n\n";
+  }
+  ASSERT_TRUE(server.ImportLdif(ldif).ok());
+  const uint64_t bytes_before = MetricRegistry::Default().Read(
+      "ldapbound_wal_snapshot_bytes_total");
+  ASSERT_TRUE(server.EnableWal(dir).ok());
+
+  auto listing = ListWalDir(dir);
+  ASSERT_TRUE(listing.ok() && listing->snapshot.has_value());
+  std::ifstream in(listing->snapshot->first, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const std::string expected = WriteLdif(server.directory());
+  ASSERT_GT(expected.size(), size_t{3} << 16);  // several chunks
+  EXPECT_TRUE(written == expected);
+  EXPECT_EQ(MetricRegistry::Default().Read(
+                "ldapbound_wal_snapshot_bytes_total") - bytes_before,
+            expected.size());
+
+  WalRecoveryReport report;
+  auto recovered = DirectoryServer::Recover(dir, WalOptions{}, &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(report.snapshot_entries, 3001u);
+  EXPECT_EQ(recovered->ExportLdif(), expected);
 }
 
 TEST(WalTest, TornTailGarbageIsTruncated) {

@@ -155,6 +155,48 @@ def main():
               r.returncode == 2 and ("no comparable" in r.stderr
                                      or "no common" in r.stderr), r)
 
+        # Same-run ratio mode (the readers gate): each readers:4 row
+        # against its readers:0 twin, no baseline file.
+        readers_ok = os.path.join(tmp, "readers_ok.json")
+        readers_taxed = os.path.join(tmp, "readers_taxed.json")
+        readers_lone = os.path.join(tmp, "readers_lone.json")
+        bench_json(readers_ok, {
+            "BM_G/writers:1/readers:0/real_time": 1000.0,
+            "BM_G/writers:1/readers:4/real_time": 900.0,
+            "BM_G/writers:8/readers:0/real_time": 5000.0,
+            "BM_G/writers:8/readers:4/real_time": 5100.0,
+            "BM_G/writers:8/readers:64/real_time": 100.0})
+        bench_json(readers_taxed, {
+            "BM_G/writers:1/readers:0/real_time": 1000.0,
+            "BM_G/writers:1/readers:4/real_time": 500.0,
+            "BM_G/writers:8/readers:0/real_time": 5000.0,
+            "BM_G/writers:8/readers:4/real_time": 5000.0})
+        bench_json(readers_lone, {"BM_G/writers:1/readers:4/real_time": 1.0})
+
+        r = run("--candidate", readers_ok, "--ratio", "readers:4=readers:0",
+                "--tolerance", "0.2")
+        check("ratio mode passes a small reader tax",
+              r.returncode == 0 and r.stdout.count("ok ") == 2, r)
+
+        r = run("--candidate", readers_taxed, "--ratio",
+                "readers:4=readers:0", "--tolerance", "0.2")
+        check("ratio mode fails a reader tax",
+              r.returncode == 1 and "FAIL BM_G/writers:1/readers:4" in r.stdout,
+              r)
+
+        r = run("--candidate", readers_lone, "--ratio", "readers:4=readers:0")
+        check("ratio mode without a reference row is an error",
+              r.returncode == 2 and "no benchmark pairs" in r.stderr, r)
+
+        r = run("--candidate", readers_ok, "--ratio", "readers:4")
+        check("malformed ratio spec is graceful",
+              r.returncode == 2 and "--ratio" in r.stderr, r)
+
+        r = run("--baseline", base, "--candidate", readers_ok,
+                "--ratio", "readers:4=readers:0")
+        check("baseline and ratio together is an error",
+              r.returncode == 2 and "exactly one" in r.stderr, r)
+
     if FAILURES:
         print(f"{len(FAILURES)} check(s) failed: {FAILURES}",
               file=sys.stderr)

@@ -114,6 +114,50 @@ TEST(CowMapTest, TombstoneShadowsFrozenState) {
   EXPECT_EQ(*v3.Find(1), 30);
 }
 
+// An erase tombstones only a key that frozen state holds: a key no
+// Freeze sealed leaves the open delta, so churn that never freezes keeps
+// the delta at the live keys.
+TEST(CowMapTest, EraseOfNeverFrozenKeyLeavesNoTombstone) {
+  CowMap<std::string, int> m;
+  m.Set("kept", 1);
+  m.Set("gone", 2);
+  m.Erase("gone");
+  EXPECT_EQ(m.OpenDeltaSize(), 1u);
+  EXPECT_EQ(m.Find("gone"), nullptr);
+  m.Erase("never-set");
+  EXPECT_EQ(m.OpenDeltaSize(), 1u);
+  for (int i = 0; i < 400000; ++i) {
+    m.Set("k" + std::to_string(i), i);
+    m.Erase("k" + std::to_string(i));
+  }
+  EXPECT_EQ(m.OpenDeltaSize(), 1u);
+
+  // A frozen key still needs its tombstone, in every later delta.
+  CowMap<std::string, int>::View v1 = m.Freeze();
+  m.Erase("kept");
+  EXPECT_EQ(m.OpenDeltaSize(), 1u);
+  EXPECT_EQ(m.Find("kept"), nullptr);
+  CowMap<std::string, int>::View v2 = m.Freeze();
+  ASSERT_NE(v1.Find("kept"), nullptr);
+  EXPECT_EQ(*v1.Find("kept"), 1);
+  EXPECT_EQ(v2.Find("kept"), nullptr);
+  // Erasing it again finds the sealed tombstone: nothing to shadow.
+  m.Erase("kept");
+  EXPECT_EQ(m.OpenDeltaSize(), 0u);
+  EXPECT_EQ(m.Freeze().Find("kept"), nullptr);
+  // Set and erased within one delta over a sealed value: shadowed.
+  m.Set("x", 5);
+  CowMap<std::string, int>::View v3 = m.Freeze();
+  m.Set("x", 6);
+  m.Erase("x");
+  EXPECT_EQ(m.OpenDeltaSize(), 1u);
+  EXPECT_EQ(m.Find("x"), nullptr);
+  EXPECT_EQ(m.Freeze().Find("x"), nullptr);
+  ASSERT_NE(v3.Find("x"), nullptr);
+  EXPECT_EQ(*v3.Find("x"), 5);
+  EXPECT_EQ(m.SizeSlow(), 0u);
+}
+
 TEST(CowMapTest, MutableClonesSealedValuesOncePerDelta) {
   CowMap<int, int> m;
   std::vector<const int*> made_from;  // make()'s argument, per call

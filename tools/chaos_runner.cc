@@ -144,9 +144,7 @@ void RunReader(const DirectoryServer* server, const std::atomic<bool>& stop,
   uint64_t last_version = 0;
   while (!stop.load(std::memory_order_acquire)) {
     PinnedSnapshot snap = server->PinSnapshot();
-    if (!snap) {
-      Violation(*ledger, "read failed: no published snapshot");
-    } else if (snap->version < last_version) {
+    if (snap->version < last_version) {
       Violation(*ledger, "read failed: snapshot version went backwards");
     } else if (snap->num_alive != snap->alive->Count()) {
       Violation(*ledger, "read failed: snapshot alive set inconsistent");
@@ -215,9 +213,6 @@ int Run(const Options& options) {
     std::fprintf(stderr, "wal: %s\n", status.ToString().c_str());
     return 2;
   }
-  // Readers run concurrently with the writers: route them through MVCC
-  // snapshots, exactly like `ldapbound serve` does.
-  server.EnableMvcc();
   DirectoryServer::ResilienceOptions resilience;
   resilience.admission.max_queue_depth = options.max_queue_depth;
   resilience.admission.default_deadline_ms = options.default_deadline_ms;

@@ -474,6 +474,8 @@ int RunServe(const std::string& schema_path, const std::string& ldif_path,
 
   auto imported = server->ImportLdif(*ldif);
   if (!imported.ok()) return Fail(imported.status());
+  // The directory holds the data now: release the text before serving.
+  std::string().swap(*ldif);
 
   // WAL after the import: EnableWal snapshots the populated directory, so
   // the WAL dir alone reconstructs the serving state.
@@ -489,10 +491,6 @@ int RunServe(const std::string& schema_path, const std::string& ldif_path,
                  "batches WAL fsyncs)\n");
     return Usage();
   }
-
-  // Lock-free reads for the serving loop: searches and monitor scrapes
-  // pin MVCC snapshots instead of racing the writer (DESIGN.md §10).
-  server->EnableMvcc();
 
   // Resilience layer (DESIGN.md §11): queue-bounded admission, default
   // deadlines, and — when a backoff is given — the WAL recovery probe.
