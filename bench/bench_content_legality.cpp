@@ -50,9 +50,9 @@ void BM_ContentLegality_Threads(benchmark::State& state) {
 BENCHMARK(BM_ContentLegality_Threads)
     ->ArgsProduct({{64000}, {1, 2, 4, 8}});
 
-// Per-entry cost as the entry's payload grows: one entry carrying `k`
+// Per-entry cost as the entry's values grow: one entry carrying `k`
 // extra attribute values.
-void BM_ContentLegalityPerEntryPayload(benchmark::State& state) {
+void BM_ContentLegalityPerEntryValues(benchmark::State& state) {
   auto vocab = std::make_shared<Vocabulary>();
   auto schema = MakeWhitePagesSchema(vocab).value();
   Directory directory(vocab);
@@ -74,7 +74,7 @@ void BM_ContentLegalityPerEntryPayload(benchmark::State& state) {
       static_cast<double>(directory.entry(id).values().size());
 }
 
-BENCHMARK(BM_ContentLegalityPerEntryPayload)
+BENCHMARK(BM_ContentLegalityPerEntryValues)
     ->Arg(1)
     ->Arg(8)
     ->Arg(64)

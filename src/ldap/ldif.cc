@@ -135,7 +135,7 @@ Result<size_t> LoadLdif(std::string_view text, Directory* directory) {
   LDAPBOUND_ASSIGN_OR_RETURN(std::vector<Record> records, Tokenize(text));
 
   // Size the mirrors' hash deltas once, from the tokenized records: one
-  // RDN key and one payload per record, one value key per value
+  // RDN key and one content per record, one value key per value
   // (objectClass values become class memberships, not value keys).
   const Vocabulary& vocab = directory->vocab();
   const std::string& objectclass =
@@ -176,6 +176,7 @@ Result<size_t> LoadLdif(std::string_view text, Directory* directory) {
   for (Record& record : records) {
     auto dn = DistinguishedName::Parse(record.dn);
     if (!dn.ok()) return LdifError(record.line, dn.status().message());
+    record.dn = std::string();  // parsed: free the text while the load runs
     DistinguishedName parent_dn = dn->Parent();
     EntryId parent = kInvalidEntryId;
     if (!parent_dn.IsEmpty()) {

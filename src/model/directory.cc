@@ -83,23 +83,23 @@ Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
   }
 
   EntryId id = static_cast<EntryId>(entries_.size());
+  auto content = std::make_shared<EntryContent>(EntryContent{
+      std::move(rdn), std::move(classes), std::move(kept)});
   entries_.emplace_back();
   Entry& e = entries_.back();
   e.id_ = id;
   e.parent_ = parent;
-  e.rdn_ = std::move(rdn);
-  e.classes_ = std::move(classes);
-  e.values_ = std::move(kept);
+  e.content_ = content;
   TrackAlive(id, true);
   ++num_alive_;
   Attach(id, parent);
   rdn_index_.Set(std::move(rdn_key), id);
   index_.OnInsert(*this, id);
-  for (ClassId c : e.classes_) TrackClass(id, c, true);
-  for (const AttributeValue& av : e.values_) {
+  for (ClassId c : content->classes) TrackClass(id, c, true);
+  for (const AttributeValue& av : content->values) {
     TrackValue(id, av.attribute, av.value, true);
   }
-  TrackEntryPayload(id);
+  contents_.Set(id, std::move(content));
   ++version_;
   return id;
 }
@@ -138,18 +138,18 @@ Status Directory::AddValue(EntryId id, AttributeId attr, Value value) {
                                    "' has wrong type for attribute " +
                                    vocab_->AttributeName(attr));
   }
-  Entry& e = entries_[id];
-  AttributeValue av{attr, std::move(value)};
-  auto it = std::lower_bound(e.values_.begin(), e.values_.end(), av);
-  if (it != e.values_.end() && *it == av) return Status::OK();
+  const Entry& e = entries_[id];
+  if (e.HasValue(attr, value)) return Status::OK();
   if (vocab_->IsSingleValued(attr) && e.HasAttribute(attr)) {
     return Status::FailedPrecondition("attribute " +
                                       vocab_->AttributeName(attr) +
                                       " is single-valued");
   }
-  it = e.values_.insert(it, std::move(av));
+  AttributeValue av{attr, std::move(value)};
+  std::vector<AttributeValue>& values = MutableContent(id).values;
+  auto it = values.insert(std::lower_bound(values.begin(), values.end(), av),
+                          std::move(av));
   TrackValue(id, attr, it->value, true);
-  TrackEntryPayload(id);
   ++version_;
   return Status::OK();
 }
@@ -164,15 +164,13 @@ Status Directory::RemoveValue(EntryId id, AttributeId attr,
     LDAPBOUND_ASSIGN_OR_RETURN(ClassId c, vocab_->FindClass(value.AsString()));
     return RemoveClass(id, c);
   }
-  Entry& e = entries_[id];
-  AttributeValue av{attr, value};
-  auto it = std::lower_bound(e.values_.begin(), e.values_.end(), av);
-  if (it == e.values_.end() || !(*it == av)) {
+  if (!entries_[id].HasValue(attr, value)) {
     return Status::NotFound("no such (attribute, value) pair");
   }
-  e.values_.erase(it);
-  TrackValue(id, attr, value, false);
-  TrackEntryPayload(id);
+  AttributeValue av{attr, value};
+  std::vector<AttributeValue>& values = MutableContent(id).values;
+  values.erase(std::lower_bound(values.begin(), values.end(), av));
+  TrackValue(id, attr, av.value, false);
   ++version_;
   return Status::OK();
 }
@@ -182,30 +180,27 @@ Status Directory::AddClass(EntryId id, ClassId cls) {
   if (cls >= vocab_->num_classes()) {
     return Status::OutOfRange("class id out of range");
   }
-  Entry& e = entries_[id];
-  auto it = std::lower_bound(e.classes_.begin(), e.classes_.end(), cls);
-  if (it != e.classes_.end() && *it == cls) return Status::OK();
-  e.classes_.insert(it, cls);
+  if (entries_[id].HasClass(cls)) return Status::OK();
+  std::vector<ClassId>& classes = MutableContent(id).classes;
+  classes.insert(std::lower_bound(classes.begin(), classes.end(), cls), cls);
   TrackClass(id, cls, true);
-  TrackEntryPayload(id);
   ++version_;
   return Status::OK();
 }
 
 Status Directory::RemoveClass(EntryId id, ClassId cls) {
   LDAPBOUND_RETURN_IF_ERROR(CheckAlive(id));
-  Entry& e = entries_[id];
-  auto it = std::lower_bound(e.classes_.begin(), e.classes_.end(), cls);
-  if (it == e.classes_.end() || *it != cls) {
+  const Entry& e = entries_[id];
+  if (!e.HasClass(cls)) {
     return Status::NotFound("entry does not belong to class");
   }
-  if (e.classes_.size() == 1) {
+  if (e.classes().size() == 1) {
     return Status::FailedPrecondition(
         "an entry must belong to at least one object class");
   }
-  e.classes_.erase(it);
+  std::vector<ClassId>& classes = MutableContent(id).classes;
+  classes.erase(std::lower_bound(classes.begin(), classes.end(), cls));
   TrackClass(id, cls, false);
-  TrackEntryPayload(id);
   ++version_;
   return Status::OK();
 }
@@ -225,13 +220,13 @@ Status Directory::MoveSubtree(EntryId id, EntryId new_parent) {
   }
   Entry& e = entries_[id];
   if (e.parent_ == new_parent) return Status::OK();
-  if (FindChildByRdn(new_parent, e.rdn_) != kInvalidEntryId) {
-    return Status::AlreadyExists("sibling with RDN '" + e.rdn_ +
+  if (FindChildByRdn(new_parent, e.rdn()) != kInvalidEntryId) {
+    return Status::AlreadyExists("sibling with RDN '" + e.rdn() +
                                  "' already exists at the destination");
   }
   Detach(id);
-  rdn_index_.Erase(RdnKey(e.parent_, e.rdn_));
-  rdn_index_.Set(RdnKey(new_parent, e.rdn_), id);
+  rdn_index_.Erase(RdnKey(e.parent_, e.rdn()));
+  rdn_index_.Set(RdnKey(new_parent, e.rdn()), id);
   e.parent_ = new_parent;
   Attach(id, new_parent);
   index_.OnMove(*this, id);
@@ -241,21 +236,16 @@ Status Directory::MoveSubtree(EntryId id, EntryId new_parent) {
 
 Status Directory::Rename(EntryId id, std::string new_rdn) {
   LDAPBOUND_RETURN_IF_ERROR(CheckAlive(id));
-  Entry& e = entries_[id];
-  if (EqualsIgnoreCase(e.rdn_, new_rdn)) {
-    e.rdn_ = std::move(new_rdn);  // case-only change: same index key
-    TrackEntryPayload(id);        // ...but the payload carries the bytes
-    ++version_;
-    return Status::OK();
+  const Entry& e = entries_[id];
+  if (!EqualsIgnoreCase(e.rdn(), new_rdn)) {  // else: same index key
+    if (FindChildByRdn(e.parent_, new_rdn) != kInvalidEntryId) {
+      return Status::AlreadyExists("sibling with RDN '" + new_rdn +
+                                   "' already exists");
+    }
+    rdn_index_.Erase(RdnKey(e.parent_, e.rdn()));
+    rdn_index_.Set(RdnKey(e.parent_, new_rdn), id);
   }
-  if (FindChildByRdn(e.parent_, new_rdn) != kInvalidEntryId) {
-    return Status::AlreadyExists("sibling with RDN '" + new_rdn +
-                                 "' already exists");
-  }
-  rdn_index_.Erase(RdnKey(e.parent_, e.rdn_));
-  rdn_index_.Set(RdnKey(e.parent_, new_rdn), id);
-  e.rdn_ = std::move(new_rdn);
-  TrackEntryPayload(id);
+  MutableContent(id).rdn = std::move(new_rdn);
   ++version_;
   return Status::OK();
 }
@@ -270,13 +260,14 @@ Status Directory::DeleteLeaf(EntryId id) {
   }
   TrackAlive(id, false);
   --num_alive_;
-  for (ClassId c : e.classes_) TrackClass(id, c, false);
-  for (const AttributeValue& av : e.values_) {
+  for (ClassId c : e.classes()) TrackClass(id, c, false);
+  for (const AttributeValue& av : e.values()) {
     TrackValue(id, av.attribute, av.value, false);
   }
-  TrackEntryPayload(id, /*alive=*/false);
+  // The entry keeps its content: a tombstoned entry() stays readable.
+  contents_.Erase(id);
   Detach(id);
-  rdn_index_.Erase(RdnKey(e.parent_, e.rdn_));
+  rdn_index_.Erase(RdnKey(e.parent_, e.rdn()));
   index_.OnErase(id);
   ++version_;
   return Status::OK();
@@ -382,7 +373,9 @@ void Directory::TrackClass(EntryId id, ClassId cls, bool add) {
     ++posting.count;
   } else {
     set.Erase(id);
-    --posting.count;
+    // Drained: leave the mirror, as TrackValue's postings do (a bitmap
+    // sized to the id space would stay behind for every class named).
+    if (--posting.count == 0) by_class_.Erase(cls);
   }
 }
 
@@ -408,55 +401,23 @@ void Directory::TrackValue(EntryId id, AttributeId attr, const Value& value,
   }
 }
 
-namespace {
-
-// Mirrors of the server/wire.h little-endian appenders, duplicated here
-// because the model layer cannot depend on src/server. The blob format is
-// documented on DirectorySnapshot::PayloadMap.
-void PayloadPutU16(std::string& out, uint16_t v) {
-  out.push_back(static_cast<char>(v));
-  out.push_back(static_cast<char>(v >> 8));
-}
-
-void PayloadPutU32(std::string& out, uint32_t v) {
-  PayloadPutU16(out, static_cast<uint16_t>(v));
-  PayloadPutU16(out, static_cast<uint16_t>(v >> 16));
-}
-
-void PayloadPutString(std::string& out, std::string_view s) {
-  PayloadPutU32(out, static_cast<uint32_t>(s.size()));
-  out.append(s.data(), s.size());
-}
-
-}  // namespace
-
-void Directory::TrackEntryPayload(EntryId id, bool alive) {
-  if (!alive) {
-    by_entry_.Erase(id);
-    return;
-  }
-  const Entry& e = entries_[id];
-  std::string blob;
-  PayloadPutString(blob, e.rdn());
-  PayloadPutU16(blob, static_cast<uint16_t>(e.classes().size()));
-  for (ClassId c : e.classes()) PayloadPutString(blob, vocab_->ClassName(c));
-  PayloadPutU16(blob, static_cast<uint16_t>(e.values().size()));
-  for (const AttributeValue& av : e.values()) {
-    PayloadPutString(blob, vocab_->AttributeName(av.attribute));
-    PayloadPutString(blob, av.value.ToString());
-  }
-  by_entry_.Set(id, std::make_shared<const std::string>(std::move(blob)));
+EntryContent& Directory::MutableContent(EntryId id) {
+  Entry& e = entries_[id];
+  std::shared_ptr<EntryContent>& content = contents_.Mutable(
+      id, [&](auto*) { return std::make_shared<EntryContent>(e.content()); });
+  e.content_ = content;
+  return *content;
 }
 
 void Directory::Reserve(size_t entries, size_t values) {
   rdn_index_.Reserve(entries);
-  by_entry_.Reserve(entries);
+  contents_.Reserve(entries);
   by_value_.Reserve(values);
 }
 
 size_t Directory::UnpublishedKeys() const {
   return rdn_index_.OpenDeltaSize() + by_class_.OpenDeltaSize() +
-         by_value_.OpenDeltaSize() + by_entry_.OpenDeltaSize();
+         by_value_.OpenDeltaSize() + contents_.OpenDeltaSize();
 }
 
 void Directory::PublishSnapshot() {
@@ -470,7 +431,7 @@ void Directory::PublishSnapshot() {
   snap->by_class = by_class_.Freeze();
   snap->by_value = by_value_.Freeze();
   snap->rdn = rdn_index_.Freeze();
-  snap->by_entry = by_entry_.Freeze();
+  snap->contents = contents_.Freeze();
   store_->Publish(snap);
 }
 

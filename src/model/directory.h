@@ -62,9 +62,10 @@ struct DirectoryStats {
 ///
 /// The mutators also keep the snapshot mirrors (DESIGN.md §10) from
 /// construction on: the alive set, the class and (attribute, value)
-/// postings, the RDN index and the entry payloads. The head reads its
-/// own mirrors (IsAlive, CountWithClass, ClassSet, ValuePosting), and
-/// PublishSnapshot freezes them into the next immutable version.
+/// postings, the RDN index and the entry contents (shared with the
+/// head's entries). The head reads its own mirrors (IsAlive,
+/// CountWithClass, ClassSet, ValuePosting), and PublishSnapshot freezes
+/// them into the next immutable version.
 class Directory {
  public:
   explicit Directory(std::shared_ptr<Vocabulary> vocab);
@@ -75,7 +76,6 @@ class Directory {
   Directory& operator=(Directory&&) = default;
 
   const Vocabulary& vocab() const { return *vocab_; }
-  Vocabulary& mutable_vocab() { return *vocab_; }
   const std::shared_ptr<Vocabulary>& vocab_ptr() const { return vocab_; }
 
   /// Creates an entry. `parent` must be alive, or kInvalidEntryId for a
@@ -236,11 +236,10 @@ class Directory {
   void TrackAlive(EntryId id, bool on);
   void TrackClass(EntryId id, ClassId cls, bool add);
   void TrackValue(EntryId id, AttributeId attr, const Value& value, bool add);
-  /// Re-serializes entry `id`'s payload blob (DirectorySnapshot::
-  /// PayloadMap format) into the pending delta; with alive == false the
-  /// payload is dropped instead. Names resolve through the Vocabulary
-  /// here, on the writer thread, so snapshot readers never touch it.
-  void TrackEntryPayload(EntryId id, bool alive = true);
+  /// Entry `id`'s content, writer-private: on the first edit since the
+  /// last publish it is cloned into the open delta (as postings are) and
+  /// the entry repointed at the clone; later edits reuse it in place.
+  EntryContent& MutableContent(EntryId id);
 
   std::shared_ptr<Vocabulary> vocab_;
   std::vector<Entry> entries_;
@@ -261,7 +260,7 @@ class Directory {
   bool alive_private_ = false;
   DirectorySnapshot::ClassPostingMap by_class_;
   DirectorySnapshot::ValuePostingMap by_value_;
-  DirectorySnapshot::PayloadMap by_entry_;
+  DirectorySnapshot::ContentMap contents_;
   std::unique_ptr<SnapshotStore> store_;
 };
 

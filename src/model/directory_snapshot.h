@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "model/axis.h"
+#include "model/entry.h"
 #include "model/entry_set.h"
 #include "model/forest_index.h"
 #include "model/value.h"
@@ -56,13 +57,9 @@ std::string SnapshotRdnKey(EntryId parent, std::string_view rdn);
 /// walks just its scope (WalkScope) instead of filtering a posting that
 /// spans the whole directory.
 ///
-/// NOTE: live Entry objects mutate in place, so snapshot readers must
-/// never dereference into Directory::entry(). Entry *content* is instead
-/// carried as immutable pre-serialized payload blobs (`by_entry`),
-/// re-serialized by the writer whenever an entry's rdn/classes/values
-/// change — readers get stable bytes, and the serving path concatenates
-/// them onto the wire without touching the Vocabulary (which is not
-/// read-safe against writer interning).
+/// Readers reach entry content through Content(id), never through
+/// Directory::entry(), and name classes and attributes through the
+/// server's read-only vocabulary (DirectoryServer::vocab()).
 struct DirectorySnapshot {
   /// One class's members at a version, with their number kept in step
   /// by the writer, so a population read costs no pass over the bitmap.
@@ -71,24 +68,16 @@ struct DirectorySnapshot {
     size_t count = 0;
   };
 
-  // Payload pointers are non-const shared_ptrs so the single writer can
-  // mutate a payload it cloned within the current (unfrozen) delta;
-  // once a payload reaches a frozen View it is never written again
+  // Posting and content pointers are non-const shared_ptrs so the single
+  // writer can mutate one it cloned within the current (unfrozen) delta;
+  // once it reaches a frozen View it is never written again
   // (clone-once-per-delta discipline, see CowMap::Mutable).
   using ClassPostingMap = CowMap<ClassId, std::shared_ptr<ClassPosting>>;
   using ValuePostingMap =
       CowMap<SnapshotValueKey, std::shared_ptr<std::vector<EntryId>>,
              SnapshotValueKeyHash>;
   using RdnMap = CowMap<std::string, EntryId>;
-  /// Per-entry payload blobs in the wire's little-endian encoding
-  /// (server/wire.h primitives — strings are u32 length + bytes):
-  ///
-  ///   str rdn | u16 nclasses | nclasses × str class-name |
-  ///   u16 nvalues | nvalues × (str attr-name, str value-text)
-  ///
-  /// Payloads are write-once: every mutation stores a freshly serialized
-  /// blob, so a shared_ptr handed out by a frozen View never changes.
-  using PayloadMap = CowMap<EntryId, std::shared_ptr<const std::string>>;
+  using ContentMap = CowMap<EntryId, std::shared_ptr<EntryContent>>;
 
   uint64_t version = 0;
   size_t id_capacity = 0;
@@ -103,7 +92,7 @@ struct DirectorySnapshot {
   ClassPostingMap::View by_class;
   ValuePostingMap::View by_value;
   RdnMap::View rdn;
-  PayloadMap::View by_entry;
+  ContentMap::View contents;
 
   /// Members of class `cls`, or nullptr when no alive entry has it. The
   /// returned set may have capacity != id_capacity (postings grow in
@@ -131,10 +120,10 @@ struct DirectorySnapshot {
   /// kInvalidEntryId. Mirrors Directory::FindChildByRdn.
   EntryId FindChildByRdn(EntryId parent, std::string_view rdn) const;
 
-  /// The serialized payload of entry `id` at this version, or nullptr for
-  /// ids this snapshot does not know (dead, or never had a payload).
-  const std::string* EntryPayload(EntryId id) const {
-    const std::shared_ptr<const std::string>* p = by_entry.Find(id);
+  /// Entry `id`'s content at this version, or nullptr for ids this
+  /// snapshot does not hold (dead or unknown).
+  const EntryContent* Content(EntryId id) const {
+    const std::shared_ptr<EntryContent>* p = contents.Find(id);
     return p == nullptr ? nullptr : p->get();
   }
 

@@ -2,6 +2,7 @@
 #define LDAPBOUND_MODEL_ENTRY_H_
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +27,61 @@ struct AttributeValue {
   }
 };
 
+/// An entry's content (Definition 2.1): its RDN, `class(r)` and `val(r)`.
+/// One copy per entry version, shared by the head's Entry and by every
+/// snapshot of that version. Once published it is never written again:
+/// Directory edits a clone (DESIGN.md §10).
+struct EntryContent {
+  /// Relative distinguished name, e.g. "uid=laks": a naming handle the
+  /// paper abstracts away but a usable directory needs.
+  std::string rdn;
+  std::vector<ClassId> classes;  ///< `class(r)`: sorted, unique
+  /// `val(r)` minus the implicit objectClass pairs; sorted, unique.
+  std::vector<AttributeValue> values;
+
+  bool HasClass(ClassId c) const {
+    return std::binary_search(classes.begin(), classes.end(), c);
+  }
+
+  bool HasAttribute(AttributeId a) const {
+    auto it = std::lower_bound(
+        values.begin(), values.end(), a,
+        [](const AttributeValue& av, AttributeId x) { return av.attribute < x; });
+    return it != values.end() && it->attribute == a;
+  }
+
+  /// All values of attribute `a`, in sorted order.
+  std::vector<Value> GetValues(AttributeId a) const {
+    std::vector<Value> out;
+    auto it = std::lower_bound(
+        values.begin(), values.end(), a,
+        [](const AttributeValue& av, AttributeId x) { return av.attribute < x; });
+    for (; it != values.end() && it->attribute == a; ++it) {
+      out.push_back(it->value);
+    }
+    return out;
+  }
+
+  /// True if some value of attribute `a` equals `v`.
+  bool HasValue(AttributeId a, const Value& v) const {
+    return std::binary_search(values.begin(), values.end(),
+                              AttributeValue{a, v});
+  }
+
+  /// Number of distinct attributes present (not counting objectClass).
+  size_t NumAttributes() const {
+    size_t n = 0;
+    AttributeId last = kInvalidAttributeId;
+    for (const AttributeValue& av : values) {
+      if (av.attribute != last) {
+        ++n;
+        last = av.attribute;
+      }
+    }
+    return n;
+  }
+};
+
 /// A directory entry (Definition 2.1): a node of the directory forest that
 /// belongs to a finite non-empty set of object classes and holds a finite
 /// set of (attribute, value) pairs.
@@ -46,58 +102,20 @@ class Entry {
   /// Directory removes a child link when the child is deleted.
   const std::vector<EntryId>& children() const { return children_; }
 
-  /// Relative distinguished name, e.g. "uid=laks". Purely a naming handle;
-  /// the paper abstracts DNs away but a usable directory needs them.
-  const std::string& rdn() const { return rdn_; }
-
-  /// The set `class(r)`: sorted, unique.
-  const std::vector<ClassId>& classes() const { return classes_; }
-
-  bool HasClass(ClassId c) const {
-    return std::binary_search(classes_.begin(), classes_.end(), c);
-  }
-
-  /// The set `val(r)` minus the implicit objectClass pairs; sorted by
-  /// (attribute, value), unique.
-  const std::vector<AttributeValue>& values() const { return values_; }
-
-  bool HasAttribute(AttributeId a) const {
-    auto it = std::lower_bound(
-        values_.begin(), values_.end(), a,
-        [](const AttributeValue& av, AttributeId x) { return av.attribute < x; });
-    return it != values_.end() && it->attribute == a;
-  }
-
-  /// All values of attribute `a`, in sorted order.
+  /// The shared content of the entry's current version.
+  const EntryContent& content() const { return *content_; }
+  const std::string& rdn() const { return content_->rdn; }
+  const std::vector<ClassId>& classes() const { return content_->classes; }
+  const std::vector<AttributeValue>& values() const { return content_->values; }
+  bool HasClass(ClassId c) const { return content_->HasClass(c); }
+  bool HasAttribute(AttributeId a) const { return content_->HasAttribute(a); }
   std::vector<Value> GetValues(AttributeId a) const {
-    std::vector<Value> out;
-    auto it = std::lower_bound(
-        values_.begin(), values_.end(), a,
-        [](const AttributeValue& av, AttributeId x) { return av.attribute < x; });
-    for (; it != values_.end() && it->attribute == a; ++it) {
-      out.push_back(it->value);
-    }
-    return out;
+    return content_->GetValues(a);
   }
-
-  /// True if some value of attribute `a` equals `v`.
   bool HasValue(AttributeId a, const Value& v) const {
-    return std::binary_search(values_.begin(), values_.end(),
-                              AttributeValue{a, v});
+    return content_->HasValue(a, v);
   }
-
-  /// Number of distinct attributes present (not counting objectClass).
-  size_t NumAttributes() const {
-    size_t n = 0;
-    AttributeId last = kInvalidAttributeId;
-    for (const AttributeValue& av : values_) {
-      if (av.attribute != last) {
-        ++n;
-        last = av.attribute;
-      }
-    }
-    return n;
-  }
+  size_t NumAttributes() const { return content_->NumAttributes(); }
 
  private:
   friend class Directory;
@@ -105,9 +123,7 @@ class Entry {
   EntryId id_ = kInvalidEntryId;
   EntryId parent_ = kInvalidEntryId;
   std::vector<EntryId> children_;
-  std::string rdn_;
-  std::vector<ClassId> classes_;        // sorted, unique
-  std::vector<AttributeValue> values_;  // sorted, unique
+  std::shared_ptr<const EntryContent> content_;
 };
 
 }  // namespace ldapbound

@@ -2,6 +2,7 @@
 #define LDAPBOUND_MODEL_VOCABULARY_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -37,6 +38,10 @@ class Vocabulary {
 
   Vocabulary(const Vocabulary&) = delete;
   Vocabulary& operator=(const Vocabulary&) = delete;
+
+  /// An independent copy with the same names and ids: the one explicit
+  /// copy (sharing through shared_ptr stays the default).
+  std::unique_ptr<Vocabulary> Clone() const;
 
   /// Interns `name` as an attribute of type `type`. `single_valued`
   /// attributes admit at most one value per entry (the LDAP "single-valued"

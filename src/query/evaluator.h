@@ -99,8 +99,8 @@ class QueryEvaluator {
   /// latency). Pass nullptr to detach. The profile object must outlive the
   /// attached evaluations. Profiling changes no results and, when detached
   /// (the default), costs a handful of never-taken branches per AST node —
-  /// never per-entry work. A snapshot carries no Vocabulary (the writer
-  /// interns into it), so snapshot plans leave selection details blank.
+  /// never per-entry work. A snapshot carries ids, not names, so
+  /// snapshot plans leave selection details blank.
   void set_profile(QueryProfile* profile) { profile_ = profile; }
 
   /// Evaluates `query`; the result holds alive entry ids. Meaningless

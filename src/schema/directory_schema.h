@@ -24,7 +24,6 @@ class DirectorySchema {
   DirectorySchema& operator=(DirectorySchema&&) = default;
 
   const Vocabulary& vocab() const { return *vocab_; }
-  Vocabulary& mutable_vocab() { return *vocab_; }
   const std::shared_ptr<Vocabulary>& vocab_ptr() const { return vocab_; }
 
   const AttributeSchema& attributes() const { return attributes_; }

@@ -65,7 +65,7 @@ Result<Axis> ParseAxis(std::string_view word) {
 class Parser {
  public:
   Parser(std::string_view text, std::shared_ptr<Vocabulary> vocab)
-      : schema_(std::move(vocab)) {
+      : vocab_(*vocab), schema_(std::move(vocab)) {
     size_t number = 0;
     for (std::string_view raw : Split(text, '\n')) {
       ++number;
@@ -83,7 +83,7 @@ class Parser {
   }
 
  private:
-  Vocabulary& vocab() { return schema_.mutable_vocab(); }
+  Vocabulary& vocab() { return vocab_; }
 
   Status TopLevel() {
     const Line& line = lines_[pos_];
@@ -279,6 +279,7 @@ class Parser {
     std::vector<std::string> names;
   };
 
+  Vocabulary& vocab_;  ///< the schema's, which the parse defines names in
   DirectorySchema schema_;
   std::vector<Line> lines_;
   size_t pos_ = 0;

@@ -317,7 +317,11 @@ Result<size_t> ApplyChangeLdif(std::string_view text,
           if (EqualsIgnoreCase(attr, "objectClass")) {
             mod.kind = add ? Modification::Kind::kAddClass
                            : Modification::Kind::kRemoveClass;
-            mod.cls = server->mutable_vocab().InternClass(value);
+            auto cls = vocab.FindClass(value);
+            if (!cls.ok()) {
+              return ChangeError(change.line, cls.status().message());
+            }
+            mod.cls = *cls;
           } else {
             mod.kind = add ? Modification::Kind::kAddValue
                            : Modification::Kind::kRemoveValue;

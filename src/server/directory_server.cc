@@ -176,6 +176,7 @@ std::string ExplainRefusal(const std::vector<Violation>& violations,
 DirectoryServer::DirectoryServer(std::shared_ptr<Vocabulary> vocab,
                                  DirectorySchema schema)
     : vocab_(std::move(vocab)),
+      names_(vocab_->Clone()),
       schema_(std::make_unique<DirectorySchema>(std::move(schema))),
       directory_(std::make_unique<Directory>(vocab_)),
       write_mu_(std::make_unique<std::mutex>()),

@@ -92,8 +92,13 @@ class DirectoryServer {
 
   const DirectorySchema& schema() const { return *schema_; }
   const Directory& directory() const { return *directory_; }
-  const Vocabulary& vocab() const { return *vocab_; }
-  Vocabulary& mutable_vocab() { return *vocab_; }
+
+  /// The readers' names: a copy of the vocabulary taken once the schema
+  /// is parsed, never changed after, so any thread may read it without a
+  /// lock. It names all a published version holds, since the content
+  /// check refuses names the schema lacks. Names refused writes intern
+  /// stay in the writer's directory().vocab().
+  const Vocabulary& vocab() const { return *names_; }
 
   /// One modification of a Modify request (see server/modification.h).
   using Modification = ldapbound::Modification;
@@ -357,7 +362,8 @@ class DirectoryServer {
     std::atomic<bool> wal_resync_needed{false};
   };
 
-  std::shared_ptr<Vocabulary> vocab_;
+  std::shared_ptr<Vocabulary> vocab_;  ///< writes intern here, under write_mu_
+  std::unique_ptr<const Vocabulary> names_;  ///< the readers' copy: vocab()
   std::unique_ptr<DirectorySchema> schema_;
   std::unique_ptr<Directory> directory_;
   std::unique_ptr<Changelog> changelog_;

@@ -39,6 +39,11 @@ constexpr auto kAcceptBackoff = std::chrono::milliseconds(100);
 /// connection can hold its reactor without starving the rest.
 constexpr size_t kMaxReadBytesPerWake = 256 * 1024;
 
+/// Backpressure: a connection is not read while this many response bytes
+/// are unsent, so a client that never reads stalls in its own sends. One
+/// read budget's responses can land past it.
+constexpr size_t kMaxUnsentBytes = kMaxReadBytesPerWake;
+
 /// Response frames gathered into one sendmsg call. Safely under Linux's
 /// IOV_MAX (1024); past a few dozen frames the syscall amortization has
 /// flattened anyway.
@@ -96,26 +101,6 @@ std::string EncodeShedFrame() {
   shed.message = "connection refused: at the connection limit or "
                  "draining; retry with backoff";
   return EncodeResponseFrame(shed);
-}
-
-/// The RDN leading a snapshot payload blob (`str rdn | ...`, see
-/// DirectorySnapshot::PayloadMap); false when the blob is truncated.
-/// Decoded in place, with no WireCursor: a paged read runs this once per
-/// ancestor of every hit.
-bool PayloadRdn(const std::string& payload, std::string_view* rdn) {
-  if (payload.size() < 4) return false;
-  uint32_t len = 0;
-  for (int i = 3; i >= 0; --i) {
-    len = (len << 8) | static_cast<uint8_t>(payload[i]);
-  }
-  if (payload.size() - 4 < len) return false;
-  *rdn = std::string_view(payload).substr(4, len);
-  return true;
-}
-
-Status PayloadMissing(EntryId id) {
-  return Status::Internal("snapshot payload missing or truncated for entry " +
-                          std::to_string(id));
 }
 
 }  // namespace
@@ -829,7 +814,10 @@ void NetServer::DrainCompletions(Reactor& r) {
 void NetServer::UpdateEpoll(Reactor& r, int fd, Conn& conn) {
   epoll_event ev{};
   ev.events = 0;
-  if (!conn.read_closed && !conn.closing) ev.events |= EPOLLIN;
+  if (!conn.read_closed && !conn.closing &&
+      conn.out_bytes < kMaxUnsentBytes) {
+    ev.events |= EPOLLIN;
+  }
   if (conn.out_bytes > 0) ev.events |= EPOLLOUT;
   if (ev.events == conn.epoll_mask) return;  // armed already: no syscall
   ev.data.fd = fd;
@@ -1055,17 +1043,9 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
   for (const SnapshotPageHit& hit : *page) {
     auto dn = SnapshotEntryDn(snap, hit.id);
     if (!dn.ok()) return fail(dn.status());
-    // The stored payload is `str rdn | classes | values`; the response
-    // carries the full DN instead of the bare RDN, so skip the leading
-    // string and splice the rest verbatim.
-    const std::string* payload = snap.EntryPayload(hit.id);
-    std::string_view rdn;
-    if (payload == nullptr || !PayloadRdn(*payload, &rdn)) {
-      return fail(PayloadMissing(hit.id));
-    }
-    PutU64(entries, hit.id);
-    PutString(entries, *dn);
-    entries.append(*payload, 4 + rdn.size());
+    Status appended = AppendSearchEntry(entries, hit.id, *dn,
+                                        snap.Content(hit.id), server_->vocab());
+    if (!appended.ok()) return fail(appended);
   }
 
   std::string cookie_out;
@@ -1281,13 +1261,13 @@ Result<std::string> SnapshotEntryDn(const DirectorySnapshot& snapshot,
   std::string dn;
   dn.reserve(64);  // one allocation for a typical DN
   for (EntryId cur = id; cur != kInvalidEntryId; cur = snapshot.parent(cur)) {
-    const std::string* payload = snapshot.EntryPayload(cur);
-    std::string_view rdn;
-    if (payload == nullptr || !PayloadRdn(*payload, &rdn)) {
-      return PayloadMissing(cur);
+    const EntryContent* content = snapshot.Content(cur);
+    if (content == nullptr) {
+      return Status::Internal("snapshot holds no content for entry " +
+                              std::to_string(cur));
     }
     if (!dn.empty()) dn += ",";
-    dn.append(rdn.data(), rdn.size());
+    dn += content->rdn;
   }
   return dn;
 }

@@ -311,8 +311,8 @@ Result<std::vector<SnapshotPageHit>> SnapshotSearchPage(
     uint64_t from_label, size_t limit);
 
 /// Reconstructs entry `id`'s DN at `snapshot`'s version by walking the
-/// parent chain and reading each ancestor's RDN out of its payload blob
-/// — never touches the live Directory or the Vocabulary.
+/// parent chain and reading each ancestor's RDN from its content at that
+/// version — never touches the live Directory or the Vocabulary.
 Result<std::string> SnapshotEntryDn(const DirectorySnapshot& snapshot,
                                     EntryId id);
 

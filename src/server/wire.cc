@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "model/entry.h"
+
 namespace ldapbound {
 
 namespace {
@@ -289,6 +291,34 @@ Result<WireSearchEntriesResult> DecodeSearchEntriesResponseBody(
         "wire: search-entries body has trailing bytes");
   }
   return result;
+}
+
+Status AppendSearchEntry(std::string& out, EntryId id, std::string_view dn,
+                         const EntryContent* content,
+                         const Vocabulary& vocab) {
+  auto unnamed = [id] {
+    return Status::Internal("search-entries: no content or names for entry " +
+                            std::to_string(id));
+  };
+  if (content == nullptr) return unnamed();
+  PutU64(out, id);
+  PutString(out, dn);
+  PutU16(out, static_cast<uint16_t>(content->classes.size()));
+  for (ClassId c : content->classes) {
+    if (c >= vocab.num_classes()) return unnamed();
+    PutString(out, vocab.ClassName(c));
+  }
+  PutU16(out, static_cast<uint16_t>(content->values.size()));
+  for (const AttributeValue& av : content->values) {
+    if (av.attribute >= vocab.num_attributes()) return unnamed();
+    PutString(out, vocab.AttributeName(av.attribute));
+    if (av.value.is_string()) {
+      PutString(out, av.value.AsString());  // ToString() without a copy
+    } else {
+      PutString(out, av.value.ToString());
+    }
+  }
+  return Status::OK();
 }
 
 std::string EncodeSearchCookie(const WireSearchCookie& cookie) {

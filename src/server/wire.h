@@ -13,6 +13,9 @@
 
 namespace ldapbound {
 
+struct EntryContent;
+class Vocabulary;
+
 /// The wire protocol of the serving path (DESIGN.md §12): length-prefixed
 /// binary frames over a byte stream. Every frame is
 ///
@@ -51,8 +54,8 @@ namespace ldapbound {
 ///              count × (u64 entry_id | str dn | u16 nclasses |
 ///              nclasses × str class | u16 nvalues |
 ///              nvalues × (str attr, str value))
-///              — full entry payloads serialized from the pinned
-///              snapshot, in stable preorder (order-maintenance label
+///              — full entries encoded from the pinned snapshot's
+///              contents, in stable preorder (order-maintenance label
 ///              order). has_more != 0 means the cookie continues the
 ///              scan; a kCursorExpired code means the cursor was reaped
 ///              or superseded — retry from an empty cookie.
@@ -209,6 +212,14 @@ struct WireSearchEntriesResult {
 };
 Result<WireSearchEntriesResult> DecodeSearchEntriesResponseBody(
     std::string_view body);
+
+/// Appends one kSearchEntries page entry (the response format above),
+/// encoded at read time from `content`: classes in id order, values as
+/// Value::ToString(), names from `vocab`. kInternal when `content` is
+/// null or names an id `vocab` lacks.
+Status AppendSearchEntry(std::string& out, EntryId id, std::string_view dn,
+                         const EntryContent* content,
+                         const Vocabulary& vocab);
 
 /// The pagination cookie's contents — opaque to clients, but the server
 /// (and its tests) need the codec. The cursor id names the server-side

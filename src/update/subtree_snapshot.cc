@@ -16,9 +16,7 @@ Result<SubtreeSnapshot> SubtreeSnapshot::Capture(const Directory& directory,
   for (size_t i = 0; i < order.size(); ++i) {
     const Entry& e = directory.entry(order[i]);
     Node node;
-    node.rdn = e.rdn();
-    node.classes = e.classes();
-    node.values = e.values();
+    node.content = e.content();
     node.parent = (i == 0) ? -1 : position.at(e.parent());
     position.emplace(order[i], static_cast<int>(i));
     snapshot.nodes_.push_back(std::move(node));
@@ -32,9 +30,9 @@ Result<std::vector<EntryId>> SubtreeSnapshot::Restore(Directory* directory,
   created.reserve(nodes_.size());
   for (const Node& node : nodes_) {
     EntryId p = (node.parent < 0) ? parent : created[node.parent];
+    const EntryContent& c = node.content;
     LDAPBOUND_ASSIGN_OR_RETURN(
-        EntryId id,
-        directory->AddEntry(p, node.rdn, node.classes, node.values));
+        EntryId id, directory->AddEntry(p, c.rdn, c.classes, c.values));
     created.push_back(id);
   }
   return created;

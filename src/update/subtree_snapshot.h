@@ -28,13 +28,11 @@ class SubtreeSnapshot {
   size_t Size() const { return nodes_.size(); }
 
   /// The RDN of the captured subtree's root.
-  const std::string& RootRdn() const { return nodes_.front().rdn; }
+  const std::string& RootRdn() const { return nodes_.front().content.rdn; }
 
  private:
   struct Node {
-    std::string rdn;
-    std::vector<ClassId> classes;
-    std::vector<AttributeValue> values;
+    EntryContent content;  // a copy: the captured entry may change later
     // Index into nodes_ of the parent; -1 for the subtree root.
     int parent = -1;
   };

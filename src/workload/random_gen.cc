@@ -40,8 +40,8 @@ Directory MakeRandomForest(std::shared_ptr<Vocabulary> vocab,
 Result<DirectorySchema> MakeRandomSchema(std::shared_ptr<Vocabulary> vocab,
                                          const RandomSchemaOptions& options) {
   std::mt19937_64 rng(options.seed);
+  Vocabulary& v = *vocab;
   DirectorySchema schema(std::move(vocab));
-  Vocabulary& v = schema.mutable_vocab();
   ClassSchema& classes = schema.mutable_classes();
   StructureSchema& structure = schema.mutable_structure();
 

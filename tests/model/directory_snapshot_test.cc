@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -101,13 +102,16 @@ TEST(DirectorySnapshotTest, PublishOnPopulatedDirectoryPublishesCurrentState) {
 }
 
 // Everything a snapshot answers, in comparable form: every value
-// posting and payload blob and the whole RDN index (via View::ForEach,
+// posting and entry content and the whole RDN index (via View::ForEach,
 // so tombstones must stay invisible), and every class's population and
 // members.
 struct SnapshotImage {
+  using Content = std::tuple<std::string, std::vector<ClassId>,
+                             std::vector<AttributeValue>>;
+
   std::map<std::pair<AttributeId, std::string>, std::vector<EntryId>> values;
   std::map<ClassId, std::pair<size_t, std::vector<EntryId>>> classes;
-  std::map<EntryId, std::string> payloads;
+  std::map<EntryId, Content> contents;
   std::map<std::string, EntryId> rdns;
 
   SnapshotImage(const DirectorySnapshot& snap, size_t num_classes) {
@@ -124,9 +128,9 @@ struct SnapshotImage {
       }
       classes[c] = {snap.CountWithClass(c), std::move(members)};
     }
-    snap.by_entry.ForEach(
-        [&](const EntryId& id, const std::shared_ptr<const std::string>& p) {
-          payloads[id] = *p;
+    snap.contents.ForEach(
+        [&](const EntryId& id, const std::shared_ptr<EntryContent>& p) {
+          contents[id] = {p->rdn, p->classes, p->values};
         });
     snap.rdn.ForEach(
         [&](const std::string& key, const EntryId& id) { rdns[key] = id; });
@@ -235,8 +239,8 @@ TEST(DirectorySnapshotTest, EnabledLateMatchesMaintainedFromTheStart) {
     EXPECT_FALSE(image_a.values.empty());
     EXPECT_EQ(image_a.values, image_b.values);
     EXPECT_EQ(image_a.classes, image_b.classes);
-    EXPECT_EQ(image_a.payloads.size(), late.NumEntries());
-    EXPECT_EQ(image_a.payloads, image_b.payloads);
+    EXPECT_EQ(image_a.contents.size(), late.NumEntries());
+    EXPECT_EQ(image_a.contents, image_b.contents);
     EXPECT_EQ(image_a.rdns.size(), late.NumEntries());
     EXPECT_EQ(image_a.rdns, image_b.rdns);
     for (const auto& [parent, rdn] : probes) {
@@ -413,109 +417,64 @@ TEST(DirectorySnapshotTest, RenameLoopWithoutPublishKeepsDeltasBounded) {
   EXPECT_EQ(d.PinSnapshot()->FindChildByRdn(root, "cn=q"), p);
 }
 
-// Minimal reader for the payload blob's little-endian encoding (the
-// wire primitives, duplicated here so a model test does not reach into
-// server/): str = u32 length + bytes.
-struct PayloadReader {
-  std::string_view data;
-  size_t pos = 0;
-
-  uint16_t U16() {
-    uint16_t v = static_cast<uint8_t>(data[pos]) |
-                 (static_cast<uint16_t>(static_cast<uint8_t>(data[pos + 1]))
-                  << 8);
-    pos += 2;
-    return v;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | static_cast<uint8_t>(data[pos + i]);
-    }
-    pos += 4;
-    return v;
-  }
-  std::string Str() {
-    uint32_t len = U32();
-    std::string s(data.substr(pos, len));
-    pos += len;
-    return s;
-  }
-};
-
-struct DecodedPayload {
-  std::string rdn;
-  std::vector<std::string> classes;
-  std::vector<std::pair<std::string, std::string>> values;
-};
-
-DecodedPayload Decode(const std::string& blob) {
-  PayloadReader r{blob};
-  DecodedPayload out;
-  out.rdn = r.Str();
-  uint16_t nclasses = r.U16();
-  for (uint16_t i = 0; i < nclasses; ++i) out.classes.push_back(r.Str());
-  uint16_t nvalues = r.U16();
-  for (uint16_t i = 0; i < nvalues; ++i) {
-    std::string attr = r.Str();
-    out.values.emplace_back(std::move(attr), r.Str());
-  }
-  EXPECT_EQ(r.pos, blob.size()) << "trailing payload bytes";
-  return out;
-}
-
-// Entry payload blobs: serialized at mutation time, write-once, present
-// exactly for the alive entries of each version, and stable in old pins
-// while the live directory rewrites or deletes the entry.
-TEST(DirectorySnapshotTest, EntryPayloadsTrackMutationsPerVersion) {
+// Entry contents are per version: the first edit since a publish works
+// on a clone, and later edits in the same delta reuse it, so an older pin
+// keeps reading the RDN, classes and values it was published with while
+// a newer pin reads the new ones. A content is present exactly for each
+// version's alive entries.
+TEST(DirectorySnapshotTest, EntryContentsArePerVersion) {
   SimpleWorld w;
   Directory d(w.vocab);
   EntryId root = AddBare(d, kInvalidEntryId, "o=acme", {w.top, w.org});
-  EntryId alice = AddBare(d, root, "cn=alice", {w.top, w.person});
+  EntryId alice =
+      AddBare(d, root, "cn=alice", {w.top, w.person, w.engineer});
   ASSERT_TRUE(d.AddValue(alice, w.name, Value("Alice")).ok());
   d.PublishSnapshot();
   PinnedSnapshot old_snap = d.PinSnapshot();
-  ASSERT_TRUE(old_snap);
+  const EntryContent* old_content = old_snap->Content(alice);
+  ASSERT_NE(old_content, nullptr);
+  // One copy: the head and the snapshot share it.
+  EXPECT_EQ(old_content, &d.entry(alice).content());
 
-  const std::string* blob = old_snap->EntryPayload(alice);
-  ASSERT_NE(blob, nullptr);
-  DecodedPayload decoded = Decode(*blob);
-  EXPECT_EQ(decoded.rdn, "cn=alice");
-  EXPECT_EQ(decoded.classes, (std::vector<std::string>{"top", "person"}));
-  ASSERT_EQ(decoded.values.size(), 1u);
-  EXPECT_EQ(decoded.values[0].first, "name");
-  EXPECT_EQ(decoded.values[0].second, "Alice");
-
-  // Value churn and a rename re-serialize; the old pin's blob must not
-  // move (write-once) even though the live entry did.
-  ASSERT_TRUE(d.RemoveValue(alice, w.name, Value("Alice")).ok());
-  ASSERT_TRUE(d.AddValue(alice, w.name, Value("Alicia")).ok());
+  ASSERT_TRUE(d.AddValue(alice, w.mail, Value("alice@acme")).ok());
+  const EntryContent* clone = &d.entry(alice).content();
+  EXPECT_NE(clone, old_content);
+  ASSERT_TRUE(d.RemoveClass(alice, w.engineer).ok());
+  EXPECT_EQ(&d.entry(alice).content(), clone);  // cloned once per delta
   ASSERT_TRUE(d.Rename(alice, "cn=alicia").ok());
+  EXPECT_EQ(&d.entry(alice).content(), clone);
   d.PublishSnapshot();
   PinnedSnapshot fresh = d.PinSnapshot();
-  ASSERT_TRUE(fresh);
 
-  const std::string* fresh_blob = fresh->EntryPayload(alice);
-  ASSERT_NE(fresh_blob, nullptr);
-  DecodedPayload redone = Decode(*fresh_blob);
-  EXPECT_EQ(redone.rdn, "cn=alicia");
-  ASSERT_EQ(redone.values.size(), 1u);
-  EXPECT_EQ(redone.values[0].second, "Alicia");
-  EXPECT_EQ(Decode(*old_snap->EntryPayload(alice)).values[0].second,
-            "Alice");
+  std::vector<ClassId> old_classes{w.top, w.person, w.engineer};
+  std::sort(old_classes.begin(), old_classes.end());
+  EXPECT_EQ(old_snap->Content(alice), old_content);
+  EXPECT_EQ(old_content->rdn, "cn=alice");
+  EXPECT_EQ(old_content->classes, old_classes);
+  EXPECT_EQ(old_content->values,
+            (std::vector<AttributeValue>{{w.name, Value("Alice")}}));
 
-  // Deletion drops the payload from the next version but not from pins
-  // that predate it.
+  const EntryContent* new_content = fresh->Content(alice);
+  ASSERT_EQ(new_content, clone);
+  EXPECT_EQ(new_content->rdn, "cn=alicia");
+  EXPECT_FALSE(new_content->HasClass(w.engineer));
+  EXPECT_TRUE(new_content->HasClass(w.person));
+  EXPECT_TRUE(new_content->HasValue(w.name, Value("Alice")));
+  EXPECT_TRUE(new_content->HasValue(w.mail, Value("alice@acme")));
+
+  // Deletion drops the content from the next version but not from pins
+  // that predate it; the tombstoned entry stays readable.
   ASSERT_TRUE(d.DeleteLeaf(alice).ok());
   d.PublishSnapshot();
   PinnedSnapshot after_delete = d.PinSnapshot();
-  ASSERT_TRUE(after_delete);
-  EXPECT_EQ(after_delete->EntryPayload(alice), nullptr);
-  EXPECT_NE(fresh->EntryPayload(alice), nullptr);
-  EXPECT_NE(old_snap->EntryPayload(alice), nullptr);
+  EXPECT_EQ(after_delete->Content(alice), nullptr);
+  EXPECT_EQ(fresh->Content(alice), new_content);
+  EXPECT_EQ(old_snap->Content(alice), old_content);
+  EXPECT_EQ(old_content->rdn, "cn=alice");
+  EXPECT_EQ(d.entry(alice).rdn(), "cn=alicia");
 
-  // Ids the directory never allocated have no payload either.
-  EXPECT_EQ(after_delete->EntryPayload(9999), nullptr);
+  // Ids the directory never allocated have no content either.
+  EXPECT_EQ(after_delete->Content(9999), nullptr);
 }
 
 }  // namespace

@@ -119,6 +119,35 @@ TEST_F(DirectoryServerTest, SchemaGuardsAdd) {
   EXPECT_TRUE(server_.IsLegal());
 }
 
+// A drained class posting leaves the mirror. Adds refused for naming
+// only classes no schema defines leave no posting behind, in the open
+// delta or in a later version: each would hold a bitmap sized to the id
+// space for good.
+TEST_F(DirectoryServerTest, RefusedFreshClassAddsLeaveNoClassPosting) {
+  const size_t before = server_.directory().UnpublishedKeys();
+  std::vector<std::string> fresh;
+  for (int i = 0; i < 20; ++i) {
+    fresh.push_back("fresh" + std::to_string(i));
+    EntrySpec spec = PersonSpec(fresh.back());
+    spec.classes = {fresh.back()};
+    EXPECT_EQ(server_.Add(Dn("uid=" + fresh.back() + ",ou=research"),
+                          std::move(spec))
+                  .code(),
+              StatusCode::kIllegal);
+  }
+  EXPECT_EQ(server_.directory().UnpublishedKeys(), before);
+
+  // A later commit publishes a version with no key for those classes.
+  ASSERT_TRUE(server_.Add(Dn("uid=bob,ou=research"), PersonSpec("bob")).ok());
+  PinnedSnapshot snap = server_.PinSnapshot();
+  for (const std::string& name : fresh) {
+    auto cls = server_.directory().vocab().FindClass(name);
+    ASSERT_TRUE(cls.ok()) << name;  // the refused add interned it
+    EXPECT_EQ(snap->by_class.Find(*cls), nullptr) << name;
+    EXPECT_EQ(server_.directory().ClassSet(*cls), nullptr) << name;
+  }
+}
+
 TEST_F(DirectoryServerTest, DeleteGuarded) {
   const uint64_t deletes = ServerOps("delete", "ok");
   // Removing the only person violates team ->> person.

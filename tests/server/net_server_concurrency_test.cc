@@ -646,5 +646,135 @@ TEST_F(NetServerConcurrencyTest, SlowOpRecordsRaceWireWritesAndScrapes) {
   EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
 }
 
+// Readers name classes and attributes through the server's read-only
+// vocabulary. Wire adds that name classes and attributes no schema
+// defines intern them into the writer's vocabulary (under the write
+// mutex) and are refused, while wire searches for exactly those classes
+// and paged reads resolve and encode names on other workers with no
+// lock. A class the schema lacks matches nothing.
+TEST_F(NetServerConcurrencyTest, FreshNamesRaceWireSearchesAndPagedReads) {
+  NetServerOptions options;
+  options.reactors = 2;
+  options.worker_threads = 4;
+  StartNet(options);
+
+  constexpr int kRounds = 120;
+  std::atomic<int> round{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+
+  std::thread writer([&] {
+    int fd = Connect(net_->port());
+    if (fd < 0) {
+      failures.fetch_add(1);
+      done.store(true);
+      return;
+    }
+    std::string buffer;
+    for (int r = 0; r < kRounds; ++r) {
+      round.store(r);
+      const std::string tag = std::to_string(r);
+      WireResponse response;
+      if (!SendAll(fd, EncodeAddRequest(
+                           r, "uid=fresh" + tag + ",ou=load",
+                           {"top", "person", "fresh" + tag},
+                           {{"uid", "fresh" + tag},
+                            {"name", "fresh " + tag},
+                            {"freshattr" + tag, "x"}})) ||
+          !ReadResponse(fd, buffer, &response) ||
+          response.code != WireCode::kIllegal) {
+        failures.fetch_add(1);
+      }
+    }
+    done.store(true);
+    ::close(fd);
+  });
+
+  std::vector<std::thread> searchers;
+  for (int t = 0; t < 2; ++t) {
+    searchers.emplace_back([&] {
+      int fd = Connect(net_->port());
+      if (fd < 0) {
+        failures.fetch_add(1);
+        return;
+      }
+      std::string buffer;
+      uint64_t id = 1;
+      while (!done.load()) {
+        // The class being interned right now, and the next one.
+        const int r = round.load();
+        for (int k : {r, r + 1}) {
+          const std::string tag = std::to_string(k);
+          for (const std::string& filter :
+               {"(objectClass=fresh" + tag + ")", "(freshattr" + tag + "=x)"}) {
+            WireResponse response;
+            if (!SendAll(fd, EncodeSearchRequest(id++, "ou=load", 2, filter)) ||
+                !ReadResponse(fd, buffer, &response) || !response.ok()) {
+              failures.fetch_add(1);
+              continue;
+            }
+            auto hits = DecodeSearchResponseBody(response.body);
+            if (!hits.ok() || !hits->empty()) failures.fetch_add(1);
+          }
+        }
+      }
+      ::close(fd);
+    });
+  }
+
+  std::thread pager([&] {
+    int fd = Connect(net_->port());
+    if (fd < 0) {
+      failures.fetch_add(1);
+      return;
+    }
+    std::string buffer;
+    uint64_t id = 1;
+    while (!done.load()) {
+      std::string cookie;
+      size_t seen = 0;
+      for (bool more = true; more;) {
+        WireResponse response;
+        if (!SendAll(fd, EncodeSearchEntriesRequest(
+                             id++, "ou=load", 2, "(objectClass=person)", 3,
+                             cookie)) ||
+            !ReadResponse(fd, buffer, &response) || !response.ok()) {
+          failures.fetch_add(1);
+          break;
+        }
+        auto page = DecodeSearchEntriesResponseBody(response.body);
+        if (!page.ok()) {
+          failures.fetch_add(1);
+          break;
+        }
+        for (const WireEntry& entry : page->entries) {
+          ++seen;
+          if (entry.classes != std::vector<std::string>{"top", "person"} ||
+              entry.values.size() != 2) {
+            failures.fetch_add(1);
+          }
+        }
+        more = page->has_more;
+        cookie = page->cookie;
+      }
+      if (seen != 8) failures.fetch_add(1);  // refused adds never show
+    }
+    ::close(fd);
+  });
+
+  writer.join();
+  for (std::thread& t : searchers) t.join();
+  pager.join();
+  net_->Stop();  // joins the workers before the vocabularies are read
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
+  // The refused adds interned their names for the writer only.
+  EXPECT_TRUE(server_.directory().vocab().FindClass("fresh0").ok());
+  EXPECT_TRUE(server_.directory().vocab().FindAttribute("freshattr0").ok());
+  EXPECT_FALSE(server_.vocab().FindClass("fresh0").ok());
+  EXPECT_FALSE(server_.vocab().FindAttribute("freshattr0").ok());
+}
+
 }  // namespace
 }  // namespace ldapbound

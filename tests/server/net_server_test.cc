@@ -2,12 +2,16 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -860,6 +864,142 @@ TEST_F(NetServerTest, DrainedBacklogLeavesTheReactorIdle) {
   const uint64_t before = Net("ldapbound_net_epoll_wakeup_events_count");
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   EXPECT_LT(Net("ldapbound_net_epoll_wakeup_events_count") - before, 10u);
+}
+
+// A client that pipelines and never reads stalls in its own sends once
+// its connection holds a cap of unsent responses (the server stops
+// reading it), instead of growing the server without bound. The
+// connection's high-watermark stays under the cap plus the responses to
+// one read budget of requests; once the client reads, every request is
+// answered exactly once.
+TEST_F(NetServerTest, NeverReadingClientStallsInsteadOfGrowingTheServer) {
+  NetServerOptions options;
+  options.reactors = 1;
+  StartNet(options);
+  // Small buffers on the client's side keep the stall near the server's
+  // cap instead of behind megabytes of kernel buffering.
+  WireClient client(net_->port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(client.connected());
+  int sndbuf = 4096;
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  const uint64_t closed_before = Net("ldapbound_net_conn_out_hwm_bytes_count");
+  const uint64_t hwm_before = Net("ldapbound_net_conn_out_hwm_bytes_sum");
+
+  // Far more pings than the socket buffers on both sides can hold.
+  constexpr uint64_t kMaxPings = 1000000;
+  constexpr uint64_t kBatch = 4096;
+  uint64_t queued = 0;  // pings encoded; all of them are sent eventually
+  std::string pending;
+  bool stalled = false;
+  while (!stalled && (queued < kMaxPings || !pending.empty())) {
+    if (pending.empty()) {
+      for (uint64_t i = 0; i < kBatch; ++i) {
+        pending += EncodePingRequest(queued++);
+      }
+    }
+    ssize_t n = ::send(client.fd(), pending.data(), pending.size(),
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      pending.erase(0, static_cast<size_t>(n));
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+        << std::strerror(errno);
+    pollfd writable{client.fd(), POLLOUT, 0};
+    stalled = ::poll(&writable, 1, /*timeout_ms=*/300) == 0;
+  }
+  EXPECT_TRUE(stalled) << "sent " << queued << " pings without a stall";
+
+  // Read every answer while the rest of the last batch goes out.
+  std::vector<int> answered(queued, 0);
+  std::thread reader([&] {
+    for (uint64_t i = 0; i < queued; ++i) {
+      auto response = client.ReadResponse();
+      if (!response.ok()) return;
+      if (response->request_id < queued) ++answered[response->request_id];
+    }
+  });
+  ASSERT_TRUE(client.Send(pending));
+  reader.join();
+  EXPECT_EQ(std::count(answered.begin(), answered.end(), 1),
+            static_cast<std::ptrdiff_t>(queued));
+
+  // The watermark is observed when the connection closes.
+  ::shutdown(client.fd(), SHUT_RDWR);
+  for (int i = 0; i < 200 && Net("ldapbound_net_conn_out_hwm_bytes_count") ==
+                                 closed_before;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(Net("ldapbound_net_conn_out_hwm_bytes_count"), closed_before + 1);
+  WireResponse pong;
+  pong.op = WireOp::kPing;
+  const uint64_t response_bytes = EncodeResponseFrame(pong).size();
+  const uint64_t request_bytes = EncodePingRequest(0).size();
+  constexpr uint64_t kCap = 256 * 1024;  // unsent bytes = the read budget
+  const uint64_t one_read = (kCap + request_bytes) / request_bytes;
+  EXPECT_LE(Net("ldapbound_net_conn_out_hwm_bytes_sum") - hwm_before,
+            kCap + one_read * response_bytes);
+}
+
+// The page encoder writes each entry from its pinned content at read
+// time. A full paged scan of the forest decodes to exactly what the head
+// holds, entry by entry: the DN, the class names in id order and each
+// value's text in (attribute id, value) order, edited entries included.
+TEST_F(NetServerTest, SearchEntriesEncodesEveryEntryAsTheHeadHoldsIt) {
+  for (int i = 2; i < 9; ++i) {
+    const std::string uid = "u" + std::to_string(i);
+    ASSERT_TRUE(
+        server_.Add(Dn("uid=" + uid + ",ou=load"), PersonSpec(uid)).ok());
+  }
+  Modification second_name;
+  second_name.kind = Modification::Kind::kAddValue;
+  second_name.attr = *server_.vocab().FindAttribute("name");
+  second_name.value = Value("a second name");
+  ASSERT_TRUE(server_.Modify(Dn("uid=u3,ou=load"), {second_name}).ok());
+  ASSERT_TRUE(
+      server_.ModifyDn(Dn("uid=u4,ou=load"), Dn("ou=load"), "uid=u4b").ok());
+  StartNet();
+  WireClient client(net_->port());
+  ASSERT_TRUE(client.connected());
+
+  const Directory& head = server_.directory();
+  const Vocabulary& vocab = server_.vocab();
+  size_t seen = 0;
+  std::string cookie;
+  uint64_t id = 1;
+  for (int pages = 0;; ++pages) {
+    ASSERT_LT(pages, 20) << "pagination never terminated";
+    auto response = client.Call(
+        EncodeSearchEntriesRequest(id++, "", 2, "", 3, cookie));
+    ASSERT_TRUE(response.ok() && response->ok()) << response->message;
+    auto page = DecodeSearchEntriesResponseBody(response->body);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    for (const WireEntry& got : page->entries) {
+      ++seen;
+      ASSERT_TRUE(head.IsAlive(got.id));
+      const Entry& e = head.entry(got.id);
+      std::string dn = e.rdn();
+      for (EntryId p = e.parent(); p != kInvalidEntryId;
+           p = head.entry(p).parent()) {
+        dn += "," + head.entry(p).rdn();
+      }
+      EXPECT_EQ(got.dn, dn);
+      std::vector<std::string> classes;
+      for (ClassId c : e.classes()) classes.push_back(vocab.ClassName(c));
+      EXPECT_EQ(got.classes, classes) << dn;
+      std::vector<std::pair<std::string, std::string>> values;
+      for (const AttributeValue& av : e.values()) {
+        values.emplace_back(vocab.AttributeName(av.attribute),
+                            av.value.ToString());
+      }
+      EXPECT_EQ(got.values, values) << dn;
+    }
+    if (!page->has_more) break;
+    cookie = page->cookie;
+  }
+  EXPECT_EQ(seen, head.NumEntries());
+  EXPECT_EQ(seen, 10u);
 }
 
 // Filter shapes the postings cannot answer: refused, never answered empty.
