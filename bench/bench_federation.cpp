@@ -14,7 +14,7 @@ namespace {
 // Context roots: the first-level org units.
 std::vector<DistinguishedName> ContextRoots(const Directory& d) {
   std::vector<DistinguishedName> roots;
-  EntryId org = d.roots()[0];
+  EntryId org = d.roots().front();
   for (EntryId unit : d.entry(org).children()) {
     roots.push_back(*DnOf(d, unit));
   }

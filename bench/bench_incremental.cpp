@@ -19,11 +19,18 @@
 namespace ldapbound::bench {
 namespace {
 
+// The youngest child of `parent`.
+EntryId LastChild(const Directory& d, EntryId parent) {
+  EntryId last = kInvalidEntryId;
+  for (EntryId c : d.entry(parent).children()) last = c;
+  return last;
+}
+
 // Appends a small subtree (a unit with three persons) under the first org
 // unit; returns (root id, delta).
 std::pair<EntryId, EntrySet> InsertProbeSubtree(Directory& directory) {
-  EntryId org = directory.roots()[0];
-  EntryId host = directory.entry(org).children()[0];
+  EntryId org = directory.roots().front();
+  EntryId host = directory.entry(org).children().front();
   static int counter = 0;
   int tag = counter++;
   EntrySpec unit;
@@ -121,9 +128,9 @@ void DeleteCheckBenchmark(benchmark::State& state, bool optimized) {
   const World& world = GetWorld(static_cast<size_t>(state.range(0)));
   const Directory& directory = *world.directory;
   // Doomed subtree: one person leaf (any unit keeps other persons).
-  EntryId org = directory.roots()[0];
-  EntryId unit = directory.entry(org).children()[0];
-  EntryId person = directory.entry(unit).children().back();
+  EntryId org = directory.roots().front();
+  EntryId unit = directory.entry(org).children().front();
+  EntryId person = LastChild(directory, unit);
   EntrySet delta(directory.IdCapacity());
   delta.Insert(person);
   directory.GetIndex();
@@ -161,9 +168,9 @@ BENCHMARK(BM_DeleteCheck_AncestorPathAblation)
 void BM_DeleteCheck_RequiredClassCounts(benchmark::State& state) {
   const World& world = GetWorld(static_cast<size_t>(state.range(0)));
   const Directory& directory = *world.directory;
-  EntryId org = directory.roots()[0];
-  EntryId unit = directory.entry(org).children()[0];
-  EntryId person = directory.entry(unit).children().back();
+  EntryId org = directory.roots().front();
+  EntryId unit = directory.entry(org).children().front();
+  EntryId person = LastChild(directory, unit);
   EntrySet delta(directory.IdCapacity());
   delta.Insert(person);
   directory.GetIndex();
@@ -199,10 +206,10 @@ void MoveCheckBenchmark(benchmark::State& state, bool incremental) {
   Directory& d = *world.directory;
   // Move one person back and forth between the first two units; both stay
   // staffed, so every move is legal.
-  EntryId org = d.roots()[0];
-  EntryId unit_a = d.entry(org).children()[0];
-  EntryId unit_b = d.entry(org).children()[1];
-  EntryId mover = d.entry(unit_a).children().back();
+  EntryId org = d.roots().front();
+  EntryId unit_a = d.entry(org).children().front();
+  EntryId unit_b = *std::next(d.entry(org).children().begin());
+  EntryId mover = LastChild(d, unit_a);
   IncrementalValidator validator(*world.schema);
   LegalityChecker full(*world.schema);
   EntryId at = unit_a;
@@ -234,9 +241,9 @@ BENCHMARK(BM_MoveCheck_FullRecheck)->Arg(1000)->Arg(16000)->Arg(64000);
 void ReclassifyCheckBenchmark(benchmark::State& state, bool incremental) {
   World world = MakeInsertWorld(static_cast<size_t>(state.range(0)));
   Directory& d = *world.directory;
-  EntryId org = d.roots()[0];
-  EntryId unit = d.entry(org).children()[0];
-  EntryId person = d.entry(unit).children().back();
+  EntryId org = d.roots().front();
+  EntryId unit = d.entry(org).children().front();
+  EntryId person = LastChild(d, unit);
   ClassId online = *world.vocab->FindClass("online");
   IncrementalValidator validator(*world.schema);
   LegalityChecker full(*world.schema);

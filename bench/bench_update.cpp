@@ -341,6 +341,38 @@ BENCHMARK(BM_IndexMaintenancePerTxn)
     ->Arg(1 << 13)
     ->Arg(1 << 16);
 
+/// ns per Add+DeleteLeaf of a youngest child under one parent with
+/// range(0) children, no publish. The tree links make the sibling-list
+/// upkeep O(1) whatever the fanout; |D| grows with the fanout here, and
+/// what the rows still rise by is that size term (EXPERIMENTS.md, "One
+/// tree"). A fixed number of pairs per row, since ids are never reused.
+void BM_ChildChurnAtFanout(benchmark::State& state) {
+  const size_t fanout = static_cast<size_t>(state.range(0));
+  auto vocab = std::make_shared<Vocabulary>();
+  const ClassId top = vocab->top_class();
+  Directory d(vocab);
+  EntryId parent = *d.AddEntry(kInvalidEntryId, "parent", {top}, {});
+  for (size_t i = 0; i < fanout; ++i) {
+    if (!d.AddEntry(parent, "c" + std::to_string(i), {top}, {}).ok()) {
+      std::abort();
+    }
+  }
+  uint64_t tag = 0;
+  for (auto _ : state) {
+    EntryId id =
+        *d.AddEntry(parent, "churn" + std::to_string(tag++), {top}, {});
+    if (!d.DeleteLeaf(id).ok()) std::abort();
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_ChildChurnAtFanout)
+    ->ArgName("children")
+    ->Arg(16)
+    ->Arg(1 << 10)
+    ->Arg(1 << 13)
+    ->Arg(1 << 16)
+    ->Iterations(20000);
+
 /// The same flatness claim at the server level: a durable-free server
 /// commit (validation, mirror upkeep and snapshot publication, no WAL)
 /// per |D|. This is the end-to-end "update cost is O(|Delta|)" number the
@@ -494,8 +526,8 @@ BENCHMARK(BM_CommitRejectedTransaction)
 void BM_SnapshotRoundTrip(benchmark::State& state) {
   World world = MakeMutableWorld(16000);
   Directory& directory = *world.directory;
-  EntryId org = directory.roots()[0];
-  EntryId unit = directory.entry(org).children()[0];
+  EntryId org = directory.roots().front();
+  EntryId unit = directory.entry(org).children().front();
   size_t subtree = directory.SubtreeEntries(unit).size();
   for (auto _ : state) {
     SubtreeSnapshot snapshot =

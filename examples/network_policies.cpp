@@ -113,7 +113,7 @@ int main() {
 
   // The §1 taboo: the person must not also become a packetRouter. The
   // class schema rejects this as an exclusive core-class combination.
-  EntryId hq = directory.roots()[0];
+  EntryId hq = directory.roots().front();
   EntryId lead = directory.FindChildByRdn(hq, "cn=netops-lead");
   Status status = directory.AddClass(lead, *vocab->FindClass("packetRouter"));
   if (!status.ok()) return Fail(status);

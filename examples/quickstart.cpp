@@ -74,7 +74,7 @@ int main() {
 
   // 4. Break it: a person entry without the required attributes, placed as
   //    a child of another person.
-  auto ada = directory.FindChildByRdn(directory.roots()[0], "uid=ada");
+  auto ada = directory.FindChildByRdn(directory.roots().front(), "uid=ada");
   EntrySpec intern;
   intern.rdn = "uid=intern";
   intern.classes = {"person", "top"};

@@ -34,17 +34,6 @@ Result<DistinguishedName> StripSuffix(const DistinguishedName& dn,
   return DistinguishedName::Parse(Join(rdns, ","));
 }
 
-// Every alive entry of `d` in preorder: each root's subtree in turn.
-std::vector<EntryId> Preorder(const Directory& d) {
-  std::vector<EntryId> out;
-  out.reserve(d.NumEntries());
-  for (EntryId root : d.roots()) {
-    std::vector<EntryId> subtree = d.SubtreeEntries(root);
-    out.insert(out.end(), subtree.begin(), subtree.end());
-  }
-  return out;
-}
-
 std::string AbsoluteDn(const DistinguishedName& local,
                        const DistinguishedName& mount_parent) {
   if (mount_parent.IsEmpty()) return local.ToString();
@@ -101,7 +90,7 @@ Result<Federation> Federation::Split(
   federation.glue_ = std::make_unique<Directory>(federation.vocab_);
   std::unordered_map<EntryId, EntryId> mapped;  // source id -> glue id
   std::unordered_set<EntryId> skipped_subtrees;
-  for (EntryId id : Preorder(source)) {
+  for (EntryId id : source.SubtreeEntries(kInvalidEntryId)) {
     const Entry& e = source.entry(id);
     EntryId parent = e.parent();
     // Inside a carved-out subtree (but not its root)?
@@ -136,7 +125,7 @@ Result<Federation> Federation::Split(
 Result<Directory> Federation::Unify() const {
   Directory unified(vocab_);
   std::unordered_map<EntryId, EntryId> mapped;  // glue id -> unified id
-  for (EntryId id : Preorder(*glue_)) {
+  for (EntryId id : glue_->SubtreeEntries(kInvalidEntryId)) {
     const Entry& e = glue_->entry(id);
     EntryId parent =
         e.parent() == kInvalidEntryId ? kInvalidEntryId : mapped.at(e.parent());
@@ -146,12 +135,12 @@ Result<Directory> Federation::Unify() const {
       bool mounted = false;
       for (const NamingContext& context : contexts_) {
         const Directory& cd = *context.directory;
-        std::string absolute =
-            AbsoluteDn(*DnOf(cd, cd.roots()[0]), context.mount_parent);
+        std::string absolute = AbsoluteDn(*DnOf(cd, cd.roots().front()),
+                                          context.mount_parent);
         if (EqualsIgnoreCase(absolute, dn.ToString())) {
           LDAPBOUND_ASSIGN_OR_RETURN(SubtreeSnapshot snapshot,
                                      SubtreeSnapshot::Capture(
-                                         cd, cd.roots()[0]));
+                                         cd, cd.roots().front()));
           LDAPBOUND_ASSIGN_OR_RETURN(std::vector<EntryId> created,
                                      snapshot.Restore(&unified, parent));
           mapped.emplace(id, created.front());
@@ -183,7 +172,7 @@ Result<std::vector<std::string>> Federation::Search(
   };
   auto search_context_fully = [&](const NamingContext& context) {
     const Directory& cd = *context.directory;
-    for (EntryId id : Preorder(cd)) {
+    for (EntryId id : cd.SubtreeEntries(kInvalidEntryId)) {
       if (matches(cd, id)) {
         out.push_back(AbsoluteDn(*DnOf(cd, id), context.mount_parent));
       }
@@ -200,7 +189,7 @@ Result<std::vector<std::string>> Federation::Search(
   };
 
   if (base.IsEmpty()) {
-    for (EntryId id : Preorder(*glue_)) {
+    for (EntryId id : glue_->SubtreeEntries(kInvalidEntryId)) {
       if (matches(*glue_, id)) out.push_back(DnOf(*glue_, id)->ToString());
     }
     for (const NamingContext& context : contexts_) {
@@ -218,8 +207,8 @@ Result<std::vector<std::string>> Federation::Search(
         LDAPBOUND_ASSIGN_OR_RETURN(DistinguishedName dn, DnOf(*glue_, id));
         for (const NamingContext& context : contexts_) {
           const Directory& cd = *context.directory;
-          std::string absolute =
-              AbsoluteDn(*DnOf(cd, cd.roots()[0]), context.mount_parent);
+          std::string absolute = AbsoluteDn(*DnOf(cd, cd.roots().front()),
+                                            context.mount_parent);
           if (EqualsIgnoreCase(absolute, dn.ToString())) {
             search_context_fully(context);
             break;
@@ -235,7 +224,7 @@ Result<std::vector<std::string>> Federation::Search(
   // The base must live inside one of the contexts.
   for (const NamingContext& context : contexts_) {
     const Directory& cd = *context.directory;
-    DistinguishedName root_local = *DnOf(cd, cd.roots()[0]);
+    DistinguishedName root_local = *DnOf(cd, cd.roots().front());
     auto root_abs = DistinguishedName::Parse(
         AbsoluteDn(root_local, context.mount_parent));
     if (!IsUnder(base, *root_abs)) continue;

@@ -229,20 +229,11 @@ Status WriteLdif(const Directory& directory,
   // that carries the DN down: an entry's DN is its RDN, a comma and its
   // parent's DN, formed once per entry in dns[depth]. That is the text
   // DnOf renders, without DnOf's re-parse of it.
-  struct Frame {
-    EntryId id;
-    size_t depth;
-  };
-  std::vector<Frame> stack;
-  const std::vector<EntryId>& roots = directory.roots();
-  for (auto it = roots.rbegin(); it != roots.rend(); ++it) {
-    stack.push_back({*it, 0});
-  }
   std::vector<std::string> dns;  // dns[k]: DN of the path's depth-k entry
-  while (!stack.empty()) {
-    const auto [id, depth] = stack.back();
-    stack.pop_back();
-    const Entry& e = directory.entry(id);
+  for (ForestIndex::Walk w = directory.GetIndex().Preorder(kInvalidEntryId);
+       !w.done(); w.Next()) {
+    const size_t depth = w.depth();
+    const Entry e = directory.entry(w.id());
     if (dns.size() <= depth) dns.resize(depth + 1);
     std::string& dn = dns[depth];
     dn = e.rdn();
@@ -262,10 +253,6 @@ Status WriteLdif(const Directory& directory,
     if (out.size() >= kChunkBytes) {
       LDAPBOUND_RETURN_IF_ERROR(sink(out));
       out.clear();
-    }
-    const std::vector<EntryId>& children = e.children();
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      stack.push_back({*it, depth + 1});
     }
   }
   return out.empty() ? Status::OK() : sink(out);

@@ -24,30 +24,14 @@ Result<std::vector<EntryId>> SearchFrom(const Directory& directory,
     }
   };
 
-  if (base == kInvalidEntryId) {
-    // Whole forest. kBase on the (virtual) root above the forest matches
-    // nothing; kOneLevel yields the roots; kSubtree everything.
-    switch (scope) {
-      case SearchScope::kBase:
-        break;
-      case SearchScope::kOneLevel:
-        for (EntryId root : directory.roots()) consider(root);
-        break;
-      case SearchScope::kSubtree:
-        for (EntryId root : directory.roots()) {
-          for (EntryId id : directory.SubtreeEntries(root)) consider(id);
-        }
-        break;
-    }
-    return out;
-  }
-
+  // Without a base, the whole forest: kBase on the (virtual) root above
+  // it matches nothing, kOneLevel yields the roots, kSubtree everything.
   switch (scope) {
     case SearchScope::kBase:
-      consider(base);
+      if (base != kInvalidEntryId) consider(base);
       break;
     case SearchScope::kOneLevel:
-      for (EntryId child : directory.entry(base).children()) consider(child);
+      for (EntryId child : directory.GetIndex().Children(base)) consider(child);
       break;
     case SearchScope::kSubtree:
       for (EntryId id : directory.SubtreeEntries(base)) consider(id);

@@ -82,24 +82,19 @@ Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
     }
   }
 
-  EntryId id = static_cast<EntryId>(entries_.size());
-  auto content = std::make_shared<EntryContent>(EntryContent{
-      std::move(rdn), std::move(classes), std::move(kept)});
-  entries_.emplace_back();
-  Entry& e = entries_.back();
-  e.id_ = id;
-  e.parent_ = parent;
-  e.content_ = content;
+  EntryId id = static_cast<EntryId>(contents_.size());
+  contents_.Resize(size_t{id} + 1, nullptr);
+  // Past the last publish's size: written in place, no chunk clone.
+  const EntryContent& content =
+      *(contents_.Mutable(id) = std::make_shared<EntryContent>(EntryContent{
+            std::move(rdn), std::move(classes), std::move(kept)}));
   TrackAlive(id, true);
-  ++num_alive_;
-  Attach(id, parent);
   rdn_index_.Set(std::move(rdn_key), id);
-  index_.OnInsert(*this, id);
-  for (ClassId c : content->classes) TrackClass(id, c, true);
-  for (const AttributeValue& av : content->values) {
+  index_.OnInsert(parent, id);
+  for (ClassId c : content.classes) TrackClass(id, c, true);
+  for (const AttributeValue& av : content.values) {
     TrackValue(id, av.attribute, av.value, true);
   }
-  contents_.Set(id, std::move(content));
   ++version_;
   return id;
 }
@@ -138,7 +133,7 @@ Status Directory::AddValue(EntryId id, AttributeId attr, Value value) {
                                    "' has wrong type for attribute " +
                                    vocab_->AttributeName(attr));
   }
-  const Entry& e = entries_[id];
+  const EntryContent& e = *contents_[id];
   if (e.HasValue(attr, value)) return Status::OK();
   if (vocab_->IsSingleValued(attr) && e.HasAttribute(attr)) {
     return Status::FailedPrecondition("attribute " +
@@ -164,7 +159,7 @@ Status Directory::RemoveValue(EntryId id, AttributeId attr,
     LDAPBOUND_ASSIGN_OR_RETURN(ClassId c, vocab_->FindClass(value.AsString()));
     return RemoveClass(id, c);
   }
-  if (!entries_[id].HasValue(attr, value)) {
+  if (!contents_[id]->HasValue(attr, value)) {
     return Status::NotFound("no such (attribute, value) pair");
   }
   AttributeValue av{attr, value};
@@ -180,7 +175,7 @@ Status Directory::AddClass(EntryId id, ClassId cls) {
   if (cls >= vocab_->num_classes()) {
     return Status::OutOfRange("class id out of range");
   }
-  if (entries_[id].HasClass(cls)) return Status::OK();
+  if (contents_[id]->HasClass(cls)) return Status::OK();
   std::vector<ClassId>& classes = MutableContent(id).classes;
   classes.insert(std::lower_bound(classes.begin(), classes.end(), cls), cls);
   TrackClass(id, cls, true);
@@ -190,11 +185,11 @@ Status Directory::AddClass(EntryId id, ClassId cls) {
 
 Status Directory::RemoveClass(EntryId id, ClassId cls) {
   LDAPBOUND_RETURN_IF_ERROR(CheckAlive(id));
-  const Entry& e = entries_[id];
+  const EntryContent& e = *contents_[id];
   if (!e.HasClass(cls)) {
     return Status::NotFound("entry does not belong to class");
   }
-  if (e.classes().size() == 1) {
+  if (e.classes.size() == 1) {
     return Status::FailedPrecondition(
         "an entry must belong to at least one object class");
   }
@@ -211,39 +206,38 @@ Status Directory::MoveSubtree(EntryId id, EntryId new_parent) {
     LDAPBOUND_RETURN_IF_ERROR(CheckAlive(new_parent));
     // The new parent must not be inside the moved subtree.
     for (EntryId a = new_parent; a != kInvalidEntryId;
-         a = entries_[a].parent_) {
+         a = index_.parent(a)) {
       if (a == id) {
         return Status::InvalidArgument(
             "cannot move an entry under its own subtree");
       }
     }
   }
-  Entry& e = entries_[id];
-  if (e.parent_ == new_parent) return Status::OK();
-  if (FindChildByRdn(new_parent, e.rdn()) != kInvalidEntryId) {
-    return Status::AlreadyExists("sibling with RDN '" + e.rdn() +
+  const EntryId old_parent = index_.parent(id);
+  if (old_parent == new_parent) return Status::OK();
+  const std::string& rdn = contents_[id]->rdn;
+  if (FindChildByRdn(new_parent, rdn) != kInvalidEntryId) {
+    return Status::AlreadyExists("sibling with RDN '" + rdn +
                                  "' already exists at the destination");
   }
-  Detach(id);
-  rdn_index_.Erase(RdnKey(e.parent_, e.rdn()));
-  rdn_index_.Set(RdnKey(new_parent, e.rdn()), id);
-  e.parent_ = new_parent;
-  Attach(id, new_parent);
-  index_.OnMove(*this, id);
+  rdn_index_.Erase(RdnKey(old_parent, rdn));
+  rdn_index_.Set(RdnKey(new_parent, rdn), id);
+  index_.OnMove(id, new_parent);
   ++version_;
   return Status::OK();
 }
 
 Status Directory::Rename(EntryId id, std::string new_rdn) {
   LDAPBOUND_RETURN_IF_ERROR(CheckAlive(id));
-  const Entry& e = entries_[id];
-  if (!EqualsIgnoreCase(e.rdn(), new_rdn)) {  // else: same index key
-    if (FindChildByRdn(e.parent_, new_rdn) != kInvalidEntryId) {
+  const EntryId parent = index_.parent(id);
+  const std::string& rdn = contents_[id]->rdn;
+  if (!EqualsIgnoreCase(rdn, new_rdn)) {  // else: same index key
+    if (FindChildByRdn(parent, new_rdn) != kInvalidEntryId) {
       return Status::AlreadyExists("sibling with RDN '" + new_rdn +
                                    "' already exists");
     }
-    rdn_index_.Erase(RdnKey(e.parent_, e.rdn()));
-    rdn_index_.Set(RdnKey(e.parent_, new_rdn), id);
+    rdn_index_.Erase(RdnKey(parent, rdn));
+    rdn_index_.Set(RdnKey(parent, new_rdn), id);
   }
   MutableContent(id).rdn = std::move(new_rdn);
   ++version_;
@@ -252,22 +246,21 @@ Status Directory::Rename(EntryId id, std::string new_rdn) {
 
 Status Directory::DeleteLeaf(EntryId id) {
   LDAPBOUND_RETURN_IF_ERROR(CheckAlive(id));
-  Entry& e = entries_[id];
-  if (!e.children_.empty()) {
+  ForestIndex::ChildRange children = index_.Children(id);
+  if (!children.empty()) {
     return Status::FailedPrecondition(
         "only leaf entries can be deleted (entry has " +
-        std::to_string(e.children_.size()) + " children)");
+        std::to_string(std::distance(children.begin(), children.end())) +
+        " children)");
   }
   TrackAlive(id, false);
-  --num_alive_;
-  for (ClassId c : e.classes()) TrackClass(id, c, false);
-  for (const AttributeValue& av : e.values()) {
+  // The slot keeps its content: a tombstoned entry() stays readable.
+  const EntryContent& e = *contents_[id];
+  for (ClassId c : e.classes) TrackClass(id, c, false);
+  for (const AttributeValue& av : e.values) {
     TrackValue(id, av.attribute, av.value, false);
   }
-  // The entry keeps its content: a tombstoned entry() stays readable.
-  contents_.Erase(id);
-  Detach(id);
-  rdn_index_.Erase(RdnKey(e.parent_, e.rdn()));
+  rdn_index_.Erase(RdnKey(index_.parent(id), e.rdn));
   index_.OnErase(id);
   ++version_;
   return Status::OK();
@@ -281,26 +274,6 @@ Status Directory::DeleteSubtree(EntryId id) {
     LDAPBOUND_RETURN_IF_ERROR(DeleteLeaf(*it));
   }
   return Status::OK();
-}
-
-std::vector<EntryId>& Directory::SiblingList(EntryId parent) {
-  return parent == kInvalidEntryId ? roots_ : entries_[parent].children_;
-}
-
-void Directory::Attach(EntryId id, EntryId parent) {
-  std::vector<EntryId>& siblings = SiblingList(parent);
-  index_.Link(parent, siblings.empty() ? kInvalidEntryId : siblings.back(),
-              id);
-  siblings.push_back(id);
-}
-
-void Directory::Detach(EntryId id) {
-  EntryId parent = entries_[id].parent_;
-  std::vector<EntryId>& siblings = SiblingList(parent);
-  auto it = std::find(siblings.begin(), siblings.end(), id);
-  index_.Unlink(parent, it == siblings.begin() ? kInvalidEntryId : *(it - 1),
-                id);
-  siblings.erase(it);
 }
 
 EntrySet Directory::AliveSet() const {
@@ -317,23 +290,16 @@ EntryId Directory::FindChildByRdn(EntryId parent,
 
 std::vector<EntryId> Directory::SubtreeEntries(EntryId id) const {
   std::vector<EntryId> out;
-  if (!IsAlive(id)) return out;
-  std::vector<EntryId> stack{id};
-  while (!stack.empty()) {
-    EntryId cur = stack.back();
-    stack.pop_back();
-    out.push_back(cur);
-    const auto& children = entries_[cur].children_;
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      stack.push_back(*it);
-    }
+  if (id != kInvalidEntryId && !IsAlive(id)) return out;
+  for (ForestIndex::Walk w = index_.Preorder(id); !w.done(); w.Next()) {
+    out.push_back(w.id());
   }
   return out;
 }
 
 size_t Directory::PostingCapacity() const {
   size_t cap = 64;
-  while (cap < entries_.size()) cap <<= 1;
+  while (cap < IdCapacity()) cap <<= 1;
   return cap;
 }
 
@@ -402,29 +368,29 @@ void Directory::TrackValue(EntryId id, AttributeId attr, const Value& value,
 }
 
 EntryContent& Directory::MutableContent(EntryId id) {
-  Entry& e = entries_[id];
-  std::shared_ptr<EntryContent>& content = contents_.Mutable(
-      id, [&](auto*) { return std::make_shared<EntryContent>(e.content()); });
-  e.content_ = content;
+  std::shared_ptr<EntryContent>& content = contents_.Mutable(id);
+  // Shared: a published snapshot's chunk holds it too.
+  if (content.use_count() > 1) {
+    content = std::make_shared<EntryContent>(*content);
+  }
   return *content;
 }
 
 void Directory::Reserve(size_t entries, size_t values) {
   rdn_index_.Reserve(entries);
-  contents_.Reserve(entries);
   by_value_.Reserve(values);
 }
 
 size_t Directory::UnpublishedKeys() const {
   return rdn_index_.OpenDeltaSize() + by_class_.OpenDeltaSize() +
-         by_value_.OpenDeltaSize() + contents_.OpenDeltaSize();
+         by_value_.OpenDeltaSize();
 }
 
 void Directory::PublishSnapshot() {
   auto* snap = new DirectorySnapshot();
   snap->version = version_;
-  snap->id_capacity = entries_.size();
-  snap->num_alive = num_alive_;
+  snap->id_capacity = IdCapacity();
+  snap->num_alive = NumEntries();
   snap->index = index_.FreezeViews();
   snap->alive = alive_;
   alive_private_ = false;  // the snapshot holds it: next write clones
@@ -437,32 +403,30 @@ void Directory::PublishSnapshot() {
 
 DirectoryStats Directory::ComputeStats() const {
   DirectoryStats stats;
-  stats.num_entries = num_alive_;
-  stats.num_roots = roots_.size();
+  stats.num_entries = NumEntries();
   size_t depth_sum = 0;
-  // Root-first walk: an entry's depth is its parent's plus one.
-  std::vector<std::pair<EntryId, size_t>> stack;
-  for (EntryId root : roots_) stack.emplace_back(root, 0);
-  while (!stack.empty()) {
-    auto [id, depth] = stack.back();
-    stack.pop_back();
-    const Entry& e = entry(id);
+  for (ForestIndex::Walk w = index_.Preorder(kInvalidEntryId); !w.done();
+       w.Next()) {
+    const size_t depth = w.depth();
+    if (depth == 0) ++stats.num_roots;
     if (depth >= stats.depth_histogram.size()) {
       stats.depth_histogram.resize(depth + 1, 0);
     }
     ++stats.depth_histogram[depth];
     depth_sum += depth;
     stats.max_depth = std::max(stats.max_depth, depth);
-    stats.max_fanout = std::max(stats.max_fanout, e.children().size());
-    if (e.children().empty()) ++stats.num_leaves;
-    stats.total_values += e.values().size();
-    stats.total_classes += e.classes().size();
-    for (EntryId child : e.children()) stack.emplace_back(child, depth + 1);
+    ForestIndex::ChildRange children = index_.Children(w.id());
+    const size_t fanout = std::distance(children.begin(), children.end());
+    stats.max_fanout = std::max(stats.max_fanout, fanout);
+    if (fanout == 0) ++stats.num_leaves;
+    const EntryContent& e = *contents_[w.id()];
+    stats.total_values += e.values.size();
+    stats.total_classes += e.classes.size();
   }
-  stats.avg_depth = num_alive_ == 0
+  stats.avg_depth = stats.num_entries == 0
                         ? 0.0
                         : static_cast<double>(depth_sum) /
-                              static_cast<double>(num_alive_);
+                              static_cast<double>(stats.num_entries);
   return stats;
 }
 

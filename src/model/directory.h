@@ -60,12 +60,15 @@ struct DirectoryStats {
 /// ForestIndex, O(|Δ|) amortized per structural change), so GetIndex()
 /// is O(1) and never rebuilds the whole directory.
 ///
-/// The mutators also keep the snapshot mirrors (DESIGN.md §10) from
-/// construction on: the alive set, the class and (attribute, value)
-/// postings, the RDN index and the entry contents (shared with the
-/// head's entries). The head reads its own mirrors (IsAlive,
-/// CountWithClass, ClassSet, ValuePosting), and PublishSnapshot freezes
-/// them into the next immutable version.
+/// Each fact is stored once. The forest is the ForestIndex's links (a
+/// leaf add or delete relinks O(1) entries, whatever the fanout), and an
+/// entry's content lives only in the copy-on-write content array, by id;
+/// entry(id) is a view over the two. The mutators also keep the other
+/// snapshot mirrors (DESIGN.md §10) from construction on: the alive set,
+/// the class and (attribute, value) postings and the RDN index. The head
+/// reads them too (IsAlive, CountWithClass, ClassSet, ValuePosting), and
+/// PublishSnapshot freezes them, the links and the contents into the next
+/// immutable version.
 class Directory {
  public:
   explicit Directory(std::shared_ptr<Vocabulary> vocab);
@@ -119,18 +122,22 @@ class Directory {
 
   bool IsAlive(EntryId id) const { return alive_->Contains(id); }
 
-  /// Read access; `id` must be alive or tombstoned (but allocated).
-  const Entry& entry(EntryId id) const { return entries_[id]; }
+  /// Read access; `id` must be alive or tombstoned (but allocated). A
+  /// tombstoned entry keeps the content it had when deleted. The view
+  /// reads the directory's current state and must not outlive it.
+  Entry entry(EntryId id) const { return Entry(&index_, &contents_, id); }
 
-  /// Alive roots in insertion order.
-  const std::vector<EntryId>& roots() const { return roots_; }
+  /// Alive roots in insertion order: a forward range over the links.
+  ForestIndex::ChildRange roots() const {
+    return index_.Children(kInvalidEntryId);
+  }
 
   /// Number of alive entries.
-  size_t NumEntries() const { return num_alive_; }
+  size_t NumEntries() const { return index_.num_entries(); }
 
-  /// One past the largest allocated id; EntrySets over this directory use
-  /// this as their capacity.
-  size_t IdCapacity() const { return entries_.size(); }
+  /// One past the largest allocated id (the content array's size);
+  /// EntrySets over this directory use this as their capacity.
+  size_t IdCapacity() const { return contents_.size(); }
 
   /// Number of alive entries that belong to class `c`: the class
   /// posting's count, the index that, per §4, makes required classes
@@ -168,7 +175,7 @@ class Directory {
   /// Calls `fn(const Entry&)` for each alive entry in id order.
   template <typename Fn>
   void ForEachAlive(Fn&& fn) const {
-    alive_->ForEach([&](EntryId id) { fn(entries_[id]); });
+    alive_->ForEach([&](EntryId id) { fn(entry(id)); });
   }
 
   /// The set of all alive entries.
@@ -179,7 +186,8 @@ class Directory {
   /// kInvalidEntryId if absent.
   EntryId FindChildByRdn(EntryId parent, std::string_view rdn) const;
 
-  /// All alive entries of the subtree rooted at `id`, preorder.
+  /// All alive entries of the subtree rooted at `id`, preorder; the
+  /// whole forest for kInvalidEntryId.
   std::vector<EntryId> SubtreeEntries(EntryId id) const;
 
   /// Shape summary of the instance; O(|D|).
@@ -217,13 +225,6 @@ class Directory {
 
  private:
   Status CheckAlive(EntryId id) const;
-  /// The child list of `parent`, or the roots for kInvalidEntryId.
-  std::vector<EntryId>& SiblingList(EntryId parent);
-  /// Appends `id` as the youngest child of `parent` (youngest root for
-  /// kInvalidEntryId) / removes it from its parent's list, relinking the
-  /// index's tree links to match.
-  void Attach(EntryId id, EntryId parent);
-  void Detach(EntryId id);
   // Key of the sibling-RDN uniqueness index: "<parent>/<lowercased rdn>".
   static std::string RdnKey(EntryId parent, std::string_view rdn);
 
@@ -237,20 +238,19 @@ class Directory {
   void TrackClass(EntryId id, ClassId cls, bool add);
   void TrackValue(EntryId id, AttributeId attr, const Value& value, bool add);
   /// Entry `id`'s content, writer-private: on the first edit since the
-  /// last publish it is cloned into the open delta (as postings are) and
-  /// the entry repointed at the clone; later edits reuse it in place.
+  /// last publish a published snapshot shares it, so its slot is pointed
+  /// at a clone; later edits reuse the clone in place.
   EntryContent& MutableContent(EntryId id);
 
   std::shared_ptr<Vocabulary> vocab_;
-  std::vector<Entry> entries_;
-  std::vector<EntryId> roots_;
   /// Sibling-RDN uniqueness index; COW so each snapshot publish shares
   /// the map with prior versions.
   CowMap<std::string, EntryId> rdn_index_;
-  size_t num_alive_ = 0;
   uint64_t version_ = 0;
 
-  ForestIndex index_;  // live: maintained by the mutators
+  ForestIndex index_;  // the forest: maintained by the mutators
+  /// Every allocated id's content; a tombstone keeps its last one.
+  Entry::ContentArray contents_;
 
   // The snapshot mirrors, read by the head as well.
   /// The alive entries.
@@ -260,7 +260,6 @@ class Directory {
   bool alive_private_ = false;
   DirectorySnapshot::ClassPostingMap by_class_;
   DirectorySnapshot::ValuePostingMap by_value_;
-  DirectorySnapshot::ContentMap contents_;
   std::unique_ptr<SnapshotStore> store_;
 };
 

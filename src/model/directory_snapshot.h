@@ -71,13 +71,13 @@ struct DirectorySnapshot {
   // Posting and content pointers are non-const shared_ptrs so the single
   // writer can mutate one it cloned within the current (unfrozen) delta;
   // once it reaches a frozen View it is never written again
-  // (clone-once-per-delta discipline, see CowMap::Mutable).
+  // (clone-once-per-delta discipline, see CowMap::Mutable and
+  // Directory::MutableContent).
   using ClassPostingMap = CowMap<ClassId, std::shared_ptr<ClassPosting>>;
   using ValuePostingMap =
       CowMap<SnapshotValueKey, std::shared_ptr<std::vector<EntryId>>,
              SnapshotValueKeyHash>;
   using RdnMap = CowMap<std::string, EntryId>;
-  using ContentMap = CowMap<EntryId, std::shared_ptr<EntryContent>>;
 
   uint64_t version = 0;
   size_t id_capacity = 0;
@@ -92,7 +92,9 @@ struct DirectorySnapshot {
   ClassPostingMap::View by_class;
   ValuePostingMap::View by_value;
   RdnMap::View rdn;
-  ContentMap::View contents;
+  /// Contents by entry id, id_capacity of them; a dead id's slot keeps
+  /// its last content, so Content() reads only alive ids.
+  Entry::ContentArray::View contents;
 
   /// Members of class `cls`, or nullptr when no alive entry has it. The
   /// returned set may have capacity != id_capacity (postings grow in
@@ -121,10 +123,10 @@ struct DirectorySnapshot {
   EntryId FindChildByRdn(EntryId parent, std::string_view rdn) const;
 
   /// Entry `id`'s content at this version, or nullptr for ids this
-  /// snapshot does not hold (dead or unknown).
+  /// snapshot does not hold (dead or unknown). The alive set bounds the
+  /// read: it holds no id at or past id_capacity.
   const EntryContent* Content(EntryId id) const {
-    const std::shared_ptr<EntryContent>* p = contents.Find(id);
-    return p == nullptr ? nullptr : p->get();
+    return IsAlive(id) ? contents[id].get() : nullptr;
   }
 
   bool IsAlive(EntryId id) const { return alive->Contains(id); }
@@ -147,43 +149,26 @@ template <typename Visit>
 bool DirectorySnapshot::WalkScope(EntryId base, SearchScope scope,
                                   uint64_t from_label, Visit&& visit) const {
   const ForestIndex::LabelViews& v = index;
-  auto first_child = [&](EntryId id) {
-    return id == kInvalidEntryId ? v.first_root : v.links[id].first_child;
-  };
   switch (scope) {
     case SearchScope::kBase:
       return base == kInvalidEntryId || v.labels[base] < from_label ||
              visit(base);
     case SearchScope::kOneLevel:
-      for (EntryId c = first_child(base); c != kInvalidEntryId;
-           c = v.links[c].next_sibling) {
+      for (EntryId c : v.Children(base)) {
         if (v.labels[c] >= from_label && !visit(c)) return false;
       }
       return true;
     case SearchScope::kSubtree:
       break;
   }
-  // The preorder successor of `id`'s whole subtree, within the scope.
-  auto after = [&](EntryId id) {
-    for (; id != base; id = v.links[id].parent) {
-      if (v.links[id].next_sibling != kInvalidEntryId) {
-        return v.links[id].next_sibling;
-      }
-    }
-    return kInvalidEntryId;
-  };
-  auto next = [&](EntryId id) {
-    EntryId child = first_child(id);
-    return child != kInvalidEntryId ? child : after(id);
-  };
   // Descend to the first entry labeled >= from_label: skip the subtrees
   // that end at or before it, enter the one whose interval holds it.
-  EntryId cur = base == kInvalidEntryId ? v.first_root : base;
-  while (cur != kInvalidEntryId && v.labels[cur] < from_label) {
-    cur = v.end_labels[cur] <= from_label ? after(cur) : next(cur);
+  auto walk = v.Preorder(base);
+  while (!walk.done() && v.labels[walk.id()] < from_label) {
+    v.end_labels[walk.id()] <= from_label ? walk.Skip() : walk.Next();
   }
-  for (; cur != kInvalidEntryId; cur = next(cur)) {
-    if (!visit(cur)) return false;
+  for (; !walk.done(); walk.Next()) {
+    if (!visit(walk.id())) return false;
   }
   return true;
 }

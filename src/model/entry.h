@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "model/entry_set.h"
+#include "model/forest_index.h"
 #include "model/value.h"
 #include "model/vocabulary.h"
+#include "util/cow.h"
 
 namespace ldapbound {
 
@@ -28,9 +30,9 @@ struct AttributeValue {
 };
 
 /// An entry's content (Definition 2.1): its RDN, `class(r)` and `val(r)`.
-/// One copy per entry version, shared by the head's Entry and by every
-/// snapshot of that version. Once published it is never written again:
-/// Directory edits a clone (DESIGN.md §10).
+/// One copy per entry version, held in the directory's content array and
+/// shared by every snapshot of that version. Once published it is never
+/// written again: Directory edits a clone (DESIGN.md §10).
 struct EntryContent {
   /// Relative distinguished name, e.g. "uid=laks": a naming handle the
   /// paper abstracts away but a usable directory needs.
@@ -91,39 +93,48 @@ struct EntryContent {
 /// once in `classes` and the entry's objectClass attribute values are those
 /// class names; `Directory` keeps the two views in sync.
 ///
-/// Entries are owned by their Directory; this type is read-only outside the
-/// `model` target (mutation goes through Directory so indexes stay valid).
+/// A small read-only view, returned by value by Directory::entry(): the
+/// entry's id and where its directory keeps the forest (the ForestIndex
+/// links) and the contents (one copy-on-write array by id). Nothing is
+/// stored twice: each accessor reads the directory's current state, so a
+/// view held across an edit reads the edit. Mutation goes through
+/// Directory so the indexes stay valid.
 class Entry {
  public:
+  /// The contents by entry id: the only home of an entry's content.
+  using ContentArray = CowVec<std::shared_ptr<EntryContent>>;
+
   EntryId id() const { return id_; }
   /// Parent entry, or kInvalidEntryId for roots.
-  EntryId parent() const { return parent_; }
-  /// Child ids in insertion order. May contain deleted entries' ids never:
-  /// Directory removes a child link when the child is deleted.
-  const std::vector<EntryId>& children() const { return children_; }
+  EntryId parent() const { return index_->parent(id_); }
+  /// Children in insertion order: a forward range over the links.
+  ForestIndex::ChildRange children() const { return index_->Children(id_); }
 
   /// The shared content of the entry's current version.
-  const EntryContent& content() const { return *content_; }
-  const std::string& rdn() const { return content_->rdn; }
-  const std::vector<ClassId>& classes() const { return content_->classes; }
-  const std::vector<AttributeValue>& values() const { return content_->values; }
-  bool HasClass(ClassId c) const { return content_->HasClass(c); }
-  bool HasAttribute(AttributeId a) const { return content_->HasAttribute(a); }
+  const EntryContent& content() const { return *(*contents_)[id_]; }
+  const std::string& rdn() const { return content().rdn; }
+  const std::vector<ClassId>& classes() const { return content().classes; }
+  const std::vector<AttributeValue>& values() const {
+    return content().values;
+  }
+  bool HasClass(ClassId c) const { return content().HasClass(c); }
+  bool HasAttribute(AttributeId a) const { return content().HasAttribute(a); }
   std::vector<Value> GetValues(AttributeId a) const {
-    return content_->GetValues(a);
+    return content().GetValues(a);
   }
   bool HasValue(AttributeId a, const Value& v) const {
-    return content_->HasValue(a, v);
+    return content().HasValue(a, v);
   }
-  size_t NumAttributes() const { return content_->NumAttributes(); }
+  size_t NumAttributes() const { return content().NumAttributes(); }
 
  private:
   friend class Directory;
+  Entry(const ForestIndex* index, const ContentArray* contents, EntryId id)
+      : index_(index), contents_(contents), id_(id) {}
 
-  EntryId id_ = kInvalidEntryId;
-  EntryId parent_ = kInvalidEntryId;
-  std::vector<EntryId> children_;
-  std::shared_ptr<const EntryContent> content_;
+  const ForestIndex* index_;
+  const ContentArray* contents_;
+  EntryId id_;
 };
 
 }  // namespace ldapbound

@@ -9,7 +9,8 @@
 namespace ldapbound {
 
 /// Identifier of a directory entry: a dense index into its Directory's
-/// entry table. Ids are stable across deletions (tombstoned, never reused).
+/// arrays (links, labels, contents). Ids are stable across deletions
+/// (tombstoned, never reused).
 using EntryId = uint32_t;
 
 inline constexpr EntryId kInvalidEntryId = ~EntryId{0};

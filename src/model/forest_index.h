@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <iterator>
 
 #include "model/entry_set.h"
 #include "util/cow.h"
@@ -40,12 +40,13 @@ class Directory;
 ///    fails, the index falls back to a full rebuild (a redistribution over
 ///    the whole label space), counted separately.
 ///
-/// Beside the labels the index keeps the forest's tree structure as
-/// links (TreeLinks): each entry's parent, first child and next sibling,
-/// plus the first root, threading every child list (and the roots) in
-/// sibling order — which is label order. Directory relinks them where
-/// its child lists change (add, move, leaf delete), O(1) writes per
-/// commit whatever the fanout.
+/// The index also holds the forest's only copy: the tree links
+/// (TreeLinks) give each entry its parent, first and last child and
+/// previous and next sibling, and first_root/last_root end the roots.
+/// Every list is in sibling order, which is label order. OnInsert,
+/// OnMove and OnErase append a youngest sibling or splice one out in
+/// O(1) link writes, whatever the fanout. Children() and Preorder() read
+/// the head's links; LabelViews has both for a snapshot's.
 ///
 /// The label/link arrays are chunked copy-on-write vectors
 /// (CowVec): FreezeViews() hands an immutable point-in-time view of all
@@ -72,26 +73,123 @@ class ForestIndex {
   static constexpr uint64_t kMinSpread = uint64_t{1} << 18;
 
   /// An entry's place in the forest; kInvalidEntryId = none (a root's
-  /// parent, a leaf's first child, a youngest sibling's next sibling).
-  /// One struct rather than three arrays, so a snapshot publish freezes
-  /// one array for all of them.
+  /// parent, a leaf's children, an end of a sibling list). One struct
+  /// rather than five arrays, so a snapshot publish freezes one array for
+  /// all of them. Why a last-child link: DESIGN.md §9.
   struct TreeLinks {
     EntryId parent = kInvalidEntryId;
     EntryId first_child = kInvalidEntryId;
+    EntryId last_child = kInvalidEntryId;
+    EntryId prev_sibling = kInvalidEntryId;
     EntryId next_sibling = kInvalidEntryId;
     friend bool operator==(const TreeLinks&, const TreeLinks&) = default;
   };
 
+  /// The children of `parent` (the roots for kInvalidEntryId) in sibling
+  /// order: a forward range over `Links`, the head's CowVec<TreeLinks> or
+  /// a snapshot's View.
+  template <typename Links>
+  class SiblingRange {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = EntryId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const EntryId*;
+      using reference = EntryId;
+
+      iterator(const Links* links, EntryId id) : links_(links), id_(id) {}
+      EntryId operator*() const { return id_; }
+      iterator& operator++() {
+        id_ = (*links_)[id_].next_sibling;
+        return *this;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.id_ == b.id_;
+      }
+
+     private:
+      const Links* links_;
+      EntryId id_;
+    };
+
+    SiblingRange(const Links& links, EntryId first_root, EntryId parent)
+        : links_(&links),
+          first_(parent == kInvalidEntryId ? first_root
+                                           : links[parent].first_child) {}
+    iterator begin() const { return iterator(links_, first_); }
+    iterator end() const { return iterator(links_, kInvalidEntryId); }
+    bool empty() const { return first_ == kInvalidEntryId; }
+    EntryId front() const { return first_; }
+
+   private:
+    const Links* links_;
+    EntryId first_;
+  };
+
+  /// A preorder walk of the subtree at `top` (the whole forest for
+  /// kInvalidEntryId) over `Links`, one step at a time and with no stack:
+  /// Next() goes to the first child, else to the next sibling of the
+  /// nearest ancestor-or-self inside the subtree; Skip() leaves the
+  /// current entry's subtree. depth() counts from `top`'s level (0).
+  template <typename Links>
+  class PreorderWalk {
+   public:
+    PreorderWalk(const Links& links, EntryId first_root, EntryId top)
+        : links_(&links),
+          top_(top),
+          id_(top == kInvalidEntryId ? first_root : top) {}
+
+    bool done() const { return id_ == kInvalidEntryId; }
+    EntryId id() const { return id_; }
+    size_t depth() const { return depth_; }
+
+    void Next() {
+      const EntryId child = (*links_)[id_].first_child;
+      if (child == kInvalidEntryId) return Skip();
+      id_ = child;
+      ++depth_;
+    }
+    void Skip() {
+      for (; id_ != top_; id_ = (*links_)[id_].parent, --depth_) {
+        const EntryId next = (*links_)[id_].next_sibling;
+        if (next != kInvalidEntryId) {
+          id_ = next;
+          return;
+        }
+      }
+      id_ = kInvalidEntryId;
+    }
+
+   private:
+    const Links* links_;
+    EntryId top_;
+    EntryId id_;
+    size_t depth_ = 0;
+  };
+
+  using ChildRange = SiblingRange<CowVec<TreeLinks>>;
+  using Walk = PreorderWalk<CowVec<TreeLinks>>;
+
   /// Immutable point-in-time view of the label state and tree links,
   /// shared with published DirectorySnapshots. links[id] is only
   /// meaningful for ids whose label != kNoLabel (dead entries keep a
-  /// stale parent and next sibling).
+  /// stale parent and siblings).
   struct LabelViews {
+    using Links = CowVec<TreeLinks>::View;
+
     CowVec<uint64_t>::View labels;
     CowVec<uint64_t>::View end_labels;
-    CowVec<TreeLinks>::View links;
+    Links links;
     EntryId first_root = kInvalidEntryId;
-    size_t num_alive = 0;
+
+    SiblingRange<Links> Children(EntryId parent) const {
+      return SiblingRange<Links>(links, first_root, parent);
+    }
+    PreorderWalk<Links> Preorder(EntryId top) const {
+      return PreorderWalk<Links>(links, first_root, top);
+    }
   };
 
   ForestIndex() = default;
@@ -105,6 +203,14 @@ class ForestIndex {
   EntryId parent(EntryId id) const {
     return id < links_.size() ? links_[id].parent : kInvalidEntryId;
   }
+
+  /// The children of alive `parent`, or the roots; see SiblingRange.
+  ChildRange Children(EntryId parent) const {
+    return ChildRange(links_, first_root_, parent);
+  }
+
+  /// Preorder over alive `top`'s subtree, or the forest; see PreorderWalk.
+  Walk Preorder(EntryId top) const { return Walk(links_, first_root_, top); }
 
   /// True if `anc` is a proper ancestor of `desc`. O(1) on the labels;
   /// out-of-range and dead ids are never ancestors (ids beyond the
@@ -131,16 +237,18 @@ class ForestIndex {
 
   /// O(Δ·chunk) immutable view of the current labels for snapshot
   /// publication. Single-writer (called under the commit lock).
-  LabelViews FreezeViews() const {
+  LabelViews FreezeViews() {
     return LabelViews{labels_.Freeze(), end_labels_.Freeze(),
-                      links_.Freeze(), first_root_, num_alive_};
+                      links_.Freeze(), first_root_};
   }
 
-  /// Equivalence check against a fresh build: the label order must induce
-  /// exactly the DFS preorder of `d`, each label interval must hold
-  /// exactly its subtree, and the links must name
-  /// every parent and thread every child list and the roots in order.
-  /// O(|D|). The property tests run
+  /// Audit of the incremental state, O(|D|). The links must be coherent:
+  /// each child names its parent, previous and next siblings mirror each
+  /// other, and the first/last links end every list and the roots. A
+  /// preorder walk of the links must reach exactly `d`'s alive entries,
+  /// in strictly increasing label order, each label interval nested in
+  /// its parent's and ending at or before the next sibling's label — so
+  /// each interval holds exactly its subtree. The property tests run
   /// this after every mutation; the maintenance code uses the same
   /// invariants to decide when to fall back to a full rebuild.
   bool EquivalentToFresh(const Directory& d) const;
@@ -150,56 +258,49 @@ class ForestIndex {
 
   // -- Incremental maintenance (called by Directory; single-writer) --
 
-  /// `id` was just linked as the youngest child of its parent (or youngest
-  /// root). Claims a label slice, relabeling locally when exhausted.
-  void OnInsert(const Directory& d, EntryId id);
-  /// `id` was just unlinked (leaf deletion). O(1).
+  /// Links fresh leaf `id` as the youngest child of `parent` (youngest
+  /// root for kInvalidEntryId) and claims it a label slice, relabeling
+  /// locally when exhausted.
+  void OnInsert(EntryId parent, EntryId id);
+  /// Unlinks leaf `id` and clears its labels. O(1).
   void OnErase(EntryId id);
-  /// The subtree rooted at `id` was just re-linked under a new parent
-  /// (youngest child). Relabels the k moved entries.
-  void OnMove(const Directory& d, EntryId id);
+  /// Relinks the subtree at `id` as the youngest child of `new_parent`
+  /// and relabels its k entries.
+  void OnMove(EntryId id, EntryId new_parent);
 
-  /// Link upkeep, called by Directory where a child list (or the root
-  /// list) of `parent` changes; `prev` is the sibling just before `id`
-  /// in that list, kInvalidEntryId when `id` is (was) first. Link
-  /// appends `id` (with its subtree) as the youngest sibling; Unlink
-  /// splices it out.
-  void Link(EntryId parent, EntryId prev, EntryId id);
-  void Unlink(EntryId parent, EntryId prev, EntryId id);
-  /// Sets first_root_ when `parent` is kInvalidEntryId, else the
-  /// parent's first_child link.
-  void SetFirst(EntryId parent, EntryId id);
+  /// Appends `id` (with its subtree) as the youngest sibling under
+  /// `parent` / splices it out of its sibling list. O(1).
+  void Link(EntryId parent, EntryId id);
+  void Unlink(EntryId id);
 
   /// Shared insert/move placement: claims a slice of the parent's free
   /// tail for the (already linked, youngest-sibling) subtree at `id`,
   /// relabeling locally on exhaustion.
-  void PlaceSubtree(const Directory& d, EntryId id);
+  void PlaceSubtree(EntryId id);
 
   /// Full fallback: redistribute every alive entry over [0, kLabelSpace).
-  void RebuildFromScratch(const Directory& d);
+  void RebuildFromScratch();
 
   /// Finds the nearest ancestor of `parent` (inclusive; kInvalidEntryId =
   /// the whole forest) whose span affords kMinSpread per entry, and
   /// redistributes its region. Labels any linked-but-unlabeled entries in
   /// the region as a side effect.
-  void Relabel(const Directory& d, EntryId parent);
+  void Relabel(EntryId parent);
 
   /// Redistributes the interval [lo, lo+width) over the subtree rooted at
   /// `id` (labels and end labels), children packed into the
   /// first half of the usable space so every entry keeps a growth tail.
-  void AssignInterval(const Directory& d, EntryId id, uint64_t lo,
-                      uint64_t width);
-
-  void EnsureCapacity(size_t id_capacity);
+  void AssignInterval(EntryId id, uint64_t lo, uint64_t width);
 
   // Label state: always fresh, maintained incrementally. By entry id.
   // CowVec so FreezeViews() shares untouched chunks with prior
   // snapshots instead of copying O(directory) per publish.
   CowVec<uint64_t> labels_;
   CowVec<uint64_t> end_labels_;
-  // Tree links, maintained by Link/Unlink independently of the labels.
+  // The forest: maintained by Link/Unlink independently of the labels.
   CowVec<TreeLinks> links_;
   EntryId first_root_ = kInvalidEntryId;
+  EntryId last_root_ = kInvalidEntryId;
   size_t num_alive_ = 0;
 };
 

@@ -12,12 +12,11 @@ namespace ldapbound {
 
 namespace {
 
-/// A stage pair a record renders as one span, in stamp order. Seven of
-/// them are also the ldapbound_wire_stage_ns histograms, `stage` being
-/// the label.
+/// A stage pair a record renders as one span, in stamp order. Each is
+/// also an ldapbound_wire_stage_ns histogram, `stage` being the label.
 struct StagePair {
   const char* span;   // literal: Tracer::Event keeps the pointer
-  const char* stage;  // histogram label; nullptr = no histogram
+  const char* stage;  // histogram label
   RequestStage from;
   RequestStage to;
 };
@@ -27,9 +26,9 @@ constexpr StagePair kPairs[] = {
     {"wire.dispatch", "dispatch", S::kDecoded, S::kEnqueued},
     {"wire.queue_wait", "queue_wait", S::kEnqueued, S::kWorkerStart},
     {"wire.execute", "execute", S::kWorkerStart, S::kExecuteDone},
-    {"commit.lock_wait", nullptr, S::kAdmitted, S::kLocked},
-    {"commit.validate", nullptr, S::kLocked, S::kBodyDone},
-    {"commit.publish", nullptr, S::kBodyDone, S::kPublished},
+    {"commit.lock_wait", "lock_wait", S::kAdmitted, S::kLocked},
+    {"commit.validate", "validate", S::kLocked, S::kBodyDone},
+    {"commit.publish", "publish", S::kBodyDone, S::kPublished},
     {"wire.commit_wait", "commit_wait", S::kCommitEnqueued, S::kCommitDurable},
     {"wire.completion", "completion", S::kExecuteDone, S::kResponseQueued},
     {"wire.write_back", "write_back", S::kResponseQueued, S::kBytesFlushed},
@@ -43,13 +42,15 @@ const std::array<Histogram*, kNumPairs>& StageHistograms() {
   static const auto* histograms = [] {
     auto* out = new std::array<Histogram*, kNumPairs>{};
     for (size_t i = 0; i < kNumPairs; ++i) {
-      if (kPairs[i].stage == nullptr) continue;
       (*out)[i] = &MetricRegistry::Default().GetHistogram(
           "ldapbound_wire_stage_ns",
           "Per-stage wire request latency decomposition (DESIGN.md §13): "
           "dispatch = decode to enqueue, queue_wait = enqueue to worker, "
           "execute = worker execution (commit_wait = its WAL durability "
-          "share), completion = execute done to response queued, "
+          "share; lock_wait, validate and publish = a write's wait for "
+          "the write mutex, its Figure-5 check and apply, and its "
+          "snapshot publish), completion = execute done to response "
+          "queued, "
           "write_back = response queued to bytes flushed, total = decode "
           "to flush",
           MakeLabel("stage", kPairs[i].stage));
@@ -77,9 +78,7 @@ void FinishRequest(const RequestStamps& record, uint64_t end_ns,
     const uint64_t to = record.at(kPairs[i].to);
     if (from == 0 || to < from) continue;  // to == 0: never crossed
     spans[count++] = Tracer::Event{kPairs[i].span, 0, from, to - from};
-    if (histograms != nullptr && (*histograms)[i] != nullptr) {
-      (*histograms)[i]->Observe(to - from);
-    }
+    if (histograms != nullptr) (*histograms)[i]->Observe(to - from);
   }
   const uint64_t start_ns = wire ? record.at(S::kDecoded) : record.op_start_ns;
   const uint64_t duration_ns = end_ns - start_ns;

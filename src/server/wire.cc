@@ -12,6 +12,16 @@ Status Truncated(const char* what) {
   return Status::InvalidArgument(std::string("wire: truncated ") + what);
 }
 
+/// Appends `v` little-endian in one append.
+template <typename U>
+void PutLittleEndian(std::string& out, U v) {
+  char bytes[sizeof(U)];
+  for (size_t i = 0; i < sizeof(U); ++i) {
+    bytes[i] = static_cast<char>(v >> (8 * i));
+  }
+  out.append(bytes, sizeof(U));
+}
+
 }  // namespace
 
 WireCode WireCodeFromStatus(const Status& status) {
@@ -44,20 +54,9 @@ void PutU8(std::string& out, uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-void PutU16(std::string& out, uint16_t v) {
-  PutU8(out, static_cast<uint8_t>(v));
-  PutU8(out, static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::string& out, uint32_t v) {
-  PutU16(out, static_cast<uint16_t>(v));
-  PutU16(out, static_cast<uint16_t>(v >> 16));
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
+void PutU16(std::string& out, uint16_t v) { PutLittleEndian(out, v); }
+void PutU32(std::string& out, uint32_t v) { PutLittleEndian(out, v); }
+void PutU64(std::string& out, uint64_t v) { PutLittleEndian(out, v); }
 
 void PutString(std::string& out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));

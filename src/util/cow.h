@@ -30,7 +30,11 @@ namespace ldapbound {
 /// Chunked copy-on-write vector. Elements live in fixed-size chunks held
 /// by shared_ptr; Set() clones a chunk only if a frozen View still
 /// shares it (use_count > 1), so a commit touching Δ elements costs at
-/// most Δ chunk copies and Freeze() costs one pointer-table copy.
+/// most Δ chunk copies and Freeze() costs one pointer-table copy. An
+/// index at or past the size of the last Freeze is written in place,
+/// shared chunk or not: every View is at most that size and is never
+/// read at or past it, so appending costs no clone. Move-only: two
+/// writers must not share chunks.
 template <typename T>
 class CowVec {
  public:
@@ -63,6 +67,10 @@ class CowVec {
   };
 
   CowVec() = default;
+  CowVec(const CowVec&) = delete;
+  CowVec& operator=(const CowVec&) = delete;
+  CowVec(CowVec&&) noexcept = default;
+  CowVec& operator=(CowVec&&) noexcept = default;
 
   size_t size() const { return size_; }
 
@@ -72,34 +80,34 @@ class CowVec {
 
   void Set(size_t i, const T& value) { Mutable(i) = value; }
 
-  /// Writable element `i`, its chunk cloned first if a frozen View
-  /// shares it — for updating one field of a struct element.
+  /// Writable element `i` — for updating one field of a struct element.
+  /// Below the last Freeze's size its chunk is cloned first if a frozen
+  /// View shares it; at or past it no View can read the element.
   T& Mutable(size_t i) {
-    return MutableChunk(i >> kChunkBits)->data[i & (kChunkSize - 1)];
+    std::shared_ptr<const Chunk>& slot = chunks_[i >> kChunkBits];
+    if (i < frozen_size_ && slot.use_count() > 1) {
+      slot = std::make_shared<Chunk>(*slot);  // a frozen View shares it
+    }
+    return const_cast<Chunk*>(slot.get())->data[i & (kChunkSize - 1)];
   }
 
-  /// Grows to `n` elements, filling new space with `fill`. Never
-  /// shrinks (EntryIds are append-only).
+  /// Grows to `n` elements, filling new space with `fill` (in place:
+  /// it lies past the last Freeze's size). Never shrinks (EntryIds are
+  /// append-only).
   void Resize(size_t n, const T& fill) {
     if (n <= size_) return;
-    size_t need = (n + kChunkSize - 1) >> kChunkBits;
-    while (chunks_.size() < need) {
-      auto chunk = std::make_shared<Chunk>();
-      std::fill(std::begin(chunk->data), std::end(chunk->data), fill);
-      chunks_.push_back(std::move(chunk));
+    while ((chunks_.size() << kChunkBits) < n) {
+      chunks_.push_back(std::make_shared<Chunk>());
     }
-    // Fill the tail of the previously-last chunk.
-    for (size_t i = size_; i < n && (i >> kChunkBits) < chunks_.size(); ++i) {
-      if ((*this)[i] == fill) continue;  // freshly-made chunks already filled
-      Set(i, fill);
-    }
+    for (size_t i = size_; i < n; ++i) Mutable(i) = fill;
     size_ = n;
   }
 
   /// Immutable view of the current contents: one pointer-table copy,
   /// after which every chunk is shared and the writer reverts to
-  /// clone-before-write for each.
-  View Freeze() const {
+  /// clone-before-write for each index below the recorded size.
+  View Freeze() {
+    frozen_size_ = size_;
     View v;
     v.chunks_.assign(chunks_.begin(), chunks_.end());
     v.size_ = size_;
@@ -107,16 +115,9 @@ class CowVec {
   }
 
  private:
-  Chunk* MutableChunk(size_t ci) {
-    std::shared_ptr<const Chunk>& slot = chunks_[ci];
-    if (slot.use_count() > 1) {
-      slot = std::make_shared<Chunk>(*slot);  // a frozen View shares it
-    }
-    return const_cast<Chunk*>(slot.get());
-  }
-
   std::vector<std::shared_ptr<const Chunk>> chunks_;
   size_t size_ = 0;
+  size_t frozen_size_ = 0;  // size at the last Freeze: no View reads past it
 };
 
 /// Copy-on-write hash map: a shared immutable base plus a chain of

@@ -113,7 +113,7 @@ TEST(WitnessTest, RequiredAttributesSynthesized) {
   h.schema_.mutable_structure().RequireClass(person);
   auto witness = h.Build();
   ASSERT_TRUE(witness.ok()) << witness.status();
-  const Entry& e = witness->entry(witness->roots()[0]);
+  const Entry& e = witness->entry(witness->roots().front());
   EXPECT_TRUE(e.HasAttribute(name));
   EXPECT_TRUE(e.HasAttribute(age));
 }

@@ -41,7 +41,7 @@ TEST_F(FederationTest, SplitProducesGlueAndContext) {
   EXPECT_EQ(federation->contexts()[0].mount_parent.ToString(), "o=att");
   // The referral carries only the referral class.
   EntryId referral =
-      federation->glue().FindChildByRdn(federation->glue().roots()[0],
+      federation->glue().FindChildByRdn(federation->glue().roots().front(),
                                         "ou=attLabs");
   ASSERT_NE(referral, kInvalidEntryId);
   EXPECT_TRUE(federation->glue()

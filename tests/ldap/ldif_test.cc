@@ -52,7 +52,7 @@ TEST(LdifTest, ContinuationLines) {
       "name: a very long\n"
       "  name indeed\n";
   ASSERT_TRUE(LoadLdif(text, &d).ok());
-  EntryId root = d.roots()[0];
+  EntryId root = d.roots().front();
   EXPECT_EQ(d.entry(root).GetValues(w.name)[0].AsString(),
             "a very long name indeed");
 }
@@ -136,7 +136,7 @@ TEST(LdifTest, CommentBetweenValueAndContinuation) {
       "ou: research\n";
   auto n = LoadLdif(text, &d);
   ASSERT_TRUE(n.ok()) << n.status();
-  const Entry& e = d.entry(d.roots()[0]);
+  const Entry& e = d.entry(d.roots().front());
   EXPECT_EQ(e.GetValues(w.name)[0].AsString(), "laks");
   EXPECT_EQ(e.GetValues(w.ou)[0].AsString(), "research");
 }
@@ -153,7 +153,7 @@ TEST(LdifTest, CommentDoesNotBreakFollowingFold) {
       "name: a very long\n"
       "  name indeed\n";
   ASSERT_TRUE(LoadLdif(text, &d).ok());
-  EXPECT_EQ(d.entry(d.roots()[0]).GetValues(w.name)[0].AsString(),
+  EXPECT_EQ(d.entry(d.roots().front()).GetValues(w.name)[0].AsString(),
             "a very long name indeed");
 }
 
@@ -169,7 +169,7 @@ TEST(LdifTest, OnlyFillSpaceConsumed) {
       "name:  two leading means one kept\n"
       "ou: trailing kept \n";
   ASSERT_TRUE(LoadLdif(text, &d).ok());
-  const Entry& e = d.entry(d.roots()[0]);
+  const Entry& e = d.entry(d.roots().front());
   EXPECT_EQ(e.GetValues(w.name)[0].AsString(), " two leading means one kept");
   EXPECT_EQ(e.GetValues(w.ou)[0].AsString(), "trailing kept ");
 }
@@ -183,7 +183,7 @@ TEST(LdifTest, NoFillSpaceAccepted) {
       "objectClass:top\n"
       "name:laks\n";
   ASSERT_TRUE(LoadLdif(text, &d).ok());
-  EXPECT_EQ(d.entry(d.roots()[0]).GetValues(w.name)[0].AsString(), "laks");
+  EXPECT_EQ(d.entry(d.roots().front()).GetValues(w.name)[0].AsString(), "laks");
 }
 
 TEST(LdifTest, RecordWithoutDnFails) {
@@ -206,7 +206,7 @@ TEST(LdifTest, TypedValueParsing) {
       "objectClass: top\n"
       "age: 42\n";
   ASSERT_TRUE(LoadLdif(good, &d).ok());
-  EXPECT_EQ(d.entry(d.roots()[0]).GetValues(w.age)[0].AsInteger(), 42);
+  EXPECT_EQ(d.entry(d.roots().front()).GetValues(w.age)[0].AsInteger(), 42);
 
   Directory d2(w.vocab);
   std::string bad =
@@ -241,7 +241,7 @@ TEST(LdifTest, Base64ValuesDecoded) {
       "objectClass: top\n"
       "name:: Y2Fmw6kgcm93\n";
   ASSERT_TRUE(LoadLdif(text, &d).ok());
-  EXPECT_EQ(d.entry(d.roots()[0]).GetValues(w.name)[0].AsString(),
+  EXPECT_EQ(d.entry(d.roots().front()).GetValues(w.name)[0].AsString(),
             "caf\xc3\xa9 row");
 }
 
@@ -257,7 +257,7 @@ TEST(LdifTest, UnsafeValuesWrittenAsBase64AndRoundTrip) {
   EXPECT_NE(out.find("name:: "), std::string::npos);
   Directory d2(w.vocab);
   ASSERT_TRUE(LoadLdif(out, &d2).ok());
-  EXPECT_EQ(d2.entry(d2.roots()[0]).GetValues(w.name)[0].AsString(),
+  EXPECT_EQ(d2.entry(d2.roots().front()).GetValues(w.name)[0].AsString(),
             " leading space and caf\xc3\xa9");
   EXPECT_EQ(WriteLdif(d2), out);
 }

@@ -102,8 +102,9 @@ TEST(DirectorySnapshotTest, PublishOnPopulatedDirectoryPublishesCurrentState) {
 }
 
 // Everything a snapshot answers, in comparable form: every value
-// posting and entry content and the whole RDN index (via View::ForEach,
-// so tombstones must stay invisible), and every class's population and
+// posting and the whole RDN index (via View::ForEach, so tombstones must
+// stay invisible), every entry content (via Content, so a dead id's slot
+// must stay invisible), and every class's population and
 // members.
 struct SnapshotImage {
   using Content = std::tuple<std::string, std::vector<ClassId>,
@@ -128,10 +129,11 @@ struct SnapshotImage {
       }
       classes[c] = {snap.CountWithClass(c), std::move(members)};
     }
-    snap.contents.ForEach(
-        [&](const EntryId& id, const std::shared_ptr<EntryContent>& p) {
-          contents[id] = {p->rdn, p->classes, p->values};
-        });
+    for (EntryId id = 0; id < snap.id_capacity; ++id) {
+      if (const EntryContent* p = snap.Content(id)) {
+        contents[id] = {p->rdn, p->classes, p->values};
+      }
+    }
     snap.rdn.ForEach(
         [&](const std::string& key, const EntryId& id) { rdns[key] = id; });
   }

@@ -1,15 +1,17 @@
 // Concurrent-reader safety of the ForestIndex under the MVCC contract
 // (DESIGN.md §10), meant to run under TSan via the `concurrency` ctest
-// label: a published snapshot's frozen label views must stay
-// byte-identical while the writer keeps mutating the live index. This is
-// the regression test for the torn-preorder window the MVCC path closes:
-// the CowVec clone-on-write discipline must isolate every chunk a reader
-// can still reach.
+// label: a published snapshot's frozen label views and entry contents
+// must stay byte-identical while the writer keeps mutating the live index.
+// This is the regression test for the torn-preorder window the MVCC path
+// closes: the CowVec clone-on-write discipline must isolate every chunk a
+// reader can still reach, and the writer's in-place appends past the
+// last publish must touch no element a reader reads.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,6 +60,7 @@ struct LabelExpectation {
   uint64_t label;
   uint64_t end_label;
   ForestIndex::TreeLinks links;
+  std::string rdn;
 };
 
 TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
@@ -81,7 +84,7 @@ TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
       expected.push_back(LabelExpectation{
           id, views.labels.Get(id, ForestIndex::kNoLabel),
           views.end_labels.Get(id, ForestIndex::kNoLabel),
-          views.links.Get(id, {})});
+          views.links.Get(id, {}), pin->Content(id)->rdn});
       ASSERT_NE(expected.back().label, ForestIndex::kNoLabel);
     }
 
@@ -95,7 +98,8 @@ TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
             if (views.labels.Get(e.id, ForestIndex::kNoLabel) != e.label ||
                 views.end_labels.Get(e.id, ForestIndex::kNoLabel) !=
                     e.end_label ||
-                views.links.Get(e.id, {}) != e.links) {
+                views.links.Get(e.id, {}) != e.links ||
+                pin->Content(e.id)->rdn != e.rdn) {
               failures.fetch_add(1);
               return;
             }
@@ -106,7 +110,9 @@ TEST(ForestIndexConcurrencyTest, PinnedLabelViewsImmutableUnderMutation) {
 
     // The writer mutates (and republishes) while the readers verify the
     // pinned version: every CowVec chunk the views reference must be
-    // cloned, not written through.
+    // cloned, not written through, below the pinned size, and the new
+    // entries' contents and links are appended into the chunks the
+    // readers hold.
     MutateBurst(d, w, rng);
     d.PublishSnapshot();
 

@@ -21,7 +21,7 @@ class MatcherTest : public ::testing::Test {
                .value();
   }
 
-  const Entry& bob() const { return directory_.entry(bob_); }
+  Entry bob() const { return directory_.entry(bob_); }
 
   SimpleWorld world_;
   Directory directory_;

@@ -445,6 +445,14 @@ TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
   server_.EnableSlowOps(/*capacity=*/64, /*min_duration_ns=*/0);
   StartNet();
   const uint64_t ok = Net("ldapbound_net_ops_total", "outcome=\"ok\"");
+  auto stage_count = [](const std::string& stage) {
+    return Net("ldapbound_wire_stage_ns_count", "stage=\"" + stage + "\"");
+  };
+  const std::string commit_stages[] = {"lock_wait", "validate", "publish"};
+  std::map<std::string, uint64_t> commit_before;
+  for (const std::string& stage : commit_stages) {
+    commit_before[stage] = stage_count(stage);
+  }
   WireClient client(net_->port());
   ASSERT_TRUE(client.connected());
 
@@ -500,6 +508,11 @@ TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
   std::string metrics = MetricRegistry::Default().RenderPrometheus();
   EXPECT_NE(metrics.find("ldapbound_wire_stage_ns"), std::string::npos);
   EXPECT_NE(metrics.find("stage=\"execute\""), std::string::npos);
+  // The add and the delete each crossed the three commit stages.
+  for (const std::string& stage : commit_stages) {
+    EXPECT_NE(metrics.find("stage=\"" + stage + "\""), std::string::npos);
+    EXPECT_GE(stage_count(stage) - commit_before[stage], 2u) << stage;
+  }
   EXPECT_NE(metrics.find("ldapbound_net_epoll_wakeup_events"),
             std::string::npos);
   EXPECT_NE(metrics.find("ldapbound_net_dispatch_queue_depth"),

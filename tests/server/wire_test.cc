@@ -25,9 +25,17 @@ TEST(WireTest, PrimitivesRoundTripLittleEndian) {
   PutU32(out, 0xDEADBEEF);
   PutU64(out, 0x0102030405060708ull);
   PutString(out, "hi");
-  // Spot-check the layout: u16 and wider are little-endian on the wire.
-  EXPECT_EQ(static_cast<uint8_t>(out[1]), 0x34);
-  EXPECT_EQ(static_cast<uint8_t>(out[2]), 0x12);
+  // Every byte: u16 and wider are little-endian on the wire, and a
+  // string is its u32 length, then its bytes.
+  const std::string expected(
+      "\xAB"
+      "\x34\x12"
+      "\xEF\xBE\xAD\xDE"
+      "\x08\x07\x06\x05\x04\x03\x02\x01"
+      "\x02\x00\x00\x00"
+      "hi",
+      1 + 2 + 4 + 8 + 4 + 2);
+  EXPECT_EQ(out, expected);
 
   WireCursor cursor(out);
   EXPECT_EQ(*cursor.GetU8(), 0xAB);

@@ -74,6 +74,13 @@ inline EntryId AddBare(Directory& directory, EntryId parent,
   return *result;
 }
 
+/// The ids of a sibling range (Entry::children(), Directory::roots()),
+/// in sibling order.
+template <typename Range>
+std::vector<EntryId> Ids(const Range& range) {
+  return std::vector<EntryId>(range.begin(), range.end());
+}
+
 /// The number a /statusz body renders as `"key":N` directly inside its
 /// `"section":{...}`; UINT64_MAX when the section or the key is missing.
 inline uint64_t StatuszCount(const std::string& json,

@@ -36,7 +36,8 @@ TEST_F(MoveTest, BasicMove) {
   ASSERT_TRUE(d_.MoveSubtree(bob_, eng_).ok());
   EXPECT_EQ(d_.entry(bob_).parent(), eng_);
   EXPECT_TRUE(d_.entry(hr_).children().empty());
-  EXPECT_EQ(d_.entry(eng_).children(), std::vector<EntryId>{bob_});
+  EXPECT_EQ(testing::Ids(d_.entry(eng_).children()),
+            std::vector<EntryId>{bob_});
   // The index follows: bob's labels now sit inside eng's interval.
   const ForestIndex& index = d_.GetIndex();
   EXPECT_LT(index.label(hr_), index.label(eng_));
@@ -50,9 +51,9 @@ TEST_F(MoveTest, BasicMove) {
 TEST_F(MoveTest, MoveToRootAndBack) {
   ASSERT_TRUE(d_.MoveSubtree(bob_, kInvalidEntryId).ok());
   EXPECT_EQ(d_.entry(bob_).parent(), kInvalidEntryId);
-  EXPECT_EQ(d_.roots().size(), 2u);
+  EXPECT_EQ(testing::Ids(d_.roots()), (std::vector<EntryId>{acme_, bob_}));
   ASSERT_TRUE(d_.MoveSubtree(bob_, hr_).ok());
-  EXPECT_EQ(d_.roots().size(), 1u);
+  EXPECT_EQ(testing::Ids(d_.roots()), std::vector<EntryId>{acme_});
   EXPECT_EQ(d_.entry(bob_).parent(), hr_);
 }
 

@@ -85,6 +85,36 @@ TEST(CowVecTest, SequentialFreezesShareAndDiverge) {
   }
 }
 
+// Appending past the last Freeze writes in place: a View is never read
+// at or past its size, so its tail chunk stays shared and no chunk is
+// cloned. A write below the frozen size still clones.
+TEST(CowVecTest, AppendsPastTheFreezeShareTheTailChunk) {
+  constexpr size_t kChunk = CowVec<uint64_t>::kChunkSize;
+  CowVec<uint64_t> v;
+  const size_t n = kChunk + 10;  // the tail chunk is partly used
+  v.Resize(n, 0);
+  for (size_t i = 0; i < n; ++i) v.Set(i, i);
+  CowVec<uint64_t>::View view = v.Freeze();
+
+  for (size_t i = n; i < 2 * kChunk; ++i) {  // fill up the tail chunk
+    v.Resize(i + 1, 0);
+    v.Set(i, 1000 + i);
+  }
+  ASSERT_EQ(view.size(), n);
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(view[i], i) << i;
+  // Shared, not cloned: the vector and the view read one element.
+  EXPECT_EQ(&view[0], &v[0]);
+  EXPECT_EQ(&view[n - 1], &v[n - 1]);
+
+  // Below the frozen size, a write clones its chunk and only that one.
+  v.Set(n - 1, 7);
+  EXPECT_EQ(view[n - 1], n - 1);
+  EXPECT_NE(&view[n - 1], &v[n - 1]);
+  EXPECT_EQ(v[n - 1], 7u);
+  EXPECT_EQ(v[n], 1000 + n);  // the clone kept the appends
+  EXPECT_EQ(&view[0], &v[0]);
+}
+
 TEST(CowMapTest, SetFindErase) {
   CowMap<std::string, int> m;
   EXPECT_EQ(m.Find("a"), nullptr);
