@@ -25,7 +25,7 @@ void BM_FederationSplit(benchmark::State& state) {
   const World& world = GetWorld(static_cast<size_t>(state.range(0)));
   auto roots = ContextRoots(*world.directory);
   for (auto _ : state) {
-    auto federation = Federation::Split(*world.directory, roots);
+    auto federation = Federation::Split(world.vocab, *world.directory, roots);
     benchmark::DoNotOptimize(federation);
     if (!federation.ok()) state.SkipWithError("split failed");
   }
@@ -36,8 +36,8 @@ void BM_FederationSplit(benchmark::State& state) {
 
 void BM_FederationUnify(benchmark::State& state) {
   const World& world = GetWorld(static_cast<size_t>(state.range(0)));
-  auto federation =
-      Federation::Split(*world.directory, ContextRoots(*world.directory));
+  auto federation = Federation::Split(world.vocab, *world.directory,
+                                      ContextRoots(*world.directory));
   for (auto _ : state) {
     auto unified = federation->Unify();
     benchmark::DoNotOptimize(unified);
@@ -48,8 +48,8 @@ void BM_FederationUnify(benchmark::State& state) {
 
 void BM_FederatedSearch(benchmark::State& state) {
   const World& world = GetWorld(static_cast<size_t>(state.range(0)));
-  auto federation =
-      Federation::Split(*world.directory, ContextRoots(*world.directory));
+  auto federation = Federation::Split(world.vocab, *world.directory,
+                                      ContextRoots(*world.directory));
   auto filter = ParseFilter("(objectClass=researcher)", *world.vocab);
   size_t hits = 0;
   for (auto _ : state) {
@@ -62,8 +62,8 @@ void BM_FederatedSearch(benchmark::State& state) {
 
 void BM_FederatedLegality(benchmark::State& state) {
   const World& world = GetWorld(static_cast<size_t>(state.range(0)));
-  auto federation =
-      Federation::Split(*world.directory, ContextRoots(*world.directory));
+  auto federation = Federation::Split(world.vocab, *world.directory,
+                                      ContextRoots(*world.directory));
   for (auto _ : state) {
     bool legal = federation->CheckLegality(*world.schema);
     benchmark::DoNotOptimize(legal);

@@ -25,7 +25,7 @@ int main() {
 
   std::printf("=== splitting the DIT at ou=attLabs,o=att ===\n");
   auto federation = Federation::Split(
-      *directory, {*DistinguishedName::Parse("ou=attLabs,o=att")});
+      vocab, *directory, {*DistinguishedName::Parse("ou=attLabs,o=att")});
   if (!federation.ok()) {
     std::printf("error: %s\n", federation.status().ToString().c_str());
     return 1;

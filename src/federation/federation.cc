@@ -43,12 +43,15 @@ std::string AbsoluteDn(const DistinguishedName& local,
 }  // namespace
 
 Result<Federation> Federation::Split(
-    const Directory& source,
+    std::shared_ptr<Vocabulary> vocab, const Directory& source,
     const std::vector<DistinguishedName>& context_roots) {
+  if (vocab.get() != &source.vocab()) {
+    return Status::InvalidArgument(
+        "split: the vocabulary is not the one the source was built over");
+  }
   Federation federation;
-  federation.vocab_ = source.vocab_ptr();
-  federation.referral_class_ =
-      federation.vocab_->InternClass("referral");
+  federation.referral_class_ = vocab->InternClass("referral");
+  federation.vocab_ = std::move(vocab);
 
   // Resolve and validate the context roots.
   std::vector<EntryId> roots;

@@ -45,9 +45,11 @@ class Federation {
  public:
   /// Splits `source`: each DN in `context_roots` (which must name alive
   /// entries, pairwise non-nested) becomes a naming context. The source
-  /// directory is not modified; the federation gets copies.
+  /// directory is not modified; the federation gets copies. `vocab` is
+  /// the vocabulary `source` was built over, which the referral class is
+  /// interned into.
   static Result<Federation> Split(
-      const Directory& source,
+      std::shared_ptr<Vocabulary> vocab, const Directory& source,
       const std::vector<DistinguishedName>& context_roots);
 
   /// The glue directory: everything outside the contexts, with referral
@@ -82,7 +84,7 @@ class Federation {
  private:
   Federation() = default;
 
-  std::shared_ptr<Vocabulary> vocab_;
+  std::shared_ptr<const Vocabulary> vocab_;
   std::unique_ptr<Directory> glue_;
   std::vector<NamingContext> contexts_;
   ClassId referral_class_ = kInvalidClassId;

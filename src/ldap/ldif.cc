@@ -168,7 +168,16 @@ Result<size_t> LoadLdif(std::string_view text, Directory* directory) {
     spec.rdn = dn.Leaf();
     spec.values = std::move(record.values);
     auto id = directory->AddEntryFromSpec(parent, spec);
-    if (!id.ok()) return LdifError(record.line, id.status().message());
+    if (!id.ok()) {
+      // The directory's one kIllegal, a name its const vocabulary lacks,
+      // refuses the entry, not the file's syntax.
+      if (id.status().code() != StatusCode::kIllegal) {
+        return LdifError(record.line, id.status().message());
+      }
+      return Status::Illegal("LDIF line " + std::to_string(record.line) +
+                             ": '" + dn.ToString() +
+                             "': " + id.status().message());
+    }
     ++created;
     return Status::OK();
   };

@@ -28,8 +28,10 @@ namespace ldapbound {
 /// missing intermediate DNs are an error, reported with the record's
 /// line number). Parent-before-child files create entries in exactly the
 /// file order. Values are parsed according to each attribute's declared
-/// type in the directory's vocabulary; unknown attributes are interned as
-/// string-typed.
+/// type in the directory's vocabulary. A directory over a mutable
+/// vocabulary interns unknown classes, and unknown attributes as
+/// string-typed; one over a const vocabulary refuses the record that names
+/// one (kIllegal, naming its line and DN; see Directory).
 Result<size_t> LoadLdif(std::string_view text, Directory* directory);
 
 /// Renders the directory as LDIF, entries in preorder (parents first), so

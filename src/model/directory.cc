@@ -7,11 +7,30 @@
 namespace ldapbound {
 
 Directory::Directory(std::shared_ptr<Vocabulary> vocab)
+    : Directory(std::shared_ptr<const Vocabulary>(vocab)) {
+  interning_ = vocab.get();
+}
+
+Directory::Directory(std::shared_ptr<const Vocabulary> vocab)
     : vocab_(std::move(vocab)),
       store_(std::make_unique<SnapshotStore>(EpochManager::Default())) {
   alive_ = std::make_shared<EntrySet>(PostingCapacity());
   alive_private_ = true;
   PublishSnapshot();
+}
+
+Result<ClassId> Directory::ResolveClass(std::string_view name) {
+  if (interning_ != nullptr) return interning_->InternClass(name);
+  if (auto cls = vocab_->FindClass(name); cls.ok()) return cls;
+  return Status::Illegal("class '" + std::string(name) +
+                         std::string(kUnknownClassRefusal));
+}
+
+Result<AttributeId> Directory::ResolveAttribute(std::string_view name) {
+  if (interning_ != nullptr) return interning_->InternAttribute(name);
+  if (auto attr = vocab_->FindAttribute(name); attr.ok()) return attr;
+  return Status::Illegal("attribute '" + std::string(name) +
+                         std::string(kUnknownAttributeRefusal));
 }
 
 Status Directory::CheckAlive(EntryId id) const {
@@ -47,7 +66,9 @@ Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
       if (!av.value.is_string()) {
         return Status::InvalidArgument("objectClass value must be a string");
       }
-      classes.push_back(vocab_->InternClass(av.value.AsString()));
+      LDAPBOUND_ASSIGN_OR_RETURN(ClassId cls,
+                                 ResolveClass(av.value.AsString()));
+      classes.push_back(cls);
       continue;
     }
     if (av.attribute >= vocab_->num_attributes()) {
@@ -104,12 +125,13 @@ Result<EntryId> Directory::AddEntryFromSpec(EntryId parent,
   std::vector<ClassId> classes;
   classes.reserve(spec.classes.size());
   for (const std::string& name : spec.classes) {
-    classes.push_back(vocab_->InternClass(name));
+    LDAPBOUND_ASSIGN_OR_RETURN(ClassId cls, ResolveClass(name));
+    classes.push_back(cls);
   }
   std::vector<AttributeValue> values;
   values.reserve(spec.values.size());
   for (const auto& [attr_name, text] : spec.values) {
-    AttributeId attr = vocab_->InternAttribute(attr_name);
+    LDAPBOUND_ASSIGN_OR_RETURN(AttributeId attr, ResolveAttribute(attr_name));
     LDAPBOUND_ASSIGN_OR_RETURN(
         Value v, Value::Parse(vocab_->AttributeType(attr), text));
     values.push_back(AttributeValue{attr, std::move(v)});
@@ -123,7 +145,8 @@ Status Directory::AddValue(EntryId id, AttributeId attr, Value value) {
     if (!value.is_string()) {
       return Status::InvalidArgument("objectClass value must be a string");
     }
-    return AddClass(id, vocab_->InternClass(value.AsString()));
+    LDAPBOUND_ASSIGN_OR_RETURN(ClassId cls, ResolveClass(value.AsString()));
+    return AddClass(id, cls);
   }
   if (attr >= vocab_->num_attributes()) {
     return Status::OutOfRange("attribute id out of range");

@@ -69,9 +69,29 @@ struct DirectoryStats {
 /// reads them too (IsAlive, CountWithClass, ClassSet, ValuePosting), and
 /// PublishSnapshot freezes them, the links and the contents into the next
 /// immutable version.
+///
+/// Names: AddEntry's objectClass values, AddEntryFromSpec's class and
+/// attribute names and AddValue's objectClass value are resolved by the
+/// vocabulary's type. Built over a mutable vocabulary, the directory
+/// interns a name it does not know (the CLI, tests and generators, so
+/// that the legality check can report Def. 2.7's unknown classes). Built
+/// over a const one (a server's), it refuses the name with kIllegal, in
+/// the words the content check reports it with (kUnknownClassRefusal,
+/// kUnknownAttributeRefusal), before it allocates an id or touches any
+/// state. No other Directory call returns kIllegal.
 class Directory {
  public:
+  /// The refusal of a name a const vocabulary lacks: "class '<name>" or
+  /// "attribute '<name>" followed by these words.
+  static constexpr std::string_view kUnknownClassRefusal =
+      "' is not part of the schema";
+  static constexpr std::string_view kUnknownAttributeRefusal =
+      "' is not allowed by any of the entry's classes";
+
+  /// Interns the names its entries bring.
   explicit Directory(std::shared_ptr<Vocabulary> vocab);
+  /// Refuses names `vocab` lacks.
+  explicit Directory(std::shared_ptr<const Vocabulary> vocab);
 
   Directory(const Directory&) = delete;
   Directory& operator=(const Directory&) = delete;
@@ -79,7 +99,9 @@ class Directory {
   Directory& operator=(Directory&&) = default;
 
   const Vocabulary& vocab() const { return *vocab_; }
-  const std::shared_ptr<Vocabulary>& vocab_ptr() const { return vocab_; }
+  const std::shared_ptr<const Vocabulary>& vocab_ptr() const {
+    return vocab_;
+  }
 
   /// Creates an entry. `parent` must be alive, or kInvalidEntryId for a
   /// root. `classes` must be non-empty after folding in any objectClass
@@ -89,7 +111,7 @@ class Directory {
                            std::vector<AttributeValue> values);
 
   /// Name-based convenience over AddEntry; parses values by attribute type
-  /// (interning unknown attributes as string-typed).
+  /// (an attribute interned here is string-typed).
   Result<EntryId> AddEntryFromSpec(EntryId parent, const EntrySpec& spec);
 
   /// Adds one value; no-op OK if the identical pair is already present.
@@ -224,6 +246,11 @@ class Directory {
   const SnapshotStore& snapshot_store() const { return *store_; }
 
  private:
+  /// A name's id: interned when the directory was built over a mutable
+  /// vocabulary, else found or refused (see the class comment).
+  Result<ClassId> ResolveClass(std::string_view name);
+  Result<AttributeId> ResolveAttribute(std::string_view name);
+
   Status CheckAlive(EntryId id) const;
   // Key of the sibling-RDN uniqueness index: "<parent>/<lowercased rdn>".
   static std::string RdnKey(EntryId parent, std::string_view rdn);
@@ -242,7 +269,10 @@ class Directory {
   /// at a clone; later edits reuse the clone in place.
   EntryContent& MutableContent(EntryId id);
 
-  std::shared_ptr<Vocabulary> vocab_;
+  std::shared_ptr<const Vocabulary> vocab_;
+  /// The vocabulary vocab_ points at, when the directory was built over
+  /// it mutable: names are interned into it. Null over a const one.
+  Vocabulary* interning_ = nullptr;
   /// Sibling-RDN uniqueness index; COW so each snapshot publish shares
   /// the map with prior versions.
   CowMap<std::string, EntryId> rdn_index_;

@@ -59,7 +59,7 @@ std::string SnapshotRdnKey(EntryId parent, std::string_view rdn);
 ///
 /// Readers reach entry content through Content(id), never through
 /// Directory::entry(), and name classes and attributes through the
-/// server's read-only vocabulary (DirectoryServer::vocab()).
+/// server's frozen vocabulary (DirectoryServer::vocab()).
 struct DirectorySnapshot {
   /// One class's members at a version, with their number kept in step
   /// by the writer, so a population read costs no pass over the bitmap.

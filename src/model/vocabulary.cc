@@ -10,17 +10,6 @@ Vocabulary::Vocabulary() {
   top_class_ = InternClass("top");
 }
 
-std::unique_ptr<Vocabulary> Vocabulary::Clone() const {
-  // Ids are dense in definition order, so defining in id order keeps them.
-  auto copy = std::make_unique<Vocabulary>();
-  for (AttributeId a = 0; a < num_attributes(); ++a) {
-    (void)copy->DefineAttribute(AttributeName(a), AttributeType(a),
-                                IsSingleValued(a));
-  }
-  for (ClassId c = 0; c < num_classes(); ++c) copy->InternClass(ClassName(c));
-  return copy;
-}
-
 Result<AttributeId> Vocabulary::DefineAttribute(std::string_view name,
                                                 ValueType type,
                                                 bool single_valued) {

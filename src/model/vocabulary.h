@@ -2,7 +2,6 @@
 #define LDAPBOUND_MODEL_VOCABULARY_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -29,6 +28,14 @@ inline constexpr ClassId kInvalidClassId = ~ClassId{0};
 /// (via shared_ptr) between a `Directory` and the `DirectorySchema` that
 /// governs it, so AttributeId / ClassId values are directly comparable.
 ///
+/// Names are defined only through a mutable vocabulary: the schema parser,
+/// the generators, and a `Directory` built over a
+/// `shared_ptr<Vocabulary>` (which interns the names its entries bring).
+/// `DirectorySchema`, `DirectoryServer` and a `Directory` built over a
+/// `shared_ptr<const Vocabulary>` hold it const. Once no one holds it
+/// mutable any more (a server's, from `Create` on), the vocabulary is
+/// frozen: any thread may read it without a lock.
+///
 /// Two names are pre-interned:
 ///  - attribute "objectClass" (string-typed) as `objectclass_attr()`;
 ///  - class "top", the root of every core-class hierarchy, as `top_class()`.
@@ -38,10 +45,6 @@ class Vocabulary {
 
   Vocabulary(const Vocabulary&) = delete;
   Vocabulary& operator=(const Vocabulary&) = delete;
-
-  /// An independent copy with the same names and ids: the one explicit
-  /// copy (sharing through shared_ptr stays the default).
-  std::unique_ptr<Vocabulary> Clone() const;
 
   /// Interns `name` as an attribute of type `type`. `single_valued`
   /// attributes admit at most one value per entry (the LDAP "single-valued"

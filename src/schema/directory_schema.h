@@ -12,10 +12,12 @@ namespace ldapbound {
 /// A bounding-schema `S = (A, H, S)` (Definition 2.5): the attribute
 /// schema, the class schema and the structure schema, over a shared
 /// vocabulary. The vocabulary must be the same object used by directories
-/// validated against this schema, so ids are directly comparable.
+/// validated against this schema, so ids are directly comparable. The
+/// schema only reads it: whoever builds a schema defines its names through
+/// the vocabulary it holds (ParseDirectorySchema, MakeRandomSchema).
 class DirectorySchema {
  public:
-  explicit DirectorySchema(std::shared_ptr<Vocabulary> vocab)
+  explicit DirectorySchema(std::shared_ptr<const Vocabulary> vocab)
       : vocab_(std::move(vocab)), classes_(vocab_->top_class()) {}
 
   DirectorySchema(const DirectorySchema&) = delete;
@@ -24,7 +26,9 @@ class DirectorySchema {
   DirectorySchema& operator=(DirectorySchema&&) = default;
 
   const Vocabulary& vocab() const { return *vocab_; }
-  const std::shared_ptr<Vocabulary>& vocab_ptr() const { return vocab_; }
+  const std::shared_ptr<const Vocabulary>& vocab_ptr() const {
+    return vocab_;
+  }
 
   const AttributeSchema& attributes() const { return attributes_; }
   AttributeSchema& mutable_attributes() { return attributes_; }
@@ -50,7 +54,7 @@ class DirectorySchema {
   Status Validate() const;
 
  private:
-  std::shared_ptr<Vocabulary> vocab_;
+  std::shared_ptr<const Vocabulary> vocab_;
   AttributeSchema attributes_;
   ClassSchema classes_;
   StructureSchema structure_;

@@ -160,9 +160,25 @@ Status SchemaRefusal(const std::string& what,
 }
 
 /// One "detected by" line per violation: the constraint-level summary the
-/// slow-op record keeps alongside a refusal's human-readable detail.
-std::string ExplainRefusal(const std::vector<Violation>& violations,
+/// slow-op record keeps alongside a refusal's human-readable detail. A
+/// write naming a class or attribute the frozen vocabulary lacks leaves
+/// no violation: the directory refused the name before any check ran, in
+/// the words of the content pass that reports it, so that pass's line.
+std::string ExplainRefusal(const Status& status,
+                           const std::vector<Violation>& violations,
                            const Vocabulary& vocab) {
+  if (violations.empty() && status.code() == StatusCode::kIllegal) {
+    std::string_view message = status.message();
+    Violation refused;
+    if (message.ends_with(Directory::kUnknownClassRefusal)) {
+      refused.kind = ViolationKind::kUnknownClass;
+      return refused.DetectedBy(vocab);
+    }
+    if (message.ends_with(Directory::kUnknownAttributeRefusal)) {
+      refused.kind = ViolationKind::kDisallowedAttribute;
+      return refused.DetectedBy(vocab);
+    }
+  }
   std::string explain;
   for (const Violation& v : violations) {
     if (!explain.empty()) explain += '\n';
@@ -173,10 +189,8 @@ std::string ExplainRefusal(const std::vector<Violation>& violations,
 
 }  // namespace
 
-DirectoryServer::DirectoryServer(std::shared_ptr<Vocabulary> vocab,
-                                 DirectorySchema schema)
-    : vocab_(std::move(vocab)),
-      names_(vocab_->Clone()),
+DirectoryServer::DirectoryServer(DirectorySchema schema)
+    : vocab_(schema.vocab_ptr()),
       schema_(std::make_unique<DirectorySchema>(std::move(schema))),
       directory_(std::make_unique<Directory>(vocab_)),
       write_mu_(std::make_unique<std::mutex>()),
@@ -185,18 +199,18 @@ DirectoryServer::DirectoryServer(std::shared_ptr<Vocabulary> vocab,
 
 Result<DirectoryServer> DirectoryServer::Create(
     std::string_view schema_text) {
-  auto vocab = std::make_shared<Vocabulary>();
-  LDAPBOUND_ASSIGN_OR_RETURN(DirectorySchema schema,
-                             ParseDirectorySchema(schema_text, vocab));
-  return Create(std::move(vocab), std::move(schema));
+  // The parse is the last step that defines names.
+  LDAPBOUND_ASSIGN_OR_RETURN(
+      DirectorySchema schema,
+      ParseDirectorySchema(schema_text, std::make_shared<Vocabulary>()));
+  return Create(std::move(schema));
 }
 
-Result<DirectoryServer> DirectoryServer::Create(
-    std::shared_ptr<Vocabulary> vocab, DirectorySchema schema) {
+Result<DirectoryServer> DirectoryServer::Create(DirectorySchema schema) {
   LDAPBOUND_RETURN_IF_ERROR(schema.Validate());
   ConsistencyChecker consistency(schema);
   LDAPBOUND_RETURN_IF_ERROR(consistency.EnsureConsistent());
-  return DirectoryServer(std::move(vocab), std::move(schema));
+  return DirectoryServer(std::move(schema));
 }
 
 // Add and Delete commit one-op transactions through Apply's body, counted
@@ -303,7 +317,6 @@ Status DirectoryServer::Write(OpMetrics& op, std::string target,
   OpTracker tracker(op, slow_ops_.get(), atomics_->next_op_id,
                     std::move(target));
   std::vector<Violation> violations;
-  std::string explain;
   Status status = [&]() -> Status {
     LDAPBOUND_RETURN_IF_ERROR(AdmitWrite(&deadline));
     std::unique_lock<std::mutex> lock(*write_mu_);
@@ -314,12 +327,7 @@ Status DirectoryServer::Write(OpMetrics& op, std::string target,
     const bool recorded = changelog_ != nullptr || wal_ != nullptr;
     Status applied = body(recorded ? &records : nullptr, &violations);
     RequestScope::MarkCurrent(RequestStage::kBodyDone);
-    if (!applied.ok()) {
-      // Under the mutex: naming the violations reads the vocabulary,
-      // which other writers intern into.
-      explain = ExplainRefusal(violations, *vocab_);
-      return applied;
-    }
+    if (!applied.ok()) return applied;
     // Snapshot readers must see this commit once the call returns OK:
     // publish under the mutex, before the durability wait.
     directory_->PublishSnapshot();
@@ -343,6 +351,8 @@ Status DirectoryServer::Write(OpMetrics& op, std::string target,
     // its group's log frames are on disk.
     return WalPersist(std::move(payload), deadline, lock);
   }();
+  // Past the write mutex: the vocabulary naming the violations is frozen.
+  std::string explain = ExplainRefusal(status, violations, *vocab_);
   return tracker.Finish(std::move(status), std::move(explain));
 }
 
@@ -447,7 +457,10 @@ Status DirectoryServer::Modify(const DistinguishedName& dn,
           Status applied = ApplyOneModification(id, mod, &undo);
           if (!applied.ok()) {
             rollback();
-            return applied;
+            // The directory's one kIllegal: a class the schema lacks.
+            if (applied.code() != StatusCode::kIllegal) return applied;
+            return Status::Illegal("modify of '" + dn.ToString() +
+                                   "': " + applied.message());
           }
         }
 
@@ -565,8 +578,8 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
   OpTracker tracker(GetServerMetrics().import, slow_ops_.get(),
                     atomics_->next_op_id,
                     "ldif(" + std::to_string(text.size()) + " bytes)");
-  std::lock_guard<std::mutex> lock(*write_mu_);
   auto imported = [&]() -> Result<size_t> {
+    std::lock_guard<std::mutex> lock(*write_mu_);
     LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
     // Load into the head and check the whole result. Ids are never
     // reused, so everything this load created sits at or above `first`;
@@ -600,7 +613,8 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
     }
     return created;
   }();
-  tracker.Finish(imported.status());
+  tracker.Finish(imported.status(),
+                 ExplainRefusal(imported.status(), {}, *vocab_));
   return imported;
 }
 

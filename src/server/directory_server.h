@@ -83,9 +83,9 @@ class DirectoryServer {
   /// ImportLdif or build up with transactions; reads are always allowed.
   static Result<DirectoryServer> Create(std::string_view schema_text);
 
-  /// Adopts an existing schema (validated + consistency-checked).
-  static Result<DirectoryServer> Create(std::shared_ptr<Vocabulary> vocab,
-                                        DirectorySchema schema);
+  /// Adopts an existing schema (validated + consistency-checked). Its
+  /// vocabulary is frozen from here on: nothing may define names in it.
+  static Result<DirectoryServer> Create(DirectorySchema schema);
 
   DirectoryServer(DirectoryServer&&) = default;
   DirectoryServer& operator=(DirectoryServer&&) = default;
@@ -93,12 +93,12 @@ class DirectoryServer {
   const DirectorySchema& schema() const { return *schema_; }
   const Directory& directory() const { return *directory_; }
 
-  /// The readers' names: a copy of the vocabulary taken once the schema
-  /// is parsed, never changed after, so any thread may read it without a
-  /// lock. It names all a published version holds, since the content
-  /// check refuses names the schema lacks. Names refused writes intern
-  /// stay in the writer's directory().vocab().
-  const Vocabulary& vocab() const { return *names_; }
+  /// The schema's names, frozen: the directory is built over them const,
+  /// so a write naming a class or attribute they lack is refused before
+  /// it allocates anything (kIllegal, in the content check's words), and
+  /// any thread may read them without a lock. The same object as
+  /// directory().vocab().
+  const Vocabulary& vocab() const { return *vocab_; }
 
   /// One modification of a Modify request (see server/modification.h).
   using Modification = ldapbound::Modification;
@@ -289,7 +289,7 @@ class DirectoryServer {
   const CheckOptions& check_options() const { return check_options_; }
 
  private:
-  DirectoryServer(std::shared_ptr<Vocabulary> vocab, DirectorySchema schema);
+  explicit DirectoryServer(DirectorySchema schema);
 
   Status ApplyOneModification(EntryId id, const Modification& mod,
                               std::vector<Modification>* undo);
@@ -309,7 +309,8 @@ class DirectoryServer {
   /// undoes its own change when it fails; on success it appends its
   /// change records to `records` (null when nothing records changes), on
   /// a schema refusal it leaves the violations behind it in `violations`,
-  /// whose "detected by" lines the request record keeps as `explain`.
+  /// whose "detected by" lines the request record keeps as `explain`
+  /// (named once the mutex is released).
   /// Each non-OK return counts once as `rejected` in `op`. The request
   /// record is stamped when the write mutex is acquired, when the body
   /// returns and when the snapshot is published (server/request_stages.h).
@@ -362,8 +363,7 @@ class DirectoryServer {
     std::atomic<bool> wal_resync_needed{false};
   };
 
-  std::shared_ptr<Vocabulary> vocab_;  ///< writes intern here, under write_mu_
-  std::unique_ptr<const Vocabulary> names_;  ///< the readers' copy: vocab()
+  std::shared_ptr<const Vocabulary> vocab_;
   std::unique_ptr<DirectorySchema> schema_;
   std::unique_ptr<Directory> directory_;
   std::unique_ptr<Changelog> changelog_;

@@ -147,7 +147,10 @@ Status TransactionExecutor::Commit(const UpdateTransaction& txn,
           directory_->DeleteLeaf(*it);
         }
         rollback();
-        return id.status();
+        // The directory's one kIllegal: a name its const vocabulary lacks.
+        if (id.status().code() != StatusCode::kIllegal) return id.status();
+        return Status::Illegal("insert '" + op->dn.ToString() +
+                               "': " + id.status().message());
       }
       created.push_back(*id);
     }

@@ -22,7 +22,7 @@ class FederationTest : public ::testing::Test {
 
   Result<Federation> SplitAtLabs() {
     return Federation::Split(
-        directory_, {*DistinguishedName::Parse("ou=attLabs,o=att")});
+        vocab_, directory_, {*DistinguishedName::Parse("ou=attLabs,o=att")});
   }
 
   std::shared_ptr<Vocabulary> vocab_;
@@ -51,7 +51,7 @@ TEST_F(FederationTest, SplitProducesGlueAndContext) {
 
 TEST_F(FederationTest, SplitRejectsNestedRoots) {
   auto federation = Federation::Split(
-      directory_,
+      vocab_, directory_,
       {*DistinguishedName::Parse("ou=attLabs,o=att"),
        *DistinguishedName::Parse("ou=databases,ou=attLabs,o=att")});
   ASSERT_FALSE(federation.ok());
@@ -60,7 +60,7 @@ TEST_F(FederationTest, SplitRejectsNestedRoots) {
 
 TEST_F(FederationTest, SplitRejectsMissingRoot) {
   auto federation = Federation::Split(
-      directory_, {*DistinguishedName::Parse("ou=ghost,o=att")});
+      vocab_, directory_, {*DistinguishedName::Parse("ou=ghost,o=att")});
   ASSERT_FALSE(federation.ok());
   EXPECT_EQ(federation.status().code(), StatusCode::kNotFound);
 }
@@ -76,7 +76,7 @@ TEST_F(FederationTest, UnifyRoundTripsExactly) {
 
 TEST_F(FederationTest, MultipleContexts) {
   auto federation = Federation::Split(
-      directory_,
+      vocab_, directory_,
       {*DistinguishedName::Parse("ou=databases,ou=attLabs,o=att"),
        *DistinguishedName::Parse("uid=armstrong,ou=attLabs,o=att")});
   ASSERT_TRUE(federation.ok()) << federation.status();
@@ -158,7 +158,7 @@ TEST_F(FederationTest, FederatedLegalityMatchesUnified) {
   ASSERT_TRUE(broken.DeleteLeaf(*suciu).ok());
   ASSERT_TRUE(broken.DeleteLeaf(*armstrong).ok());
   auto broken_federation = Federation::Split(
-      broken, {*DistinguishedName::Parse("ou=attLabs,o=att")});
+      vocab_, broken, {*DistinguishedName::Parse("ou=attLabs,o=att")});
   ASSERT_TRUE(broken_federation.ok());
   std::vector<std::string> text;
   EXPECT_FALSE(broken_federation->CheckLegality(schema_, &text));
@@ -201,7 +201,7 @@ TEST_F(FederationTest, NaivePerPartitionStructureCheckingIsWrong) {
   // (locally the forbidden person->child edge is invisible — the edge
   // crosses the partition boundary).
   auto f2 = Federation::Split(
-      broken, {*DistinguishedName::Parse(
+      vocab_, broken, {*DistinguishedName::Parse(
                   "ou=gadget,uid=armstrong,ou=attLabs,o=att")});
   ASSERT_TRUE(f2.ok()) << f2.status();
   std::vector<std::string> text;

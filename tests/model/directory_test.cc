@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "tests/testing/helpers.h"
 
 namespace ldapbound {
@@ -167,6 +170,83 @@ TEST(DirectoryTest, AddEntryFromSpecParsesTypes) {
   EXPECT_EQ(e.GetValues(w.age)[0].AsInteger(), 31);
   EXPECT_EQ(e.GetValues(w.active)[0].AsBoolean(), true);
   EXPECT_EQ(e.NumAttributes(), 3u);
+}
+
+// Whoever holds a directory or a schema reads its names; only the holder
+// of a mutable vocabulary defines them.
+static_assert(
+    std::is_same_v<decltype(std::declval<const Directory&>().vocab_ptr()),
+                   const std::shared_ptr<const Vocabulary>&>);
+static_assert(std::is_same_v<
+              decltype(std::declval<const DirectorySchema&>().vocab_ptr()),
+              const std::shared_ptr<const Vocabulary>&>);
+
+// Over a const vocabulary each of the three places that take a name
+// refuses one the vocabulary lacks, in the content check's words, before
+// it allocates an id; over a mutable one the same calls intern it.
+TEST(DirectoryTest, ConstVocabularyRefusesUnknownNamesMutableInterns) {
+  SimpleWorld w;
+  const size_t classes = w.vocab->num_classes();
+  const size_t attributes = w.vocab->num_attributes();
+  Directory frozen(std::shared_ptr<const Vocabulary>(w.vocab));
+  EntryId org = AddBare(frozen, kInvalidEntryId, "o=acme", {w.top, w.org});
+  const size_t ids = frozen.IdCapacity();
+  const uint64_t version = frozen.version();
+
+  EntrySpec fresh_class{"uid=a", {"person", "gadget"}, {{"name", "a"}}};
+  auto refused = frozen.AddEntryFromSpec(org, fresh_class);
+  EXPECT_EQ(refused.status().code(), StatusCode::kIllegal);
+  EXPECT_EQ(refused.status().message(),
+            "class 'gadget' is not part of the schema");
+
+  EntrySpec fresh_attribute{"uid=b", {"person"}, {{"shoeSize", "42"}}};
+  refused = frozen.AddEntryFromSpec(org, fresh_attribute);
+  EXPECT_EQ(refused.status().code(), StatusCode::kIllegal);
+  EXPECT_EQ(refused.status().message(),
+            "attribute 'shoeSize' is not allowed by any of the entry's "
+            "classes");
+
+  refused = frozen.AddEntry(
+      org, "uid=c", {w.person},
+      {AttributeValue{w.vocab->objectclass_attr(), Value("gadget")}});
+  EXPECT_EQ(refused.status().code(), StatusCode::kIllegal);
+  EXPECT_EQ(refused.status().message(),
+            "class 'gadget' is not part of the schema");
+
+  Status added = frozen.AddValue(org, w.vocab->objectclass_attr(),
+                                 Value("gadget"));
+  EXPECT_EQ(added.code(), StatusCode::kIllegal);
+  EXPECT_EQ(added.message(), "class 'gadget' is not part of the schema");
+
+  EXPECT_EQ(w.vocab->num_classes(), classes);
+  EXPECT_EQ(w.vocab->num_attributes(), attributes);
+  EXPECT_EQ(frozen.IdCapacity(), ids);
+  EXPECT_EQ(frozen.version(), version);
+  EXPECT_EQ(frozen.NumEntries(), 1u);
+  // Names the vocabulary has are found, as before.
+  EXPECT_TRUE(
+      frozen.AddValue(org, w.vocab->objectclass_attr(), Value("person"))
+          .ok());
+
+  Directory open(w.vocab);
+  EntryId root = AddBare(open, kInvalidEntryId, "o=acme", {w.top, w.org});
+  ASSERT_TRUE(open.AddEntryFromSpec(root, fresh_class).ok());
+  ASSERT_TRUE(open.AddEntryFromSpec(root, fresh_attribute).ok());
+  ASSERT_TRUE(open.AddEntry(root, "uid=c", {w.person},
+                            {AttributeValue{w.vocab->objectclass_attr(),
+                                            Value("widget")}})
+                  .ok());
+  ASSERT_TRUE(
+      open.AddValue(root, w.vocab->objectclass_attr(), Value("sprocket"))
+          .ok());
+  for (const char* name : {"gadget", "widget", "sprocket"}) {
+    EXPECT_TRUE(w.vocab->FindClass(name).ok()) << name;
+  }
+  auto shoe_size = w.vocab->FindAttribute("shoeSize");
+  ASSERT_TRUE(shoe_size.ok());
+  EXPECT_EQ(w.vocab->AttributeType(*shoe_size), ValueType::kString);
+  EXPECT_EQ(w.vocab->num_classes(), classes + 3);
+  EXPECT_EQ(w.vocab->num_attributes(), attributes + 1);
 }
 
 TEST(DirectoryTest, VersionBumpsOnMutation) {

@@ -119,12 +119,13 @@ TEST_F(DirectoryServerTest, SchemaGuardsAdd) {
   EXPECT_TRUE(server_.IsLegal());
 }
 
-// A drained class posting leaves the mirror. Adds refused for naming
-// only classes no schema defines leave no posting behind, in the open
-// delta or in a later version: each would hold a bitmap sized to the id
-// space for good.
+// Adds naming only classes no schema defines are refused before they
+// take an id: the frozen vocabulary gains no name, and no class posting
+// appears, in the open delta or in a later version.
 TEST_F(DirectoryServerTest, RefusedFreshClassAddsLeaveNoClassPosting) {
-  const size_t before = server_.directory().UnpublishedKeys();
+  const size_t keys = server_.directory().UnpublishedKeys();
+  const size_t ids = server_.directory().IdCapacity();
+  const size_t classes = server_.vocab().num_classes();
   std::vector<std::string> fresh;
   for (int i = 0; i < 20; ++i) {
     fresh.push_back("fresh" + std::to_string(i));
@@ -135,17 +136,163 @@ TEST_F(DirectoryServerTest, RefusedFreshClassAddsLeaveNoClassPosting) {
                   .code(),
               StatusCode::kIllegal);
   }
-  EXPECT_EQ(server_.directory().UnpublishedKeys(), before);
+  EXPECT_EQ(server_.directory().UnpublishedKeys(), keys);
+  EXPECT_EQ(server_.directory().IdCapacity(), ids);
 
-  // A later commit publishes a version with no key for those classes.
+  // A later commit publishes a version with no posting past the schema's
+  // classes, and the one vocabulary never learnt the fresh names.
   ASSERT_TRUE(server_.Add(Dn("uid=bob,ou=research"), PersonSpec("bob")).ok());
-  PinnedSnapshot snap = server_.PinSnapshot();
+  EXPECT_EQ(&server_.vocab(), &server_.directory().vocab());
+  EXPECT_EQ(server_.vocab().num_classes(), classes);
   for (const std::string& name : fresh) {
-    auto cls = server_.directory().vocab().FindClass(name);
-    ASSERT_TRUE(cls.ok()) << name;  // the refused add interned it
-    EXPECT_EQ(snap->by_class.Find(*cls), nullptr) << name;
-    EXPECT_EQ(server_.directory().ClassSet(*cls), nullptr) << name;
+    EXPECT_FALSE(server_.vocab().FindClass(name).ok()) << name;
   }
+  PinnedSnapshot snap = server_.PinSnapshot();
+  snap->by_class.ForEach([&](ClassId cls, const auto&) {
+    EXPECT_LT(cls, classes);
+  });
+}
+
+// A write naming a class or an attribute the schema lacks, through any
+// entry point, is refused the way a content refusal is: kIllegal (not
+// retryable), counted as rejected, its detail naming the DN and the name
+// in the content check's words, its explain the content pass's "detected
+// by" line. It keeps nothing: the one vocabulary, the id space and the
+// open deltas are as they were.
+class FrozenNamesTest : public DirectoryServerTest {
+ protected:
+  static constexpr char kFreshClass[] =
+      "class 'gadget' is not part of the schema";
+  static constexpr char kFreshAttribute[] =
+      "attribute 'shoeSize' is not allowed by any of the entry's classes";
+
+  FrozenNamesTest() { server_.EnableSlowOps(/*capacity=*/64); }
+
+  /// A person under ou=research that names a fresh class or attribute.
+  static EntrySpec FreshSpec(bool fresh_class) {
+    EntrySpec spec = PersonSpec("x");
+    if (fresh_class) {
+      spec.classes.push_back("gadget");
+    } else {
+      spec.values.emplace_back("shoeSize", "42");
+    }
+    return spec;
+  }
+
+  /// Runs `write` and checks the refusal contract for op family `op`.
+  template <typename Write>
+  void ExpectRefused(const std::string& op, const std::string& dn,
+                     bool fresh_class, Write&& write) {
+    const Directory& directory = server_.directory();
+    const size_t classes = server_.vocab().num_classes();
+    const size_t attributes = server_.vocab().num_attributes();
+    const size_t ids = directory.IdCapacity();
+    const size_t keys = directory.UnpublishedKeys();
+    const uint64_t rejected = ServerOps(op, "rejected");
+
+    Status status = write();
+    EXPECT_EQ(status.code(), StatusCode::kIllegal) << status;
+    EXPECT_FALSE(status.retryable());
+    EXPECT_NE(status.message().find("'" + dn + "'"), std::string::npos)
+        << status;
+    EXPECT_NE(status.message().find(fresh_class ? kFreshClass
+                                                : kFreshAttribute),
+              std::string::npos)
+        << status;
+    EXPECT_EQ(ServerOps(op, "rejected"), rejected + 1);
+    const SlowOp* last = nullptr;
+    std::vector<SlowOp> ops = server_.slow_ops()->Snapshot();
+    for (const SlowOp& record : ops) {
+      if (last == nullptr || record.op_id > last->op_id) last = &record;
+    }
+    ASSERT_NE(last, nullptr);
+    EXPECT_EQ(last->op, op);
+    EXPECT_EQ(last->outcome, "rejected");
+    EXPECT_EQ(last->explain, fresh_class ? "content pass: class schema"
+                                         : "content pass: attribute schema");
+
+    EXPECT_EQ(&server_.vocab(), &directory.vocab());
+    EXPECT_EQ(server_.vocab().num_classes(), classes);
+    EXPECT_EQ(server_.vocab().num_attributes(), attributes);
+    EXPECT_FALSE(server_.vocab().FindClass("gadget").ok());
+    EXPECT_FALSE(server_.vocab().FindAttribute("shoeSize").ok());
+    EXPECT_EQ(directory.IdCapacity(), ids);
+    EXPECT_EQ(directory.UnpublishedKeys(), keys);
+  }
+};
+
+TEST_F(FrozenNamesTest, Add) {
+  for (bool fresh_class : {true, false}) {
+    ExpectRefused("add", "uid=x,ou=research", fresh_class, [&] {
+      return server_.Add(Dn("uid=x,ou=research"), FreshSpec(fresh_class));
+    });
+  }
+}
+
+TEST_F(FrozenNamesTest, Apply) {
+  for (bool fresh_class : {true, false}) {
+    ExpectRefused("apply", "uid=x,ou=research", fresh_class, [&] {
+      UpdateTransaction txn;
+      txn.Insert(Dn("uid=x,ou=research"), FreshSpec(fresh_class));
+      return server_.Apply(txn);
+    });
+  }
+}
+
+TEST_F(FrozenNamesTest, ApplyChangeLdif) {
+  for (bool fresh_class : {true, false}) {
+    ExpectRefused("apply", "uid=x,ou=research", fresh_class, [&] {
+      std::string change =
+          "dn: uid=x,ou=research\nchangetype: add\nobjectClass: person\n"
+          "objectClass: top\nuid: x\nname: p x\n";
+      change += fresh_class ? "objectClass: gadget\n" : "shoeSize: 42\n";
+      return ApplyChangeLdif(change, &server_).status();
+    });
+  }
+}
+
+TEST_F(FrozenNamesTest, ImportLdif) {
+  for (bool fresh_class : {true, false}) {
+    ExpectRefused("import", "uid=x,ou=research", fresh_class, [&] {
+      std::string record =
+          "dn: uid=x,ou=research\nobjectClass: person\nobjectClass: top\n"
+          "uid: x\nname: p x\n";
+      record += fresh_class ? "objectClass: gadget\n" : "shoeSize: 42\n";
+      return server_.ImportLdif(record).status();
+    });
+  }
+}
+
+TEST_F(FrozenNamesTest, ModifyAddingAnObjectClassValue) {
+  ExpectRefused("modify", "uid=ada,ou=research", /*fresh_class=*/true, [&] {
+    DirectoryServer::Modification add;
+    add.kind = DirectoryServer::Modification::Kind::kAddValue;
+    add.attr = server_.vocab().objectclass_attr();
+    add.value = Value("gadget");
+    return server_.Modify(Dn("uid=ada,ou=research"), {add});
+  });
+  // Rolled back: ada is as she was.
+  EntryId ada = *ResolveDn(server_.directory(), Dn("uid=ada,ou=research"));
+  EXPECT_EQ(server_.directory().entry(ada).classes().size(), 2u);
+  EXPECT_TRUE(server_.IsLegal());
+}
+
+// A transaction refused at its second insert still keeps the id its first
+// insert took before the rollback: ids are never reused (ROADMAP item 1).
+TEST_F(FrozenNamesTest, MultiEntryApplyKeepsTheRolledBackIds) {
+  const size_t ids = server_.directory().IdCapacity();
+  const size_t classes = server_.vocab().num_classes();
+  UpdateTransaction txn;
+  txn.Insert(Dn("ou=lab"), TeamSpec("lab"));
+  txn.Insert(Dn("uid=y,ou=lab"), PersonSpec("y"));
+  txn.Insert(Dn("uid=x,ou=lab"), FreshSpec(/*fresh_class=*/true));
+  Status status = server_.Apply(txn);
+  EXPECT_EQ(status.code(), StatusCode::kIllegal);
+  EXPECT_NE(status.message().find("'uid=x,ou=lab'"), std::string::npos)
+      << status;
+  EXPECT_EQ(server_.directory().IdCapacity(), ids + 2);
+  EXPECT_EQ(server_.vocab().num_classes(), classes);
+  EXPECT_EQ(server_.directory().NumEntries(), 2u);
 }
 
 TEST_F(DirectoryServerTest, DeleteGuarded) {

@@ -136,8 +136,8 @@ TEST(MonitorConcurrencyTest, StatuszRacesDurableWriters) {
   // /statusz under write traffic, as `serve` sees it when scraped: two
   // writers commit through a batching WAL while two threads render. The
   // entry count and the WAL sequence move under the renderers, so both
-  // must be read race-free. The writers use only names the schema already
-  // has, so nothing is interned while the renderers read the vocabulary.
+  // must be read race-free. The vocabulary is frozen, so the renderers
+  // read it without a lock.
   const std::string dir = ::testing::TempDir() + "ldapbound_statusz_writers";
   std::filesystem::remove_all(dir);
   auto server = DirectoryServer::Create(kSchema);

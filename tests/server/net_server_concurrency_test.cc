@@ -646,17 +646,19 @@ TEST_F(NetServerConcurrencyTest, SlowOpRecordsRaceWireWritesAndScrapes) {
   EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
 }
 
-// Readers name classes and attributes through the server's read-only
+// Readers name classes and attributes through the server's one frozen
 // vocabulary. Wire adds that name classes and attributes no schema
-// defines intern them into the writer's vocabulary (under the write
-// mutex) and are refused, while wire searches for exactly those classes
-// and paged reads resolve and encode names on other workers with no
-// lock. A class the schema lacks matches nothing.
+// defines are refused before they take an id, while wire searches for
+// exactly those classes and paged reads resolve and encode names on other
+// workers with no lock. A class the schema lacks matches nothing.
 TEST_F(NetServerConcurrencyTest, FreshNamesRaceWireSearchesAndPagedReads) {
   NetServerOptions options;
   options.reactors = 2;
   options.worker_threads = 4;
   StartNet(options);
+  const size_t ids = server_.directory().IdCapacity();
+  const size_t classes = server_.vocab().num_classes();
+  const size_t attributes = server_.vocab().num_attributes();
 
   constexpr int kRounds = 120;
   std::atomic<int> round{0};
@@ -769,11 +771,13 @@ TEST_F(NetServerConcurrencyTest, FreshNamesRaceWireSearchesAndPagedReads) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
-  // The refused adds interned their names for the writer only.
-  EXPECT_TRUE(server_.directory().vocab().FindClass("fresh0").ok());
-  EXPECT_TRUE(server_.directory().vocab().FindAttribute("freshattr0").ok());
+  // No vocabulary holds the fresh names, and the refused adds took no id.
+  EXPECT_EQ(&server_.vocab(), &server_.directory().vocab());
+  EXPECT_EQ(server_.vocab().num_classes(), classes);
+  EXPECT_EQ(server_.vocab().num_attributes(), attributes);
   EXPECT_FALSE(server_.vocab().FindClass("fresh0").ok());
   EXPECT_FALSE(server_.vocab().FindAttribute("freshattr0").ok());
+  EXPECT_EQ(server_.directory().IdCapacity(), ids);
 }
 
 }  // namespace

@@ -594,6 +594,63 @@ TEST_F(NetServerTest, RefusedWireAddIsOneRecordWithDnAndDetail) {
   EXPECT_NE(json.find("\"detail\":"), std::string::npos) << json;
 }
 
+// A wire add naming a class or an attribute the schema lacks is refused
+// before it takes an id, as a content refusal is: kIllegal, not
+// retryable, counted as a rejected add, its message naming the DN and the
+// name, its record's explain the content pass's line; the server's one
+// vocabulary, its id space and its open deltas stay as they were.
+TEST_F(NetServerTest, FreshNameWireAddsAreRefusedAndKeepNothing) {
+  server_.EnableSlowOps(/*capacity=*/64, /*min_duration_ns=*/0);
+  StartNet();
+  WireClient client(net_->port());
+  ASSERT_TRUE(client.connected());
+  const Directory& directory = server_.directory();
+  const size_t classes = server_.vocab().num_classes();
+  const size_t attributes = server_.vocab().num_attributes();
+  const size_t ids = directory.IdCapacity();
+  const size_t keys = directory.UnpublishedKeys();
+  const uint64_t rejected = Net("ldapbound_server_ops_total",
+                                "op=\"add\",outcome=\"rejected\"");
+
+  auto fresh_class = client.Call(EncodeAddRequest(
+      1, "uid=x,ou=load", {"top", "person", "gadget"},
+      {{"uid", "x"}, {"name", "x"}}));
+  auto fresh_attribute = client.Call(EncodeAddRequest(
+      2, "uid=x,ou=load", {"top", "person"},
+      {{"uid", "x"}, {"name", "x"}, {"shoeSize", "42"}}));
+  for (const auto& [response, words] :
+       {std::pair{&fresh_class, "class 'gadget' is not part of the schema"},
+        std::pair{&fresh_attribute, "attribute 'shoeSize' is not allowed by "
+                                    "any of the entry's classes"}}) {
+    ASSERT_TRUE(response->ok());
+    const WireResponse& refused = **response;
+    EXPECT_EQ(refused.code, WireCode::kIllegal);
+    EXPECT_FALSE(refused.retryable);
+    EXPECT_NE(refused.message.find("'uid=x,ou=load'"), std::string::npos)
+        << refused.message;
+    EXPECT_NE(refused.message.find(words), std::string::npos)
+        << refused.message;
+  }
+  EXPECT_EQ(Net("ldapbound_server_ops_total",
+                "op=\"add\",outcome=\"rejected\""),
+            rejected + 2);
+  std::map<uint64_t, std::string> explains;
+  for (const SlowOp& op : WaitForWireRecords(server_.slow_ops(), 2)) {
+    EXPECT_EQ(op.op, "wire.add");
+    EXPECT_EQ(op.outcome, "rejected");
+    explains[op.wire_request_id] = op.explain;
+  }
+  EXPECT_EQ(explains[1], "content pass: class schema");
+  EXPECT_EQ(explains[2], "content pass: attribute schema");
+
+  net_->Stop();  // joins the workers before the directory is read
+  EXPECT_EQ(&server_.vocab(), &directory.vocab());
+  EXPECT_EQ(server_.vocab().num_classes(), classes);
+  EXPECT_EQ(server_.vocab().num_attributes(), attributes);
+  EXPECT_EQ(directory.IdCapacity(), ids);
+  EXPECT_EQ(directory.UnpublishedKeys(), keys);
+}
+
 // Pings answer inline on the reactor; they count as ok on /metrics, which
 // /statusz reads, like the requests the workers execute.
 TEST_F(NetServerTest, InlinePingsCountInStatsAndMetrics) {
