@@ -47,7 +47,7 @@ std::pair<EntryId, EntrySet> InsertProbeSubtree(Directory& directory) {
     person.values = {{"uid", uid}, {"name", "probe " + uid}};
     created.push_back(directory.AddEntryFromSpec(root, person).value());
   }
-  EntrySet delta(directory.IdCapacity());
+  EntrySet delta;
   for (EntryId id : created) delta.Insert(id);
   return {root, delta};
 }
@@ -131,7 +131,7 @@ void DeleteCheckBenchmark(benchmark::State& state, bool optimized) {
   EntryId org = directory.roots().front();
   EntryId unit = directory.entry(org).children().front();
   EntryId person = LastChild(directory, unit);
-  EntrySet delta(directory.IdCapacity());
+  EntrySet delta;
   delta.Insert(person);
   directory.GetIndex();
 
@@ -171,7 +171,7 @@ void BM_DeleteCheck_RequiredClassCounts(benchmark::State& state) {
   EntryId org = directory.roots().front();
   EntryId unit = directory.entry(org).children().front();
   EntryId person = LastChild(directory, unit);
-  EntrySet delta(directory.IdCapacity());
+  EntrySet delta;
   delta.Insert(person);
   directory.GetIndex();
 

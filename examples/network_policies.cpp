@@ -138,7 +138,7 @@ int main() {
   iface.values = {{"cn", "eth0"}, {"ipAddress", "10.0.1.1"}};
   EntryId eth = directory.AddEntryFromSpec(router2, iface).value();
 
-  EntrySet delta(directory.IdCapacity());
+  EntrySet delta;
   delta.Insert(router2);
   delta.Insert(eth);
   IncrementalValidator validator(*schema);
@@ -152,7 +152,7 @@ int main() {
   rogue.classes = {"device", "top"};
   rogue.values = {{"cn", "rogue"}};
   EntryId rogue_id = directory.AddEntryFromSpec(eth, rogue).value();
-  EntrySet delta2(directory.IdCapacity());
+  EntrySet delta2;
   delta2.Insert(rogue_id);
   violations.clear();
   ok = validator.CheckAfterInsert(directory, delta2, &violations);

@@ -14,8 +14,6 @@ Directory::Directory(std::shared_ptr<Vocabulary> vocab)
 Directory::Directory(std::shared_ptr<const Vocabulary> vocab)
     : vocab_(std::move(vocab)),
       store_(std::make_unique<SnapshotStore>(EpochManager::Default())) {
-  alive_ = std::make_shared<EntrySet>(PostingCapacity());
-  alive_private_ = true;
   PublishSnapshot();
 }
 
@@ -109,7 +107,7 @@ Result<EntryId> Directory::AddEntry(EntryId parent, std::string rdn,
   const EntryContent& content =
       *(contents_.Mutable(id) = std::make_shared<EntryContent>(EntryContent{
             std::move(rdn), std::move(classes), std::move(kept)}));
-  TrackAlive(id, true);
+  alive_.Insert(id);
   rdn_index_.Set(std::move(rdn_key), id);
   index_.OnInsert(parent, id);
   for (ClassId c : content.classes) TrackClass(id, c, true);
@@ -276,7 +274,7 @@ Status Directory::DeleteLeaf(EntryId id) {
         std::to_string(std::distance(children.begin(), children.end())) +
         " children)");
   }
-  TrackAlive(id, false);
+  alive_.Erase(id);
   // The slot keeps its content: a tombstoned entry() stays readable.
   const EntryContent& e = *contents_[id];
   for (ClassId c : e.classes) TrackClass(id, c, false);
@@ -299,12 +297,6 @@ Status Directory::DeleteSubtree(EntryId id) {
   return Status::OK();
 }
 
-EntrySet Directory::AliveSet() const {
-  EntrySet set = *alive_;
-  set.Resize(IdCapacity());
-  return set;
-}
-
 EntryId Directory::FindChildByRdn(EntryId parent,
                                   std::string_view rdn) const {
   const EntryId* found = rdn_index_.Find(RdnKey(parent, rdn));
@@ -320,50 +312,21 @@ std::vector<EntryId> Directory::SubtreeEntries(EntryId id) const {
   return out;
 }
 
-size_t Directory::PostingCapacity() const {
-  size_t cap = 64;
-  while (cap < IdCapacity()) cap <<= 1;
-  return cap;
-}
-
-EntrySet* Directory::MutableAlive() {
-  const size_t want = PostingCapacity();
-  if (!alive_private_) {
-    // A published snapshot holds the current set: clone before writing.
-    alive_ = std::make_shared<EntrySet>(*alive_);
-    alive_private_ = true;
-  }
-  if (alive_->capacity() < want) alive_->Resize(want);
-  return alive_.get();
-}
-
-void Directory::TrackAlive(EntryId id, bool on) {
-  EntrySet* alive = MutableAlive();
-  if (on) {
-    alive->Insert(id);
-  } else {
-    alive->Erase(id);
-  }
-}
-
 void Directory::TrackClass(EntryId id, ClassId cls, bool add) {
-  ClassPosting& posting = *by_class_.Mutable(
-      cls, [&](const std::shared_ptr<ClassPosting>* frozen) {
-        return frozen != nullptr
-                   ? std::make_shared<ClassPosting>(**frozen)
-                   : std::make_shared<ClassPosting>(
-                         ClassPosting{EntrySet(PostingCapacity()), 0});
+  // A frozen posting's copy shares its chunks: the write below clones
+  // the one it touches.
+  ClassPosting& posting = by_class_.Mutable(
+      cls, [](const ClassPosting* frozen) {
+        return frozen != nullptr ? *frozen : ClassPosting{};
       });
   EntrySet& set = posting.members;
-  if (set.capacity() <= id) set.Resize(PostingCapacity());
   if (set.Contains(id) == add) return;
   if (add) {
     set.Insert(id);
     ++posting.count;
   } else {
     set.Erase(id);
-    // Drained: leave the mirror, as TrackValue's postings do (a bitmap
-    // sized to the id space would stay behind for every class named).
+    // Drained: leave the mirror, as TrackValue's postings do.
     if (--posting.count == 0) by_class_.Erase(cls);
   }
 }
@@ -412,11 +375,9 @@ size_t Directory::UnpublishedKeys() const {
 void Directory::PublishSnapshot() {
   auto* snap = new DirectorySnapshot();
   snap->version = version_;
-  snap->id_capacity = IdCapacity();
   snap->num_alive = NumEntries();
   snap->index = index_.FreezeViews();
-  snap->alive = alive_;
-  alive_private_ = false;  // the snapshot holds it: next write clones
+  snap->alive = std::make_shared<const EntrySet>(alive_);
   snap->by_class = by_class_.Freeze();
   snap->by_value = by_value_.Freeze();
   snap->rdn = rdn_index_.Freeze();

@@ -142,7 +142,7 @@ class Directory {
   /// Deletes an entire subtree, leaves first.
   Status DeleteSubtree(EntryId id);
 
-  bool IsAlive(EntryId id) const { return alive_->Contains(id); }
+  bool IsAlive(EntryId id) const { return alive_.Contains(id); }
 
   /// Read access; `id` must be alive or tombstoned (but allocated). A
   /// tombstoned entry keeps the content it had when deleted. The view
@@ -157,8 +157,7 @@ class Directory {
   /// Number of alive entries.
   size_t NumEntries() const { return index_.num_entries(); }
 
-  /// One past the largest allocated id (the content array's size);
-  /// EntrySets over this directory use this as their capacity.
+  /// One past the largest allocated id (the content array's size).
   size_t IdCapacity() const { return contents_.size(); }
 
   /// Number of alive entries that belong to class `c`: the class
@@ -168,15 +167,14 @@ class Directory {
   /// with writers excluded (the server's write mutex). Readers
   /// concurrent with writers use DirectorySnapshot::CountWithClass.
   size_t CountWithClass(ClassId c) const {
-    const std::shared_ptr<ClassPosting>* p = by_class_.Find(c);
-    return p == nullptr ? 0 : (*p)->count;
+    const ClassPosting* p = by_class_.Find(c);
+    return p == nullptr ? 0 : p->count;
   }
 
-  /// Members of class `c`, or nullptr when no alive entry has it. As on
-  /// DirectorySnapshot, the set's capacity may exceed IdCapacity().
+  /// Members of class `c`, or nullptr when no alive entry has it.
   const EntrySet* ClassSet(ClassId c) const {
-    const std::shared_ptr<ClassPosting>* p = by_class_.Find(c);
-    return p == nullptr ? nullptr : &(*p)->members;
+    const ClassPosting* p = by_class_.Find(c);
+    return p == nullptr ? nullptr : &p->members;
   }
 
   /// Alive entries carrying (attr, value), ascending; nullptr when none.
@@ -197,11 +195,11 @@ class Directory {
   /// Calls `fn(const Entry&)` for each alive entry in id order.
   template <typename Fn>
   void ForEachAlive(Fn&& fn) const {
-    alive_->ForEach([&](EntryId id) { fn(entry(id)); });
+    alive_.ForEach([&](EntryId id) { fn(entry(id)); });
   }
 
   /// The set of all alive entries.
-  EntrySet AliveSet() const;
+  const EntrySet& AliveSet() const { return alive_; }
 
   /// Finds the child of `parent` whose RDN equals `rdn` (case-insensitive);
   /// with parent == kInvalidEntryId, searches the roots. Returns
@@ -257,11 +255,6 @@ class Directory {
 
   // Mirror upkeep:
   using ClassPosting = DirectorySnapshot::ClassPosting;
-  /// Capacity snapshot EntrySets are built at: IdCapacity rounded up to
-  /// a power of two, so growth reallocates postings O(log n) times.
-  size_t PostingCapacity() const;
-  EntrySet* MutableAlive();
-  void TrackAlive(EntryId id, bool on);
   void TrackClass(EntryId id, ClassId cls, bool add);
   void TrackValue(EntryId id, AttributeId attr, const Value& value, bool add);
   /// Entry `id`'s content, writer-private: on the first edit since the
@@ -283,11 +276,8 @@ class Directory {
   Entry::ContentArray contents_;
 
   // The snapshot mirrors, read by the head as well.
-  /// The alive entries.
-  std::shared_ptr<EntrySet> alive_;
-  /// True while alive_ has not been captured by a publish (the writer
-  /// may mutate it in place; else it clones first).
-  bool alive_private_ = false;
+  /// The alive entries; a publish shares its chunks.
+  EntrySet alive_;
   DirectorySnapshot::ClassPostingMap by_class_;
   DirectorySnapshot::ValuePostingMap by_value_;
   std::unique_ptr<SnapshotStore> store_;

@@ -46,7 +46,7 @@ std::string SnapshotRdnKey(EntryId parent, std::string_view rdn);
 ///
 /// Everything a structural legality check or a value lookup needs is
 /// reachable from here without touching the live Directory: the
-/// order-maintenance label views (hierarchy axes), the alive bitmap,
+/// order-maintenance label views (hierarchy axes), the alive set,
 /// per-class and per-(attribute,value) postings, and the sibling-RDN
 /// index. All members are either plain values or shared COW state;
 /// copying costs a handful of refcounts, and holding a snapshot keeps
@@ -62,46 +62,48 @@ std::string SnapshotRdnKey(EntryId parent, std::string_view rdn);
 /// server's frozen vocabulary (DirectoryServer::vocab()).
 struct DirectorySnapshot {
   /// One class's members at a version, with their number kept in step
-  /// by the writer, so a population read costs no pass over the bitmap.
+  /// by the writer, so a population read costs no pass over the set.
   struct ClassPosting {
     EntrySet members;
     size_t count = 0;
   };
 
-  // Posting and content pointers are non-const shared_ptrs so the single
-  // writer can mutate one it cloned within the current (unfrozen) delta;
-  // once it reaches a frozen View it is never written again
-  // (clone-once-per-delta discipline, see CowMap::Mutable and
-  // Directory::MutableContent).
-  using ClassPostingMap = CowMap<ClassId, std::shared_ptr<ClassPosting>>;
+  // The class-posting map versions which classes have members, and each
+  // EntrySet versions its own bits: a posting is held by value, and the
+  // writer's copy in the open delta shares its chunks with the frozen
+  // one until a write clones the chunk it touches. Value postings and
+  // contents are non-const shared_ptrs so the single writer can mutate
+  // one it cloned within the current (unfrozen) delta; once it reaches a
+  // frozen View it is never written again (clone-once-per-delta
+  // discipline, see CowMap::Mutable and Directory::MutableContent).
+  using ClassPostingMap = CowMap<ClassId, ClassPosting>;
   using ValuePostingMap =
       CowMap<SnapshotValueKey, std::shared_ptr<std::vector<EntryId>>,
              SnapshotValueKeyHash>;
   using RdnMap = CowMap<std::string, EntryId>;
 
   uint64_t version = 0;
-  size_t id_capacity = 0;
   size_t num_alive = 0;
 
   /// Labels / end labels / tree links by entry id.
   ForestIndex::LabelViews index;
 
-  /// Alive entries at this version.
+  /// Alive entries at this version: a copy of the writer's set made at
+  /// publish, sharing its chunks. Held by pointer, so copying a snapshot
+  /// (a paged cursor does) costs one reference count.
   std::shared_ptr<const EntrySet> alive;
 
   ClassPostingMap::View by_class;
   ValuePostingMap::View by_value;
   RdnMap::View rdn;
-  /// Contents by entry id, id_capacity of them; a dead id's slot keeps
-  /// its last content, so Content() reads only alive ids.
+  /// Contents by entry id, one per id allocated at this version; a dead
+  /// id's slot keeps its last content, so Content() reads only alive ids.
   Entry::ContentArray::View contents;
 
-  /// Members of class `cls`, or nullptr when no alive entry has it. The
-  /// returned set may have capacity != id_capacity (postings grow in
-  /// doubling steps); ids past id_capacity are never set.
+  /// Members of class `cls`, or nullptr when no alive entry has it.
   const EntrySet* ClassSet(ClassId cls) const {
-    const std::shared_ptr<ClassPosting>* p = by_class.Find(cls);
-    return p == nullptr ? nullptr : &(*p)->members;
+    const ClassPosting* p = by_class.Find(cls);
+    return p == nullptr ? nullptr : &p->members;
   }
 
   /// Alive entries carrying (attr, value), ascending; nullptr when none.
@@ -114,8 +116,8 @@ struct DirectorySnapshot {
 
   /// Population of class `cls` at this version. O(1).
   size_t CountWithClass(ClassId cls) const {
-    const std::shared_ptr<ClassPosting>* p = by_class.Find(cls);
-    return p == nullptr ? 0 : (*p)->count;
+    const ClassPosting* p = by_class.Find(cls);
+    return p == nullptr ? 0 : p->count;
   }
 
   /// The child of `parent` with (case-insensitive) RDN `rdn`, or
@@ -124,7 +126,7 @@ struct DirectorySnapshot {
 
   /// Entry `id`'s content at this version, or nullptr for ids this
   /// snapshot does not hold (dead or unknown). The alive set bounds the
-  /// read: it holds no id at or past id_capacity.
+  /// read: it holds only ids allocated at this version.
   const EntryContent* Content(EntryId id) const {
     return IsAlive(id) ? contents[id].get() : nullptr;
   }

@@ -2,8 +2,10 @@
 #define LDAPBOUND_MODEL_ENTRY_SET_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace ldapbound {
@@ -15,101 +17,130 @@ using EntryId = uint32_t;
 
 inline constexpr EntryId kInvalidEntryId = ~EntryId{0};
 
-/// A set of entry ids, stored as a bitmap sized to the Directory's id
-/// capacity. Query evaluation represents intermediate and final results as
-/// EntrySets so that set algebra (union, difference) is O(|D|/64).
+/// A set of entry ids: a table of fixed-width bitmap chunks, chunk c
+/// holding ids [c·kChunkIds, (c+1)·kChunkIds), each held by shared_ptr.
+/// This is the chunk partition of Roaring bitmaps (Chambi, Lemire, Kaser,
+/// Godin, arXiv:1402.6407), with every chunk a bitmap. A chunk no member
+/// has reached is absent, so a set has no capacity: it costs a table slot
+/// per kChunkIds ids up to its largest member and a bitmap per chunk that
+/// has held one.
+///
+/// Copying a set copies only the table: every chunk is then shared. A
+/// write clones the one chunk it touches, and only when another set still
+/// shares it (use_count() > 1, CowVec::Mutable's rule). So the directory
+/// publishes its alive set and class postings as table copies, and a
+/// commit clones the chunks it touches, whatever the id space.
+///
+/// Concurrency: a set object is read and written by one thread at a time,
+/// but sets sharing chunks may live on different threads. A chunk only
+/// this set holds was cloned by its writer or has been dropped by every
+/// other set; a chunk another set can read is shared, so no write lands
+/// in it.
 class EntrySet {
  public:
-  EntrySet() = default;
-  /// Creates an empty set able to hold ids in [0, capacity).
-  explicit EntrySet(size_t capacity)
-      : capacity_(capacity), words_((capacity + 63) / 64, 0) {}
+  /// log2 of the ids per chunk: 4,096 ids, a 512-byte bitmap
+  /// (DESIGN.md §10 has the rows that chose it).
+  static constexpr unsigned kChunkBits = 12;
+  static constexpr size_t kChunkIds = size_t{1} << kChunkBits;
 
-  size_t capacity() const { return capacity_; }
-
-  /// Out-of-range ids are ignored: Contains could never report them, and
-  /// without the guard an id past the capacity scribbles over the heap
-  /// (Contains bounds-checks, Insert/Erase historically did not).
+  /// kInvalidEntryId is ignored: no table is ever sized to reach it.
   void Insert(EntryId id) {
-    if (id >= capacity_) return;
-    words_[id >> 6] |= uint64_t{1} << (id & 63);
+    if (id == kInvalidEntryId) return;
+    const size_t c = id >> kChunkBits;
+    if (c < chunks_.size() && chunks_[c].use_count() == 1) {
+      chunks_[c]->words[WordOf(id)] |= BitOf(id);  // this set alone holds it
+    } else if (!Contains(id)) {
+      if (c >= chunks_.size()) chunks_.resize(c + 1);
+      std::shared_ptr<Chunk>& slot = chunks_[c];
+      slot = slot ? std::make_shared<Chunk>(*slot) : std::make_shared<Chunk>();
+      slot->words[WordOf(id)] |= BitOf(id);
+    }
   }
+
   void Erase(EntryId id) {
-    if (id >= capacity_) return;
-    words_[id >> 6] &= ~(uint64_t{1} << (id & 63));
+    if (!Contains(id)) return;
+    std::shared_ptr<Chunk>& slot = chunks_[id >> kChunkBits];
+    if (slot.use_count() > 1) slot = std::make_shared<Chunk>(*slot);
+    slot->words[WordOf(id)] &= ~BitOf(id);
   }
+
   bool Contains(EntryId id) const {
-    return id < capacity_ && (words_[id >> 6] >> (id & 63)) & 1;
+    const Chunk* chunk = At(id >> kChunkBits);
+    return chunk != nullptr && (chunk->words[WordOf(id)] >> (id & 63)) & 1;
   }
 
   /// Number of ids in the set.
   size_t Count() const {
     size_t n = 0;
-    for (uint64_t w : words_) n += static_cast<size_t>(__builtin_popcountll(w));
-    return n;
-  }
-
-  /// min(Count(), k): stops counting as soon as `k` members are seen, so
-  /// threshold tests ("is this set bigger than |D|/8?") cost O(k/64 + 1)
-  /// words on dense sets instead of a full popcount pass.
-  size_t CountUpTo(size_t k) const {
-    size_t n = 0;
-    for (uint64_t w : words_) {
-      n += static_cast<size_t>(__builtin_popcountll(w));
-      if (n >= k) return k;
+    for (const std::shared_ptr<Chunk>& chunk : chunks_) {
+      if (chunk == nullptr) continue;
+      for (uint64_t w : chunk->words) n += std::popcount(w);
     }
     return n;
   }
 
   bool Empty() const {
-    for (uint64_t w : words_) {
-      if (w != 0) return false;
-    }
-    return true;
+    return ForEachWhile([](EntryId) { return false; });
   }
 
-  void Clear() {
-    for (uint64_t& w : words_) w = 0;
-  }
-
-  /// Changes the capacity, keeping members below the new bound. Growth
-  /// zero-fills; shrinking drops out-of-range members and clears any
-  /// stray bits in the (now) last word so word-wise algebra against
-  /// other sets of the new capacity stays exact. Needed when combining
-  /// sets built at different id capacities (e.g. an MVCC snapshot's
-  /// postings vs a freshly sized scratch set).
-  void Resize(size_t capacity) {
-    words_.resize((capacity + 63) / 64, 0);
-    capacity_ = capacity;
-    if (capacity & 63) {
-      if (!words_.empty()) {
-        words_.back() &= ~uint64_t{0} >> (64 - (capacity & 63));
+  /// In-place union with `other`. A chunk only `other` holds is shared,
+  /// not copied.
+  void UnionWith(const EntrySet& other) {
+    chunks_.resize(std::max(chunks_.size(), other.chunks_.size()));
+    for (size_t c = 0; c < other.chunks_.size(); ++c) {
+      const std::shared_ptr<Chunk>& theirs = other.chunks_[c];
+      if (theirs == nullptr || chunks_[c] == theirs) continue;
+      if (chunks_[c] == nullptr) {
+        chunks_[c] = theirs;
+      } else {
+        Combine(chunks_[c], *theirs, [](uint64_t a, uint64_t b) {
+          return a | b;
+        });
       }
     }
   }
 
-  /// In-place union with `other` (capacities must match).
-  void UnionWith(const EntrySet& other) {
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  }
-
-  /// In-place intersection with `other`.
+  /// In-place intersection with `other`: chunks `other` lacks are dropped.
   void IntersectWith(const EntrySet& other) {
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
+    chunks_.resize(std::min(chunks_.size(), other.chunks_.size()));
+    for (size_t c = 0; c < chunks_.size(); ++c) {
+      const Chunk* theirs = other.chunks_[c].get();
+      if (theirs == nullptr) {
+        chunks_[c].reset();
+      } else if (chunks_[c] != nullptr && chunks_[c].get() != theirs) {
+        Combine(chunks_[c], *theirs, [](uint64_t a, uint64_t b) {
+          return a & b;
+        });
+      }
+    }
   }
 
   /// In-place set difference: removes the ids present in `other`.
   void SubtractFrom(const EntrySet& other) {
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
+    for (size_t c = 0; c < chunks_.size(); ++c) {
+      const Chunk* theirs = other.At(c);
+      if (chunks_[c] == nullptr || theirs == nullptr) continue;
+      if (chunks_[c].get() == theirs) {
+        chunks_[c].reset();
+      } else {
+        Combine(chunks_[c], *theirs, [](uint64_t a, uint64_t b) {
+          return a & ~b;
+        });
+      }
+    }
   }
 
   /// True iff the sets share at least one id; exits at the first
   /// overlapping word, so disproving emptiness of an intersection needs no
-  /// materialized result bitmap.
+  /// materialized result.
   bool Intersects(const EntrySet& other) const {
-    size_t n = std::min(words_.size(), other.words_.size());
-    for (size_t i = 0; i < n; ++i) {
-      if (words_[i] & other.words_[i]) return true;
+    for (size_t c = 0; c < chunks_.size(); ++c) {
+      const Chunk* a = chunks_[c].get();
+      const Chunk* b = other.At(c);
+      if (a == nullptr || b == nullptr) continue;
+      for (size_t w = 0; w < kWords; ++w) {
+        if (a->words[w] & b->words[w]) return true;
+      }
     }
     return false;
   }
@@ -118,57 +149,38 @@ class EntrySet {
   /// word with a surviving id. `A.IsSubsetOf(B)` is the lazy emptiness test
   /// for the difference query `(? A B)`.
   bool IsSubsetOf(const EntrySet& other) const {
-    for (size_t i = 0; i < words_.size(); ++i) {
-      uint64_t w = words_[i];
-      if (w == 0) continue;
-      uint64_t o = i < other.words_.size() ? other.words_[i] : 0;
-      if (w & ~o) return false;
+    for (size_t c = 0; c < chunks_.size(); ++c) {
+      const Chunk* a = chunks_[c].get();
+      const Chunk* b = other.At(c) != nullptr ? other.At(c) : &kNone;
+      if (a == nullptr || a == b) continue;
+      for (size_t w = 0; w < kWords; ++w) {
+        if (a->words[w] & ~b->words[w]) return false;
+      }
     }
     return true;
-  }
-
-  /// True iff some member lies in [lo, hi). Masks the boundary words and
-  /// exits at the first non-zero word; preorder-interval emptiness tests
-  /// use this against subtree ranges.
-  bool AnyInRange(size_t lo, size_t hi) const {
-    if (hi > capacity_) hi = capacity_;
-    if (lo >= hi) return false;
-    const size_t first = lo >> 6;
-    const size_t last = (hi - 1) >> 6;
-    const uint64_t first_mask = ~uint64_t{0} << (lo & 63);
-    const uint64_t last_mask =
-        ~uint64_t{0} >> (63 - ((hi - 1) & 63));
-    if (first == last) return (words_[first] & first_mask & last_mask) != 0;
-    if (words_[first] & first_mask) return true;
-    for (size_t i = first + 1; i < last; ++i) {
-      if (words_[i] != 0) return true;
-    }
-    return (words_[last] & last_mask) != 0;
   }
 
   /// Calls `fn(id)` for every id in the set in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < words_.size(); ++i) {
-      uint64_t w = words_[i];
-      while (w != 0) {
-        int bit = __builtin_ctzll(w);
-        fn(static_cast<EntryId>(i * 64 + bit));
-        w &= w - 1;
-      }
-    }
+    ForEachWhile([&fn](EntryId id) {
+      fn(id);
+      return true;
+    });
   }
 
   /// ForEach that stops early: `fn(id)` returns false to stop iterating.
   /// Returns true iff iteration ran to completion (fn never said stop).
   template <typename Fn>
   bool ForEachWhile(Fn&& fn) const {
-    for (size_t i = 0; i < words_.size(); ++i) {
-      uint64_t w = words_[i];
-      while (w != 0) {
-        int bit = __builtin_ctzll(w);
-        if (!fn(static_cast<EntryId>(i * 64 + bit))) return false;
-        w &= w - 1;
+    for (size_t c = 0; c < chunks_.size(); ++c) {
+      const Chunk* chunk = chunks_[c].get();
+      if (chunk == nullptr) continue;
+      for (size_t w = 0; w < kWords; ++w) {
+        for (uint64_t bits = chunk->words[w]; bits != 0; bits &= bits - 1) {
+          const size_t id = (c << kChunkBits) + w * 64 + std::countr_zero(bits);
+          if (!fn(static_cast<EntryId>(id))) return false;
+        }
       }
     }
     return true;
@@ -182,13 +194,46 @@ class EntrySet {
     return out;
   }
 
+  /// Same members, however each set was built.
   friend bool operator==(const EntrySet& a, const EntrySet& b) {
-    return a.capacity_ == b.capacity_ && a.words_ == b.words_;
+    return a.IsSubsetOf(b) && b.IsSubsetOf(a);
   }
 
  private:
-  size_t capacity_ = 0;
-  std::vector<uint64_t> words_;
+  static constexpr size_t kWords = kChunkIds / 64;
+
+  /// May hold no id: an Erase leaves its chunk in place, so a churned
+  /// range costs no allocation per id.
+  struct Chunk {
+    uint64_t words[kWords];
+  };
+  static constexpr Chunk kNone{};
+
+  static size_t WordOf(EntryId id) { return (id >> 6) & (kWords - 1); }
+  static uint64_t BitOf(EntryId id) { return uint64_t{1} << (id & 63); }
+
+  /// Chunk `c`, or nullptr when it is absent or past the table.
+  const Chunk* At(size_t c) const {
+    return c < chunks_.size() ? chunks_[c].get() : nullptr;
+  }
+
+  /// Sets present chunk `slot` to op(slot, theirs), word by word: in place
+  /// when this set alone holds it, else in a fresh chunk. An empty result
+  /// leaves the slot absent.
+  template <typename Op>
+  static void Combine(std::shared_ptr<Chunk>& slot, const Chunk& theirs,
+                      Op op) {
+    std::shared_ptr<Chunk> out =
+        slot.use_count() == 1 ? slot : std::make_shared_for_overwrite<Chunk>();
+    uint64_t any = 0;
+    for (size_t w = 0; w < kWords; ++w) {
+      out->words[w] = op(slot->words[w], theirs.words[w]);
+      any |= out->words[w];
+    }
+    slot = any != 0 ? std::move(out) : nullptr;
+  }
+
+  std::vector<std::shared_ptr<Chunk>> chunks_;
 };
 
 }  // namespace ldapbound

@@ -213,8 +213,7 @@ class ForestIndex {
   Walk Preorder(EntryId top) const { return Walk(links_, first_root_, top); }
 
   /// True if `anc` is a proper ancestor of `desc`. O(1) on the labels;
-  /// out-of-range and dead ids are never ancestors (ids beyond the
-  /// labeled range are ignored, like EntrySet does).
+  /// out-of-range and dead ids are never ancestors.
   bool IsAncestor(EntryId anc, EntryId desc) const {
     if (anc >= labels_.size() || desc >= labels_.size()) return false;
     uint64_t la = labels_[anc];

@@ -57,8 +57,7 @@ const char* AxisStrategy(Axis axis) {
 /// source share this code. Returns false iff `emit` stopped the walk.
 template <typename ParentOf, typename Emit>
 bool ForEachRelated(Axis axis, const EntrySet& nodes, const EntrySet& related,
-                    size_t capacity, ParentOf parent_of, uint64_t& scanned,
-                    Emit emit) {
+                    ParentOf parent_of, uint64_t& scanned, Emit emit) {
   switch (axis) {
     case Axis::kChild:
       // The parents of related members that are nodes.
@@ -78,7 +77,7 @@ bool ForEachRelated(Axis axis, const EntrySet& nodes, const EntrySet& related,
       // closed upward, so a walk stops at the first marked entry and the
       // pass costs O(|related| + marked). Siblings often have adjacent
       // ids, so a walk from the previous walk's start is skipped outright.
-      EntrySet marked(capacity);
+      EntrySet marked;
       EntryId last_start = kInvalidEntryId;
       return related.ForEachWhile([&](EntryId id) {
         const EntryId start = parent_of(id);
@@ -97,8 +96,8 @@ bool ForEachRelated(Axis axis, const EntrySet& nodes, const EntrySet& related,
       // Memoized chain walk: hit(x) = x in related, or hit(parent(x)).
       // Every entry's verdict is settled once, so the pass costs
       // O(|nodes| + distinct entries on their parent chains).
-      EntrySet known(capacity);
-      EntrySet hit(capacity);
+      EntrySet known;
+      EntrySet hit;
       std::vector<EntryId> path;
       auto chain_hits = [&](EntryId start) {
         path.clear();
@@ -290,11 +289,8 @@ bool QueryEvaluator::IsEmpty(const Query& query) {
   return IsEmptyImpl(query);
 }
 
-EntrySet QueryEvaluator::AliveSet() const {
-  if (directory_ != nullptr) return directory_->AliveSet();
-  EntrySet out = *snapshot_->alive;
-  out.Resize(capacity_);
-  return out;
+const EntrySet& QueryEvaluator::AliveSet() const {
+  return directory_ != nullptr ? directory_->AliveSet() : *snapshot_->alive;
 }
 
 EntrySet QueryEvaluator::EvaluateImpl(const Query& query) {
@@ -311,7 +307,7 @@ EntrySet QueryEvaluator::EvaluateImpl(const Query& query) {
       return lhs;
     }
     case Query::Kind::kUnion: {
-      EntrySet out(capacity_);
+      EntrySet out;
       for (const Query& op : query.operands()) {
         EntrySet part = Evaluate(op);
         out.UnionWith(part);
@@ -329,7 +325,7 @@ EntrySet QueryEvaluator::EvaluateImpl(const Query& query) {
       return out;
     }
   }
-  return EntrySet(capacity_);
+  return EntrySet();
 }
 
 bool QueryEvaluator::IsEmptyImpl(const Query& query) {
@@ -403,14 +399,14 @@ EntrySet QueryEvaluator::EvaluateSelect(const Query& query) {
   const Scope scope = query.scope();
   if (scope == Scope::kEmpty) {
     RecordStrategy("empty-scope");
-    return EntrySet(capacity_);
+    return EntrySet();
   }
   if (IsPostingSelect(query)) {
     RecordStrategy("posting");
     return snapshot_ != nullptr ? PostingSelect(*snapshot_, query)
                                 : PostingSelect(*directory_, query);
   }
-  EntrySet out(capacity_);
+  EntrySet out;
   if (snapshot_ != nullptr) {
     if (status_.ok()) {
       status_ = Status::InvalidArgument(
@@ -450,13 +446,12 @@ EntrySet QueryEvaluator::EvaluateSelect(const Query& query) {
 template <typename Source>
 EntrySet QueryEvaluator::PostingSelect(const Source& source,
                                        const Query& query) {
-  EntrySet out(capacity_);
+  EntrySet out;
   const Matcher* matcher = query.matcher().get();
   if (const auto* cm = dynamic_cast<const ClassMatcher*>(matcher)) {
     if (const EntrySet* posting = source.ClassSet(cm->cls())) {
       stats_.entries_scanned += source.CountWithClass(cm->cls());
-      out = *posting;
-      out.Resize(capacity_);  // postings grow in doubling steps
+      out = *posting;  // shares the posting's chunks
     }
     return out;
   }
@@ -496,20 +491,16 @@ bool QueryEvaluator::SelectIsEmpty(const Query& query) {
   }
   RecordStrategy("scan");
   // Early-exit scan: stop at the first matching alive entry.
-  for (size_t i = 0; i < capacity_; ++i) {
-    EntryId id = static_cast<EntryId>(i);
-    if (!directory_->IsAlive(id)) continue;
+  const bool empty = directory_->AliveSet().ForEachWhile([&](EntryId id) {
     ++stats_.entries_scanned;
     if (scope == Scope::kExcludeDelta && delta_ != nullptr &&
         delta_->Contains(id)) {
-      continue;
+      return true;
     }
-    if (matcher.Matches(directory_->entry(id))) {
-      ++stats_.short_circuits;  // stopped at the witness
-      return false;
-    }
-  }
-  return true;
+    return !matcher.Matches(directory_->entry(id));
+  });
+  if (!empty) ++stats_.short_circuits;  // stopped at the witness
+  return empty;
 }
 
 bool QueryEvaluator::WalkAxis(Axis axis, const EntrySet& node_set,
@@ -517,11 +508,11 @@ bool QueryEvaluator::WalkAxis(Axis axis, const EntrySet& node_set,
   RecordStrategy(AxisStrategy(axis));
   auto walk = [&](auto parent_of) {
     if (out == nullptr) {
-      return ForEachRelated(axis, node_set, related, capacity_, parent_of,
+      return ForEachRelated(axis, node_set, related, parent_of,
                             stats_.entries_scanned,
                             [](EntryId) { return false; });
     }
-    return ForEachRelated(axis, node_set, related, capacity_, parent_of,
+    return ForEachRelated(axis, node_set, related, parent_of,
                           stats_.entries_scanned, [out](EntryId id) {
                             out->Insert(id);
                             return true;
@@ -538,7 +529,7 @@ bool QueryEvaluator::WalkAxis(Axis axis, const EntrySet& node_set,
 EntrySet QueryEvaluator::EvaluateHier(const Query& query) {
   EntrySet node_set = Evaluate(query.operands()[0]);
   EntrySet related = Evaluate(query.operands()[1]);
-  EntrySet out(capacity_);
+  EntrySet out;
   WalkAxis(query.axis(), node_set, related, &out);
   return out;
 }

@@ -81,17 +81,15 @@ void AddEvaluatorStatsToMetrics(const EvaluatorStats& stats);
 class QueryEvaluator {
  public:
   /// Live source. `delta`, if given, must remain valid while the evaluator
-  /// is used and must have capacity >= directory.IdCapacity().
+  /// is used.
   explicit QueryEvaluator(const Directory& directory,
                           const EntrySet* delta = nullptr)
-      : directory_(&directory),
-        delta_(delta),
-        capacity_(directory.IdCapacity()) {}
+      : directory_(&directory), delta_(delta) {}
 
-  /// Pinned source; results have capacity snapshot.id_capacity. The
-  /// snapshot must stay pinned while the evaluator is used.
+  /// Pinned source. The snapshot must stay pinned while the evaluator is
+  /// used.
   explicit QueryEvaluator(const DirectorySnapshot& snapshot)
-      : snapshot_(&snapshot), capacity_(snapshot.id_capacity) {}
+      : snapshot_(&snapshot) {}
 
   /// Attaches an EXPLAIN profile: each subsequent top-level Evaluate or
   /// IsEmpty call rebuilds `*profile` with the per-node plan tree (input /
@@ -108,7 +106,7 @@ class QueryEvaluator {
   EntrySet Evaluate(const Query& query);
 
   /// True iff the query result is empty. Lazy: the top-level node stops at
-  /// the first surviving id instead of materializing its result bitmap —
+  /// the first surviving id instead of materializing its result set —
   /// a union short-circuits at the first non-empty operand, a difference
   /// becomes a word-wise subset test, a hierarchical selection stops at
   /// the first member with a qualifying related entry. Operand subtrees
@@ -144,7 +142,7 @@ class QueryEvaluator {
                 EntrySet* out);
 
   /// Every alive entry of the source.
-  EntrySet AliveSet() const;
+  const EntrySet& AliveSet() const;
 
   ExplainNode MakeNodeHeader(const Query& query, bool lazy) const;
 
@@ -159,7 +157,6 @@ class QueryEvaluator {
   const Directory* directory_ = nullptr;         // live source, or
   const DirectorySnapshot* snapshot_ = nullptr;  // pinned source
   const EntrySet* delta_ = nullptr;
-  size_t capacity_;
   EvaluatorStats stats_;
   Status status_;
 

@@ -1,5 +1,6 @@
 #include "server/directory_server.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -114,12 +115,14 @@ class OpTracker {
 
   /// Counts `status` once as the operation's outcome (`ok` or `rejected`)
   /// and returns it; `explain` is a rejection's "detected by" summary.
+  /// The record keeps at most kMaxDetailChars of each.
   Status Finish(Status status, std::string explain = "") {
     (status.ok() ? op_.ok : op_.rejected).Increment();
     record_->outcome = status.ok() ? "ok" : "rejected";
     if (!status.ok()) {
       record_->detail =
           std::string_view(status.message()).substr(0, kMaxDetailChars);
+      explain.resize(std::min(explain.size(), kMaxDetailChars));
       record_->explain = std::move(explain);
     }
     return status;
@@ -578,6 +581,7 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
   OpTracker tracker(GetServerMetrics().import, slow_ops_.get(),
                     atomics_->next_op_id,
                     "ldif(" + std::to_string(text.size()) + " bytes)");
+  std::vector<Violation> violations;
   auto imported = [&]() -> Result<size_t> {
     std::lock_guard<std::mutex> lock(*write_mu_);
     LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
@@ -589,9 +593,9 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
     const EntryId first = static_cast<EntryId>(directory_->IdCapacity());
     Result<size_t> created = LoadLdif(text, directory_.get());
     Status status = created.status();
-    if (status.ok()) {
-      status = LegalityChecker(*schema_, check_options_)
-                   .EnsureLegal(*directory_);
+    if (status.ok() && !LegalityChecker(*schema_, check_options_)
+                            .CheckLegal(*directory_, &violations)) {
+      status = Status::Illegal(DescribeViolations(violations, *vocab_));
     }
     if (!status.ok()) {
       for (auto id = static_cast<EntryId>(directory_->IdCapacity());
@@ -614,7 +618,7 @@ Result<size_t> DirectoryServer::ImportLdif(std::string_view text) {
     return created;
   }();
   tracker.Finish(imported.status(),
-                 ExplainRefusal(imported.status(), {}, *vocab_));
+                 ExplainRefusal(imported.status(), violations, *vocab_));
   return imported;
 }
 

@@ -160,7 +160,7 @@ Status TransactionExecutor::Commit(const UpdateTransaction& txn,
     local_stats.inserted_entries += created.size();
   }
   if (!insert_groups.empty()) {
-    EntrySet delta(directory_->IdCapacity());
+    EntrySet delta;
     for (EntryId id : all_created) delta.Insert(id);
     std::vector<Violation> violations;
     if (!validator_.CheckAfterInsert(*directory_, delta, &violations)) {
@@ -192,7 +192,7 @@ Status TransactionExecutor::Commit(const UpdateTransaction& txn,
     }
     std::vector<EntryId> roots;
     roots.reserve(delete_roots.size());
-    EntrySet delta(directory_->IdCapacity());
+    EntrySet delta;
     size_t doomed_total = 0;
     for (const DistinguishedName& root_dn : delete_roots) {
       auto root = ResolveDn(*directory_, root_dn);

@@ -213,8 +213,9 @@ class CowMap {
   /// has sealed is never handed out: for pointer-like V, `make` clones
   /// the pointee, and the writer may mutate the clone until the next
   /// Freeze, since no frozen View can reference it. This is the
-  /// clone-once-per-delta discipline payload maps (class and value
-  /// postings, entry contents) rely on.
+  /// clone-once-per-delta discipline the value postings rely on. A class
+  /// posting is held by value: `make` copies its EntrySet's table, and a
+  /// write clones the one chunk it touches.
   template <typename Make>
   V& Mutable(const K& key, Make&& make) {
     auto [it, inserted] = mutable_overlay_.try_emplace(key);

@@ -128,7 +128,7 @@ TEST_F(KeyTest, UniquenessIsGlobalAcrossClasses) {
 TEST_F(KeyTest, IncrementalInsertAgainstOldEntries) {
   AddWithUid(kInvalidEntryId, "uid=a", "taken");
   EntryId fresh = AddWithUid(kInvalidEntryId, "uid=b", "taken");
-  EntrySet delta(d_.IdCapacity());
+  EntrySet delta;
   delta.Insert(fresh);
   IncrementalValidator validator(w_.schema);
   std::vector<Violation> out;
@@ -141,7 +141,7 @@ TEST_F(KeyTest, IncrementalInsertAgainstOldEntries) {
 TEST_F(KeyTest, IncrementalInsertDuplicateWithinDelta) {
   EntryId x = AddWithUid(kInvalidEntryId, "uid=x", "dup");
   EntryId y = AddWithUid(kInvalidEntryId, "uid=y", "dup");
-  EntrySet delta(d_.IdCapacity());
+  EntrySet delta;
   delta.Insert(x);
   delta.Insert(y);
   IncrementalValidator validator(w_.schema);
@@ -151,7 +151,7 @@ TEST_F(KeyTest, IncrementalInsertDuplicateWithinDelta) {
 TEST_F(KeyTest, IncrementalInsertUniqueIsFine) {
   AddWithUid(kInvalidEntryId, "uid=a", "a");
   EntryId fresh = AddWithUid(kInvalidEntryId, "uid=b", "b");
-  EntrySet delta(d_.IdCapacity());
+  EntrySet delta;
   delta.Insert(fresh);
   IncrementalValidator validator(w_.schema);
   EXPECT_TRUE(validator.CheckAfterInsert(d_, delta));
@@ -160,7 +160,7 @@ TEST_F(KeyTest, IncrementalInsertUniqueIsFine) {
 TEST_F(KeyTest, DeletionCannotViolateKeys) {
   AddWithUid(kInvalidEntryId, "uid=a", "a");
   EntryId b = AddWithUid(kInvalidEntryId, "uid=b", "b");
-  EntrySet delta(d_.IdCapacity());
+  EntrySet delta;
   delta.Insert(b);
   IncrementalValidator validator(w_.schema);
   EXPECT_TRUE(validator.CheckBeforeDelete(d_, b, delta));

@@ -32,7 +32,7 @@ void ExpectMatchesLive(const DirectorySnapshot& snap, const Directory& d,
                        const SimpleWorld& w) {
   EXPECT_EQ(snap.version, d.version());
   EXPECT_EQ(snap.num_alive, d.NumEntries());
-  EXPECT_EQ(snap.id_capacity, d.IdCapacity());
+  EXPECT_EQ(snap.contents.size(), d.IdCapacity());
 
   size_t alive_count = 0;
   d.ForEachAlive([&](const Entry& e) {
@@ -123,13 +123,13 @@ struct SnapshotImage {
     for (ClassId c = 0; c < num_classes; ++c) {
       std::vector<EntryId> members;
       if (const EntrySet* set = snap.ClassSet(c)) {
-        for (EntryId id = 0; id < snap.id_capacity; ++id) {
+        for (EntryId id = 0; id < snap.contents.size(); ++id) {
           if (set->Contains(id)) members.push_back(id);
         }
       }
       classes[c] = {snap.CountWithClass(c), std::move(members)};
     }
-    for (EntryId id = 0; id < snap.id_capacity; ++id) {
+    for (EntryId id = 0; id < snap.contents.size(); ++id) {
       if (const EntryContent* p = snap.Content(id)) {
         contents[id] = {p->rdn, p->classes, p->values};
       }
@@ -233,7 +233,7 @@ TEST(DirectorySnapshotTest, EnabledLateMatchesMaintainedFromTheStart) {
     PinnedSnapshot b = late.PinSnapshot();
     ASSERT_TRUE(a);
     ASSERT_TRUE(b);
-    ASSERT_EQ(a->id_capacity, b->id_capacity);
+    ASSERT_EQ(a->contents.size(), b->contents.size());
     EXPECT_EQ(a->num_alive, b->num_alive);
     const size_t num_classes = w.vocab->num_classes();
     SnapshotImage image_a(*a, num_classes);

@@ -100,7 +100,7 @@ TEST_F(EvaluatorTest, UnionIntersect) {
 }
 
 TEST_F(EvaluatorTest, ScopedSelects) {
-  EntrySet delta(d_.IdCapacity());
+  EntrySet delta;
   delta.Insert(laks_);
   delta.Insert(eve_);
   EXPECT_EQ(Eval(Cls(w_.person, Scope::kDeltaOnly), &delta),

@@ -14,7 +14,7 @@ namespace {
 // deciding relatedness with parent-pointer walks.
 EntrySet BruteForce(const Directory& d, const Query& q,
                     const EntrySet* delta) {
-  EntrySet out(d.IdCapacity());
+  EntrySet out;
   switch (q.kind()) {
     case Query::Kind::kSelect: {
       d.ForEachAlive([&](const Entry& e) {
@@ -109,7 +109,7 @@ TEST_P(QueryPropertyTest, EvaluatorAgreesWithBruteForce) {
   Directory d = MakeRandomForest(vocab, palette, options);
 
   // A delta: every third entry.
-  EntrySet delta(d.IdCapacity());
+  EntrySet delta;
   for (EntryId id = 0; id < d.IdCapacity(); id += 3) delta.Insert(id);
   d.PublishSnapshot();
   PinnedSnapshot pin = d.PinSnapshot();

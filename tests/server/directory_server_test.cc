@@ -153,6 +153,71 @@ TEST_F(DirectoryServerTest, RefusedFreshClassAddsLeaveNoClassPosting) {
   });
 }
 
+// A refused import names each constraint it broke on its /slowz record,
+// one "detected by" line per violation, as a refused Add does.
+TEST_F(DirectoryServerTest, RefusedImportExplainsEachViolation) {
+  server_.EnableSlowOps(/*capacity=*/8);
+  // A team with no person below, and a person below a person.
+  Status status = server_
+                      .ImportLdif(
+                          "dn: ou=empty\nobjectClass: team\n"
+                          "objectClass: top\nou: empty\n\n"
+                          "dn: uid=kid,uid=ada,ou=research\n"
+                          "objectClass: person\nobjectClass: top\n"
+                          "uid: kid\nname: p kid\n")
+                      .status();
+  ASSERT_EQ(status.code(), StatusCode::kIllegal) << status;
+  std::vector<SlowOp> ops = server_.slow_ops()->Snapshot();
+  auto import = std::find_if(ops.begin(), ops.end(), [](const SlowOp& op) {
+    return op.op == "import";
+  });
+  ASSERT_NE(import, ops.end());
+  EXPECT_EQ(import->outcome, "rejected");
+  std::vector<std::string> lines;
+  for (size_t start = 0; start < import->explain.size();) {
+    size_t end = import->explain.find('\n', start);
+    if (end == std::string::npos) end = import->explain.size();
+    lines.push_back(import->explain.substr(start, end - start));
+    start = end + 1;
+  }
+  ASSERT_EQ(lines.size(), 2u) << import->explain;
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(lines[0].rfind("structure pass: person -> top (forbidden), "
+                           "violation query ",
+                           0),
+            0u)
+      << lines[0];
+  EXPECT_EQ(lines[1].rfind("structure pass: team ->> person (required), "
+                           "violation query ",
+                           0),
+            0u)
+      << lines[1];
+  // The import was rolled back.
+  EXPECT_EQ(server_.directory().NumEntries(), 2u);
+  EXPECT_TRUE(server_.IsLegal());
+}
+
+// An import can break a constraint per entry it brings: its /slowz record
+// keeps as much of the explain as of the detail, not one line for each.
+TEST_F(DirectoryServerTest, RefusedImportKeepsABoundedExplain) {
+  server_.EnableSlowOps(/*capacity=*/8);
+  std::string ldif;
+  for (int i = 0; i < 100; ++i) {  // persons without a name
+    const std::string uid = "n" + std::to_string(i);
+    ldif += "dn: uid=" + uid + ",ou=research\nobjectClass: person\n" +
+            "objectClass: top\nuid: " + uid + "\n\n";
+  }
+  ASSERT_EQ(server_.ImportLdif(ldif).status().code(), StatusCode::kIllegal);
+  std::vector<SlowOp> ops = server_.slow_ops()->Snapshot();
+  auto import = std::find_if(ops.begin(), ops.end(), [](const SlowOp& op) {
+    return op.op == "import";
+  });
+  ASSERT_NE(import, ops.end());
+  EXPECT_EQ(import->explain.rfind("content pass: attribute schema\n", 0), 0u)
+      << import->explain;
+  EXPECT_EQ(import->explain.size(), import->detail.size());
+}
+
 // A write naming a class or an attribute the schema lacks, through any
 // entry point, is refused the way a content refusal is: kIllegal (not
 // retryable), counted as rejected, its detail naming the DN and the name

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -250,6 +251,97 @@ TEST(MvccConcurrencyTest, PinHeldAcrossCommitsAnswersAtItsVersion) {
   const std::vector<EntryId>* x9 = fresh->ValuePosting(uid, Value("x9"));
   ASSERT_NE(x9, nullptr);
   EXPECT_EQ(x9->size(), 1u);
+}
+
+// Readers copy a pinned snapshot's alive set and person posting, which
+// share their chunks with the writer's sets and with every other copy, and
+// run set algebra on the copies, while one writer adds persons whose ids
+// cross a chunk edge and deletes persons from the first chunk. Two readers
+// also keep a whole DirectorySnapshot copy across iterations, as a paged
+// cursor does, and drop it on their own thread. A write clones a chunk
+// another set still shares, so no copy ever changes under its reader.
+TEST(MvccConcurrencyTest, SharedChunksSurviveConcurrentWrites) {
+  constexpr int kRounds = 200;
+  constexpr int kKeepers = 2;  // readers holding a snapshot copy
+  // The seed's last id falls just below the first chunk edge, so the
+  // writer's adds cross it.
+  const int seeded = static_cast<int>(EntrySet::kChunkIds) - kRounds / 2;
+  auto server = DirectoryServer::Create(kSchema);
+  ASSERT_TRUE(server.ok());
+  {
+    UpdateTransaction txn;
+    txn.Insert(Dn("ou=seed"), TeamSpec("seed"));
+    for (int i = 0; i < seeded; ++i) {
+      const std::string who = "s" + std::to_string(i);
+      txn.Insert(Dn("uid=" + who + ",ou=seed"), PersonSpec(who));
+    }
+    ASSERT_TRUE(server->Apply(txn).ok());
+  }
+  const ClassId person = *server->vocab().FindClass("person");
+
+  // The counts a snapshot's sets must agree with; false on a mismatch.
+  auto consistent = [person](const DirectorySnapshot& snap) {
+    const EntrySet* posting = snap.ClassSet(person);
+    if (posting == nullptr) return false;
+    const EntrySet alive = *snap.alive;
+    const EntrySet persons = *posting;
+    const size_t num_persons = snap.CountWithClass(person);
+    EntrySet both = alive;
+    both.IntersectWith(persons);
+    EntrySet rest = alive;
+    rest.SubtractFrom(persons);
+    EntrySet all = persons;
+    all.UnionWith(rest);
+    return alive.Count() == snap.num_alive &&
+           persons.Count() == num_persons && both.Count() == num_persons &&
+           rest.Count() == snap.num_alive - num_persons &&
+           all.Count() == snap.num_alive && all == alive &&
+           persons.IsSubsetOf(alive);
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reader_failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::optional<DirectorySnapshot> kept;
+      for (int i = 0; !done.load(std::memory_order_acquire); ++i) {
+        {
+          PinnedSnapshot snap = server->PinSnapshot();
+          if (!snap || !consistent(*snap)) {
+            reader_failures.fetch_add(1);
+            return;
+          }
+          if (t < kKeepers && i % 3 == 0) kept = *snap;  // drops the last
+        }
+        if (kept.has_value() && !consistent(*kept)) {
+          reader_failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+
+  int writer_failures = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    const std::string fresh = "w" + std::to_string(r);
+    const std::string seed = "s" + std::to_string(r);
+    if (!server->Add(Dn("uid=" + fresh + ",ou=seed"), PersonSpec(fresh))
+             .ok() ||
+        !server->Delete(Dn("uid=" + seed + ",ou=seed")).ok()) {
+      ++writer_failures;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& r : readers) r.join();
+
+  EXPECT_EQ(writer_failures, 0);
+  EXPECT_EQ(reader_failures.load(), 0);
+  PinnedSnapshot last = server->PinSnapshot();
+  ASSERT_TRUE(last);
+  EXPECT_TRUE(consistent(*last));
+  EXPECT_EQ(last->num_alive, static_cast<size_t>(seeded) + 1);
+  EXPECT_GE(server->directory().IdCapacity(), EntrySet::kChunkIds + 1);
 }
 
 // A refused write names the constraint that refused it from the one

@@ -80,7 +80,7 @@ TEST_P(IncrementalPropertyTest, InsertVerdictEqualsFullRecheck) {
 
     std::vector<EntryId> created =
         GrowRandomSubtree(*directory, parent, rng, 3);
-    EntrySet delta(directory->IdCapacity());
+    EntrySet delta;
     for (EntryId id : created) delta.Insert(id);
 
     bool expected = full.CheckLegal(*directory);
@@ -129,7 +129,7 @@ TEST_P(IncrementalPropertyTest, DeleteVerdictEqualsFullRecheck) {
     if (alive.empty()) break;
     std::uniform_int_distribution<size_t> pick(0, alive.size() - 1);
     EntryId doomed = alive[pick(rng)];
-    EntrySet delta(directory->IdCapacity());
+    EntrySet delta;
     for (EntryId id : directory->SubtreeEntries(doomed)) delta.Insert(id);
 
     // Both validator modes run against the pre-deletion instance.

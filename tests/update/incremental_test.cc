@@ -75,7 +75,7 @@ class IncrementalTest : public ::testing::Test {
       }
       created.push_back(at);
     }
-    EntrySet delta(d_.IdCapacity());
+    EntrySet delta;
     for (EntryId id : created) delta.Insert(id);
     return delta;
   }
@@ -90,7 +90,7 @@ TEST_F(IncrementalTest, InsertContentViolationDetected) {
   IncrementalValidator validator(w_.schema);
   // New person without required 'name'.
   EntryId nameless = AddBare(d_, hr_, "uid=nameless", {w_.top, w_.person});
-  EntrySet delta(d_.IdCapacity());
+  EntrySet delta;
   delta.Insert(nameless);
   std::vector<Violation> out;
   EXPECT_FALSE(validator.CheckAfterInsert(d_, delta, &out));
@@ -224,7 +224,7 @@ TEST_F(IncrementalTest, DeleteRequiredChildNeedsRecheck) {
     options.ancestor_path_optimization = optimized;
     IncrementalValidator validator(w_.schema, options);
     // Deleting bob leaves hr with no person child.
-    EntrySet delta(d_.IdCapacity());
+    EntrySet delta;
     delta.Insert(bob_);
     std::vector<Violation> out;
     EXPECT_FALSE(validator.CheckBeforeDelete(d_, bob_, delta, &out))
@@ -247,7 +247,7 @@ TEST_F(IncrementalTest, DeleteRequiredDescendantNeedsRecheck) {
     IncrementalValidator::Options options;
     options.ancestor_path_optimization = optimized;
     IncrementalValidator validator(w_.schema, options);
-    EntrySet delta(d_.IdCapacity());
+    EntrySet delta;
     delta.Insert(bob_);
     std::vector<Violation> out;
     EXPECT_FALSE(validator.CheckBeforeDelete(d_, bob_, delta, &out))
@@ -264,7 +264,7 @@ TEST_F(IncrementalTest, DeleteParentAncestorForbiddenNeverViolate) {
                   .Forbid(w_.person, Axis::kChild, w_.top)
                   .ok());
   IncrementalValidator validator(w_.schema);
-  EntrySet delta(d_.IdCapacity());
+  EntrySet delta;
   delta.Insert(bob_);
   EXPECT_TRUE(validator.CheckBeforeDelete(d_, bob_, delta));
 }
@@ -273,7 +273,7 @@ TEST_F(IncrementalTest, DeleteRequiredClassUsesCounts) {
   w_.schema.mutable_structure().RequireClass(w_.person);
   IncrementalValidator validator(w_.schema);
   // bob is the only person.
-  EntrySet delta(d_.IdCapacity());
+  EntrySet delta;
   delta.Insert(bob_);
   std::vector<Violation> out;
   EXPECT_FALSE(validator.CheckBeforeDelete(d_, bob_, delta, &out));
@@ -283,7 +283,7 @@ TEST_F(IncrementalTest, DeleteRequiredClassUsesCounts) {
   ASSERT_TRUE(d_.AddEntry(acme_, "uid=eve", {w_.top, w_.person},
                           {{w_.name, Value("Eve")}})
                   .ok());
-  EntrySet delta2(d_.IdCapacity());
+  EntrySet delta2;
   delta2.Insert(bob_);
   EXPECT_TRUE(validator.CheckBeforeDelete(d_, bob_, delta2));
 }
