@@ -59,13 +59,18 @@ template <typename ParentOf, typename Emit>
 bool ForEachRelated(Axis axis, const EntrySet& nodes, const EntrySet& related,
                     ParentOf parent_of, uint64_t& scanned, Emit emit) {
   switch (axis) {
-    case Axis::kChild:
-      // The parents of related members that are nodes.
+    case Axis::kChild: {
+      // The parents of related members that are nodes. Siblings often
+      // have adjacent ids, so a parent just tested is skipped outright.
+      EntryId last_parent = kInvalidEntryId;
       return related.ForEachWhile([&](EntryId id) {
         ++scanned;
-        EntryId p = parent_of(id);
+        const EntryId p = parent_of(id);
+        if (p == last_parent) return true;
+        last_parent = p;
         return p == kInvalidEntryId || !nodes.Contains(p) || emit(p);
       });
+    }
     case Axis::kParent:
       return nodes.ForEachWhile([&](EntryId id) {
         ++scanned;

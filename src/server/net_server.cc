@@ -157,6 +157,16 @@ struct NetServer::ReactorCounters {
         h_completion_batch(MetricRegistry::Default().GetHistogram(
             "ldapbound_net_completion_batch",
             "Worker completions drained per eventfd wakeup", label)),
+        h_inline_read_ns(MetricRegistry::Default().GetHistogram(
+            "ldapbound_net_inline_read_ns",
+            "Reactor time spent executing reads inline, per loop turn that "
+            "ran any",
+            label)),
+        m_reads_over_budget(MetricRegistry::Default().GetCounter(
+            "ldapbound_net_reads_over_budget_total",
+            "Reads dispatched to the workers past the reactor turn's inline "
+            "read budget",
+            label)),
         h_out_hwm(MetricRegistry::Default().GetHistogram(
             "ldapbound_net_conn_out_hwm_bytes",
             "Per-connection write-buffer high-watermark, observed at "
@@ -186,6 +196,8 @@ struct NetServer::ReactorCounters {
   Counter& m_accept_other;
   Histogram& h_epoll_batch;
   Histogram& h_completion_batch;
+  Histogram& h_inline_read_ns;
+  Counter& m_reads_over_budget;
   Histogram& h_out_hwm;
 };
 
@@ -216,7 +228,7 @@ struct NetServer::SharedCounters {
             "Unflushed response bytes force-closed when Stop's drain "
             "grace ran out")) {}
 
-  /// Counts one answered request, worker-executed or an inline ping.
+  /// Counts one answered request: executed, or an inline ping.
   void CountOutcome(bool ok) { (ok ? m_ops_ok : m_ops_rejected).Increment(); }
 
   Counter& m_shed_ops;
@@ -367,6 +379,21 @@ void NetServer::ReactorLoop(Reactor& r) {
     if (n > 0) {
       r.counters->h_epoll_batch.Observe(static_cast<uint64_t>(n));
     }
+    // The workers' answers go out before this turn's inline reads run.
+    // Clear the eventfd first, never after the drain: a completion posted
+    // once the drain has taken the batch must leave it set, so the next
+    // epoll_wait returns at once instead of at its timeout.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd != r.wake_fd) continue;
+      uint64_t drained;
+      while (::read(r.wake_fd, &drained, sizeof(drained)) > 0) {
+      }
+      break;
+    }
+    DrainCompletions(r);
+    r.read_budget = ReadBudget{kInlineReadBudget};
+    r.inline_read_ns = 0;
+    r.read_inline = false;
 
     for (int i = 0; i < n; ++i) {
       int fd = events[i].data.fd;
@@ -374,12 +401,7 @@ void NetServer::ReactorLoop(Reactor& r) {
         HandleAccept(r);
         continue;
       }
-      if (fd == r.wake_fd) {
-        uint64_t drained;
-        while (::read(r.wake_fd, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
+      if (fd == r.wake_fd) continue;  // cleared and drained above
       auto it = r.conns.find(fd);
       if (it == r.conns.end()) continue;  // closed earlier this batch
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0 &&
@@ -405,7 +427,7 @@ void NetServer::ReactorLoop(Reactor& r) {
       }
     }
 
-    DrainCompletions(r);
+    if (r.read_inline) r.counters->h_inline_read_ns.Observe(r.inline_read_ns);
     SweepIdle(r);
     // One reactor sweeps the shared cursor table; which one is
     // arbitrary, the table has its own lock.
@@ -551,9 +573,10 @@ void NetServer::HandleReadable(Reactor& r, int fd, Conn& conn) {
 bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
   size_t consumed_total = 0;
   bool ok = true;
-  // Decode the whole readable batch first, then enqueue it under one
-  // queue lock with one worker wakeup — per-frame lock/notify was
-  // measurable reactor overhead at high pipelining depths.
+  // Answer what the reactor can on the spot, and decode the rest of the
+  // readable batch first, then enqueue it under one queue lock with one
+  // worker wakeup — per-frame lock/notify was measurable reactor overhead
+  // at high pipelining depths.
   std::vector<WorkItem> batch;
   for (;;) {
     WireRequest request;
@@ -576,6 +599,8 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
     }
     if (!*extracted) break;  // partial frame: wait for more bytes
     r.counters->m_frames_in.Increment();
+    // request.body points into conn.in, which is erased after the loop.
+    consumed_total += consumed;
 
     if (request.op == WireOp::kPing) {
       WireResponse pong;
@@ -583,7 +608,9 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
       pong.request_id = request.request_id;
       QueueResponse(r, conn, pong);
       shared_->CountOutcome(true);
-    } else if (stopping_.load(std::memory_order_acquire)) {
+      continue;
+    }
+    if (stopping_.load(std::memory_order_acquire)) {
       WireResponse unavailable;
       unavailable.op = request.op;
       unavailable.request_id = request.request_id;
@@ -591,19 +618,52 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
       unavailable.retryable = true;
       unavailable.message = "server is draining";
       QueueResponse(r, conn, unavailable);
-    } else {
-      WorkItem item;
-      item.record.Mark(RequestStage::kDecoded);
-      item.reactor = r.index;
-      item.fd = fd;
-      item.gen = conn.gen;
-      item.op = request.op;
-      item.body = std::string(request.body);
-      item.record.request_id = request.request_id;
-      item.record.op = WireOpName(request.op);
-      batch.push_back(std::move(item));
+      continue;
     }
-    consumed_total += consumed;
+    RequestStamps record;
+    record.Mark(RequestStage::kDecoded);
+    record.request_id = request.request_id;
+    record.op = WireOpName(request.op);
+    // A read runs here while the turn's budget lasts and its connection
+    // is under the unsent-bytes cap; past the cap it is dispatched, so
+    // the queue bound still sheds a client that pipelines and never reads.
+    const bool read = request.op == WireOp::kSearch ||
+                      request.op == WireOp::kSearchEntries;
+    if (read && conn.out_bytes < kMaxUnsentBytes) {
+      if (r.read_budget.left > 0) {
+        record.Mark(RequestStage::kExecuteStart);
+        std::optional<Reply> reply;
+        {
+          RequestScope scope(&record);
+          reply = Execute(request.op, request.request_id, request.body,
+                          r.read_budget);
+        }
+        // A stopped read's stamps are overwritten by the worker's run.
+        record.Mark(RequestStage::kExecuteDone);
+        r.inline_read_ns += record.at(RequestStage::kExecuteDone) -
+                            record.at(RequestStage::kExecuteStart);
+        r.read_inline = true;
+        if (reply) {
+          CountExecuted(record, reply->code);
+          QueueFrame(r, conn, std::move(reply->frame), &record);
+          if (reply->code == WireCode::kProtocolError) {
+            conn.closing = true;
+            ok = false;
+            break;
+          }
+          continue;
+        }
+      }
+      r.counters->m_reads_over_budget.Increment();
+    }
+    WorkItem item;
+    item.reactor = r.index;
+    item.fd = fd;
+    item.gen = conn.gen;
+    item.op = request.op;
+    item.body = std::string(request.body);
+    item.record = std::move(record);
+    batch.push_back(std::move(item));
   }
   if (consumed_total > 0) conn.in.erase(0, consumed_total);
 
@@ -647,13 +707,22 @@ bool NetServer::ParseAndDispatch(Reactor& r, int fd, Conn& conn) {
 
 void NetServer::QueueResponse(Reactor& r, Conn& conn,
                               const WireResponse& response) {
-  // Append-only: the caller flushes once after the whole parse batch.
-  // Flushing here could close (and erase) the Conn mid-iteration.
-  std::string frame = EncodeResponseFrame(response);
+  QueueFrame(r, conn, EncodeResponseFrame(response), nullptr);
+}
+
+void NetServer::QueueFrame(Reactor& r, Conn& conn, std::string frame,
+                           RequestStamps* record) {
+  // Append-only: the caller flushes once after the whole batch. Flushing
+  // here could close (and erase) the Conn mid-iteration.
   conn.bytes_queued += frame.size();
   conn.out_bytes += frame.size();
   conn.out_frames.push_back(std::move(frame));
   if (conn.out_bytes > conn.out_hwm) conn.out_hwm = conn.out_bytes;
+  if (record != nullptr) {
+    record->Mark(RequestStage::kResponseQueued);
+    conn.pending_flush.push_back(
+        StageRecord{conn.bytes_queued, std::move(*record)});
+  }
   r.counters->m_frames_out.Increment();
 }
 
@@ -782,19 +851,13 @@ void NetServer::DrainCompletions(Reactor& r) {
     if (it == r.conns.end() || it->second.gen != completion.gen) continue;
     Conn& conn = it->second;
     conn.inflight--;
-    conn.bytes_queued += completion.bytes.size();
-    conn.out_bytes += completion.bytes.size();
-    conn.out_frames.push_back(std::move(completion.bytes));
-    if (conn.out_bytes > conn.out_hwm) conn.out_hwm = conn.out_bytes;
-    completion.record.Mark(RequestStage::kResponseQueued);
-    conn.pending_flush.push_back(
-        StageRecord{conn.bytes_queued, std::move(completion.record)});
-    if (completion.code == WireCode::kProtocolError) {
+    if (completion.reply.code == WireCode::kProtocolError) {
       // A worker-detected protocol error (e.g. a malformed pagination
       // cookie): flush the error frame, then close.
       conn.closing = true;
     }
-    r.counters->m_frames_out.Increment();
+    QueueFrame(r, conn, std::move(completion.reply.frame),
+               &completion.record);
     touched.push_back(completion.fd);
   }
   std::sort(touched.begin(), touched.end());
@@ -839,23 +902,22 @@ void NetServer::WorkerLoop() {
       queue_.pop_front();
       shared_->g_queue_depth.Set(static_cast<int64_t>(queue_.size()));
     }
-    item.record.Mark(RequestStage::kWorkerStart);
-    WireResponse response;
+    item.record.Mark(RequestStage::kExecuteStart);
+    ReadBudget unbounded;
+    std::optional<Reply> reply;
     {
       // The scope lets the layers below (admission, the commit skeleton,
       // group-commit enqueue, WAL durability) stamp this request and the
       // DirectoryServer op annotate it, without plumbing.
       RequestScope scope(&item.record);
-      response = Execute(item);
+      reply = Execute(item.op, item.record.request_id, item.body, unbounded);
     }
     item.record.Mark(RequestStage::kExecuteDone);
-    item.record.outcome = WireOutcomeName(response.code);
-    shared_->CountOutcome(response.ok());
+    CountExecuted(item.record, reply->code);
     Completion completion;
     completion.fd = item.fd;
     completion.gen = item.gen;
-    completion.bytes = EncodeResponseFrame(response);
-    completion.code = response.code;
+    completion.reply = std::move(*reply);
     completion.record = std::move(item.record);
     PostCompletion(item.reactor, std::move(completion));
   }
@@ -871,21 +933,40 @@ void NetServer::PostCompletion(size_t reactor, Completion completion) {
   (void)!::write(r.wake_fd, &one, sizeof(one));
 }
 
-WireResponse NetServer::Execute(const WorkItem& item) {
-  WireResponse response;
-  response.op = item.op;
-  response.request_id = item.record.request_id;
+void NetServer::CountExecuted(RequestStamps& record, WireCode code) {
+  record.outcome = WireOutcomeName(code);
+  shared_->CountOutcome(code == WireCode::kOk);
+}
 
+NetServer::Reply NetServer::ErrorReply(WireOp op, uint64_t request_id,
+                                       WireCode code, bool retryable,
+                                       std::string message) {
+  WireResponse response;
+  response.op = op;
+  response.request_id = request_id;
+  response.code = code;
+  response.retryable = retryable;
+  response.message = std::move(message);
+  return {EncodeResponseFrame(response), code};
+}
+
+NetServer::Reply NetServer::OkReply(std::string frame) {
+  FinishResponseFrame(frame);
+  return {std::move(frame), WireCode::kOk};
+}
+
+std::optional<NetServer::Reply> NetServer::Execute(WireOp op,
+                                                   uint64_t request_id,
+                                                   std::string_view body,
+                                                   ReadBudget& budget) {
   auto fail = [&](const Status& status) {
-    response.code = WireCodeFromStatus(status);
-    response.retryable = status.retryable();
-    response.message = status.ToString();
-    return response;
+    return ErrorReply(op, request_id, WireCodeFromStatus(status),
+                      status.retryable(), status.ToString());
   };
 
-  switch (item.op) {
+  switch (op) {
     case WireOp::kSearch: {
-      WireCursor cursor(item.body);
+      WireCursor cursor(body);
       auto base = cursor.GetString();
       if (!base.ok()) return fail(base.status());
       auto scope = cursor.GetU8();
@@ -894,17 +975,21 @@ WireResponse NetServer::Execute(const WorkItem& item) {
       if (!filter.ok()) return fail(filter.status());
       PinnedSnapshot snap = server_->PinSnapshot();
       RequestScope::MarkCurrent(RequestStage::kSnapshotPinned);
-      auto hits =
-          SnapshotSearch(*snap, server_->vocab(), *base, *scope, *filter);
+      auto hits = SnapshotSearchPage(*snap, server_->vocab(), *base, *scope,
+                                     *filter, /*from_label=*/0,
+                                     /*limit=*/SIZE_MAX, &budget);
+      if (budget.exhausted) return std::nullopt;
       if (!hits.ok()) return fail(hits.status());
-      PutU32(response.body, static_cast<uint32_t>(hits->size()));
-      for (EntryId id : *hits) PutU64(response.body, id);
-      return response;
+      std::string frame =
+          BeginResponseFrame(op, request_id, 4 + 8 * hits->size());
+      PutU32(frame, static_cast<uint32_t>(hits->size()));
+      for (const SnapshotPageHit& hit : *hits) PutU64(frame, hit.id);
+      return OkReply(std::move(frame));
     }
     case WireOp::kSearchEntries:
-      return ExecuteSearchEntries(item);
+      return ExecuteSearchEntries(request_id, body, budget);
     case WireOp::kAdd: {
-      WireCursor cursor(item.body);
+      WireCursor cursor(body);
       auto dn_text = cursor.GetString();
       if (!dn_text.ok()) return fail(dn_text.status());
       auto dn = DistinguishedName::Parse(*dn_text);
@@ -928,47 +1013,44 @@ WireResponse NetServer::Execute(const WorkItem& item) {
       }
       Status status = server_->Add(*dn, std::move(spec));
       if (!status.ok()) return fail(status);
-      return response;
+      return OkReply(BeginResponseFrame(op, request_id, 0));
     }
     case WireOp::kDelete: {
-      WireCursor cursor(item.body);
+      WireCursor cursor(body);
       auto dn_text = cursor.GetString();
       if (!dn_text.ok()) return fail(dn_text.status());
       auto dn = DistinguishedName::Parse(*dn_text);
       if (!dn.ok()) return fail(dn.status());
       Status status = server_->Delete(*dn);
       if (!status.ok()) return fail(status);
-      return response;
+      return OkReply(BeginResponseFrame(op, request_id, 0));
     }
     case WireOp::kValidate: {
       PinnedSnapshot snap = server_->PinSnapshot();
       RequestScope::MarkCurrent(RequestStage::kSnapshotPinned);
       LegalityChecker checker(server_->schema(),
                               server_->check_options());
-      PutU8(response.body, checker.CheckStructure(*snap) ? 1 : 0);
-      PutU64(response.body, snap->num_alive);
-      PutU64(response.body, snap->version);
-      return response;
+      std::string frame = BeginResponseFrame(op, request_id, 1 + 8 + 8);
+      PutU8(frame, checker.CheckStructure(*snap) ? 1 : 0);
+      PutU64(frame, snap->num_alive);
+      PutU64(frame, snap->version);
+      return OkReply(std::move(frame));
     }
     default:
       return fail(Status::InvalidArgument(
-          "unknown wire op " +
-          std::to_string(static_cast<unsigned>(item.op))));
+          "unknown wire op " + std::to_string(static_cast<unsigned>(op))));
   }
 }
 
-WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
-  WireResponse response;
-  response.op = item.op;
-  response.request_id = item.record.request_id;
+std::optional<NetServer::Reply> NetServer::ExecuteSearchEntries(
+    uint64_t request_id, std::string_view body, ReadBudget& budget) {
+  constexpr WireOp kOp = WireOp::kSearchEntries;
   auto fail = [&](const Status& status) {
-    response.code = WireCodeFromStatus(status);
-    response.retryable = status.retryable();
-    response.message = status.ToString();
-    return response;
+    return ErrorReply(kOp, request_id, WireCodeFromStatus(status),
+                      status.retryable(), status.ToString());
   };
 
-  WireCursor cursor(item.body);
+  WireCursor cursor(body);
   auto base = cursor.GetString();
   if (!base.ok()) return fail(base.status());
   auto scope = cursor.GetU8();
@@ -1003,9 +1085,8 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
     if (!decoded.ok()) {
       // A cookie the server never minted is a protocol error; the
       // reactor closes the connection after this frame flushes.
-      response.code = WireCode::kProtocolError;
-      response.message = decoded.status().message();
-      return response;
+      return ErrorReply(kOp, request_id, WireCode::kProtocolError,
+                        /*retryable=*/false, decoded.status().message());
     }
     cursor_id = decoded->cursor_id;
     from_label = decoded->next_label;
@@ -1013,12 +1094,10 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
     auto it = cursors_.find(cursor_id);
     if (it == cursors_.end() ||
         it->second.snapshot_version != decoded->snapshot_version) {
-      response.code = WireCode::kCursorExpired;
-      response.retryable = true;
-      response.message =
-          "search-entries: pagination cursor expired (reaped or "
-          "superseded); restart from an empty cookie";
-      return response;
+      return ErrorReply(kOp, request_id, WireCode::kCursorExpired,
+                        /*retryable=*/true,
+                        "search-entries: pagination cursor expired (reaped "
+                        "or superseded); restart from an empty cookie");
     }
     it->second.last_used = now;
     // Copy out under the lock: the idle reaper may erase this slot the
@@ -1027,7 +1106,10 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
   }
 
   auto page = SnapshotSearchPage(snap, server_->vocab(), *base, *scope,
-                                 *filter, from_label, limit + 1);
+                                 *filter, from_label, limit + 1, &budget);
+  // Stopped at the budget: return before the failure branch below, which
+  // would erase the cursor the worker's rerun continues.
+  if (budget.exhausted) return std::nullopt;
   if (!page.ok()) {
     if (cursor_id != 0) {
       std::lock_guard<std::mutex> lock(cursors_mu_);
@@ -1038,17 +1120,26 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
   }
   const bool has_more = page->size() > limit;
   if (has_more) page->resize(limit);
+  if (!budget.Spend(page->size())) return std::nullopt;
 
-  std::string entries;
+  // The entries go straight into the frame, behind a cookie placeholder
+  // the cursor id fills in below; a failure drops the frame before the
+  // cursor table is touched.
+  std::string frame =
+      BeginResponseFrame(kOp, request_id, 4 + 1 + 4 + kSearchCookieBytes);
+  PutU32(frame, static_cast<uint32_t>(page->size()));
+  PutU8(frame, has_more ? 1 : 0);
+  PutU32(frame, has_more ? kSearchCookieBytes : 0);
+  const size_t cookie_at = frame.size();
+  if (has_more) frame.resize(cookie_at + kSearchCookieBytes);
   for (const SnapshotPageHit& hit : *page) {
     auto dn = SnapshotEntryDn(snap, hit.id);
     if (!dn.ok()) return fail(dn.status());
-    Status appended = AppendSearchEntry(entries, hit.id, *dn,
+    Status appended = AppendSearchEntry(frame, hit.id, *dn,
                                         snap.Content(hit.id), server_->vocab());
     if (!appended.ok()) return fail(appended);
   }
 
-  std::string cookie_out;
   if (has_more) {
     std::lock_guard<std::mutex> lock(cursors_mu_);
     if (cursor_id == 0) {
@@ -1067,18 +1158,13 @@ WireResponse NetServer::ExecuteSearchEntries(const WorkItem& item) {
     next.cursor_id = cursor_id;
     next.snapshot_version = snap.version;
     next.next_label = page->back().label + 1;
-    cookie_out = EncodeSearchCookie(next);
+    frame.replace(cookie_at, kSearchCookieBytes, EncodeSearchCookie(next));
   } else if (cursor_id != 0) {
     std::lock_guard<std::mutex> lock(cursors_mu_);
     cursors_.erase(cursor_id);
     shared_->g_cursors_open.Set(static_cast<int64_t>(cursors_.size()));
   }
-
-  PutU32(response.body, static_cast<uint32_t>(page->size()));
-  PutU8(response.body, has_more ? 1 : 0);
-  PutString(response.body, cookie_out);
-  response.body += entries;
-  return response;
+  return OkReply(std::move(frame));
 }
 
 namespace {
@@ -1194,7 +1280,9 @@ Result<std::vector<EntryId>> SnapshotSearch(const DirectorySnapshot& snapshot,
 Result<std::vector<SnapshotPageHit>> SnapshotSearchPage(
     const DirectorySnapshot& snapshot, const Vocabulary& vocab,
     std::string_view base_dn, uint8_t scope, std::string_view filter,
-    uint64_t from_label, size_t limit) {
+    uint64_t from_label, size_t limit, ReadBudget* budget) {
+  ReadBudget unbounded;
+  ReadBudget& work = budget != nullptr ? *budget : unbounded;
   if (scope > 2) {
     return Status::InvalidArgument("search: bad scope " +
                                    std::to_string(scope));
@@ -1206,21 +1294,23 @@ Result<std::vector<SnapshotPageHit>> SnapshotSearchPage(
                              ResolveFilter(snapshot, vocab, filter));
   const CowVec<uint64_t>::View& labels = snapshot.index.labels;
   std::vector<SnapshotPageHit> hits;
-  const size_t budget = match.match_all ? SIZE_MAX : match.size;
-  if (budget == 0 || limit == 0) return hits;
+  const size_t posting = match.match_all ? SIZE_MAX : match.size;
+  if (posting == 0 || limit == 0) return hits;
 
   // Walk the scope in preorder, unless it outgrows the filter's posting:
-  // past `budget` visited entries, iterating the posting is cheaper.
+  // past `posting` visited entries, iterating the posting is cheaper.
   size_t visited = 0;
   snapshot.WalkScope(base, search_scope, from_label, [&](EntryId id) {
-    if (++visited > budget) return false;
+    if (++visited > posting || !work.Spend(1)) return false;
     if (match.Contains(id)) hits.push_back(SnapshotPageHit{labels[id], id});
     return hits.size() < limit;
   });
-  if (visited <= budget) return hits;
+  if (work.exhausted) return std::vector<SnapshotPageHit>{};
+  if (visited <= posting) return hits;
 
   // The posting is the smaller side: label-test its members against the
   // scope, then put the survivors in preorder.
+  if (!work.Spend(match.size)) return std::vector<SnapshotPageHit>{};
   hits.clear();
   const uint64_t base_label = base == kInvalidEntryId ? 0 : labels[base];
   const uint64_t base_end =

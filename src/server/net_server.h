@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -21,6 +22,34 @@
 namespace ldapbound {
 
 class DirectoryServer;
+
+/// The work a snapshot read may still do, counted in entries: each entry
+/// its scope walk visits, its posting pass iterates or its page encodes.
+/// A read that would count past `left` stops with no answer and no side
+/// effect, and the budget is spent (DESIGN.md §12). The default is
+/// unbounded, the budget a worker runs every request with.
+struct ReadBudget {
+  size_t left = SIZE_MAX;
+  bool exhausted = false;  ///< a read stopped here
+
+  /// Counts `n` entries; false, spending the rest, when fewer are left.
+  bool Spend(size_t n) {
+    if (n > left) {
+      left = 0;
+      exhausted = true;
+      return false;
+    }
+    left -= n;
+    return true;
+  }
+};
+
+/// The entries one reactor turn may spend on the reads it answers itself:
+/// a bound on the reactor time those reads take per turn (DESIGN.md §12
+/// has the costs behind the number). It covers a scope walk of a few
+/// thousand entries and a 100-entry page, not a forest-wide scan of 10^5
+/// entries; a read past what the turn has left goes to the workers.
+inline constexpr size_t kInlineReadBudget = 4096;
 
 /// Where and how the wire front end listens.
 struct NetServerOptions {
@@ -46,9 +75,10 @@ struct NetServerOptions {
   /// path. 0 = unbounded.
   size_t max_pending_ops = 1024;
 
-  /// Threads executing requests against the DirectoryServer. Writes
-  /// block on WAL durability, so more than one keeps searches flowing
-  /// while a commit group holds its fsync.
+  /// Threads executing the requests a reactor does not answer itself:
+  /// writes, validates and reads past the turn's budget. Writes block on
+  /// WAL durability, so more than one keeps those reads flowing while a
+  /// commit group holds its fsync.
   size_t worker_threads = 2;
 
   /// Connections with no traffic for this long are closed by the
@@ -72,8 +102,10 @@ struct NetServerOptions {
 /// connection the kernel steers to it — nonblocking accept with
 /// EMFILE/ENFILE backoff, bounded batched reads per wakeup,
 /// per-connection frame queues flushed with one sendmsg gather, idle
-/// reaping. A shared worker pool executes decoded requests so a commit
-/// blocked on fsync never stalls any event loop; each completion is
+/// reaping. A reactor answers pings and bounded snapshot reads itself,
+/// within a per-turn work budget (DESIGN.md §12); a shared worker pool
+/// executes writes, validates and the reads past that budget, so a commit
+/// blocked on fsync never stalls any event loop, and each completion is
 /// posted back to the owning reactor's eventfd. All socket writes use
 /// MSG_NOSIGNAL: a client disconnecting mid-response is an EPIPE that
 /// closes that one connection, never a SIGPIPE that kills the process.
@@ -94,7 +126,7 @@ struct NetServerOptions {
 ///
 /// Reads (search/validate) run against pinned MVCC snapshots, never the
 /// live directory — every server publishes them from construction on, so
-/// any number of workers may read while writers commit. Paged
+/// any number of reactors and workers may read while writers commit. Paged
 /// kSearchEntries scans retain their snapshot *version* by value (COW
 /// refcounts), never by epoch pin: a pin held across client think time
 /// would stall reclamation for every reader (DESIGN.md §15).
@@ -103,6 +135,8 @@ struct NetServerOptions {
 /// process-wide metric registry (reactor-owned series carry a `reactor`
 /// label); levels — open connections, queued requests, open cursors —
 /// are gauges each owner sets from its own state. /statusz reads both.
+/// A read answered on the reactor counts as an executed op and never as
+/// in flight; its record skips the dispatch and queue_wait stages.
 class NetServer {
  public:
   /// Binds, starts the reactor and worker threads. `server` must
@@ -169,11 +203,23 @@ class NetServer {
     RequestStamps record;  ///< carries the request id
   };
 
+  /// One executed request's answer: its encoded response frame and its
+  /// code (kProtocolError closes the connection once the frame flushes).
+  struct Reply {
+    std::string frame;
+    WireCode code = WireCode::kOk;
+  };
+
+  /// The reply to a request that failed.
+  static Reply ErrorReply(WireOp op, uint64_t request_id, WireCode code,
+                          bool retryable, std::string message);
+  /// The reply carrying a successful frame begun by BeginResponseFrame.
+  static Reply OkReply(std::string frame);
+
   struct Completion {
     int fd = -1;
     uint64_t gen = 0;
-    std::string bytes;
-    WireCode code = WireCode::kOk;
+    Reply reply;
     RequestStamps record;
   };
 
@@ -194,6 +240,11 @@ class NetServer {
     std::string shed_frame;  ///< pre-encoded once per reactor
     bool accept_disarmed = false;  ///< EPOLLIN off after fd exhaustion
     std::chrono::steady_clock::time_point accept_rearm_at{};
+    /// What this loop turn may still spend on inline reads; reset to
+    /// kInlineReadBudget each turn.
+    ReadBudget read_budget;
+    uint64_t inline_read_ns = 0;  ///< time this turn's inline reads took
+    bool read_inline = false;     ///< this turn ran an inline read
     std::unique_ptr<ReactorCounters> counters;
   };
 
@@ -225,22 +276,39 @@ class NetServer {
   /// EPOLLIN interest.
   void ArmAccept(Reactor& r, bool on);
 
-  /// Parses complete frames out of conn.in, dispatching the whole batch
-  /// under one queue lock. Returns false on protocol error (error
+  /// Parses complete frames out of conn.in: answers pings, and the reads
+  /// the turn's budget covers, on the spot, and dispatches the rest as one
+  /// batch under one queue lock. Returns false on protocol error (error
   /// response queued, conn marked closing).
   bool ParseAndDispatch(Reactor& r, int fd, Conn& conn);
 
   /// Queues `response` for `conn` (owning reactor thread only).
   void QueueResponse(Reactor& r, Conn& conn, const WireResponse& response);
 
+  /// Appends one encoded frame to `conn`'s output (owning reactor thread
+  /// only). A request's `record`, when given, is stamped kResponseQueued
+  /// and finished once the frame's last byte clears the socket.
+  void QueueFrame(Reactor& r, Conn& conn, std::string frame,
+                  RequestStamps* record);
+
   /// Retires every pending_flush record whose bytes have cleared the
   /// socket: stamps kBytesFlushed and finishes the record (reactor
   /// thread).
   void FinalizeFlushed(Conn& conn);
 
-  /// Executes one request against the DirectoryServer (worker threads).
-  WireResponse Execute(const WorkItem& item);
-  WireResponse ExecuteSearchEntries(const WorkItem& item);
+  /// Executes one request against the DirectoryServer: on a worker with
+  /// an unbounded budget, or on the reactor for a read under its turn's
+  /// budget. nullopt = a read stopped at the budget with no answer and no
+  /// side effect; it must be dispatched and run again from the start.
+  std::optional<Reply> Execute(WireOp op, uint64_t request_id,
+                               std::string_view body, ReadBudget& budget);
+  std::optional<Reply> ExecuteSearchEntries(uint64_t request_id,
+                                            std::string_view body,
+                                            ReadBudget& budget);
+
+  /// Stamps an executed request's outcome and counts it in
+  /// ldapbound_net_ops_total.
+  void CountExecuted(RequestStamps& record, WireCode code);
 
   void PostCompletion(size_t reactor, Completion completion);
 
@@ -266,8 +334,9 @@ class NetServer {
   std::unique_ptr<SharedCounters> shared_;
 };
 
-/// Filtered, scoped search against a pinned MVCC snapshot — the wire
-/// kSearch implementation, exposed for tests. Supports the filters a
+/// Filtered, scoped search against a pinned MVCC snapshot — what the
+/// wire kSearch answers (through SnapshotSearchPage), as an id vector for
+/// tests, the CLI and in-process callers. Supports the filters a
 /// snapshot can answer from postings alone: "" and "(objectClass=*)"
 /// (match everything), "(objectClass=C)" (class membership) and
 /// "(attr=value)" (equality). Every other shape is kInvalidArgument: a
@@ -304,11 +373,13 @@ struct SnapshotPageHit {
 /// descends straight to the first label >= from_label and stops after
 /// `limit` hits, so a page costs O(depth × fanout + limit) — not the
 /// whole scan — unless the filter's posting is the smaller side (as in
-/// SnapshotSearch).
+/// SnapshotSearch). A `budget` bounds the entries the walk visits and the
+/// posting pass iterates: past it the scan stops with `exhausted` set and
+/// returns no hits. null = unbounded.
 Result<std::vector<SnapshotPageHit>> SnapshotSearchPage(
     const DirectorySnapshot& snapshot, const Vocabulary& vocab,
     std::string_view base_dn, uint8_t scope, std::string_view filter,
-    uint64_t from_label, size_t limit);
+    uint64_t from_label, size_t limit, ReadBudget* budget = nullptr);
 
 /// Reconstructs entry `id`'s DN at `snapshot`'s version by walking the
 /// parent chain and reading each ancestor's RDN from its content at that

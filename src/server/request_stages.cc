@@ -24,8 +24,8 @@ struct StagePair {
 using S = RequestStage;
 constexpr StagePair kPairs[] = {
     {"wire.dispatch", "dispatch", S::kDecoded, S::kEnqueued},
-    {"wire.queue_wait", "queue_wait", S::kEnqueued, S::kWorkerStart},
-    {"wire.execute", "execute", S::kWorkerStart, S::kExecuteDone},
+    {"wire.queue_wait", "queue_wait", S::kEnqueued, S::kExecuteStart},
+    {"wire.execute", "execute", S::kExecuteStart, S::kExecuteDone},
     {"commit.lock_wait", "lock_wait", S::kAdmitted, S::kLocked},
     {"commit.validate", "validate", S::kLocked, S::kBodyDone},
     {"commit.publish", "publish", S::kBodyDone, S::kPublished},
@@ -45,8 +45,10 @@ const std::array<Histogram*, kNumPairs>& StageHistograms() {
       (*out)[i] = &MetricRegistry::Default().GetHistogram(
           "ldapbound_wire_stage_ns",
           "Per-stage wire request latency decomposition (DESIGN.md §13): "
-          "dispatch = decode to enqueue, queue_wait = enqueue to worker, "
-          "execute = worker execution (commit_wait = its WAL durability "
+          "dispatch = decode to enqueue, queue_wait = enqueue to worker "
+          "(a read the reactor answers inline has neither), execute = "
+          "execution on a worker or the reactor (commit_wait = its WAL "
+          "durability "
           "share; lock_wait, validate and publish = a write's wait for "
           "the write mutex, its Figure-5 check and apply, and its "
           "snapshot publish), completion = execute done to response "

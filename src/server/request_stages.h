@@ -13,21 +13,28 @@ class SlowOpLog;
 
 /// The request stage model (DESIGN.md §13), the only per-request timing
 /// source: every request — a wire request or a library call — carries
-/// one record, stamped as it crosses each boundary. A wire request
+/// one record, stamped as it crosses each boundary. A dispatched wire
+/// request (a write, a validate, a read past the reactor's budget)
 /// crosses
 ///
-///   reactor            worker                 reactor
-///   kDecoded ──► kEnqueued ──► kWorkerStart ──► kExecuteDone ──►
+///   reactor            worker                  reactor
+///   kDecoded ──► kEnqueued ──► kExecuteStart ──► kExecuteDone ──►
 ///     kResponseQueued ──► kBytesFlushed
 ///
-/// and the execution window (a library call's whole life) is refined by
+/// and a read the reactor answers itself skips the queue:
+///
+///   reactor
+///   kDecoded ──► kExecuteStart ──► kExecuteDone ──► kResponseQueued ──►
+///     kBytesFlushed
+///
+/// The execution window (a library call's whole life) is refined by
 /// whichever of these the op crosses: kSnapshotPinned (reads), and for
 /// writes kAdmitted ──► kLocked ──► kBodyDone ──► kPublished ──►
 /// kCommitEnqueued ──► kCommitDurable.
 enum class RequestStage : uint8_t {
   kDecoded = 0,     ///< reactor: frame parsed out of the read buffer
   kEnqueued,        ///< reactor: pushed onto the dispatch queue
-  kWorkerStart,     ///< worker: popped from the dispatch queue
+  kExecuteStart,    ///< worker popped it, or the reactor runs it inline
   kAdmitted,        ///< write: admission verdict
   kLocked,          ///< write: write mutex acquired
   kBodyDone,        ///< write: body returned (applied and checked, or
@@ -36,7 +43,7 @@ enum class RequestStage : uint8_t {
   kSnapshotPinned,  ///< read: MVCC snapshot pinned
   kCommitEnqueued,  ///< write: group-commit enqueue
   kCommitDurable,   ///< write: WAL durability reached (fsync acknowledged)
-  kExecuteDone,     ///< worker: Execute returned
+  kExecuteDone,     ///< Execute returned (worker or reactor)
   kResponseQueued,  ///< reactor: response appended to the conn buffer
   kBytesFlushed,    ///< reactor: the response's last byte hit the socket
   kCount
@@ -73,9 +80,10 @@ struct RequestStamps {
 /// The record of the request executing on this thread, so layers below
 /// the worker loop (admission, the commit skeleton, group-commit enqueue,
 /// WAL durability) stamp it and the DirectoryServer op annotates it
-/// without a parameter on every signature. The wire worker installs a
-/// scope around Execute; the outermost DirectoryServer op installs one
-/// when no record is current (library calls, the CLI, recovery replay).
+/// without a parameter on every signature. The wire worker, and the
+/// reactor for an inline read, installs a scope around Execute; the
+/// outermost DirectoryServer op installs one when no record is current
+/// (library calls, the CLI, recovery replay).
 class RequestScope {
  public:
   explicit RequestScope(RequestStamps* record) : prev_(tls_) {

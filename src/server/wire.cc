@@ -22,6 +22,20 @@ void PutLittleEndian(std::string& out, U v) {
   out.append(bytes, sizeof(U));
 }
 
+/// A response frame up to its body, with room reserved for `body_size`
+/// more bytes; the length prefix is written by FinishResponseFrame.
+std::string BeginFrame(const WireResponse& header, size_t body_size) {
+  std::string out;
+  out.reserve(4 + 1 + 8 + 1 + 1 + 4 + header.message.size() + body_size);
+  PutU32(out, 0);
+  PutU8(out, static_cast<uint8_t>(header.op));
+  PutU64(out, header.request_id);
+  PutU8(out, static_cast<uint8_t>(header.code));
+  PutU8(out, header.retryable ? WireResponse::kRetryableFlag : 0);
+  PutString(out, header.message);
+  return out;
+}
+
 }  // namespace
 
 WireCode WireCodeFromStatus(const Status& status) {
@@ -170,21 +184,25 @@ std::string EncodeSearchEntriesRequest(uint64_t request_id,
 }
 
 std::string EncodeResponseFrame(const WireResponse& response) {
-  std::string payload;
-  payload.reserve(1 + 8 + 2 + 4 + response.message.size() +
-                  response.body.size());
-  PutU8(payload, static_cast<uint8_t>(response.op));
-  PutU64(payload, response.request_id);
-  PutU8(payload, static_cast<uint8_t>(response.code));
-  PutU8(payload, response.retryable ? WireResponse::kRetryableFlag : 0);
-  PutString(payload, response.message);
-  payload += response.body;
-
-  std::string out;
-  out.reserve(4 + payload.size());
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  out += payload;
+  std::string out = BeginFrame(response, response.body.size());
+  out += response.body;
+  FinishResponseFrame(out);
   return out;
+}
+
+std::string BeginResponseFrame(WireOp op, uint64_t request_id,
+                               size_t body_size) {
+  WireResponse header;
+  header.op = op;
+  header.request_id = request_id;
+  return BeginFrame(header, body_size);
+}
+
+void FinishResponseFrame(std::string& frame) {
+  const uint32_t payload = static_cast<uint32_t>(frame.size() - 4);
+  for (size_t i = 0; i < 4; ++i) {
+    frame[i] = static_cast<char>(payload >> (8 * i));
+  }
 }
 
 Result<bool> ExtractFrame(std::string_view buffer, size_t max_payload,
@@ -322,7 +340,7 @@ Status AppendSearchEntry(std::string& out, EntryId id, std::string_view dn,
 
 std::string EncodeSearchCookie(const WireSearchCookie& cookie) {
   std::string out;
-  out.reserve(24);
+  out.reserve(kSearchCookieBytes);
   PutU64(out, cookie.cursor_id);
   PutU64(out, cookie.snapshot_version);
   PutU64(out, cookie.next_label);
@@ -330,7 +348,7 @@ std::string EncodeSearchCookie(const WireSearchCookie& cookie) {
 }
 
 Result<WireSearchCookie> DecodeSearchCookie(std::string_view bytes) {
-  if (bytes.size() != 24) {
+  if (bytes.size() != kSearchCookieBytes) {
     return Status::InvalidArgument(
         "wire: malformed pagination cookie (" +
         std::to_string(bytes.size()) + " bytes, want 24)");

@@ -169,6 +169,15 @@ std::string EncodeSearchEntriesRequest(uint64_t request_id,
 /// Server-side response framing. `body` is the op-specific payload.
 std::string EncodeResponseFrame(const WireResponse& response);
 
+/// A successful response's frame, written in one buffer: the header goes
+/// in first with room reserved for `body_size` more bytes (what is known
+/// of the body up front), the caller appends the body straight into the
+/// returned string, and FinishResponseFrame writes the length prefix.
+/// The bytes equal EncodeResponseFrame's for the same response and body.
+std::string BeginResponseFrame(WireOp op, uint64_t request_id,
+                               size_t body_size);
+void FinishResponseFrame(std::string& frame);
+
 /// Incremental frame extraction over a connection's read buffer.
 /// Returns:
 ///   kOk + true    — one complete frame was parsed; *consumed tells the
@@ -232,6 +241,8 @@ struct WireSearchCookie {
   uint64_t snapshot_version = 0;
   uint64_t next_label = 0;
 };
+/// An encoded cookie's size.
+constexpr size_t kSearchCookieBytes = 3 * 8;
 std::string EncodeSearchCookie(const WireSearchCookie& cookie);
 /// kInvalidArgument unless `bytes` is exactly one encoded cookie — wire
 /// bytes are untrusted, and a truncated/padded cookie is a protocol error.

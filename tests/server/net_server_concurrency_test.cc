@@ -309,7 +309,9 @@ TEST_F(NetServerConcurrencyTest, DisconnectStormLeavesTheServerServing) {
 
 // A tiny dispatch queue under pipelined fire-hose load: every response
 // is either OK or an explicitly retryable shed — never a hang, never a
-// silent drop, and the queue bound actually binds.
+// silent drop, and the queue bound actually binds. Validates always take
+// the queue; the searches between them are answered on the reactor and
+// never shed.
 TEST_F(NetServerConcurrencyTest, DispatchBoundShedsRetryablyUnderPressure) {
   NetServerOptions options;
   options.max_pending_ops = 2;
@@ -327,8 +329,9 @@ TEST_F(NetServerConcurrencyTest, DispatchBoundShedsRetryablyUnderPressure) {
       constexpr int kBurst = 32;
       std::string burst;
       for (uint64_t i = 0; i < kBurst; ++i) {
-        burst += EncodeSearchRequest(i, "ou=load", 2,
-                                     "(objectClass=person)");
+        burst += i % 2 == 0 ? EncodeValidateRequest(i)
+                            : EncodeSearchRequest(i, "ou=load", 2,
+                                                  "(objectClass=person)");
       }
       ASSERT_TRUE(SendAll(fd, burst));
       std::string buffer;
@@ -338,7 +341,7 @@ TEST_F(NetServerConcurrencyTest, DispatchBoundShedsRetryablyUnderPressure) {
         if (response.ok()) {
           ok.fetch_add(1);
         } else if (response.code == WireCode::kOverloaded &&
-                   response.retryable) {
+                   response.retryable && response.op == WireOp::kValidate) {
           shed.fetch_add(1);
         } else {
           other.fetch_add(1);
@@ -350,6 +353,9 @@ TEST_F(NetServerConcurrencyTest, DispatchBoundShedsRetryablyUnderPressure) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(ok.load() + shed.load(), 6u * 32u);
   EXPECT_EQ(other.load(), 0u);
+  // Each burst of 16 validates reaches a queue of 2 in one batch.
+  EXPECT_GT(shed.load(), 0u);
+  EXPECT_GT(ok.load(), 6u * 16u);
   EXPECT_EQ(MetricRegistry::Default().Read("ldapbound_net_ops_shed_total") -
                 shed_before,
             shed.load());
@@ -535,6 +541,159 @@ TEST_F(NetServerConcurrencyTest, PagedReadsRaceGroupCommitWriters) {
   EXPECT_GE(scans.load(), 3u);
   EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
   EXPECT_EQ(net_->reactors(), 2u);
+}
+
+// Reads answered on two reactors at once: scans and paged reads on
+// connections steered to both reactors, while a group-commit writer adds
+// and deletes under the scanned unit and reactor 0's cursor reaper, with
+// a 2 ms idle limit, races the cursors the other reactor's reads use. A
+// full scan always holds every seed person exactly once; a page may find
+// its cursor reaped (retryable), never torn. Clean under TSan.
+TEST_F(NetServerConcurrencyTest, InlineReadsOnTwoReactorsRaceWritersAndReaper) {
+  namespace fs = std::filesystem;
+  const std::string root = ::testing::TempDir() + "ldapbound_net_inline_race";
+  fs::remove_all(root);
+  fs::create_directories(root + "/wal");
+  WalOptions wal_options;
+  wal_options.group_commit_max_batch = 4;
+  wal_options.group_commit_hold_us = 200;
+  ASSERT_TRUE(server_.EnableWal(root + "/wal", wal_options).ok());
+
+  NetServerOptions options;
+  options.reactors = 2;
+  options.cursor_idle_timeout_ms = 2;
+  StartNet(options);
+  auto inline_turns = [](int reactor) {
+    return MetricRegistry::Default().Read(
+        "ldapbound_net_inline_read_ns_count",
+        "reactor=\"" + std::to_string(reactor) + "\"");
+  };
+  auto accepted = [](int reactor) {
+    return MetricRegistry::Default().Read(
+        "ldapbound_net_connections_total",
+        "reactor=\"" + std::to_string(reactor) + "\"");
+  };
+  const uint64_t inline_before[] = {inline_turns(0), inline_turns(1)};
+  const uint64_t accepted_before[] = {accepted(0), accepted(1)};
+
+  // The kernel steers each connection to one reactor; connect until both
+  // hold two readers.
+  std::vector<int> fds;
+  for (int i = 0; i < 64 && (accepted(0) - accepted_before[0] < 2 ||
+                             accepted(1) - accepted_before[1] < 2);
+       ++i) {
+    int fd = Connect(net_->port());
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    for (int k = 0; k < 100 && accepted(0) + accepted(1) -
+                                       accepted_before[0] - accepted_before[1] <
+                                   fds.size();
+         ++k) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_GE(accepted(0) - accepted_before[0], 2u);
+  ASSERT_GE(accepted(1) - accepted_before[1], 2u);
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> full_scans{0};
+  std::vector<std::thread> readers;
+  for (int fd : fds) {
+    readers.emplace_back([&, fd] {
+      std::string buffer;
+      uint64_t id = 1;
+      uint64_t scans = 0;
+      while (!writer_done.load() || scans < 3) {
+        WireResponse response;
+        if (!SendAll(fd, EncodeSearchRequest(id++, "ou=load", 2,
+                                             "(objectClass=person)")) ||
+            !ReadResponse(fd, buffer, &response) || !response.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        auto hits = DecodeSearchResponseBody(response.body);
+        if (!hits.ok() || hits->size() < 8) failures.fetch_add(1);
+
+        std::set<std::string> dns;
+        std::string cookie;
+        bool complete = true;
+        for (bool more = true; more;) {
+          if (!SendAll(fd, EncodeSearchEntriesRequest(
+                               id++, "ou=load", 2, "(objectClass=person)", 3,
+                               cookie)) ||
+              !ReadResponse(fd, buffer, &response)) {
+            failures.fetch_add(1);
+            return;
+          }
+          if (response.code == WireCode::kCursorExpired &&
+              response.retryable) {
+            complete = false;  // reaped between pages: restart
+            break;
+          }
+          auto page = DecodeSearchEntriesResponseBody(response.body);
+          if (!response.ok() || !page.ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          for (const WireEntry& entry : page->entries) {
+            if (!dns.insert(entry.dn).second) failures.fetch_add(1);
+            if (entry.classes.size() != 2 || entry.values.size() != 2) {
+              failures.fetch_add(1);  // torn payload
+            }
+          }
+          more = page->has_more;
+          cookie = page->cookie;
+        }
+        ++scans;
+        if (!complete) continue;
+        for (int i = 0; i < 8; ++i) {
+          if (dns.count("uid=u" + std::to_string(i) + ",ou=load") != 1) {
+            failures.fetch_add(1);
+          }
+        }
+        full_scans.fetch_add(1);
+      }
+    });
+  }
+
+  std::thread writer([&] {
+    int fd = Connect(net_->port());
+    if (fd < 0) {
+      failures.fetch_add(1);
+      writer_done.store(true);
+      return;
+    }
+    std::string buffer;
+    WireResponse response;
+    auto call = [&](const std::string& frame) {
+      return SendAll(fd, frame) && ReadResponse(fd, buffer, &response) &&
+             response.ok();
+    };
+    for (int round = 0; round < 30; ++round) {
+      const std::string uid = "w" + std::to_string(round);
+      const std::string dn = "uid=" + uid + ",ou=load";
+      if (!call(EncodeAddRequest(1, dn, {"top", "person"},
+                                 {{"uid", uid}, {"name", uid}})) ||
+          !call(EncodeDeleteRequest(2, dn))) {
+        failures.fetch_add(1);
+        break;
+      }
+    }
+    writer_done.store(true);
+    ::close(fd);
+  });
+
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  for (int fd : fds) ::close(fd);
+  net_->Stop();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(full_scans.load(), 0u);
+  EXPECT_GT(inline_turns(0), inline_before[0]);
+  EXPECT_GT(inline_turns(1), inline_before[1]);
+  EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
 }
 
 // One record per request under load: two clients commit wire adds and

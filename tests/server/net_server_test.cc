@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include "server/health.h"
 #include "server/monitor.h"
 #include "server/slow_ops.h"
+#include "server/wal.h"
 #include "server/wire.h"
 #include "tests/testing/helpers.h"
 #include "util/metrics.h"
@@ -155,6 +157,22 @@ class NetServerTest : public ::testing::Test {
     spec.classes = {"top", "orgUnit"};
     spec.values = {{"ou", "load"}};
     return spec;
+  }
+
+  /// Imports `ou=<unit>` holding `persons` persons uid=<unit><i>.
+  void ImportUnit(const std::string& unit, size_t persons) {
+    std::string ldif = "dn: ou=" + unit +
+                       "\nobjectClass: top\nobjectClass: orgUnit\nou: " +
+                       unit + "\n";
+    for (size_t i = 0; i < persons; ++i) {
+      const std::string uid = unit + std::to_string(i);
+      ldif += "\ndn: uid=" + uid + ",ou=" + unit +
+              "\nobjectClass: top\nobjectClass: person\nuid: " + uid +
+              "\nname: " + uid + "\n";
+    }
+    auto imported = server_.ImportLdif(ldif);
+    ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+    ASSERT_EQ(*imported, persons + 1);
   }
 
   void StartNet(NetServerOptions options = {}) {
@@ -456,8 +474,8 @@ TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
   WireClient client(net_->port());
   ASSERT_TRUE(client.connected());
 
-  // One of each dispatched op (pings answer inline on the reactor and
-  // never cross the stage pipeline, so they carry no record).
+  // A search (answered on the reactor) and one of each dispatched op.
+  // Pings answer inline too but carry no record.
   ASSERT_TRUE(client.Call(EncodeSearchRequest(1, "ou=load", 2, "")).ok());
   ASSERT_TRUE(client.Call(EncodeAddRequest(
       2, "uid=s0,ou=load", {"top", "person"},
@@ -483,10 +501,17 @@ TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
     EXPECT_EQ(op->duration_ns, total->dur_ns);
 
     // The pipeline stages, in wire order: each span starts no earlier
-    // than its predecessor and every span nests inside wire.total.
-    const char* pipeline[] = {"wire.dispatch", "wire.queue_wait",
-                              "wire.execute", "wire.completion",
-                              "wire.write_back"};
+    // than its predecessor and every span nests inside wire.total. The
+    // inline read never enters the dispatch queue.
+    const bool inline_read = id == 1;
+    std::vector<const char*> pipeline = {"wire.execute", "wire.completion",
+                                         "wire.write_back"};
+    if (!inline_read) {
+      pipeline.insert(pipeline.begin(), {"wire.dispatch", "wire.queue_wait"});
+    } else {
+      EXPECT_EQ(FindSpan(*op, "wire.dispatch"), nullptr);
+      EXPECT_EQ(FindSpan(*op, "wire.queue_wait"), nullptr);
+    }
     uint64_t prev_start = 0;
     for (const char* name : pipeline) {
       const Tracer::Event* span = FindSpan(*op, name);
@@ -517,7 +542,93 @@ TEST_F(NetServerTest, DispatchedOpsRecordMonotonicStageBreakdown) {
             std::string::npos);
   EXPECT_NE(metrics.find("ldapbound_net_dispatch_queue_depth"),
             std::string::npos);
+  EXPECT_NE(metrics.find("ldapbound_net_inline_read_ns"), std::string::npos);
   EXPECT_GE(Net("ldapbound_net_ops_total", "outcome=\"ok\"") - ok, 4u);
+}
+
+// A read the reactor's turn cannot cover is stopped and answered by a
+// worker: a forest-wide scan over more persons than kInlineReadBudget
+// crosses the dispatch queue and returns exactly SnapshotSearch's ids,
+// while a unit scan under the budget is answered on the reactor.
+TEST_F(NetServerTest, ForestWideScanPastTheBudgetIsAnsweredByAWorker) {
+  ImportUnit("big", kInlineReadBudget + 64);
+  server_.EnableSlowOps(/*capacity=*/64, /*min_duration_ns=*/0);
+  StartNet();
+  const uint64_t over = Net("ldapbound_net_reads_over_budget_total");
+  WireClient client(net_->port());
+  ASSERT_TRUE(client.connected());
+
+  auto forest =
+      client.Call(EncodeSearchRequest(1, "", 2, "(objectClass=person)"));
+  ASSERT_TRUE(forest.ok() && forest->ok());
+  auto ids = DecodeSearchResponseBody(forest->body);
+  ASSERT_TRUE(ids.ok());
+  PinnedSnapshot snap = server_.PinSnapshot();
+  auto want =
+      SnapshotSearch(*snap, server_.vocab(), "", 2, "(objectClass=person)");
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(ids->size(), kInlineReadBudget + 64 + 2);
+  EXPECT_EQ(*ids, *want);
+  EXPECT_EQ(Net("ldapbound_net_reads_over_budget_total") - over, 1u);
+
+  auto unit = client.Call(EncodeSearchRequest(2, "ou=load", 2, ""));
+  ASSERT_TRUE(unit.ok() && unit->ok());
+  EXPECT_EQ(DecodeSearchResponseBody(unit->body)->size(), 3u);
+  EXPECT_EQ(Net("ldapbound_net_reads_over_budget_total") - over, 1u);
+
+  std::vector<SlowOp> wire = WaitForWireRecords(server_.slow_ops(), 2);
+  ASSERT_EQ(wire.size(), 2u);
+  for (const SlowOp& op : wire) {
+    SCOPED_TRACE("request " + std::to_string(op.wire_request_id));
+    EXPECT_EQ(op.outcome, "ok");
+    EXPECT_NE(FindSpan(op, "wire.execute"), nullptr);
+    const bool dispatched = op.wire_request_id == 1;
+    EXPECT_EQ(FindSpan(op, "wire.queue_wait") != nullptr, dispatched);
+    EXPECT_EQ(FindSpan(op, "wire.dispatch") != nullptr, dispatched);
+  }
+}
+
+// One turn's budget covers a few unit scans, not a whole pipelined burst:
+// of twelve scans that arrive in one read, each visiting 2,001 entries,
+// the reactor answers those the budget covers and sends the rest to the
+// workers. Every scan is answered in full either way.
+TEST_F(NetServerTest, PipelinedBurstPastOneTurnsBudgetGoesToTheWorkers) {
+  constexpr size_t kPersons = 2000;
+  constexpr uint64_t kScans = 12;
+  static_assert(kScans * (kPersons + 1) > 2 * kInlineReadBudget);
+  ImportUnit("big", kPersons);
+  server_.EnableSlowOps(/*capacity=*/64, /*min_duration_ns=*/0);
+  NetServerOptions options;
+  options.reactors = 1;
+  StartNet(options);
+  const uint64_t over = Net("ldapbound_net_reads_over_budget_total");
+  WireClient client(net_->port());
+  ASSERT_TRUE(client.connected());
+
+  std::string burst;
+  for (uint64_t i = 1; i <= kScans; ++i) {
+    burst += EncodeSearchRequest(i, "ou=big", 2, "(objectClass=person)");
+  }
+  ASSERT_TRUE(client.Send(burst));  // one segment: one read, one turn
+  std::set<uint64_t> answered;
+  for (uint64_t i = 0; i < kScans; ++i) {
+    auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok() && response->ok());
+    EXPECT_EQ(DecodeSearchResponseBody(response->body)->size(), kPersons);
+    answered.insert(response->request_id);
+  }
+  EXPECT_EQ(answered.size(), kScans);
+
+  std::vector<SlowOp> wire = WaitForWireRecords(server_.slow_ops(), kScans);
+  ASSERT_EQ(wire.size(), kScans);
+  uint64_t dispatched = 0;
+  for (const SlowOp& op : wire) {
+    if (FindSpan(op, "wire.queue_wait") != nullptr) ++dispatched;
+  }
+  const uint64_t covered = kInlineReadBudget / (kPersons + 1);
+  EXPECT_GE(dispatched, kScans - covered);
+  EXPECT_LT(dispatched, kScans);
+  EXPECT_EQ(Net("ldapbound_net_reads_over_budget_total") - over, dispatched);
 }
 
 // A durable wire add is one request with one record: the wire pipeline
@@ -560,6 +671,79 @@ TEST_F(NetServerTest, DurableWireAddIsOneRecordWithCommitStages) {
               total->start_ns + total->dur_ns)
         << name;
     prev_end = span->start_ns + span->dur_ns;
+  }
+}
+
+// Group-commit writers on two workers post their completions in bursts,
+// while the reactor is busy answering a reader's scans inline. No
+// completion may wait for the reactor's 250 ms epoll timeout: each
+// worker's eventfd signal must wake a reactor turn that drains it. Every
+// round ends with all clients waiting, so a lost signal is never rescued
+// by later traffic. The retained records are the slowest requests; the
+// completion span (execute done to response queued) is the reactor's
+// pickup delay alone, whatever the fsyncs cost.
+TEST_F(NetServerTest, GroupCommitWritersOnTwoWorkersAreAnsweredPromptly) {
+  ImportUnit("big", 1000);
+  const std::string dir = ::testing::TempDir() + "ldapbound_net_prompt";
+  std::filesystem::remove_all(dir);
+  WalOptions wal_options;
+  wal_options.group_commit_max_batch = 8;
+  wal_options.group_commit_hold_us = 200;
+  ASSERT_TRUE(server_.EnableWal(dir, wal_options).ok());
+  server_.EnableSlowOps(/*capacity=*/32, /*min_duration_ns=*/0);
+  NetServerOptions options;
+  options.reactors = 1;
+  options.worker_threads = 2;
+  StartNet(options);
+
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 100;
+  constexpr int kScans = 4;  // one round's inline work: about 4,000 entries
+  std::barrier round(kWriters + 1);
+  std::vector<int> failures(kWriters + 1, 0);
+  std::vector<std::thread> clients;
+  for (int w = 0; w < kWriters; ++w) {
+    clients.emplace_back([&, w] {
+      WireClient client(net_->port());
+      for (int r = 0; r < kRounds; ++r) {
+        round.arrive_and_wait();
+        const std::string uid = "p" + std::to_string(w) + "r" +
+                                std::to_string(r / 2);
+        const std::string dn = "uid=" + uid + ",ou=load";
+        auto done = client.Call(
+            r % 2 == 0 ? EncodeAddRequest(1, dn, {"top", "person"},
+                                          {{"uid", uid}, {"name", uid}})
+                       : EncodeDeleteRequest(2, dn));
+        if (!done.ok() || !done->ok()) ++failures[w];
+      }
+    });
+  }
+  clients.emplace_back([&] {
+    WireClient client(net_->port());
+    std::string burst;
+    for (int i = 0; i < kScans; ++i) {
+      burst += EncodeSearchRequest(i, "ou=big", 2, "");
+    }
+    for (int r = 0; r < kRounds; ++r) {
+      round.arrive_and_wait();
+      if (!client.Send(burst)) ++failures[kWriters];
+      for (int i = 0; i < kScans; ++i) {
+        auto scan = client.ReadResponse();
+        if (!scan.ok() || !scan->ok()) ++failures[kWriters];
+      }
+    }
+  });
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(std::count(failures.begin(), failures.end(), 0), kWriters + 1);
+
+  std::vector<SlowOp> wire = WaitForWireRecords(server_.slow_ops(), 32);
+  ASSERT_EQ(wire.size(), 32u);
+  for (const SlowOp& op : wire) {
+    const Tracer::Event* completion = FindSpan(op, "wire.completion");
+    ASSERT_NE(completion, nullptr) << op.op;
+    EXPECT_LT(completion->dur_ns, 100'000'000u)
+        << op.op << " " << op.target << " waited "
+        << completion->dur_ns / 1000 << " us for the reactor";
   }
 }
 
@@ -1011,6 +1195,106 @@ TEST_F(NetServerTest, NeverReadingClientStallsInsteadOfGrowingTheServer) {
   EXPECT_LE(Net("ldapbound_net_conn_out_hwm_bytes_sum") - hwm_before,
             kCap + one_read * response_bytes);
 }
+
+// A client that pipelines scans and never reads: the reactor answers
+// scans only while the connection's unsent bytes are under the cap, and
+// dispatches the rest, which the queue bound sheds. So the connection's
+// high-watermark stays under the bound it had when every read was
+// dispatched: the cap, one read budget of small answers (sheds), and one
+// scan answer per queue slot and worker — plus the one inline answer that
+// crosses the cap. Once the client reads, every scan is answered once.
+// The bound is the worst case, not the typical figure: how many requests
+// one read brings is up to the kernel's socket buffers, and on a 4-vCPU
+// Linux 6.18 host a run reads 316-368 KB against the bound's 711 KB
+// (342-352 KB when every scan was dispatched: inline answers fill the gap
+// to the cap before the last read's sheds land on top). It catches a
+// reactor that answers past the cap without limit (one with no turn
+// budget and no cap check reads about 5 MB), not a doubling.
+TEST_F(NetServerTest, NeverReadingScanClientKeepsTheDispatchedBound) {
+  constexpr size_t kPersons = 200;
+  ImportUnit("big", kPersons);
+  NetServerOptions options;
+  options.reactors = 1;
+  options.max_pending_ops = 8;
+  options.worker_threads = 2;
+  StartNet(options);
+  WireClient client(net_->port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(client.connected());
+  int sndbuf = 4096;
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  const uint64_t closed_before = Net("ldapbound_net_conn_out_hwm_bytes_count");
+  const uint64_t hwm_before = Net("ldapbound_net_conn_out_hwm_bytes_sum");
+
+  constexpr uint64_t kMaxScans = 200000;
+  constexpr uint64_t kBatch = 1024;
+  uint64_t queued = 0;
+  std::string pending;
+  bool stalled = false;
+  while (!stalled && (queued < kMaxScans || !pending.empty())) {
+    if (pending.empty()) {
+      for (uint64_t i = 0; i < kBatch; ++i) {
+        pending += EncodeSearchRequest(queued++, "ou=big", 2,
+                                       "(objectClass=person)");
+      }
+    }
+    ssize_t n = ::send(client.fd(), pending.data(), pending.size(),
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      pending.erase(0, static_cast<size_t>(n));
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+        << std::strerror(errno);
+    pollfd writable{client.fd(), POLLOUT, 0};
+    stalled = ::poll(&writable, 1, /*timeout_ms=*/300) == 0;
+  }
+  EXPECT_TRUE(stalled) << "sent " << queued << " scans without a stall";
+
+  std::vector<int> answered(queued, 0);
+  uint64_t scan_bytes = 0;
+  uint64_t shed_bytes = 0;
+  uint64_t shed = 0;
+  std::thread reader([&] {
+    for (uint64_t i = 0; i < queued; ++i) {
+      auto response = client.ReadResponse();
+      if (!response.ok()) return;
+      if (response->request_id < queued) ++answered[response->request_id];
+      const uint64_t bytes = EncodeResponseFrame(*response).size();
+      if (response->ok()) {
+        scan_bytes = std::max(scan_bytes, bytes);
+      } else if (response->code == WireCode::kOverloaded &&
+                 response->retryable) {
+        shed_bytes = std::max(shed_bytes, bytes);
+        ++shed;
+      }
+    }
+  });
+  ASSERT_TRUE(client.Send(pending));
+  reader.join();
+  EXPECT_EQ(std::count(answered.begin(), answered.end(), 1),
+            static_cast<std::ptrdiff_t>(queued));
+  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(scan_bytes, EncodeResponseFrame([] {
+                          WireResponse ok;
+                          ok.body.resize(4 + 8 * kPersons);
+                          return ok;
+                        }()).size());
+
+  ::shutdown(client.fd(), SHUT_RDWR);
+  for (int i = 0; i < 200 && Net("ldapbound_net_conn_out_hwm_bytes_count") ==
+                                 closed_before;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(Net("ldapbound_net_conn_out_hwm_bytes_count"), closed_before + 1);
+  constexpr uint64_t kCap = 256 * 1024;  // unsent bytes = the read budget
+  const uint64_t request_bytes =
+      EncodeSearchRequest(0, "ou=big", 2, "(objectClass=person)").size();
+  const uint64_t one_read = (kCap + request_bytes) / request_bytes;
+  const uint64_t in_flight =
+      options.max_pending_ops + options.worker_threads + 1;
+  EXPECT_LE(Net("ldapbound_net_conn_out_hwm_bytes_sum") - hwm_before,
+            kCap + one_read * shed_bytes + in_flight * scan_bytes);}
 
 // The page encoder writes each entry from its pinned content at read
 // time. A full paged scan of the forest decodes to exactly what the head

@@ -158,6 +158,35 @@ TEST(WireTest, ResponseRoundTripsWithRetryableFlagAndBody) {
   EXPECT_EQ(decoded->body.size(), 4u);
 }
 
+// A response written in place — header first, body appended into the
+// same buffer, length last — is byte for byte EncodeResponseFrame's, and
+// the buffer sized up front never moves while the body goes in.
+TEST(WireTest, ResponseFrameWrittenInPlaceMatchesEncodeResponseFrame) {
+  WireResponse response;
+  response.op = WireOp::kSearch;
+  response.request_id = 0x0102030405060708ull;
+  PutU32(response.body, 2);
+  PutU64(response.body, 5);
+  PutU64(response.body, 9);
+
+  std::string frame =
+      BeginResponseFrame(response.op, response.request_id, 4 + 2 * 8);
+  const char* data = frame.data();
+  PutU32(frame, 2);
+  PutU64(frame, 5);
+  PutU64(frame, 9);
+  FinishResponseFrame(frame);
+  EXPECT_EQ(frame.data(), data);
+  EXPECT_EQ(frame, EncodeResponseFrame(response));
+
+  std::string empty = BeginResponseFrame(WireOp::kAdd, 3, 0);
+  FinishResponseFrame(empty);
+  WireResponse added;
+  added.op = WireOp::kAdd;
+  added.request_id = 3;
+  EXPECT_EQ(empty, EncodeResponseFrame(added));
+}
+
 TEST(WireTest, SearchAndValidateBodiesRoundTrip) {
   std::string body;
   PutU32(body, 3);
